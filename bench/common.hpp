@@ -32,10 +32,9 @@ inline PairResult run_pair(const graph::ComputationGraph& graph,
                            const core::LcmmOptions& options = {}) {
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), precision, options);
   PairResult r;
-  r.umm_plan = compiler.compile_umm(graph);
+  r.lcmm_plan = compiler.compile(graph, &r.umm_plan);
   r.umm_sim = sim::simulate(graph, r.umm_plan);
   r.umm = sim::make_report(graph, r.umm_plan, r.umm_sim);
-  r.lcmm_plan = compiler.compile(graph);
   r.lcmm_sim = sim::refine_against_stalls(graph, r.lcmm_plan);
   r.lcmm = sim::make_report(graph, r.lcmm_plan, r.lcmm_sim);
   return r;

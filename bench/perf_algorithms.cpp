@@ -115,8 +115,9 @@ void BM_CompileMany(benchmark::State& state) {
   for (const char* name : {"resnet152", "googlenet", "inception_v4"}) {
     for (hw::Precision p :
          {hw::Precision::kInt8, hw::Precision::kInt16, hw::Precision::kFp32}) {
-      jobs.push_back({cached_model(name), hw::FpgaDevice::vu9p(), p,
-                      core::LcmmOptions{}});
+      jobs.push_back({.graph = cached_model(name),
+                      .device = hw::FpgaDevice::vu9p(),
+                      .precision = p});
     }
   }
   const int workers = static_cast<int>(state.range(0));

@@ -23,8 +23,10 @@ int main(int argc, char** argv) {
   std::vector<driver::BatchJob> jobs;
   for (hw::Precision p : kPrecisions) {
     for (int seed = 1; seed <= kGraphs; ++seed) {
-      jobs.push_back({models::random_graph(static_cast<std::uint64_t>(seed)),
-                      hw::FpgaDevice::vu9p(), p, core::LcmmOptions{}});
+      jobs.push_back(
+          {.graph = models::random_graph(static_cast<std::uint64_t>(seed)),
+           .device = hw::FpgaDevice::vu9p(),
+           .precision = p});
     }
   }
   const std::vector<driver::BatchOutcome> outcomes = driver::compile_many(

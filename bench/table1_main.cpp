@@ -20,8 +20,9 @@ int main(int argc, char** argv) {
   std::vector<bench::Dims> dims;
   for (const auto& [label, model_name] : bench::kSuite) {
     for (hw::Precision p : hw::kAllPrecisions) {
-      jobs.push_back({models::build_by_name(model_name),
-                      hw::FpgaDevice::vu9p(), p, core::LcmmOptions{}});
+      jobs.push_back({.graph = models::build_by_name(model_name),
+                      .device = hw::FpgaDevice::vu9p(),
+                      .precision = p});
       labels.push_back(std::string(label) + " " + hw::to_string(p));
       dims.push_back({{"net", label}, {"precision", hw::to_string(p)}});
     }

@@ -50,8 +50,8 @@ int main() {
        {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg()}) {
     for (hw::Precision p : {hw::Precision::kInt8, hw::Precision::kInt16}) {
       core::LcmmCompiler compiler(device, p);
-      const core::AllocationPlan umm = compiler.compile_umm(net);
-      core::AllocationPlan plan = compiler.compile(net);
+      core::AllocationPlan umm;
+      core::AllocationPlan plan = compiler.compile(net, &umm);
       const sim::SimResult usim = sim::simulate(net, umm);
       const sim::SimResult lsim = sim::refine_against_stalls(net, plan);
 

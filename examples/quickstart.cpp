@@ -18,12 +18,12 @@ int main() {
   // 2. Create a compiler for the target device and precision.
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
 
-  // 3. Baseline: uniform memory management (tile buffers only).
-  core::AllocationPlan umm = compiler.compile_umm(net);
+  // 3. LCMM: feature reuse + weight prefetching + DNNK + splitting. The
+  //    compile also hands back its baseline: uniform memory management
+  //    (tile buffers only), as compiler.compile_umm(net) would build it.
+  core::AllocationPlan umm;
+  core::AllocationPlan plan = compiler.compile(net, &umm);
   sim::SimResult umm_sim = sim::simulate(net, umm);
-
-  // 4. LCMM: feature reuse + weight prefetching + DNNK + splitting.
-  core::AllocationPlan plan = compiler.compile(net);
   sim::SimResult lcmm_sim = sim::refine_against_stalls(net, plan);
 
   std::cout << "accelerator: " << plan.design.array.to_string()
@@ -35,7 +35,7 @@ int main() {
             << " ms/image  (speedup "
             << util::fmt_fixed(umm_sim.total_s / lcmm_sim.total_s, 2) << "x)\n";
 
-  // 5. Inspect the plan.
+  // 4. Inspect the plan.
   std::cout << "\non-chip tensor buffers: " << plan.physical.size() << " ("
             << util::fmt_mebibytes(static_cast<double>(plan.tensor_buffer_bytes))
             << "), URAM " << util::fmt_pct(plan.uram_utilization())

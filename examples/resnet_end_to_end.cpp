@@ -12,8 +12,8 @@ int main() {
 
   for (hw::Precision p : hw::kAllPrecisions) {
     core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), p);
-    core::AllocationPlan umm = compiler.compile_umm(net);
-    core::AllocationPlan plan = compiler.compile(net);
+    core::AllocationPlan umm;
+    core::AllocationPlan plan = compiler.compile(net, &umm);
     sim::SimResult usim = sim::simulate(net, umm);
     sim::SimResult lsim = sim::refine_against_stalls(net, plan);
 

@@ -77,6 +77,8 @@ class OnChipState {
     return mask_.at(static_cast<std::size_t>(layer));
   }
   std::size_t num_layers() const { return mask_.size(); }
+  /// Every layer's mask, indexed by LayerId.
+  const std::vector<std::uint8_t>& masks() const { return mask_; }
   int count() const;
 
  private:

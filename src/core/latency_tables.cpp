@@ -5,6 +5,13 @@
 namespace lcmm::core {
 
 namespace {
+// hw::eq1_latency reads masks in TensorSource bit order.
+static_assert(hw::kOnChipInput == 1u << static_cast<int>(TensorSource::kInput));
+static_assert(hw::kOnChipResidual ==
+              1u << static_cast<int>(TensorSource::kResidual));
+static_assert(hw::kOnChipWeight == 1u << static_cast<int>(TensorSource::kWeight));
+static_assert(hw::kOnChipOutput == 1u << static_cast<int>(TensorSource::kOutput));
+
 bool bit(std::uint8_t mask, TensorSource s) {
   return (mask >> static_cast<int>(s)) & 1u;
 }
@@ -30,13 +37,7 @@ double LatencyTables::stream_latency(graph::LayerId layer,
 double LatencyTables::node_latency(graph::LayerId layer,
                                    std::uint8_t mask) const {
   const hw::LayerTiming& t = model_->timing(layer);
-  // The input-feature interface carries both the main input and the fused
-  // residual stream; their off-chip latencies add on that interface.
-  const double if_term = (bit(mask, TensorSource::kInput) ? 0.0 : t.if_s) +
-                         (bit(mask, TensorSource::kResidual) ? 0.0 : t.res_s);
-  const double wt_term = bit(mask, TensorSource::kWeight) ? 0.0 : t.wt_s;
-  const double of_term = bit(mask, TensorSource::kOutput) ? 0.0 : t.of_s;
-  return std::max({t.compute_s, if_term, wt_term, of_term});
+  return hw::eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s, mask);
 }
 
 double LatencyTables::node_latency_umm(graph::LayerId layer) const {

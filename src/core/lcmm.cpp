@@ -1,6 +1,7 @@
 #include "core/lcmm.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "obs/scope.hpp"
@@ -291,16 +292,71 @@ LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung) {
   return out;
 }
 
-AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph) const {
+AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
+                                     AllocationPlan* umm_baseline) const {
   // One pipeline span and one fault budget per top-level compile, no
   // matter how many ladder rungs run inside.
   LCMM_SPAN("pipeline");
   resil::fault::Scope fault_scope;
 
-  if (options_.strict) {
-    AllocationPlan plan = compile_full(graph);
-    LCMM_DECIDE("ladder", 0, true, resil::rung_name(plan.rung));
+  // The request's design space and UMM baseline: built on first use, then
+  // shared by the seed and refine DSE, the no-benefit fallback, the ladder
+  // floor and the caller. A rung that fails while building them retries
+  // on the next rung's turn.
+  std::optional<hw::DesignSpace> space;
+  std::optional<AllocationPlan> baseline;
+  const auto job_space = [&]() -> const hw::DesignSpace& {
+    if (!space) {
+      space.emplace(hw::Dse(device_, precision_, options_.dse).space(graph));
+    }
+    return *space;
+  };
+  const auto umm = [&]() -> const AllocationPlan& {
+    if (!baseline) baseline.emplace(compile_umm(graph, &job_space()));
+    return *baseline;
+  };
+  const auto run_rung = [&](resil::Rung rung) {
+    AllocationPlan plan;
+    if (rung == resil::Rung::kFullLcmm) {
+      plan = compile_lcmm(graph, job_space());
+    } else {
+      // Degraded rungs shrink the tile menu, so they explore their own
+      // design space; the baseline stays the job's own.
+      const LcmmOptions options = degrade_options(options_, rung);
+      plan = LcmmCompiler(device_, precision_, options)
+                 .compile_lcmm(graph, hw::Dse(device_, precision_, options.dse)
+                                          .space(graph));
+    }
+    // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
+    // use. If the allocation gains do not cover it (compute-bound
+    // network), ship the uniform design unchanged — a real toolflow would
+    // too.
+    const AllocationPlan& base = umm();
+    if (options_.allow_fallback_to_umm && base.est_latency_s < plan.est_latency_s) {
+      LCMM_INFO() << "LCMM(" << graph.name()
+                  << "): allocation gains below the URAM clock penalty; "
+                     "keeping the uniform design";
+      LCMM_COUNT("fallback_to_umm", 1);
+      LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
+      plan = base;
+      plan.is_umm = false;
+    } else {
+      LCMM_INFO() << "LCMM(" << graph.name() << "): "
+                  << plan.umm_latency_s * 1e3 << " ms (UMM est) -> "
+                  << plan.est_latency_s * 1e3 << " ms, POL "
+                  << plan.pol() * 100 << "%";
+    }
     return plan;
+  };
+  const auto ship = [&](AllocationPlan plan) {
+    if (umm_baseline) *umm_baseline = umm();
+    return plan;
+  };
+
+  if (options_.strict) {
+    AllocationPlan plan = run_rung(resil::Rung::kFullLcmm);
+    LCMM_DECIDE("ladder", 0, true, resil::rung_name(plan.rung));
+    return ship(std::move(plan));
   }
 
   using resil::Rung;
@@ -308,11 +364,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph) const
   for (Rung rung : {Rung::kFullLcmm, Rung::kShrunkDnnk, Rung::kNoPrefetch,
                     Rung::kNoFeatureReuse}) {
     try {
-      AllocationPlan plan =
-          rung == Rung::kFullLcmm
-              ? compile_full(graph)
-              : LcmmCompiler(device_, precision_, degrade_options(options_, rung))
-                    .compile_full(graph);
+      AllocationPlan plan = run_rung(rung);
       plan.rung = rung;
       plan.degrade_reason = reason;
       if (rung != Rung::kFullLcmm) {
@@ -321,7 +373,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph) const
         LCMM_COUNT("ladder_degraded", 1);
       }
       LCMM_DECIDE("ladder", 0, true, resil::rung_name(rung));
-      return plan;
+      return ship(std::move(plan));
     } catch (const resil::OptionError&) {
       throw;  // caller contract violations are never ladder-recoverable
     } catch (const std::exception& e) {
@@ -339,7 +391,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph) const
 
   // The floor: a semantically valid UMM plan. If even this throws, the
   // error propagates — the ladder degrades no further than UMM.
-  AllocationPlan plan = compile_umm(graph);
+  AllocationPlan plan = umm();
   plan.is_umm = false;  // mirrors the no-benefit fallback convention
   plan.rung = Rung::kUmm;
   plan.degrade_reason = reason;
@@ -348,35 +400,22 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph) const
               << reason;
   LCMM_COUNT("ladder_degraded", 1);
   LCMM_DECIDE("ladder", 0, true, resil::rung_name(Rung::kUmm));
-  return plan;
+  return ship(std::move(plan));
 }
 
-AllocationPlan LcmmCompiler::compile_full(const graph::ComputationGraph& graph) const {
-  hw::DseOptions dse_options = options_.dse;
-  dse_options.heavy_uram_use = true;  // LCMM designs lean on URAM
-  const hw::Dse dse(device_, precision_, dse_options);
-
-  // Pass 1: best design assuming uniform management.
-  hw::DseResult seed = [&] {
-    LCMM_SPAN("dse");
-    return dse.explore(graph);
-  }();
+AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
+                                          const hw::DesignSpace& space) const {
+  // LCMM designs lean on URAM, so every LCMM objective runs at the
+  // heavy-URAM clock. Pass 1: best design assuming uniform management.
+  const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/true);
   LCMM_COUNT("dse_rounds", 1);
   AllocationPlan plan = allocate_under_design(graph, seed.design);
 
   // Pass 2+: re-optimize the design under the allocation's on-chip state;
   // keep whichever (design, allocation) pair estimates fastest.
   for (int pass = 1; pass < options_.dse_passes; ++pass) {
-    const OnChipState& state = plan.state;
-    const auto objective = [&](const hw::AcceleratorDesign& candidate) {
-      hw::PerfModel model(graph, candidate);
-      LatencyTables tables(model);
-      return tables.total_latency(state);
-    };
-    hw::DseResult refined = [&] {
-      LCMM_SPAN("dse");
-      return dse.explore(graph, objective);
-    }();
+    const hw::DseResult refined =
+        space.argmin(/*heavy_uram_use=*/true, plan.state.masks());
     LCMM_COUNT("dse_rounds", 1);
     if (refined.design.tile == plan.design.tile &&
         refined.design.array == plan.design.array) {
@@ -391,27 +430,15 @@ AllocationPlan LcmmCompiler::compile_full(const graph::ComputationGraph& graph) 
       break;
     }
   }
-  // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
-  // use. If the allocation gains do not cover it (compute-bound network),
-  // ship the uniform design unchanged — a real toolflow would too.
-  AllocationPlan baseline = compile_umm(graph);
-  if (options_.allow_fallback_to_umm &&
-      baseline.est_latency_s < plan.est_latency_s) {
-    LCMM_INFO() << "LCMM(" << graph.name()
-                << "): allocation gains below the URAM clock penalty; "
-                   "keeping the uniform design";
-    LCMM_COUNT("fallback_to_umm", 1);
-    LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
-    baseline.is_umm = false;
-    return baseline;
-  }
-  LCMM_INFO() << "LCMM(" << graph.name() << "): " << plan.umm_latency_s * 1e3
-              << " ms (UMM est) -> " << plan.est_latency_s * 1e3
-              << " ms, POL " << plan.pol() * 100 << "%";
   return plan;
 }
 
 AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph) const {
+  return compile_umm(graph, nullptr);
+}
+
+AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
+                                         const hw::DesignSpace* space) const {
   LCMM_SPAN("umm_baseline");
   resil::fault::Scope fault_scope;
   // UMM is the ladder floor, so it gets its own bounded retreat: on a typed
@@ -419,7 +446,15 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph) c
   static constexpr double kTileScale[] = {1.0, 0.5, 0.25};
   for (std::size_t attempt = 0;; ++attempt) {
     try {
-      return compile_umm_attempt(graph, kTileScale[attempt]);
+      hw::DseOptions dse_options = options_.dse;
+      dse_options.tile_bram_fraction =
+          std::max(0.02, dse_options.tile_bram_fraction * kTileScale[attempt]);
+      if (space != nullptr &&
+          dse_options.tile_bram_fraction == options_.dse.tile_bram_fraction) {
+        return umm_under(graph, *space);
+      }
+      return umm_under(graph,
+                       hw::Dse(device_, precision_, dse_options).space(graph));
     } catch (const resil::OptionError&) {
       throw;
     } catch (const std::exception& e) {
@@ -433,18 +468,9 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph) c
   }
 }
 
-AllocationPlan LcmmCompiler::compile_umm_attempt(
-    const graph::ComputationGraph& graph, double tile_scale) const {
-  hw::DseOptions dse_options = options_.dse;
-  dse_options.heavy_uram_use = false;
-  dse_options.tile_bram_fraction =
-      std::max(0.02, dse_options.tile_bram_fraction * tile_scale);
-  const hw::Dse dse(device_, precision_, dse_options);
-  const hw::DseResult seed = [&] {
-    LCMM_SPAN("dse");
-    return dse.explore(graph);
-  }();
-
+AllocationPlan LcmmCompiler::umm_under(const graph::ComputationGraph& graph,
+                                       const hw::DesignSpace& space) const {
+  const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/false);
   hw::PerfModel model(graph, seed.design);
   AllocationPlan plan;
   plan.is_umm = true;

@@ -121,8 +121,11 @@ class LcmmCompiler {
   LcmmCompiler(hw::FpgaDevice device, hw::Precision precision,
                LcmmOptions options = {});
 
-  /// Full LCMM compilation.
-  AllocationPlan compile(const graph::ComputationGraph& graph) const;
+  /// Full LCMM compilation. The UMM baseline it compiles for the no-benefit
+  /// fallback and the ladder floor is copied to `umm_baseline` when given —
+  /// equal to compile_umm(graph), without a second design-space evaluation.
+  AllocationPlan compile(const graph::ComputationGraph& graph,
+                         AllocationPlan* umm_baseline = nullptr) const;
   /// Uniform-memory-management baseline.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph) const;
   /// LCMM with a caller-fixed design (skips DSE; used by design-space scans).
@@ -134,12 +137,18 @@ class LcmmCompiler {
   hw::Precision precision() const { return precision_; }
 
  private:
-  /// One full pipeline attempt (the pre-resil compile body). Throws typed
-  /// errors; the ladder in compile() decides what happens next.
-  AllocationPlan compile_full(const graph::ComputationGraph& graph) const;
-  /// One UMM attempt with the tile BRAM budget scaled by `tile_scale`.
-  AllocationPlan compile_umm_attempt(const graph::ComputationGraph& graph,
-                                     double tile_scale) const;
+  /// One LCMM pipeline attempt on `space`: seed DSE, allocation, refine
+  /// DSE. Throws typed errors; the ladder in compile() decides what
+  /// happens next.
+  AllocationPlan compile_lcmm(const graph::ComputationGraph& graph,
+                              const hw::DesignSpace& space) const;
+  /// compile_umm, taking its first attempt's design from `space` when
+  /// given (it must be this compiler's unscaled design space).
+  AllocationPlan compile_umm(const graph::ComputationGraph& graph,
+                             const hw::DesignSpace* space) const;
+  /// The UMM plan of the design `space` picks at the uniform clock.
+  AllocationPlan umm_under(const graph::ComputationGraph& graph,
+                           const hw::DesignSpace& space) const;
   AllocationPlan allocate_under_design(const graph::ComputationGraph& graph,
                                        const hw::AcceleratorDesign& design) const;
   void place_physical(AllocationPlan& plan,

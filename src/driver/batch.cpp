@@ -16,15 +16,22 @@ void run_job(const BatchJob& job, const resil::Deadline& deadline,
              BatchOutcome& out) {
   resil::fault::hit("driver.job");
   const core::LcmmCompiler compiler(job.device, job.precision, job.options);
-  if (job.want_umm) {
+  if (job.want_lcmm) {
+    deadline.check("driver.lcmm");
+    // compile() builds the UMM baseline for its fallback anyway: ship that
+    // one instead of exploring the design space a second time.
+    out.lcmm_plan =
+        compiler.compile(job.graph, job.want_umm ? &out.umm_plan : nullptr);
+  } else if (job.want_umm) {
     deadline.check("driver.umm");
     out.umm_plan = compiler.compile_umm(job.graph);
+  }
+  if (job.want_umm) {
+    deadline.check("driver.simulate");
     out.umm_sim = sim::simulate(job.graph, out.umm_plan);
     out.umm_report = sim::make_report(job.graph, out.umm_plan, out.umm_sim);
   }
   if (job.want_lcmm) {
-    deadline.check("driver.lcmm");
-    out.lcmm_plan = compiler.compile(job.graph);
     deadline.check("driver.simulate");
     out.lcmm_sim = sim::refine_against_stalls(job.graph, out.lcmm_plan);
     out.lcmm_report = sim::make_report(job.graph, out.lcmm_plan, out.lcmm_sim);

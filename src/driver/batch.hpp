@@ -28,14 +28,15 @@ struct BatchJob {
   graph::ComputationGraph graph;
   hw::FpgaDevice device = hw::FpgaDevice::vu9p();
   hw::Precision precision = hw::Precision::kInt16;
-  core::LcmmOptions options;
+  core::LcmmOptions options{};
   /// Which designs to produce. LCMM plans are stall-refined the same way
-  /// lcmm_compile ships them.
+  /// lcmm_compile ships them. With both, one LcmmCompiler::compile call
+  /// yields both: the UMM plan is the baseline it compiled anyway.
   bool want_umm = true;
   bool want_lcmm = true;
   /// Label echoed in BatchOutcome and error reports ("resnet50/int8");
   /// defaults to the graph name when empty.
-  std::string label;
+  std::string label{};
   /// Soft per-job wall-clock budget in seconds (<= 0 = unlimited), checked
   /// at phase boundaries — a running pass is never interrupted mid-flight.
   double timeout_s = 0.0;

@@ -8,9 +8,19 @@
 // off-chip); the LCMM driver re-runs the DSE with an allocation-aware
 // objective, which is how "smaller tile sizes improve computation
 // efficiency once the bandwidth bottleneck is gone" (§4.1) emerges.
+//
+// One compile request evaluates its design space once: Dse::space() groups
+// the layers into shape classes and fills a clock-free (candidate x class)
+// cost table, and DesignSpace::argmin() derives every objective the
+// compiler needs — UMM at the uniform clock, the LCMM seed at the
+// heavy-URAM clock, the allocation-aware refine under an on-chip state —
+// from it with O(layers) lookups per candidate.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "hw/perf_model.hpp"
@@ -41,6 +51,97 @@ struct DseResult {
   double objective_latency_s = 0.0;
 };
 
+/// Every layer field the per-layer cost and the tile-buffer sizes read.
+/// Layers with equal keys cost the same under every design, wherever they
+/// sit in the network. Fields a layer kind does not read stay zero.
+struct ShapeKey {
+  graph::LayerKind kind = graph::LayerKind::kConv;
+  int conv_kernel_h = 0;
+  int conv_kernel_w = 0;
+  int conv_stride = 0;
+  int conv_pad_h = 0;
+  int conv_pad_w = 0;
+  int conv_groups = 0;
+  int pool_kernel = 0;
+  int pool_stride = 0;
+  int pool_pad = 0;
+  bool pool_global = false;
+  int in_channels = 0;
+  int in_height = 0;
+  int in_width = 0;
+  int out_channels = 0;
+  int out_height = 0;
+  int out_width = 0;
+  bool residual = false;
+  std::int64_t weight_elems = 0;
+  std::int64_t macs = 0;
+
+  auto operator<=>(const ShapeKey&) const = default;
+};
+
+ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id);
+
+/// The graph's layers grouped by ShapeKey.
+struct ShapeClasses {
+  /// Class of each layer, indexed by LayerId.
+  std::vector<int> layer_class;
+  /// First layer of each class; class ids follow first appearance.
+  std::vector<graph::LayerId> representative;
+
+  std::size_t size() const { return representative.size(); }
+};
+
+ShapeClasses shape_classes(const graph::ComputationGraph& graph);
+
+/// One (array, tile) pair of the DSE menu.
+struct DseCandidate {
+  SystolicArrayConfig array;
+  TileConfig tile;
+};
+
+/// One compile request's design space: the filtered menu (a candidate's
+/// position is its "menu index") and, for each candidate and shape class,
+/// the clock-free Eq. 1 inputs. Built by Dse::space(); freed with it.
+class DesignSpace {
+ public:
+  const ShapeClasses& classes() const { return classes_; }
+
+  /// The design minimizing the summed per-layer Eq. 1 latency at the clock
+  /// that `heavy_uram_use` implies, with layer l's streams in
+  /// `on_chip_masks[l]` on chip (hw::kOnChip* bits; empty = nothing on
+  /// chip, the UMM objective). Sums run in layer order and ties break on
+  /// (DSP cost, menu index), exactly as Dse::explore with the matching
+  /// PerfModel / LatencyTables objective.
+  DseResult argmin(bool heavy_uram_use,
+                   std::span<const std::uint8_t> on_chip_masks = {}) const;
+
+ private:
+  friend class Dse;
+  DesignSpace() = default;
+
+  /// Clock-free Eq. 1 inputs of one class under one candidate. Menu
+  /// designs have no stationary buffer, so output-stationary is their
+  /// only loop order and no clock-dependent choice remains.
+  struct Cost {
+    std::int64_t cycles = 0;
+    double if_s = 0.0;
+    double res_s = 0.0;
+    double wt_s = 0.0;
+    double of_s = 0.0;
+  };
+
+  FpgaDevice device_;
+  Precision precision_ = Precision::kInt8;
+  std::string graph_name_;
+  std::vector<DseCandidate> menu_;
+  ShapeClasses classes_;
+  /// costs_[i][k]: candidate i, class k. One row per candidate keeps
+  /// every allocation small: a single table-sized block would be served by
+  /// mmap, and freeing it raises glibc's mmap threshold for the rest of
+  /// the process, which grows the heap of every later compile.
+  std::vector<std::vector<Cost>> costs_;
+};
+
 class Dse {
  public:
   Dse(FpgaDevice device, Precision precision, DseOptions options = {});
@@ -48,9 +149,15 @@ class Dse {
   /// Latency objective: maps a complete design to estimated seconds.
   using Objective = std::function<double(const AcceleratorDesign&)>;
 
+  /// Builds `graph`'s design space: the menu, the shape classes, and the
+  /// cost table, evaluated on DseOptions::jobs workers. Throws
+  /// CompileError(kNoFeasibleDesign) if no candidate fits.
+  DesignSpace space(const graph::ComputationGraph& graph) const;
+
   /// Explores the candidate space for `graph`. With no objective, minimizes
-  /// the UMM total latency. Throws std::runtime_error if no candidate fits.
-  /// Candidates are evaluated on DseOptions::jobs workers; latency ties
+  /// the UMM total latency at the options' clock (space(graph).argmin()).
+  /// Throws CompileError(kNoFeasibleDesign) if no candidate fits.
+  /// Objectives are evaluated on DseOptions::jobs workers; latency ties
   /// break on DSP cost, then menu index, so the winner does not depend on
   /// evaluation order (serial and parallel runs agree bitwise).
   DseResult explore(const graph::ComputationGraph& graph,
@@ -66,6 +173,14 @@ class Dse {
   int dsp_budget() const;
 
  private:
+  std::vector<TileConfig> tile_candidates(
+      const graph::ComputationGraph& graph,
+      std::span<const graph::LayerId> representatives,
+      const SystolicArrayConfig& array) const;
+  /// The menu in its historical order (arrays outer, tiles inner).
+  std::vector<DseCandidate> menu(const graph::ComputationGraph& graph,
+                                 const ShapeClasses& classes) const;
+
   FpgaDevice device_;
   Precision precision_;
   DseOptions options_;

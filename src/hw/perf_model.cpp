@@ -29,7 +29,7 @@ double LayerTiming::max_transfer() const {
 }
 
 double LayerTiming::umm_latency() const {
-  return std::max(compute_s, max_transfer());
+  return eq1_latency(compute_s, if_s, res_s, wt_s, of_s, 0);
 }
 
 PerfModel::PerfModel(const graph::ComputationGraph& graph,
@@ -51,7 +51,8 @@ PerfModel::PerfModel(const graph::ComputationGraph& graph,
   }
   timings_.reserve(graph.num_layers());
   for (const graph::Layer& layer : graph.layers()) {
-    timings_.push_back(compute_layer_timing(layer.id));
+    timings_.push_back(scale_to_clock(layer_cost(graph, layer.id, design_, ddr_),
+                                      design_.freq_mhz));
   }
 }
 
@@ -62,19 +63,19 @@ const LayerTiming& PerfModel::timing(graph::LayerId id) const {
   return timings_[static_cast<std::size_t>(id)];
 }
 
-LayerTiming PerfModel::compute_layer_timing(graph::LayerId id) const {
-  const graph::Layer& layer = graph_->layer(id);
-  const graph::FeatureShape& in = graph_->input_shape(id);
-  const graph::FeatureShape& out = graph_->own_output_shape(id);
-  const SystolicArrayConfig& array = design_.array;
-  const TileConfig& tile = design_.tile;
-  const int bpe = bytes_per_elem(design_.precision);
-  const double cycle_s = 1.0 / (design_.freq_mhz * 1e6);
+LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
+                     const AcceleratorDesign& design, const mem::DdrModel& ddr) {
+  const graph::Layer& layer = graph.layer(id);
+  const graph::FeatureShape& in = graph.input_shape(id);
+  const graph::FeatureShape& out = graph.own_output_shape(id);
+  const SystolicArrayConfig& array = design.array;
+  const TileConfig& tile = design.tile;
+  const int bpe = bytes_per_elem(design.precision);
 
-  LayerTiming t;
-  t.nominal_macs = graph_->layer_macs(id) * design_.batch;
+  LayerCost c;
+  c.nominal_macs = graph.layer_macs(id) * design.batch;
 
-  LayerTileGeometry geom = layer_tile_geometry(*graph_, id, array, tile);
+  LayerTileGeometry geom = layer_tile_geometry(graph, id, array, tile);
 
   // ---- compute ------------------------------------------------------------
   if (layer.is_conv()) {
@@ -102,20 +103,19 @@ LayerTiming PerfModel::compute_layer_timing(graph::LayerId id) const {
         px_steps += ceil_div(th_t * tw_t, array.effective_cols());
       }
     }
-    t.cycles = static_cast<std::int64_t>(geom.n_m) * px_steps * red_steps;
+    c.cycles = static_cast<std::int64_t>(geom.n_m) * px_steps * red_steps;
     // The batch loop sits inside the weight reuse: compute repeats per
     // image while each weight tile stays resident.
-    t.cycles *= design_.batch;
+    c.cycles *= design.batch;
     // Pipeline fill/drain per tile invocation.
-    t.cycles += geom.total_tiles() * (array.rows + array.cols + array.simd);
+    c.cycles += geom.total_tiles() * (array.rows + array.cols + array.simd);
   } else {
     const graph::PoolParams& p = layer.pool;
     const std::int64_t window =
         p.global ? static_cast<std::int64_t>(in.height) * in.width
                  : static_cast<std::int64_t>(p.kernel) * p.kernel;
-    t.cycles = ceil_div(out.elems() * window, kPoolLanes) * design_.batch;
+    c.cycles = ceil_div(out.elems() * window, kPoolLanes) * design.batch;
   }
-  t.compute_s = static_cast<double>(t.cycles) * cycle_s;
 
   // ---- off-chip traffic (uniform management) -------------------------------
   const int in_tile_cols =
@@ -128,42 +128,50 @@ LayerTiming PerfModel::compute_layer_timing(graph::LayerId id) const {
   // Fused residual stream: one extra read of the output-sized tensor on the
   // input-feature interface during write-out.
   if (layer.has_residual()) {
-    t.res_bytes = static_cast<double>(out.elems()) * bpe * design_.batch;
+    c.res_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
     const double res_burst = static_cast<double>(array.rows) * tile.tw * bpe;
-    t.res_s = ddr_.transfer_seconds(t.res_bytes, res_burst);
+    c.res_s = ddr.transfer_seconds(c.res_bytes, res_burst);
   }
 
   // Output features: written exactly once per image (accumulation stays
   // on chip).
-  t.of_bytes = static_cast<double>(out.elems()) * bpe * design_.batch;
+  c.of_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
   const double of_burst =
       static_cast<double>(std::min(array.rows, out.channels)) * tile.tw * bpe;
-  t.of_s = ddr_.transfer_seconds(t.of_bytes, of_burst);
+  c.of_s = ddr.transfer_seconds(c.of_bytes, of_burst);
+
+  const auto add_order = [&](LoopOrder order, double if_bytes, double if_s,
+                             double wt_bytes, double wt_s) {
+    c.orders[static_cast<std::size_t>(c.num_orders++)] =
+        LayerCost::Order{order, if_bytes, if_s, wt_bytes, wt_s};
+  };
 
   if (!layer.is_conv()) {
     // Pooling sweeps its input exactly once per image.
-    t.if_bytes = static_cast<double>(in.channels) * geom.fetched_rows *
-                 geom.fetched_cols * bpe * design_.batch;
-    t.if_s = ddr_.transfer_seconds(t.if_bytes, if_burst);
-    return t;
+    const double if_bytes = static_cast<double>(in.channels) *
+                            geom.fetched_rows * geom.fetched_cols * bpe *
+                            design.batch;
+    add_order(LoopOrder::kOutputStationary, if_bytes,
+              ddr.transfer_seconds(if_bytes, if_burst), 0.0, 0.0);
+    return c;
   }
 
-  // Convolution: pick the fastest feasible loop order for this layer. The
-  // baseline template only has output-stationary; stationary variants need
-  // the design's extra resident buffer.
+  // Convolution: every loop order the design can hold. The baseline
+  // template only has output-stationary; stationary variants need the
+  // design's extra resident buffer.
   const double wt_burst = static_cast<double>(array.rows) *
                           std::min(tile.tc, geom.group_channels) *
                           layer.conv.kernel_h * layer.conv.kernel_w * bpe;
   const double weights_once =
-      static_cast<double>(graph_->layer_weight_elems(id)) * bpe;
+      static_cast<double>(graph.layer_weight_elems(id)) * bpe;
   // Input bytes when re-fetched per m-tile vs streamed once (halo only),
   // per image in the batch.
   const double if_per_mtile = static_cast<double>(geom.n_m) *
                               geom.channels_per_mtile * geom.fetched_rows *
-                              geom.fetched_cols * bpe * design_.batch;
+                              geom.fetched_cols * bpe * design.batch;
   const double if_once = static_cast<double>(in.channels) *
                          geom.fetched_rows * geom.fetched_cols * bpe *
-                         design_.batch;
+                         design.batch;
 
   const std::int64_t kk =
       static_cast<std::int64_t>(layer.conv.kernel_h) * layer.conv.kernel_w;
@@ -185,28 +193,43 @@ LayerTiming PerfModel::compute_layer_timing(graph::LayerId id) const {
       {LoopOrder::kOutputStationary, if_per_mtile,
        static_cast<double>(geom.spatial_tiles()) * weights_once, true},
       {LoopOrder::kWeightStationary, if_per_mtile, weights_once,
-       ws_buffer <= design_.stationary_buffer_bytes},
+       ws_buffer <= design.stationary_buffer_bytes},
       {LoopOrder::kInputStationary, if_once,
        static_cast<double>(geom.spatial_tiles()) * weights_once,
-       is_buffer <= design_.stationary_buffer_bytes},
+       is_buffer <= design.stationary_buffer_bytes},
   };
-  bool first = true;
-  for (const Candidate& c : candidates) {
-    if (!c.feasible) continue;
-    const double if_s = ddr_.transfer_seconds(c.if_bytes, if_burst);
-    const double wt_s = ddr_.transfer_seconds(c.wt_bytes, wt_burst);
+  for (const Candidate& cand : candidates) {
+    if (!cand.feasible) continue;
+    add_order(cand.order, cand.if_bytes,
+              ddr.transfer_seconds(cand.if_bytes, if_burst), cand.wt_bytes,
+              ddr.transfer_seconds(cand.wt_bytes, wt_burst));
+  }
+  return c;
+}
+
+LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz) {
+  LayerTiming t;
+  t.cycles = cost.cycles;
+  t.nominal_macs = cost.nominal_macs;
+  t.compute_s = static_cast<double>(cost.cycles) * cycle_seconds(freq_mhz);
+  t.res_bytes = cost.res_bytes;
+  t.res_s = cost.res_s;
+  t.of_bytes = cost.of_bytes;
+  t.of_s = cost.of_s;
+  // Loop-order choice is the only clock-dependent decision: a faster order
+  // must beat the current one's Eq. 1 latency, compute term included.
+  for (int i = 0; i < cost.num_orders; ++i) {
+    const LayerCost::Order& o = cost.orders[static_cast<std::size_t>(i)];
     const double latency =
-        std::max({t.compute_s, if_s + t.res_s, wt_s, t.of_s});
+        eq1_latency(t.compute_s, o.if_s, t.res_s, o.wt_s, t.of_s, 0);
     const double current =
-        std::max({t.compute_s, t.if_s + t.res_s, t.wt_s, t.of_s});
-    if (first || latency < current) {
-      t.if_bytes = c.if_bytes;
-      t.if_s = if_s;
-      t.wt_bytes = c.wt_bytes;
-      t.wt_s = wt_s;
-      t.order = c.order;
-      first = false;
-    }
+        eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s, 0);
+    if (i > 0 && !(latency < current)) continue;
+    t.if_bytes = o.if_bytes;
+    t.if_s = o.if_s;
+    t.wt_bytes = o.wt_bytes;
+    t.wt_s = o.wt_s;
+    t.order = o.order;
   }
   return t;
 }

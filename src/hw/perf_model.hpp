@@ -10,6 +10,8 @@
 // tensors persistent on-chip buffers.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -86,6 +88,64 @@ struct LayerTiming {
   bool memory_bound() const { return max_transfer() > compute_s; }
 };
 
+/// Stream bits of an on-chip mask: bit k set == stream k is on chip, in
+/// core::TensorSource order (input, residual, weight, output).
+inline constexpr std::uint8_t kOnChipInput = 1u << 0;
+inline constexpr std::uint8_t kOnChipResidual = 1u << 1;
+inline constexpr std::uint8_t kOnChipWeight = 1u << 2;
+inline constexpr std::uint8_t kOnChipOutput = 1u << 3;
+
+/// Eq. 1 latency of one layer with the streams in `on_chip_mask` moved on
+/// chip (their transfer terms leave the max). The input-feature interface
+/// carries both the main input and the fused residual stream, so their
+/// off-chip times add. Mask 0 is the UMM latency. The one formula behind
+/// LayerTiming::umm_latency, core::LatencyTables and the DSE objectives.
+inline double eq1_latency(double compute_s, double if_s, double res_s,
+                          double wt_s, double of_s, std::uint8_t on_chip_mask) {
+  const double if_term = ((on_chip_mask & kOnChipInput) ? 0.0 : if_s) +
+                         ((on_chip_mask & kOnChipResidual) ? 0.0 : res_s);
+  const double wt_term = (on_chip_mask & kOnChipWeight) ? 0.0 : wt_s;
+  const double of_term = (on_chip_mask & kOnChipOutput) ? 0.0 : of_s;
+  return std::max({compute_s, if_term, wt_term, of_term});
+}
+
+/// Seconds per compute cycle at `freq_mhz`.
+inline double cycle_seconds(double freq_mhz) { return 1.0 / (freq_mhz * 1e6); }
+
+/// The clock-free part of a layer's timing: compute cycles, plus the bytes
+/// and DDR transfer seconds of every stream for each loop order the design
+/// can run. It depends on the layer's shape and the design's array, tile,
+/// precision, batch, DDR options and stationary buffer — never on its
+/// clock, so one cost serves every clock the DSE evaluates.
+struct LayerCost {
+  /// Input/weight traffic of one feasible loop order.
+  struct Order {
+    LoopOrder order = LoopOrder::kOutputStationary;
+    double if_bytes = 0.0;
+    double if_s = 0.0;
+    double wt_bytes = 0.0;
+    double wt_s = 0.0;
+  };
+
+  std::int64_t cycles = 0;
+  std::int64_t nominal_macs = 0;
+  double res_bytes = 0.0;
+  double res_s = 0.0;
+  double of_bytes = 0.0;
+  double of_s = 0.0;
+  /// Feasible loop orders, output-stationary first (always feasible).
+  std::array<Order, 3> orders{};
+  int num_orders = 0;
+};
+
+/// Clock-free cost of layer `id` under `design` (its freq_mhz is unused).
+LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
+                     const AcceleratorDesign& design, const mem::DdrModel& ddr);
+
+/// The clock step: compute time at `freq_mhz`, then the fastest feasible
+/// loop order under Eq. 1 (ties keep the earlier order).
+LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz);
+
 class PerfModel {
  public:
   PerfModel(const graph::ComputationGraph& graph, AcceleratorDesign design);
@@ -106,8 +166,6 @@ class PerfModel {
   int num_memory_bound_layers() const;
 
  private:
-  LayerTiming compute_layer_timing(graph::LayerId id) const;
-
   const graph::ComputationGraph* graph_;
   AcceleratorDesign design_;
   mem::DdrModel ddr_;

@@ -1,6 +1,7 @@
 #include "hw/tiling.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include "resil/error.hpp"
 
@@ -85,10 +86,20 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
 TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
                                   const SystolicArrayConfig& array,
                                   const TileConfig& tile, Precision p) {
+  std::vector<graph::LayerId> layers(graph.num_layers());
+  std::iota(layers.begin(), layers.end(), graph::LayerId{0});
+  return tile_buffer_bytes(graph, layers, array, tile, p);
+}
+
+TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
+                                  std::span<const graph::LayerId> layers,
+                                  const SystolicArrayConfig& array,
+                                  const TileConfig& tile, Precision p) {
   const int bpe = bytes_per_elem(p);
   TileBufferBytes out;
-  for (const graph::Layer& layer : graph.layers()) {
-    const graph::FeatureShape& in = graph.input_shape(layer.id);
+  for (graph::LayerId id : layers) {
+    const graph::Layer& layer = graph.layer(id);
+    const graph::FeatureShape& in = graph.input_shape(id);
     const AxisParams ah = h_params(layer);
     const AxisParams aw = w_params(layer);
     const int in_th = std::min((tile.th - 1) * ah.stride + ah.kernel, in.height);

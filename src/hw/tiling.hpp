@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -48,6 +49,12 @@ struct TileBufferBytes {
 /// Computes the (double-buffered) tile buffer sizes the given network needs
 /// under `tile` with array `array` at precision `p`.
 TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
+                                  const SystolicArrayConfig& array,
+                                  const TileConfig& tile, Precision p);
+/// The same, sized for the worst of `layers` only (the DSE passes one
+/// representative per shape class: the sizes read nothing else).
+TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
+                                  std::span<const graph::LayerId> layers,
                                   const SystolicArrayConfig& array,
                                   const TileConfig& tile, Precision p);
 

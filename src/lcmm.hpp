@@ -6,8 +6,8 @@
 //   auto net = lcmm::models::build_googlenet();
 //   lcmm::core::LcmmCompiler compiler(lcmm::hw::FpgaDevice::vu9p(),
 //                                     lcmm::hw::Precision::kInt16);
-//   auto umm = compiler.compile_umm(net);
-//   auto plan = compiler.compile(net);
+//   lcmm::core::AllocationPlan umm;            // the UMM baseline
+//   auto plan = compiler.compile(net, &umm);
 //   auto sim = lcmm::sim::refine_against_stalls(net, plan);
 //   // sim.total_s vs lcmm::sim::simulate(net, umm).total_s
 #pragma once

@@ -1,0 +1,177 @@
+// The per-request design-space table must reproduce, bit for bit, the
+// DSE it replaces: a PerfModel built per candidate for the UMM objective,
+// and LatencyTables over it for the allocation-aware refine objective.
+#include <gtest/gtest.h>
+
+#include "core/latency_tables.hpp"
+#include "core/lcmm.hpp"
+#include "hw/dse.hpp"
+#include "models/models.hpp"
+#include "test_graphs.hpp"
+
+namespace lcmm::hw {
+namespace {
+
+const FpgaDevice kDevices[] = {FpgaDevice::vu9p(), FpgaDevice::zu9eg(),
+                               FpgaDevice::u250()};
+
+void expect_same(const DseResult& table, const DseResult& reference,
+                 const std::string& what) {
+  EXPECT_EQ(table.design.array, reference.design.array) << what;
+  EXPECT_EQ(table.design.tile, reference.design.tile) << what;
+  EXPECT_EQ(table.design.freq_mhz, reference.design.freq_mhz) << what;
+  // Bit-identical, not merely close: the table sums the same terms in the
+  // same order.
+  EXPECT_EQ(table.objective_latency_s, reference.objective_latency_s) << what;
+}
+
+/// explore(g) against the per-candidate PerfModel objective, at both clocks.
+void expect_umm_equivalence(const graph::ComputationGraph& g,
+                            const FpgaDevice& device, Precision p) {
+  for (bool heavy : {false, true}) {
+    DseOptions options;
+    options.heavy_uram_use = heavy;
+    const Dse dse(device, p, options);
+    const std::string what = g.name() + " " + device.name + " " + to_string(p) +
+                             (heavy ? " heavy-uram" : " uniform");
+    expect_same(dse.explore(g),
+                dse.explore(g,
+                            [&](const AcceleratorDesign& d) {
+                              return PerfModel(g, d).umm_total_latency();
+                            }),
+                what);
+  }
+}
+
+/// The refine argmin against the LatencyTables objective on the on-chip
+/// state of the plan the compiler ships.
+void expect_refine_equivalence(const graph::ComputationGraph& g,
+                               const FpgaDevice& device, Precision p) {
+  const core::AllocationPlan plan = core::LcmmCompiler(device, p).compile(g);
+  DseOptions options;
+  options.heavy_uram_use = true;
+  const Dse dse(device, p, options);
+  const DesignSpace space = dse.space(g);
+  expect_same(space.argmin(/*heavy_uram_use=*/true, plan.state.masks()),
+              dse.explore(g,
+                          [&](const AcceleratorDesign& d) {
+                            const PerfModel model(g, d);
+                            return core::LatencyTables(model).total_latency(
+                                plan.state);
+                          }),
+              g.name() + " " + device.name + " " + to_string(p) + " refine");
+}
+
+class DseTableModels : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DseTableModels, ArgminsMatchThePerCandidateModel) {
+  const graph::ComputationGraph g = models::build_by_name(GetParam());
+  for (const FpgaDevice& device : kDevices) {
+    for (Precision p : kAllPrecisions) {
+      expect_umm_equivalence(g, device, p);
+      expect_refine_equivalence(g, device, p);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, DseTableModels,
+                         ::testing::ValuesIn(models::model_names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(DseTable, RandomGraphArgminsMatchThePerCandidateModel) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const graph::ComputationGraph g = models::random_graph(seed);
+    const FpgaDevice& device = kDevices[seed % std::size(kDevices)];
+    for (Precision p : kAllPrecisions) {
+      expect_umm_equivalence(g, device, p);
+      expect_refine_equivalence(g, device, p);
+    }
+  }
+}
+
+TEST(DseTable, ClassesCoverEveryLayer) {
+  const graph::ComputationGraph g = models::build_by_name("resnet152");
+  const DesignSpace space = Dse(FpgaDevice::vu9p(), Precision::kInt16).space(g);
+  EXPECT_EQ(space.classes().layer_class.size(), g.num_layers());
+  // ResNet repeats its bottleneck blocks: far fewer shapes than layers.
+  EXPECT_LT(2 * space.classes().size(), g.num_layers());
+}
+
+TEST(DseTable, MasksMustCoverEveryLayer) {
+  const auto g = lcmm::testing::chain3();
+  const DesignSpace space = Dse(FpgaDevice::vu9p(), Precision::kInt8).space(g);
+  const std::vector<std::uint8_t> short_masks(g.num_layers() - 1, 0);
+  EXPECT_THROW(space.argmin(true, short_masks), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Shape classes.
+// ---------------------------------------------------------------------------
+
+TEST(ShapeClasses, IdenticallyShapedLayersShareAClass) {
+  // A, B and C are the same 3x3 conv at three depths; D differs.
+  graph::ComputationGraph g("repeats");
+  auto x = g.add_input("in", {64, 28, 28});
+  x = g.add_conv("A", x, {64, 3, 3, 1, 1, 1});
+  x = g.add_conv("B", x, {64, 3, 3, 1, 1, 1});
+  x = g.add_conv("C", x, {64, 3, 3, 1, 1, 1});
+  g.add_conv("D", x, {128, 1, 1, 1, 0, 0});
+  g.validate();
+  const ShapeClasses classes = shape_classes(g);
+  EXPECT_EQ(classes.size(), 2u);
+  EXPECT_EQ(classes.layer_class, (std::vector<int>{0, 0, 0, 1}));
+  EXPECT_EQ(classes.representative, (std::vector<graph::LayerId>{0, 3}));
+  EXPECT_EQ(shape_key(g, 0), shape_key(g, 2));
+}
+
+TEST(ShapeClasses, AFusedResidualSplitsTheClass) {
+  // Same conv shape twice; only the second one carries a shortcut add.
+  graph::ComputationGraph g("residual");
+  auto in = g.add_input("in", {64, 14, 14});
+  auto a = g.add_conv("plain", in, {64, 3, 3, 1, 1, 1});
+  g.add_conv("fused", a, {64, 3, 3, 1, 1, 1}, /*residual=*/in);
+  g.validate();
+  EXPECT_EQ(shape_classes(g).size(), 2u);
+}
+
+TEST(ShapeClasses, ChangingAnyKeyFieldSplitsTheClass) {
+  const auto g = lcmm::testing::chain3();
+  const ShapeKey base = shape_key(g, 1);
+  std::vector<ShapeKey> variants;
+  const auto vary = [&](auto mutate) {
+    ShapeKey k = base;
+    mutate(k);
+    variants.push_back(k);
+  };
+  vary([](ShapeKey& k) { k.kind = graph::LayerKind::kPool; });
+  vary([](ShapeKey& k) { ++k.conv_kernel_h; });
+  vary([](ShapeKey& k) { ++k.conv_kernel_w; });
+  vary([](ShapeKey& k) { ++k.conv_stride; });
+  vary([](ShapeKey& k) { ++k.conv_pad_h; });
+  vary([](ShapeKey& k) { ++k.conv_pad_w; });
+  vary([](ShapeKey& k) { ++k.conv_groups; });
+  vary([](ShapeKey& k) { ++k.pool_kernel; });
+  vary([](ShapeKey& k) { ++k.pool_stride; });
+  vary([](ShapeKey& k) { ++k.pool_pad; });
+  vary([](ShapeKey& k) { k.pool_global = true; });
+  vary([](ShapeKey& k) { ++k.in_channels; });
+  vary([](ShapeKey& k) { ++k.in_height; });
+  vary([](ShapeKey& k) { ++k.in_width; });
+  vary([](ShapeKey& k) { ++k.out_channels; });
+  vary([](ShapeKey& k) { ++k.out_height; });
+  vary([](ShapeKey& k) { ++k.out_width; });
+  vary([](ShapeKey& k) { k.residual = true; });
+  vary([](ShapeKey& k) { ++k.weight_elems; });
+  vary([](ShapeKey& k) { ++k.macs; });
+  // Every variant differs from the base and from every other variant, so
+  // grouping by key puts each in a class of its own.
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    EXPECT_NE(variants[i], base) << "field #" << i;
+    for (std::size_t j = i + 1; j < variants.size(); ++j) {
+      EXPECT_NE(variants[i], variants[j]) << i << " vs " << j;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace lcmm::hw

@@ -192,6 +192,34 @@ TEST(Integration, FullCompileEmitsNonZeroPerPassSpans) {
   }
 }
 
+TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
+  // One compile builds one design-space table and runs its argmins (UMM
+  // baseline, LCMM seed, refine) on it; the counts are the same for any
+  // number of table-filling workers.
+  const graph::ComputationGraph graph = models::build_by_name("googlenet");
+  const auto dse_counters = [&](int jobs) {
+    core::LcmmOptions options;
+    options.dse.jobs = jobs;
+    StatsSession session;
+    core::LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, options)
+        .compile(graph);
+    const CompileStats& stats = session.stats();
+    return std::vector<std::int64_t>{
+        stats.counter("dse.menu"), stats.counter("dse.shape_classes"),
+        stats.counter("dse.cost_evals"), stats.counter("dse.argmins"),
+        stats.span_count("dse")};
+  };
+  const std::vector<std::int64_t> serial = dse_counters(1);
+  const std::int64_t menu = serial[0], classes = serial[1];
+  EXPECT_GT(menu, 0);
+  EXPECT_GT(classes, 0);
+  EXPECT_LT(classes, static_cast<std::int64_t>(graph.num_layers()));
+  EXPECT_EQ(serial[2], menu * classes);  // exactly one table
+  EXPECT_GE(serial[3], 3);               // UMM, seed and >= 1 refine
+  EXPECT_EQ(serial[4], 1 + serial[3]);   // the table build plus each argmin
+  EXPECT_EQ(dse_counters(4), serial);
+}
+
 TEST(Integration, PartitionPassRecordsSegments) {
   const graph::ComputationGraph graph = models::build_by_name("alexnet");
   StatsSession session;

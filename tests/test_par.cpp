@@ -201,8 +201,9 @@ TEST(Batch, CompileManyMatchesSerialCompilation) {
   std::vector<driver::BatchJob> jobs;
   for (const char* name : {"alexnet", "squeezenet"}) {
     for (hw::Precision p : {hw::Precision::kInt8, hw::Precision::kInt16}) {
-      jobs.push_back({models::build_by_name(name), hw::FpgaDevice::vu9p(), p,
-                      core::LcmmOptions{}});
+      jobs.push_back({.graph = models::build_by_name(name),
+                      .device = hw::FpgaDevice::vu9p(),
+                      .precision = p});
     }
   }
   const auto serial = driver::compile_many(jobs, 1);
@@ -225,16 +226,62 @@ TEST(Batch, CompileManyMatchesSerialCompilation) {
   }
 }
 
+TEST(Batch, SharedBaselineOutcomesAreWorkerCountIndependent) {
+  // Each job's UMM plan is the baseline its LCMM compile shares; reports
+  // and plan latencies repeat exactly at 1 and 4 workers.
+  std::vector<driver::BatchJob> jobs;
+  for (const char* name : {"alexnet", "squeezenet", "resnet18"}) {
+    for (hw::Precision p : {hw::Precision::kInt8, hw::Precision::kFp32}) {
+      jobs.push_back({.graph = models::build_by_name(name),
+                      .device = hw::FpgaDevice::u250(),
+                      .precision = p});
+    }
+  }
+  const auto serial = driver::compile_many(jobs, 1);
+  const auto parallel = driver::compile_many(jobs, 4);
+  ASSERT_EQ(serial.size(), jobs.size());
+  ASSERT_EQ(parallel.size(), jobs.size());
+  const auto same_report = [](const sim::DesignReport& a,
+                              const sim::DesignReport& b) {
+    return a.is_umm == b.is_umm && a.rung == b.rung &&
+           a.latency_ms == b.latency_ms && a.tops == b.tops &&
+           a.freq_mhz == b.freq_mhz && a.dsp_util == b.dsp_util &&
+           a.clb_util == b.clb_util && a.sram_util == b.sram_util &&
+           a.bram_util == b.bram_util && a.uram_util == b.uram_util &&
+           a.pol == b.pol && a.total_stall_ms == b.total_stall_ms &&
+           a.num_on_chip_buffers == b.num_on_chip_buffers &&
+           a.tensor_buffer_bytes == b.tensor_buffer_bytes;
+  };
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_TRUE(serial[i].ok()) << serial[i].error;
+    ASSERT_TRUE(parallel[i].ok()) << parallel[i].error;
+    EXPECT_TRUE(same_report(serial[i].umm_report, parallel[i].umm_report)) << i;
+    EXPECT_TRUE(same_report(serial[i].lcmm_report, parallel[i].lcmm_report))
+        << i;
+    for (auto plans :
+         {&driver::BatchOutcome::umm_plan, &driver::BatchOutcome::lcmm_plan}) {
+      const core::AllocationPlan& a = serial[i].*plans;
+      const core::AllocationPlan& b = parallel[i].*plans;
+      EXPECT_EQ(a.est_latency_s, b.est_latency_s) << i;
+      EXPECT_EQ(a.umm_latency_s, b.umm_latency_s) << i;
+      EXPECT_EQ(a.design.array, b.design.array) << i;
+      EXPECT_EQ(a.design.tile, b.design.tile) << i;
+    }
+  }
+}
+
 TEST(Batch, CompileStatsAreWorkerCountIndependent) {
   // The --stats-json contract: a full instrumented compile collects a
   // structurally identical registry whatever the worker count (wall-clock
   // fields aside — those differ between two serial runs too).
   const auto fingerprint = [](int workers) {
     std::vector<driver::BatchJob> jobs;
-    jobs.push_back({models::build_by_name("googlenet"), hw::FpgaDevice::vu9p(),
-                    hw::Precision::kInt16, core::LcmmOptions{}});
-    jobs.push_back({models::build_by_name("alexnet"), hw::FpgaDevice::vu9p(),
-                    hw::Precision::kInt8, core::LcmmOptions{}});
+    jobs.push_back({.graph = models::build_by_name("googlenet"),
+                    .device = hw::FpgaDevice::vu9p(),
+                    .precision = hw::Precision::kInt16});
+    jobs.push_back({.graph = models::build_by_name("alexnet"),
+                    .device = hw::FpgaDevice::vu9p(),
+                    .precision = hw::Precision::kInt8});
     obs::StatsSession session;
     const auto outcomes = driver::compile_many(jobs, workers);
     for (const auto& o : outcomes) EXPECT_TRUE(o.ok()) << o.error;
@@ -247,14 +294,16 @@ TEST(Batch, CompileStatsAreWorkerCountIndependent) {
 
 TEST(Batch, FailedJobReportsErrorWithoutKillingTheSweep) {
   std::vector<driver::BatchJob> jobs;
-  jobs.push_back({models::build_by_name("alexnet"), hw::FpgaDevice::vu9p(),
-                  hw::Precision::kInt16, core::LcmmOptions{}});
+  jobs.push_back({.graph = models::build_by_name("alexnet"),
+                  .device = hw::FpgaDevice::vu9p(),
+                  .precision = hw::Precision::kInt16});
   // A device with no DSPs has no feasible design; its job must fail in
   // isolation (Dse::explore throws inside the worker).
   hw::FpgaDevice no_dsps = hw::FpgaDevice::vu9p();
   no_dsps.dsp_total = 0;
-  jobs.push_back({models::build_by_name("alexnet"), no_dsps,
-                  hw::Precision::kInt16, core::LcmmOptions{}});
+  jobs.push_back({.graph = models::build_by_name("alexnet"),
+                  .device = no_dsps,
+                  .precision = hw::Precision::kInt16});
   const auto outcomes = driver::compile_many(jobs, 2);
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].ok()) << outcomes[0].error;

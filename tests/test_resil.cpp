@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -406,13 +407,51 @@ TEST(ResilLadder, DegradedPlansStillBeatNothing) {
   EXPECT_EQ(plan.state.num_layers(), static_cast<std::size_t>(g.num_layers()));
 }
 
+TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
+  // compile(g, &umm) hands back the baseline it built for the fallback and
+  // the floor; whatever rung the LCMM plan lands on, that baseline is the
+  // job's own compile_umm(g).
+  const auto g = models::build_by_name("squeezenet");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  const AllocationPlan reference = compiler.compile_umm(g);
+  const struct {
+    const char* site;
+    std::int64_t fires;
+    Rung rung;
+  } cases[] = {
+      {nullptr, 0, Rung::kFullLcmm},
+      {"pass.dnnk", 1, Rung::kShrunkDnnk},
+      {"pass.place", 1, Rung::kShrunkDnnk},
+      {"pass.prefetch", -1, Rung::kNoPrefetch},
+      {"pass.liveness", -1, Rung::kNoFeatureReuse},
+      {"pass.dnnk", -1, Rung::kUmm},
+  };
+  for (const auto& c : cases) {
+    const std::string what = c.site ? std::string(c.site) : "no fault";
+    std::optional<fault::ArmedGuard> guard;
+    if (c.site) guard.emplace(fault::Config{c.site, 1, c.fires});
+    AllocationPlan umm;
+    const AllocationPlan plan = compiler.compile(g, &umm);
+    EXPECT_EQ(plan.rung, c.rung) << what;
+    EXPECT_TRUE(umm.is_umm) << what;
+    EXPECT_EQ(umm.rung, reference.rung) << what;
+    EXPECT_EQ(umm.design.array, reference.design.array) << what;
+    EXPECT_EQ(umm.design.tile, reference.design.tile) << what;
+    EXPECT_EQ(umm.design.freq_mhz, reference.design.freq_mhz) << what;
+    EXPECT_EQ(umm.est_latency_s, reference.est_latency_s) << what;
+    EXPECT_EQ(umm.umm_latency_s, reference.umm_latency_s) << what;
+    EXPECT_EQ(umm.bram_used, reference.bram_used) << what;
+    EXPECT_EQ(umm.uram_used, reference.uram_used) << what;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch driver hardening.
 // ---------------------------------------------------------------------------
 
 driver::BatchJob small_job(graph::ComputationGraph g,
                            hw::Precision p = hw::Precision::kInt16) {
-  return {std::move(g), hw::FpgaDevice::vu9p(), p, LcmmOptions{}};
+  return {.graph = std::move(g), .device = hw::FpgaDevice::vu9p(), .precision = p};
 }
 
 TEST(ResilBatch, TransientFaultIsRetriedOnceAndRecovers) {

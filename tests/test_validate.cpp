@@ -60,8 +60,15 @@ TEST(PlanValidation, DetectsOvercommittedResources) {
 }
 
 TEST(PlanValidation, DetectsSpilledOnChipWeight) {
+  // A small device and a tight DNNK budget make the knapsack spill weight
+  // buffers; the fallback is off so the LCMM allocation is what ships.
   auto g = models::build_googlenet();
-  AllocationPlan plan = compiled_plan(g);
+  LcmmOptions options;
+  options.sram_capacity_fraction = 0.2;
+  options.allow_fallback_to_umm = false;
+  AllocationPlan plan =
+      LcmmCompiler(hw::FpgaDevice::zu9eg(), hw::Precision::kInt16, options)
+          .compile(g);
   // Find a spilled buffer containing a weight entity; force its bit on.
   bool injected = false;
   for (std::size_t b = 0; b < plan.buffers.size() && !injected; ++b) {
@@ -74,7 +81,7 @@ TEST(PlanValidation, DetectsSpilledOnChipWeight) {
       }
     }
   }
-  if (!injected) GTEST_SKIP() << "no spilled weight buffer to corrupt";
+  ASSERT_TRUE(injected) << "the fixture no longer spills a weight buffer";
   EXPECT_FALSE(validate_plan(g, plan).empty());
 }
 

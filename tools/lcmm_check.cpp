@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
@@ -62,8 +63,8 @@ std::string usage() {
          "  --format text|json|sarif report format (default text)\n"
          "  --output PATH            write the report to PATH (default stdout)\n"
          "  --list-rules             print the diagnostic rule table and exit\n"
-         "\nExit codes: 0 clean, 1 diagnostics reported, 2 usage error,\n"
-         "3 partial compile failure (some jobs failed; survivors checked).\n";
+         "\nExit codes: 0 clean, 1 diagnostics reported or the compile\n"
+         "failed, 2 usage error.\n";
 }
 
 bool consume_value(const std::vector<std::string>& args, std::size_t& i,
@@ -194,43 +195,38 @@ int run(const CheckCliOptions& opt) {
   const check::CheckOptions check_options =
       check::CheckOptions::from(opt.lcmm, opt.strict);
 
-  // Compile the requested designs concurrently through the batch driver.
-  // The LCMM outcome comes back post-refinement, which is the plan the
+  // Compile the requested designs as one batch job: with `--design both`,
+  // the LCMM compile hands back the UMM baseline it builds anyway. The
+  // LCMM outcome comes back post-refinement, which is the plan the
   // simulator would actually consume — the same plan lcmm_compile ships.
   std::vector<driver::BatchJob> jobs;
-  if (opt.design != cli::DesignChoice::kLcmm) {
-    jobs.push_back({graph, device, opt.precision, opt.lcmm,
-                    /*want_umm=*/true, /*want_lcmm=*/false,
-                    graph.name() + "/umm"});
+  jobs.push_back({
+      .graph = graph,
+      .device = device,
+      .precision = opt.precision,
+      .options = opt.lcmm,
+      .want_umm = opt.design != cli::DesignChoice::kLcmm,
+      .want_lcmm = opt.design != cli::DesignChoice::kUmm,
+      .label = graph.name(),
+  });
+  const driver::BatchJob& job = jobs.front();
+  const driver::BatchOutcome outcome =
+      std::move(driver::compile_many(jobs).front());
+  if (!outcome.ok()) {
+    std::cerr << "error: job '" << outcome.label << "' failed ("
+              << resil::code_id(outcome.error_info.code) << "): "
+              << outcome.error << "\n";
+    return 1;
   }
-  if (opt.design != cli::DesignChoice::kUmm) {
-    jobs.push_back({graph, device, opt.precision, opt.lcmm,
-                    /*want_umm=*/false, /*want_lcmm=*/true,
-                    graph.name() + "/lcmm"});
-  }
-  std::vector<driver::BatchOutcome> outcomes = driver::compile_many(jobs);
-
-  // Failed jobs are reported and skipped; the sweep's surviving plans are
-  // still checked, and the exit code distinguishes partial failure (3).
   std::vector<check::CheckedPlan> checked;
-  std::size_t failed_jobs = 0;
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    driver::BatchOutcome& outcome = outcomes[i];
-    if (!outcome.ok()) {
-      ++failed_jobs;
-      std::cerr << "error: job '" << outcome.label << "' failed ("
-                << resil::code_id(outcome.error_info.code) << "): "
-                << outcome.error << "\n";
-      continue;
-    }
-    const bool umm = jobs[i].want_umm;
+  const auto check_plan = [&](const char* design, const core::AllocationPlan& plan) {
     check::CheckedPlan run;
-    run.label = {graph.name(), umm ? "umm" : "lcmm",
-                 hw::to_string(opt.precision)};
-    run.report = check::run_checks(
-        graph, umm ? outcome.umm_plan : outcome.lcmm_plan, check_options);
+    run.label = {graph.name(), design, hw::to_string(opt.precision)};
+    run.report = check::run_checks(graph, plan, check_options);
     checked.push_back(std::move(run));
-  }
+  };
+  if (job.want_umm) check_plan("umm", outcome.umm_plan);
+  if (job.want_lcmm) check_plan("lcmm", outcome.lcmm_plan);
 
   std::ostream* out = &std::cout;
   std::ofstream file;
@@ -270,12 +266,7 @@ int run(const CheckCliOptions& opt) {
     // Make the gate visible even when the report went to a file.
     std::cerr << "lcmm_check: diagnostics reported (see output)\n";
   }
-  if (failed) return 1;
-  if (!jobs.empty() && failed_jobs == jobs.size()) {
-    std::cerr << "error: every job failed\n";
-    return 1;
-  }
-  return failed_jobs > 0 ? 3 : 0;
+  return failed ? 1 : 0;
 }
 
 }  // namespace
