@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/lcmm.hpp"
 #include "models/models.hpp"
 #include "test_graphs.hpp"
@@ -7,8 +9,11 @@
 namespace lcmm::core {
 namespace {
 
+// The model name is a std::string, not a const char*: gtest prints a
+// pointer parameter with its address, which would make the listed test
+// names (and so the ctest names) change from one run to the next.
 class LcmmIntegration
-    : public ::testing::TestWithParam<std::tuple<const char*, hw::Precision>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, hw::Precision>> {};
 
 TEST_P(LcmmIntegration, PlanInvariants) {
   const auto [name, precision] = GetParam();
@@ -63,13 +68,14 @@ TEST_P(LcmmIntegration, PlanInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(
     ModelsAndPrecisions, LcmmIntegration,
-    ::testing::Combine(::testing::Values("resnet152", "googlenet",
-                                         "inception_v4"),
+    ::testing::Combine(::testing::Values(std::string("resnet152"),
+                                         std::string("googlenet"),
+                                         std::string("inception_v4")),
                        ::testing::Values(hw::Precision::kInt8,
                                          hw::Precision::kInt16,
                                          hw::Precision::kFp32)),
     [](const auto& info) {
-      return std::string(std::get<0>(info.param)) + "_" +
+      return std::get<0>(info.param) + "_" +
              std::to_string(static_cast<int>(std::get<1>(info.param)));
     });
 
