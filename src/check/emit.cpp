@@ -80,7 +80,7 @@ util::Json to_json(const CheckReport& report, const RunLabel& label) {
 
 util::Json to_sarif(std::span<const CheckedPlan> runs) {
   util::Json driver = util::Json::object();
-  driver["name"] = "lcmm_check";
+  driver["name"] = "lcmm_compile";
   driver["informationUri"] =
       "https://github.com/lcmm/lcmm/blob/main/docs/diagnostics.md";
   driver["version"] = "1.0.0";

@@ -144,8 +144,6 @@ Options parse_cli(const std::vector<std::string>& args) {
       opt.stats_json_path = value;
     } else if (consume_value(args, i, "--compile-trace", value)) {
       opt.compile_trace_path = value;
-    } else if (arg == "--validate") {
-      opt.validate = true;
     } else if (arg == "--check") {
       opt.check = true;
     } else if (arg.rfind("--check=", 0) == 0) {
@@ -157,6 +155,11 @@ Options parse_cli(const std::vector<std::string>& args) {
       } else {
         throw CliError("--check accepts no value, 'on' or 'strict'");
       }
+    } else if (consume_value(args, i, "--check-report", value)) {
+      opt.check = true;
+      opt.check_report_path = value;
+    } else if (arg == "--list-rules") {
+      opt.list_rules = true;
     } else if (arg == "--dot") {
       opt.emit_dot = true;
     } else if (arg == "--emit-graph") {
@@ -169,7 +172,7 @@ Options parse_cli(const std::vector<std::string>& args) {
       throw CliError("unknown option '" + arg + "' (see --help)");
     }
   }
-  if (opt.show_help || opt.list_fault_sites) return opt;
+  if (opt.show_help || opt.list_fault_sites || opt.list_rules) return opt;
   if (opt.model.empty() == opt.graph_file.empty()) {
     throw CliError("exactly one of --model or --graph is required");
   }
@@ -218,9 +221,12 @@ std::string usage() {
         "                        chrome://tracing JSON\n"
         "  --check[=strict]      run the static plan checker (lcmm::check) on\n"
         "                        every compiled plan; exit non-zero on errors\n"
-        "                        (strict: warnings fail too). See also the\n"
-        "                        standalone lcmm_check tool for JSON/SARIF.\n"
-        "  --validate            run the plan validator; fail on violations\n"
+        "                        (strict: warnings fail too)\n"
+        "  --check-report PATH   imply --check and write one report covering\n"
+        "                        every compiled design: SARIF 2.1.0 when PATH\n"
+        "                        ends in .sarif, else lcmm-check-v1 JSON\n"
+        "  --list-rules          print the checker's diagnostic rule table\n"
+        "                        and exit\n"
         "  --roofline            print the per-layer roofline census\n"
         "  --dot                 print the graph in Graphviz DOT\n"
         "  --emit-graph          print the graph in the .lcmm text format\n"

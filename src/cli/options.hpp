@@ -50,14 +50,17 @@ struct Options {
   /// When non-empty, write the compiler pipeline's spans as a Chrome
   /// trace-event JSON to this path.
   std::string compile_trace_path;
-  /// Run the plan validator on every compiled plan and fail on violations.
-  /// (Legacy flag; --check surfaces the same engine with full diagnostics.)
-  bool validate = false;
   /// Run the lcmm::check diagnostics engine on every compiled plan and
   /// exit non-zero on any error-severity diagnostic.
   bool check = false;
   /// --check=strict: warnings gate the exit code too.
   bool check_strict = false;
+  /// --check-report PATH (implies --check): write every compiled design's
+  /// check report as one document — SARIF 2.1.0 when PATH ends in
+  /// ".sarif", else a JSON array of "lcmm-check-v1" objects.
+  std::string check_report_path;
+  /// --list-rules: print the check diagnostic rule table and exit.
+  bool list_rules = false;
   /// --list-fault-sites: print the resil fault-injection sites and exit.
   bool list_fault_sites = false;
   /// Per-job wall-clock budget in seconds for batch compilation

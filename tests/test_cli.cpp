@@ -59,6 +59,30 @@ TEST(Cli, NumericOptions) {
   EXPECT_EQ(opt.lcmm.dse_passes, 1);
   EXPECT_DOUBLE_EQ(opt.lcmm.sram_capacity_fraction, 0.5);
   EXPECT_THROW(parse_cli({"--model", "m", "--dse-passes", "two"}), CliError);
+  EXPECT_THROW(parse_cli({"--model", "m", "--capacity-fraction", "0.5x"}),
+               CliError);
+}
+
+TEST(Cli, CheckFlags) {
+  const Options plain = parse_cli({"--model", "m"});
+  EXPECT_FALSE(plain.check);
+  EXPECT_TRUE(plain.check_report_path.empty());
+
+  const Options strict = parse_cli({"--model", "m", "--check=strict"});
+  EXPECT_TRUE(strict.check);
+  EXPECT_TRUE(strict.check_strict);
+  EXPECT_THROW(parse_cli({"--model", "m", "--check=loud"}), CliError);
+
+  // --check-report implies --check; the format follows the extension.
+  const Options report =
+      parse_cli({"--model", "m", "--check-report", "out.sarif"});
+  EXPECT_TRUE(report.check);
+  EXPECT_FALSE(report.check_strict);
+  EXPECT_EQ(report.check_report_path, "out.sarif");
+  EXPECT_EQ(parse_cli({"--model", "m", "--check-report=r.json"})
+                .check_report_path,
+            "r.json");
+  EXPECT_THROW(parse_cli({"--model", "m", "--check-report"}), CliError);
 }
 
 TEST(Cli, JobsFlag) {
@@ -80,6 +104,8 @@ TEST(Cli, RequiresExactlyOneInput) {
 TEST(Cli, HelpShortCircuitsValidation) {
   EXPECT_TRUE(parse_cli({"--help"}).show_help);
   EXPECT_TRUE(parse_cli({"-h"}).show_help);
+  EXPECT_TRUE(parse_cli({"--list-rules"}).list_rules);
+  EXPECT_FALSE(parse_cli({"--model", "m"}).list_rules);
 }
 
 TEST(Cli, UnknownOptionRejected) {
@@ -103,6 +129,8 @@ TEST(Cli, UsageMentionsEveryModel) {
   EXPECT_NE(text.find("googlenet"), std::string::npos);
   EXPECT_NE(text.find("mobilenet_v1"), std::string::npos);
   EXPECT_NE(text.find("--precision"), std::string::npos);
+  EXPECT_NE(text.find("--check-report"), std::string::npos);
+  EXPECT_NE(text.find("--list-rules"), std::string::npos);
 }
 
 }  // namespace

@@ -1,12 +1,23 @@
+// Plan soundness through check::run_checks: compiler output checks clean,
+// and hand-corrupted plans raise the stable code for each corruption.
 #include <gtest/gtest.h>
 
-#include "core/validate.hpp"
+#include "check/check.hpp"
+#include "check/emit.hpp"
 #include "models/models.hpp"
 #include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::core {
 namespace {
+
+using check::Code;
+
+check::CheckReport check_plan(const graph::ComputationGraph& g,
+                               const AllocationPlan& plan,
+                               const LcmmOptions& options = {}) {
+  return check::run_checks(g, plan, check::CheckOptions::from(options));
+}
 
 AllocationPlan compiled_plan(const graph::ComputationGraph& g,
                              hw::Precision p = hw::Precision::kInt16) {
@@ -20,11 +31,12 @@ TEST_P(PlanValidation, CompilerOutputIsAlwaysSound) {
   auto g = models::build_by_name(GetParam());
   for (hw::Precision p : hw::kAllPrecisions) {
     AllocationPlan plan = compiled_plan(g, p);
-    EXPECT_TRUE(validate_plan(g, plan).empty());
+    const check::CheckReport compiled = check_plan(g, plan);
+    EXPECT_EQ(compiled.num_errors(), 0) << check::to_text(compiled);
     // Also after stall refinement mutates the state.
     sim::refine_against_stalls(g, plan);
-    const auto issues = validate_plan(g, plan);
-    EXPECT_TRUE(issues.empty()) << (issues.empty() ? "" : issues.front());
+    const check::CheckReport refined = check_plan(g, plan);
+    EXPECT_EQ(refined.num_errors(), 0) << check::to_text(refined);
   }
 }
 
@@ -38,8 +50,9 @@ TEST(PlanValidation, RandomGraphsAreSound) {
   for (std::uint64_t seed = 20; seed < 30; ++seed) {
     auto g = models::random_graph(seed);
     const AllocationPlan plan = compiled_plan(g, hw::Precision::kInt8);
-    const auto issues = validate_plan(g, plan);
-    EXPECT_TRUE(issues.empty()) << (issues.empty() ? "" : issues.front());
+    const check::CheckReport report = check_plan(g, plan);
+    EXPECT_EQ(report.num_errors(), 0)
+        << "seed " << seed << "\n" << check::to_text(report);
   }
 }
 
@@ -47,16 +60,18 @@ TEST(PlanValidation, DetectsShapeMismatch) {
   auto g1 = lcmm::testing::chain3();
   auto g2 = models::build_googlenet();
   const AllocationPlan plan = compiled_plan(g2);
-  EXPECT_FALSE(validate_plan(g1, plan).empty());
+  const check::CheckReport report = check_plan(g1, plan);
+  EXPECT_GT(report.num_errors(), 0);
+  EXPECT_TRUE(report.has(Code::kPlanShapeMismatch));
 }
 
 TEST(PlanValidation, DetectsOvercommittedResources) {
   auto g = models::build_googlenet();
   AllocationPlan plan = compiled_plan(g);
   plan.bram_used = plan.design.device.bram36_total + 1;
-  const auto issues = validate_plan(g, plan);
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.front().find("BRAM overcommitted"), std::string::npos);
+  const check::CheckReport report = check_plan(g, plan);
+  EXPECT_GT(report.num_errors(), 0);
+  EXPECT_TRUE(report.has(Code::kBramOversubscribed));
 }
 
 TEST(PlanValidation, DetectsSpilledOnChipWeight) {
@@ -82,7 +97,9 @@ TEST(PlanValidation, DetectsSpilledOnChipWeight) {
     }
   }
   ASSERT_TRUE(injected) << "the fixture no longer spills a weight buffer";
-  EXPECT_FALSE(validate_plan(g, plan).empty());
+  const check::CheckReport report = check_plan(g, plan, options);
+  EXPECT_GT(report.num_errors(), 0);
+  EXPECT_TRUE(report.has(Code::kSpilledWeightOnChip));
 }
 
 TEST(PlanValidation, DetectsLifespanOverlapInBuffer) {
@@ -108,31 +125,27 @@ TEST(PlanValidation, DetectsLifespanOverlapInBuffer) {
   bad.members = {a, b};
   plan.buffers.push_back(bad);
   plan.buffer_on_chip.push_back(false);
-  const auto issues = validate_plan(g, plan);
-  bool overlap_reported = false;
-  bool multi_owner_reported = false;
-  for (const std::string& msg : issues) {
-    overlap_reported |= msg.find("overlapping lifespans") != std::string::npos;
-    multi_owner_reported |= msg.find("several buffers") != std::string::npos;
-  }
-  EXPECT_TRUE(overlap_reported);
-  EXPECT_TRUE(multi_owner_reported);
+  const check::CheckReport report = check_plan(g, plan);
+  EXPECT_GT(report.num_errors(), 0);
+  EXPECT_TRUE(report.has(Code::kLifespanOverlap));
+  EXPECT_TRUE(report.has(Code::kMultipleOwners));
 }
 
 TEST(PlanValidation, DetectsBadResidency) {
   auto g = models::build_googlenet();
   AllocationPlan plan = compiled_plan(g);
   plan.resident_weights.push_back(9999);
-  auto issues = validate_plan(g, plan);
-  ASSERT_FALSE(issues.empty());
-  EXPECT_NE(issues.back().find("bad layer"), std::string::npos);
+  const check::CheckReport report = check_plan(g, plan);
+  EXPECT_GT(report.num_errors(), 0);
+  EXPECT_TRUE(report.has(Code::kResidentBadLayer));
 }
 
 TEST(PlanValidation, UmmPlanIsSound) {
   auto g = models::build_googlenet();
   LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
   const AllocationPlan umm = compiler.compile_umm(g);
-  EXPECT_TRUE(validate_plan(g, umm).empty());
+  const check::CheckReport report = check_plan(g, umm);
+  EXPECT_EQ(report.num_errors(), 0) << check::to_text(report);
 }
 
 }  // namespace

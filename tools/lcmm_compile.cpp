@@ -4,6 +4,9 @@
 //   lcmm_compile --graph mynet.lcmm --design lcmm --format json
 //   lcmm_compile --model resnet152 --roofline --trace
 //   lcmm_compile --model googlenet --stats-json s.json --compile-trace t.json
+//   lcmm_compile --model inception_v4 --check-report check.sarif
+//   lcmm_compile --list-rules
+#include <fstream>
 #include <iostream>
 #include <memory>
 #include <utility>
@@ -12,7 +15,6 @@
 #include "check/check.hpp"
 #include "check/emit.hpp"
 #include "cli/options.hpp"
-#include "core/validate.hpp"
 #include "driver/batch.hpp"
 #include "graph/dot.hpp"
 #include "hw/roofline.hpp"
@@ -56,6 +58,33 @@ void print_text_report(const sim::DesignReport& r) {
     t.add_row({"prefetch stalls", util::fmt_fixed(r.total_stall_ms, 3) + " ms"});
   }
   std::cout << t;
+}
+
+void print_rules() {
+  util::Table t({"code", "severity", "rule", "paper", "summary"});
+  for (check::Code code : check::all_codes()) {
+    t.add_row({check::code_id(code), to_string(check::default_severity(code)),
+               check::code_name(code), check::code_paper_section(code),
+               check::code_summary(code)});
+  }
+  std::cout << t;
+}
+
+// One document for every checked design; the format follows the extension.
+void write_check_report(const std::vector<check::CheckedPlan>& checked,
+                        const std::string& path) {
+  util::Json doc;
+  if (path.ends_with(".sarif")) {
+    doc = check::to_sarif(checked);
+  } else {
+    doc = util::Json::array();
+    for (const check::CheckedPlan& c : checked) {
+      doc.push(to_json(c.report, c.label));
+    }
+  }
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open '" + path + "' for writing");
+  out << doc.dump() << "\n";
 }
 
 void print_csv_report(const sim::DesignReport& r, bool header) {
@@ -136,15 +165,18 @@ int run(const cli::Options& opt) {
   }
 
   struct Compiled {
+    const char* design;  // the requested design, even after a UMM fallback
     core::AllocationPlan plan;
     sim::SimResult sim;
   };
   std::vector<Compiled> runs;
   if (job.want_umm) {
-    runs.push_back({std::move(outcome.umm_plan), std::move(outcome.umm_sim)});
+    runs.push_back(
+        {"umm", std::move(outcome.umm_plan), std::move(outcome.umm_sim)});
   }
   if (job.want_lcmm) {
-    runs.push_back({std::move(outcome.lcmm_plan), std::move(outcome.lcmm_sim)});
+    runs.push_back(
+        {"lcmm", std::move(outcome.lcmm_plan), std::move(outcome.lcmm_sim)});
   }
 
   if (opt.emit_roofline) {
@@ -196,28 +228,21 @@ int run(const cli::Options& opt) {
     obs::write_compile_trace(stats_session->stats(), opt.compile_trace_path);
     std::cerr << "wrote " << opt.compile_trace_path << "\n";
   }
-  if (opt.validate) {
-    bool ok = true;
-    for (const Compiled& c : runs) {
-      for (const std::string& issue : core::validate_plan(graph, c.plan)) {
-        std::cerr << "plan violation: " << issue << "\n";
-        ok = false;
-      }
-    }
-    if (!ok) return 1;
-    std::cerr << "plan validation: ok\n";
-  }
   if (opt.check) {
     const check::CheckOptions check_options =
         check::CheckOptions::from(opt.lcmm, opt.check_strict);
+    std::vector<check::CheckedPlan> checked;
     bool failed = false;
     for (const Compiled& c : runs) {
-      const check::CheckReport report =
-          check::run_checks(graph, c.plan, check_options);
-      check::RunLabel label{graph.name(), c.plan.is_umm ? "umm" : "lcmm",
-                            hw::to_string(opt.precision)};
-      std::cerr << to_text(report, label);
-      failed |= report.fails(opt.check_strict);
+      check::CheckedPlan& run = checked.emplace_back();
+      run.label = {graph.name(), c.design, hw::to_string(opt.precision)};
+      run.report = check::run_checks(graph, c.plan, check_options);
+      std::cerr << to_text(run.report, run.label);
+      failed |= run.report.fails(opt.check_strict);
+    }
+    if (!opt.check_report_path.empty()) {
+      write_check_report(checked, opt.check_report_path);
+      std::cerr << "wrote " << opt.check_report_path << "\n";
     }
     if (failed) return 1;
   }
@@ -238,6 +263,10 @@ int main(int argc, char** argv) {
       for (const char* site : resil::fault::sites()) {
         std::cout << site << "\n";
       }
+      return 0;
+    }
+    if (opt.list_rules) {
+      print_rules();
       return 0;
     }
     return run(opt);
