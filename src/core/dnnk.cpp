@@ -25,13 +25,69 @@ std::vector<std::size_t> ordered_members(const InterferenceGraph& graph,
   return members;
 }
 
-}  // namespace
+/// One member of the buffer in the current DP row, with every part of its
+/// compensated gain that does not depend on the capacity column j.
+struct MemberTerm {
+  /// Marginal gain by layer on-chip mask. Only the masks a cell can reach
+  /// (fixed_mask plus any subset of the owner sources) are filled.
+  std::array<double, 1u << kNumSources> gain{};
+  /// Sources of the layer held by earlier members of this same buffer.
+  std::uint8_t fixed_mask = 0;
+  /// Earlier buffers holding sources of the layer: their pbuf_table row
+  /// offset and the source whose bit a taken cell sets.
+  int num_owners = 0;
+  std::array<std::size_t, kNumSources> owner_offset{};
+  std::array<int, kNumSources> owner_source{};
+};
 
-std::int64_t quantized_units(std::int64_t bytes, const AllocatorOptions& options) {
+/// Builds the row-`row` terms of `members` (in order) into `terms`.
+void build_member_terms(const InterferenceGraph& graph,
+                        const std::vector<std::size_t>& members,
+                        const std::vector<std::array<int, kNumSources>>& buffer_of,
+                        const LatencyTables& tables, std::size_t row,
+                        std::size_t width, std::vector<MemberTerm>& terms) {
+  terms.resize(members.size());
+  for (std::size_t m = 0; m < members.size(); ++m) {
+    const TensorKey key = graph.entities()[members[m]].key;
+    MemberTerm& term = terms[m];
+    term.fixed_mask = 0;
+    term.num_owners = 0;
+    std::uint8_t owner_bits = 0;
+    for (int s = 0; s < kNumSources; ++s) {
+      const int owner = buffer_of[static_cast<std::size_t>(key.layer)][s];
+      if (owner < 0 || static_cast<std::size_t>(owner) >= row) continue;
+      term.owner_offset[term.num_owners] = static_cast<std::size_t>(owner) * width;
+      term.owner_source[term.num_owners] = s;
+      ++term.num_owners;
+      owner_bits = static_cast<std::uint8_t>(owner_bits | (1u << s));
+    }
+    for (std::size_t q = 0; q < m; ++q) {
+      const TensorKey other = graph.entities()[members[q]].key;
+      if (other.layer == key.layer) {
+        term.fixed_mask = static_cast<std::uint8_t>(
+            term.fixed_mask | (1u << static_cast<int>(other.source)));
+      }
+    }
+    for (std::uint8_t sub = owner_bits;;
+         sub = static_cast<std::uint8_t>((sub - 1) & owner_bits)) {
+      const std::uint8_t mask = static_cast<std::uint8_t>(term.fixed_mask | sub);
+      term.gain[mask] = tables.marginal_gain(key.layer, key.source, mask);
+      if (sub == 0) break;
+    }
+  }
+}
+
+void require_positive_granularity(const AllocatorOptions& options) {
   if (options.granularity_bytes <= 0) {
     throw resil::OptionError(resil::Code::kBadOptions, "pass.dnnk",
                              "AllocatorOptions: granularity <= 0");
   }
+}
+
+}  // namespace
+
+std::int64_t quantized_units(std::int64_t bytes, const AllocatorOptions& options) {
+  require_positive_granularity(options);
   return (bytes + options.granularity_bytes - 1) / options.granularity_bytes;
 }
 
@@ -66,6 +122,7 @@ AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
                               std::int64_t capacity_bytes,
                               const AllocatorOptions& options) {
   LCMM_SPAN("dnnk");
+  require_positive_granularity(options);
   const std::size_t n = buffers.size();
   const std::int64_t w_cap = capacity_bytes / options.granularity_bytes;
   if (w_cap < 0) {
@@ -90,64 +147,56 @@ AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
     }
   }
 
-  // pbuf_table(i, j): was buffer i taken at capacity j during its DP row.
-  std::vector<std::vector<std::uint8_t>> pbuf_table(n,
-                                                    std::vector<std::uint8_t>(width, 0));
+  // pbuf_table(i, j) at [i * width + j]: was buffer i taken at capacity j
+  // during its DP row.
+  std::vector<std::uint8_t> pbuf_table(n * width, 0);
   std::vector<double> prev(width, 0.0);
   std::vector<double> curr(width, 0.0);
+  std::vector<MemberTerm> terms;
+  std::int64_t member_terms = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
-    const std::int64_t size_units = quantized_units(buffers[i].bytes, options);
-    const std::vector<std::size_t> members = ordered_members(graph, buffers[i]);
-    for (std::size_t j = 0; j < width; ++j) {
-      if (static_cast<std::int64_t>(j) >= size_units) {
+    const std::size_t size_units =
+        static_cast<std::size_t>(quantized_units(buffers[i].bytes, options));
+    std::copy_n(prev.begin(), std::min(size_units, width), curr.begin());
+    if (size_units < width) {
+      // Buffer value with pivot compensation: compose marginal gains of the
+      // member tensors on top of the approximate allocation state of their
+      // layers, read from pbuf_table at this capacity (Alg. 1, lines 9-12
+      // generalized through Eq. 1 marginal gains). Everything but the
+      // pbuf_table reads is fixed for the row, so it is built once here.
+      build_member_terms(graph, ordered_members(graph, buffers[i]), buffer_of,
+                         tables, i, width, terms);
+      member_terms += static_cast<std::int64_t>(terms.size() * (width - size_units));
+      std::uint8_t* const row = pbuf_table.data() + i * width;
+      for (std::size_t j = size_units; j < width; ++j) {
         const double l0 = prev[j];
-        // Buffer value with pivot compensation: compose marginal gains of
-        // the member tensors on top of the approximate allocation state of
-        // their layers, read from pbuf_table at this capacity (Alg. 1,
-        // lines 9-12 generalized through Eq. 1 marginal gains).
-        double l1 = prev[j - static_cast<std::size_t>(size_units)];
-        // Per-layer masks are composed lazily; most buffers touch few layers.
-        for (std::size_t m = 0; m < members.size(); ++m) {
-          const TensorKey key = graph.entities()[members[m]].key;
-          std::uint8_t mask = 0;
-          for (int s = 0; s < kNumSources; ++s) {
-            const int owner = buffer_of[static_cast<std::size_t>(key.layer)][s];
-            if (owner < 0 || static_cast<std::size_t>(owner) >= i) continue;
-            if (pbuf_table[static_cast<std::size_t>(owner)][j]) {
-              mask = static_cast<std::uint8_t>(mask | (1u << s));
-            }
+        double l1 = prev[j - size_units];
+        for (const MemberTerm& term : terms) {
+          std::uint8_t mask = term.fixed_mask;
+          for (int o = 0; o < term.num_owners; ++o) {
+            mask = static_cast<std::uint8_t>(
+                mask | pbuf_table[term.owner_offset[o] + j] << term.owner_source[o]);
           }
-          // Earlier members of this same buffer that share the layer.
-          for (std::size_t q = 0; q < m; ++q) {
-            const TensorKey other = graph.entities()[members[q]].key;
-            if (other.layer == key.layer) {
-              mask = static_cast<std::uint8_t>(
-                  mask | (1u << static_cast<int>(other.source)));
-            }
-          }
-          l1 += tables.marginal_gain(key.layer, key.source, mask);
+          l1 += term.gain[mask];
         }
         if (l0 > l1) {
           curr[j] = l0;
-          pbuf_table[i][j] = 0;
         } else {
           curr[j] = l1;
-          pbuf_table[i][j] = 1;
+          row[j] = 1;
         }
-      } else {
-        curr[j] = prev[j];
-        pbuf_table[i][j] = 0;
       }
     }
     std::swap(prev, curr);
   }
+  LCMM_COUNT("member_terms", member_terms);
 
   // Backtrace over pbuf_table.
   std::vector<bool> selection(n, false);
   std::int64_t j = w_cap;
   for (std::size_t i = n; i-- > 0;) {
-    if (pbuf_table[i][static_cast<std::size_t>(j)]) {
+    if (pbuf_table[i * width + static_cast<std::size_t>(j)]) {
       selection[i] = true;
       j -= quantized_units(buffers[i].bytes, options);
     }

@@ -6,7 +6,10 @@
 // to the next-larger transfer term of its node that is still off-chip.
 // The DP follows the paper: rows are buffers, columns are capacities, the
 // compensation term is read from the partial allocation table pbuf_table,
-// and the final allocation is recovered by a backtrace.
+// and the final allocation is recovered by a backtrace. Each row builds its
+// members' column-independent terms once (marginal gains per reachable
+// mask, same-buffer sources, owner rows), so a cell costs a few pbuf_table
+// reads and one addition per member.
 //
 // Two reference allocators share the result type: a value-density greedy
 // (ablation baseline) and an exhaustive search (test oracle).

@@ -75,6 +75,10 @@ LcmmCompiler::LcmmCompiler(hw::FpgaDevice device, hw::Precision precision,
     throw resil::OptionError(resil::Code::kBadOptions, "core.options",
                              "LcmmOptions: bad sram_capacity_fraction");
   }
+  if (options_.alloc.granularity_bytes <= 0) {
+    throw resil::OptionError(resil::Code::kBadOptions, "core.options",
+                             "LcmmOptions: alloc.granularity_bytes must be > 0");
+  }
   if (options_.dse_passes < 1 || options_.dse_passes > 4) {
     throw resil::OptionError(resil::Code::kBadOptions, "core.options",
                              "LcmmOptions: dse_passes must be in [1,4]");

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "core/coloring.hpp"
 #include "core/dnnk.hpp"
 #include "core/liveness.hpp"
+#include "core/prefetch.hpp"
+#include "models/models.hpp"
+#include "resil/error.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::core {
@@ -166,6 +173,253 @@ TEST(Dnnk, QuantizationRoundsUp) {
   EXPECT_EQ(quantized_units(101, opt), 2);
   opt.granularity_bytes = 0;
   EXPECT_THROW(quantized_units(1, opt), std::invalid_argument);
+}
+
+TEST(Dnnk, ZeroGranularityIsATypedError) {
+  // Checked before the capacity is divided into DP columns.
+  auto inst = singleton_instance(2);
+  AllocatorOptions opt;
+  opt.granularity_bytes = 0;
+  try {
+    dnnk_allocate(inst.ig, inst.buffers, inst.tables, std::int64_t{1} << 20, opt);
+    FAIL() << "expected an OptionError";
+  } catch (const resil::OptionError& e) {
+    EXPECT_EQ(e.code(), resil::Code::kBadOptions);
+    EXPECT_EQ(e.pass(), "pass.dnnk");
+  }
+  opt.granularity_bytes = -4096;
+  EXPECT_THROW(dnnk_allocate(inst.ig, inst.buffers, inst.tables, 1 << 20, opt),
+               resil::OptionError);
+}
+
+/// The DP with every member mask composed inside each cell, as Alg. 1 reads
+/// when transcribed directly: per cell, each member ORs in the sources that
+/// earlier buffers took at this column and the same-layer sources of
+/// earlier members of its own buffer, then adds its marginal gain.
+/// dnnk_allocate builds the column-independent parts once per row and must
+/// make the same decisions from the same doubles.
+AllocatorResult per_cell_reference(const InterferenceGraph& graph,
+                                   const std::vector<VirtualBuffer>& buffers,
+                                   const LatencyTables& tables,
+                                   std::int64_t capacity_bytes,
+                                   const AllocatorOptions& options = {}) {
+  const std::size_t n = buffers.size();
+  const std::int64_t w_cap = capacity_bytes / options.granularity_bytes;
+  const std::size_t width = static_cast<std::size_t>(w_cap) + 1;
+  std::vector<std::array<int, kNumSources>> buffer_of(
+      tables.model().graph().num_layers(), {-1, -1, -1, -1});
+  for (std::size_t b = 0; b < n; ++b) {
+    for (std::size_t e : buffers[b].members) {
+      const TensorKey key = graph.entities()[e].key;
+      buffer_of[static_cast<std::size_t>(key.layer)]
+               [static_cast<int>(key.source)] = static_cast<int>(b);
+    }
+  }
+  std::vector<std::vector<std::uint8_t>> pbuf(n, std::vector<std::uint8_t>(width, 0));
+  std::vector<double> prev(width, 0.0);
+  std::vector<double> curr(width, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::int64_t size_units = quantized_units(buffers[i].bytes, options);
+    std::vector<std::size_t> members = buffers[i].members;
+    std::stable_sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
+      return graph.entities()[a].stream_latency_s >
+             graph.entities()[b].stream_latency_s;
+    });
+    for (std::size_t j = 0; j < width; ++j) {
+      if (static_cast<std::int64_t>(j) < size_units) {
+        curr[j] = prev[j];
+        continue;
+      }
+      double l1 = prev[j - static_cast<std::size_t>(size_units)];
+      for (std::size_t m = 0; m < members.size(); ++m) {
+        const TensorKey key = graph.entities()[members[m]].key;
+        std::uint8_t mask = 0;
+        for (int s = 0; s < kNumSources; ++s) {
+          const int owner = buffer_of[static_cast<std::size_t>(key.layer)][s];
+          if (owner >= 0 && static_cast<std::size_t>(owner) < i &&
+              pbuf[static_cast<std::size_t>(owner)][j]) {
+            mask = static_cast<std::uint8_t>(mask | (1u << s));
+          }
+        }
+        for (std::size_t q = 0; q < m; ++q) {
+          const TensorKey other = graph.entities()[members[q]].key;
+          if (other.layer == key.layer) {
+            mask = static_cast<std::uint8_t>(
+                mask | (1u << static_cast<int>(other.source)));
+          }
+        }
+        l1 += tables.marginal_gain(key.layer, key.source, mask);
+      }
+      if (prev[j] > l1) {
+        curr[j] = prev[j];
+      } else {
+        curr[j] = l1;
+        pbuf[i][j] = 1;
+      }
+    }
+    std::swap(prev, curr);
+  }
+  std::vector<bool> selection(n, false);
+  std::int64_t j = w_cap;
+  for (std::size_t i = n; i-- > 0;) {
+    if (pbuf[i][static_cast<std::size_t>(j)]) {
+      selection[i] = true;
+      j -= quantized_units(buffers[i].bytes, options);
+    }
+  }
+  return evaluate_selection(graph, buffers, tables, selection, options);
+}
+
+void expect_matches_per_cell_reference(const InterferenceGraph& ig,
+                                       const std::vector<VirtualBuffer>& buffers,
+                                       const LatencyTables& tables,
+                                       std::int64_t capacity,
+                                       const std::string& label,
+                                       const AllocatorOptions& options = {}) {
+  const AllocatorResult got =
+      dnnk_allocate(ig, buffers, tables, capacity, options);
+  const AllocatorResult want =
+      per_cell_reference(ig, buffers, tables, capacity, options);
+  EXPECT_EQ(got.buffer_on_chip, want.buffer_on_chip) << label;
+  EXPECT_EQ(got.gain_s, want.gain_s) << label;
+  EXPECT_EQ(got.bytes_used, want.bytes_used) << label;
+}
+
+/// Colored buffers over the compile path's entities (features + prefetched
+/// weights) of `graph` under a fixed design; checks dnnk_allocate against
+/// the per-cell reference at three fractions of the total buffer size.
+/// Returns the number of multi-member buffers exercised.
+int check_colored_buffers(const graph::ComputationGraph& graph,
+                          const hw::FpgaDevice& device, hw::Precision precision,
+                          const std::string& label,
+                          const AllocatorOptions& options = {}) {
+  hw::AcceleratorDesign design = small_design(precision);
+  design.device = device;
+  const hw::PerfModel model(graph, design);
+  const LatencyTables tables(model);
+  LivenessOptions liveness;
+  liveness.include_compute_bound = true;
+  std::vector<TensorEntity> entities = build_feature_entities(model, liveness);
+  for (TensorEntity& e : build_weight_entities(
+           model, build_prefetch_schedule(model, liveness))) {
+    entities.push_back(std::move(e));
+  }
+  const InterferenceGraph ig(std::move(entities));
+  const std::vector<VirtualBuffer> buffers =
+      build_virtual_buffers(ig, color_min_total_size(ig));
+  const std::int64_t total = total_buffer_bytes(buffers);
+  for (std::int64_t capacity : {total / 10, total / 3, total * 2 / 3}) {
+    expect_matches_per_cell_reference(
+        ig, buffers, tables, capacity,
+        label + " capacity " + std::to_string(capacity), options);
+  }
+  return static_cast<int>(std::count_if(
+      buffers.begin(), buffers.end(),
+      [](const VirtualBuffer& b) { return b.members.size() > 1; }));
+}
+
+class DnnkRowPrecompute : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DnnkRowPrecompute, MatchesPerCellReferenceOnColoredBuffers) {
+  const graph::ComputationGraph graph = models::build_by_name(GetParam());
+  int shared = 0;
+  for (hw::Precision p :
+       {hw::Precision::kInt8, hw::Precision::kInt16, hw::Precision::kFp32}) {
+    for (const hw::FpgaDevice& device :
+         {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg(), hw::FpgaDevice::u250()}) {
+      shared += check_colored_buffers(graph, device, p,
+                                      GetParam() + " " + hw::to_string(p) + " " +
+                                          device.name);
+    }
+  }
+  EXPECT_GT(shared, 0) << "no multi-member buffer exercised";
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, DnnkRowPrecompute,
+                         ::testing::ValuesIn(models::model_names()));
+
+TEST(Dnnk, MatchesPerCellReferenceOnRandomGraphs) {
+  // The random graphs are small; a 4 KiB granularity gives their DP tens to
+  // hundreds of columns instead of a handful of URAM blocks.
+  AllocatorOptions fine;
+  fine.granularity_bytes = 4096;
+  int shared = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    shared += check_colored_buffers(models::random_graph(seed),
+                                    hw::FpgaDevice::vu9p(), hw::Precision::kInt8,
+                                    "random_graph seed " + std::to_string(seed),
+                                    fine);
+  }
+  EXPECT_GT(shared, 0) << "no multi-member buffer exercised";
+}
+
+TEST(Dnnk, MemberMaskComposesEarlierBufferAndSameBufferSources) {
+  // Layer 0 is a fused-residual 1x1 conv whose input, residual and output
+  // streams all exceed its compute time under this design. Buffer 0 holds
+  // its output; buffer 1 holds its input and residual, so in row 1 the
+  // residual's mask takes the output bit from buffer 0's pick at the
+  // column and the input bit from its own buffer. Singleton buffers over
+  // the streams of a few differently shaped layers compete for the same
+  // capacity, so the composed value decides picks across the sweep.
+  graph::ComputationGraph g("residual_fixture");
+  auto x = g.add_input("in", {64, 14, 14});
+  x = g.add_conv("res", x, {64, 1, 1, 1, 0, 0}, /*residual=*/x);
+  x = g.add_conv("wide", x, {128, 1, 1, 1, 0, 0});
+  x = g.add_conv("narrow", x, {32, 3, 3, 1, 1, 1});
+  g.add_conv("expand", x, {256, 1, 1, 1, 0, 0});
+  g.validate();
+  hw::AcceleratorDesign design = small_design();
+  design.array = {64, 16, 32};
+  const hw::PerfModel model(g, design);
+  const LatencyTables tables(model);
+  const hw::LayerTiming& t = model.timing(0);
+  ASSERT_GT(t.if_s, t.compute_s);
+  ASSERT_GT(t.res_s, t.compute_s);
+  ASSERT_GT(t.of_s, t.compute_s);
+
+  std::vector<TensorEntity> entities;
+  const auto add = [&](graph::LayerId layer, TensorSource source,
+                       std::int64_t bytes) {
+    const hw::LayerTiming& lt = model.timing(layer);
+    TensorEntity e;
+    e.key = {layer, source};
+    e.bytes = bytes;
+    e.stream_latency_s = source == TensorSource::kInput      ? lt.if_s
+                         : source == TensorSource::kResidual ? lt.res_s
+                         : source == TensorSource::kWeight   ? lt.wt_s
+                                                             : lt.of_s;
+    entities.push_back(e);
+    return entities.size() - 1;
+  };
+  constexpr std::int64_t kUnit = 4096;
+  std::vector<VirtualBuffer> buffers;
+  buffers.push_back({0, 2 * kUnit, {add(0, TensorSource::kOutput, 2 * kUnit)}, 0, 0});
+  buffers.push_back({1, 3 * kUnit,
+                     {add(0, TensorSource::kInput, 3 * kUnit),
+                      add(0, TensorSource::kResidual, 2 * kUnit)},
+                     0, 0});
+  for (graph::LayerId layer = 1; layer < 4; ++layer) {
+    for (TensorSource source : {TensorSource::kInput, TensorSource::kWeight,
+                                TensorSource::kOutput}) {
+      const std::int64_t bytes = (1 + (layer + static_cast<int>(source)) % 3) * kUnit;
+      buffers.push_back({static_cast<int>(buffers.size()), bytes,
+                         {add(layer, source, bytes)}, 0, 0});
+    }
+  }
+  const InterferenceGraph ig(std::move(entities));
+  AllocatorOptions fine;
+  fine.granularity_bytes = kUnit;
+  const std::int64_t total = total_buffer_bytes(buffers);
+  for (std::int64_t capacity = 0; capacity <= total; capacity += kUnit) {
+    expect_matches_per_cell_reference(ig, buffers, tables, capacity,
+                                      "capacity " + std::to_string(capacity), fine);
+  }
+  // With room for every buffer, both layer-0 buffers are taken: the layer's
+  // input, residual and output are on chip.
+  const auto all = dnnk_allocate(ig, buffers, tables, total, fine);
+  EXPECT_TRUE(all.buffer_on_chip[0]);
+  EXPECT_TRUE(all.buffer_on_chip[1]);
+  EXPECT_EQ(all.state.layer_mask(0), 0x0B);
 }
 
 TEST(Exact, RejectsOversizedInstances) {

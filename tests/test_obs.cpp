@@ -2,6 +2,7 @@
 
 #include "core/lcmm.hpp"
 #include "core/pipeline.hpp"
+#include "driver/batch.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
 
@@ -176,6 +177,7 @@ TEST(Integration, FullCompileEmitsNonZeroPerPassSpans) {
   EXPECT_GT(stats.counter("coloring.colors"), 0);
   EXPECT_GT(stats.counter("prefetch.edges"), 0);
   EXPECT_GT(stats.counter("dnnk.dp_cells"), 0);
+  EXPECT_GT(stats.counter("dnnk.member_terms"), 0);
   EXPECT_GT(stats.counter("splitting.iterations"), 0);
   EXPECT_GT(stats.counter("pipeline.dse_rounds"), 0);
   // The DNNK pass logged a decision for every virtual buffer it saw.
@@ -218,6 +220,33 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   EXPECT_GE(serial[3], 3);               // UMM, seed and >= 1 refine
   EXPECT_EQ(serial[4], 1 + serial[3]);   // the table build plus each argmin
   EXPECT_EQ(dse_counters(4), serial);
+}
+
+TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {
+  // member_terms counts the member additions the DP performs (members x
+  // columns that can hold the buffer, summed over rows); like dp_cells it
+  // is a pure function of the jobs, so repeats and worker counts agree.
+  const auto dnnk_counters = [](int workers) {
+    std::vector<driver::BatchJob> jobs;
+    for (const char* name : {"googlenet", "resnet50", "squeezenet"}) {
+      jobs.push_back({.graph = models::build_by_name(name),
+                      .device = hw::FpgaDevice::vu9p(),
+                      .precision = hw::Precision::kInt16});
+    }
+    StatsSession session;
+    for (const auto& outcome : driver::compile_many(jobs, workers)) {
+      EXPECT_TRUE(outcome.ok()) << outcome.error;
+    }
+    const CompileStats& stats = session.stats();
+    return std::vector<std::int64_t>{stats.counter("dnnk.member_terms"),
+                                     stats.counter("dnnk.dp_cells"),
+                                     stats.span_count("dnnk")};
+  };
+  const std::vector<std::int64_t> serial = dnnk_counters(1);
+  EXPECT_GT(serial[0], 0);
+  EXPECT_GT(serial[1], 0);
+  EXPECT_EQ(dnnk_counters(1), serial);
+  EXPECT_EQ(dnnk_counters(4), serial);
 }
 
 TEST(Integration, PartitionPassRecordsSegments) {

@@ -83,6 +83,24 @@ TEST(ResilError, OptionErrorIsInvalidArgument) {
   }
 }
 
+TEST(ResilError, NonPositiveGranularityIsRejectedAtConstruction) {
+  // dnnk_allocate divides the capacity by the DNNK granularity, so the
+  // compiler refuses a non-positive one as a caller contract violation
+  // before any pass runs.
+  for (std::int64_t granularity : {std::int64_t{0}, std::int64_t{-1}}) {
+    LcmmOptions options;
+    options.alloc.granularity_bytes = granularity;
+    try {
+      const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
+                                  options);
+      ADD_FAILURE() << "granularity " << granularity << " accepted";
+    } catch (const OptionError& e) {
+      EXPECT_EQ(e.code(), Code::kBadOptions);
+      EXPECT_EQ(e.pass(), "core.options");
+    }
+  }
+}
+
 TEST(ResilError, DescribeWrapsForeignExceptionsAsInternal) {
   const std::runtime_error foreign("unexpected");
   const ErrorInfo info = describe(foreign);
