@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
                      "Gops/J", "energy saving"});
   for (const auto& [label, model_name] : bench::kSuite) {
     const auto graph = models::build_by_name(model_name);
-    const bench::PairResult r = bench::run_pair(graph, hw::Precision::kInt16);
+    const driver::BatchOutcome r =
+        bench::run_pair(graph, hw::Precision::kInt16);
     const double ops = 2.0 * static_cast<double>(graph.total_macs());
     const sim::EnergyReport umm =
         estimate_energy(graph, r.umm_plan, r.umm_sim);

@@ -18,14 +18,14 @@ int main(int argc, char** argv) {
     for (bool packing : {false, true}) {
       core::LcmmOptions options;
       options.dse.allow_int8_packing = packing;
-      const bench::PairResult r =
+      const driver::BatchOutcome r =
           bench::run_pair(graph, hw::Precision::kInt8, options);
       hw::PerfModel model(graph, r.umm_plan.design);
       const auto roofline = characterize_roofline(model);
       const auto stream = sim::simulate_stream(graph, r.lcmm_plan, 4);
       table.add_row({label, packing ? "2 MAC/DSP" : "1 MAC/DSP",
-                     util::fmt_fixed(r.umm.tops, 3),
-                     util::fmt_fixed(r.lcmm.tops, 3),
+                     util::fmt_fixed(r.umm_report.tops, 3),
+                     util::fmt_fixed(r.lcmm_report.tops, 3),
                      util::fmt_fixed(r.speedup(), 2),
                      std::to_string(roofline.num_memory_bound) + "/" +
                          std::to_string(roofline.points.size()),
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       const bench::Dims dims{{"net", label},
                              {"precision", "int8"},
                              {"packing", packing ? "2" : "1"}};
-      harness.add("lcmm_tops", r.lcmm.tops, "Tops",
+      harness.add("lcmm_tops", r.lcmm_report.tops, "Tops",
                   bench::Direction::kHigherIsBetter, dims);
       harness.add("speedup", r.speedup(), "x",
                   bench::Direction::kHigherIsBetter, dims);

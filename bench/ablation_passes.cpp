@@ -41,21 +41,21 @@ int main(int argc, char** argv) {
     const auto graph = models::build_by_name(model_name);
     double umm_ms = 0.0;
     for (const char* v : kVariants) {
-      const bench::PairResult r =
+      const driver::BatchOutcome r =
           bench::run_pair(graph, hw::Precision::kInt16, variant(v));
-      umm_ms = r.umm.latency_ms;
-      table.add_row({label, v, util::fmt_fixed(r.lcmm.latency_ms, 3),
-                     util::fmt_fixed(r.lcmm.tops, 3),
-                     util::fmt_fixed(umm_ms / r.lcmm.latency_ms, 2),
-                     util::fmt_pct(r.lcmm.uram_util),
-                     util::fmt_fixed(r.lcmm.total_stall_ms, 3)});
+      umm_ms = r.umm_report.latency_ms;
+      table.add_row({label, v, util::fmt_fixed(r.lcmm_report.latency_ms, 3),
+                     util::fmt_fixed(r.lcmm_report.tops, 3),
+                     util::fmt_fixed(umm_ms / r.lcmm_report.latency_ms, 2),
+                     util::fmt_pct(r.lcmm_report.uram_util),
+                     util::fmt_fixed(r.lcmm_report.total_stall_ms, 3)});
       const bench::Dims dims{
           {"net", label}, {"precision", "int16"}, {"variant", v}};
-      harness.add("latency_ms", r.lcmm.latency_ms, "ms",
+      harness.add("latency_ms", r.lcmm_report.latency_ms, "ms",
                   bench::Direction::kLowerIsBetter, dims);
-      harness.add("speedup", umm_ms / r.lcmm.latency_ms, "x",
+      harness.add("speedup", umm_ms / r.lcmm_report.latency_ms, "x",
                   bench::Direction::kHigherIsBetter, dims);
-      harness.add("stall_ms", r.lcmm.total_stall_ms, "ms",
+      harness.add("stall_ms", r.lcmm_report.total_stall_ms, "ms",
                   bench::Direction::kLowerIsBetter, dims);
     }
     table.add_row({label, "UMM baseline", util::fmt_fixed(umm_ms, 3), "", "1.00",

@@ -1,56 +1,41 @@
 // Shared harness glue for the paper-reproduction benches: compiles the UMM
-// baseline and the LCMM plan for a (network, precision) pair, simulates
-// both, and returns the report rows the tables print. Every bench also
-// links lcmm::bench (src/bench/bench.hpp): construct a Harness from argv,
-// register the table's numbers as metrics, and `return harness.finish()`
-// so `--json=<path>` emits the machine-readable run the CI bench gate
-// diffs against bench/baselines/ (docs/benchmarking.md).
+// baseline and the LCMM plan for a (network, precision) pair through
+// driver::compile_many, simulates both, and returns the outcome whose
+// report rows the tables print. Every bench also links lcmm::bench
+// (src/bench/bench.hpp): construct a Harness from argv, register the
+// table's numbers as metrics, and `return harness.finish()` so
+// `--json=<path>` emits the machine-readable run the CI bench gate diffs
+// against bench/baselines/ (docs/benchmarking.md).
 #pragma once
 
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 #include "bench/bench.hpp"
 #include "lcmm.hpp"
 
 namespace lcmm::bench {
 
-struct PairResult {
-  core::AllocationPlan umm_plan;
-  core::AllocationPlan lcmm_plan;
-  sim::SimResult umm_sim;
-  sim::SimResult lcmm_sim;
-  sim::DesignReport umm;
-  sim::DesignReport lcmm;
-
-  double speedup() const { return umm.latency_ms / lcmm.latency_ms; }
-};
-
-inline PairResult run_pair(const graph::ComputationGraph& graph,
-                           hw::Precision precision,
-                           const core::LcmmOptions& options = {}) {
-  core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), precision, options);
-  PairResult r;
-  r.lcmm_plan = compiler.compile(graph, &r.umm_plan);
-  r.umm_sim = sim::simulate(graph, r.umm_plan);
-  r.umm = sim::make_report(graph, r.umm_plan, r.umm_sim);
-  r.lcmm_sim = sim::refine_against_stalls(graph, r.lcmm_plan);
-  r.lcmm = sim::make_report(graph, r.lcmm_plan, r.lcmm_sim);
-  return r;
-}
-
-/// run_pair with compiler telemetry: collects pass spans and counters for
-/// the whole pair compile (obs/obs.hpp) and copies them into `stats_out`,
-/// so benches can assert the passes did the work they claim to measure.
-inline PairResult run_pair_with_stats(const graph::ComputationGraph& graph,
-                                      hw::Precision precision,
-                                      obs::CompileStats& stats_out,
-                                      const core::LcmmOptions& options = {}) {
-  obs::StatsSession session;
-  PairResult r = run_pair(graph, precision, options);
-  stats_out = session.stats();
-  return r;
+/// Compiles, simulates and stall-refines one (network, precision) pair on
+/// VU9P through the batch driver, exactly as lcmm_compile ships it. A
+/// failed job prints its code and pass and exits non-zero, so a bench never
+/// reports numbers from an empty plan.
+inline driver::BatchOutcome run_pair(const graph::ComputationGraph& graph,
+                                     hw::Precision precision,
+                                     const core::LcmmOptions& options = {}) {
+  const driver::BatchJob job{
+      .graph = graph, .precision = precision, .options = options};
+  driver::BatchOutcome out = std::move(driver::compile_many({job}).front());
+  if (!out.ok()) {
+    std::fprintf(stderr, "bench compile of %s failed: %s in %s: %s\n",
+                 out.label.c_str(),
+                 resil::code_id(out.error_info.code).c_str(),
+                 out.error_info.pass.c_str(), out.error_info.message.c_str());
+    std::exit(1);
+  }
+  return out;
 }
 
 /// Hard bench assertion on a compiler counter ("dnnk.dp_cells" or a bare
@@ -101,8 +86,8 @@ inline void add_pair_metrics(BenchRun& run, const Dims& dims,
 }
 
 inline void add_pair_metrics(BenchRun& run, const Dims& dims,
-                             const PairResult& r) {
-  add_pair_metrics(run, dims, r.umm, r.lcmm);
+                             const driver::BatchOutcome& r) {
+  add_pair_metrics(run, dims, r.umm_report, r.lcmm_report);
 }
 
 }  // namespace lcmm::bench

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   options.liveness.include_compute_bound = true;  // the snippet is small
   options.allow_fallback_to_umm = false;
   // 16-bit: the snippet's 8x8 convolutions are decisively memory bound.
-  const bench::PairResult r =
+  const driver::BatchOutcome r =
       bench::run_pair(graph, hw::Precision::kInt16, options);
 
   std::cout << "Fig. 3: memory footprint on the inception_c1 snippet "
@@ -43,8 +43,9 @@ int main(int argc, char** argv) {
             << lcmm_trace.records.size() << "\n"
             << "virtual buffers: " << r.lcmm_plan.buffers.size()
             << " (over " << r.lcmm_plan.entities.size() << " tensors)\n"
-            << "snippet latency: " << util::fmt_fixed(r.umm.latency_ms, 3)
-            << " ms (UMM) -> " << util::fmt_fixed(r.lcmm.latency_ms, 3)
+            << "snippet latency: "
+            << util::fmt_fixed(r.umm_report.latency_ms, 3)
+            << " ms (UMM) -> " << util::fmt_fixed(r.lcmm_report.latency_ms, 3)
             << " ms (LCMM), speedup " << util::fmt_fixed(r.speedup(), 2)
             << "x\n";
   const bench::Dims dims{{"net", "inception_c1"}, {"precision", "int16"}};

@@ -65,20 +65,22 @@ int main(int argc, char** argv) {
             << table;
 
   std::cout << "end-to-end: UMM "
-            << util::fmt_fixed(base.umm.latency_ms, 3) << " ms | feature-only "
-            << util::fmt_fixed(fr.lcmm.latency_ms, 3) << " ms | prefetch-only "
-            << util::fmt_fixed(wp.lcmm.latency_ms, 3) << " ms | full "
-            << util::fmt_fixed(base.lcmm.latency_ms, 3) << " ms ("
+            << util::fmt_fixed(base.umm_report.latency_ms, 3)
+            << " ms | feature-only "
+            << util::fmt_fixed(fr.lcmm_report.latency_ms, 3)
+            << " ms | prefetch-only "
+            << util::fmt_fixed(wp.lcmm_report.latency_ms, 3) << " ms | full "
+            << util::fmt_fixed(base.lcmm_report.latency_ms, 3) << " ms ("
             << util::fmt_fixed(base.speedup(), 2) << "x)\n";
   auto add_variant = [&](const char* variant, double latency_ms) {
     harness.add("latency_ms", latency_ms, "ms",
                 bench::Direction::kLowerIsBetter,
                 {{"net", "GN"}, {"precision", "int16"}, {"variant", variant}});
   };
-  add_variant("umm", base.umm.latency_ms);
-  add_variant("feature-only", fr.lcmm.latency_ms);
-  add_variant("prefetch-only", wp.lcmm.latency_ms);
-  add_variant("full", base.lcmm.latency_ms);
+  add_variant("umm", base.umm_report.latency_ms);
+  add_variant("feature-only", fr.lcmm_report.latency_ms);
+  add_variant("prefetch-only", wp.lcmm_report.latency_ms);
+  add_variant("full", base.lcmm_report.latency_ms);
   harness.add("speedup", base.speedup(), "x",
               bench::Direction::kHigherIsBetter,
               {{"net", "GN"}, {"precision", "int16"}});

@@ -14,32 +14,34 @@ int main(int argc, char** argv) {
   bench::Harness harness(argc, argv, "table2_memory");
   util::Table table({"Design", "Net", "BRAM %", "URAM %", "POL %",
                      "Tensor buffers", "Tensor bytes"});
-  std::map<std::string, bench::PairResult> kept;
+  std::map<std::string, driver::BatchOutcome> kept;
   for (hw::Precision p : hw::kAllPrecisions) {
     for (const auto& [label, model_name] : bench::kSuite) {
       const auto graph = models::build_by_name(model_name);
-      bench::PairResult r = bench::run_pair(graph, p);
+      driver::BatchOutcome r = bench::run_pair(graph, p);
+      const sim::DesignReport& umm = r.umm_report;
+      const sim::DesignReport& lcmm = r.lcmm_report;
       const bench::Dims dims{{"net", label}, {"precision", hw::to_string(p)}};
-      harness.add("bram_util", r.lcmm.bram_util, "frac",
+      harness.add("bram_util", lcmm.bram_util, "frac",
                   bench::Direction::kLowerIsBetter, dims);
-      harness.add("uram_util", r.lcmm.uram_util, "frac",
+      harness.add("uram_util", lcmm.uram_util, "frac",
                   bench::Direction::kLowerIsBetter, dims);
-      harness.add("pol", r.lcmm.pol, "frac",
+      harness.add("pol", lcmm.pol, "frac",
                   bench::Direction::kHigherIsBetter, dims);
-      harness.add("tensor_buffers", r.lcmm.num_on_chip_buffers, "count",
+      harness.add("tensor_buffers", lcmm.num_on_chip_buffers, "count",
                   bench::Direction::kHigherIsBetter, dims);
       harness.add("tensor_buffer_bytes",
-                  static_cast<double>(r.lcmm.tensor_buffer_bytes), "bytes",
+                  static_cast<double>(lcmm.tensor_buffer_bytes), "bytes",
                   bench::Direction::kHigherIsBetter, dims);
       table.add_row({std::string("UMM ") + hw::to_string(p), label,
-                     util::fmt_pct(r.umm.bram_util), util::fmt_pct(r.umm.uram_util),
+                     util::fmt_pct(umm.bram_util), util::fmt_pct(umm.uram_util),
                      "-", "0", "0"});
       table.add_row({std::string("LCMM ") + hw::to_string(p), label,
-                     util::fmt_pct(r.lcmm.bram_util),
-                     util::fmt_pct(r.lcmm.uram_util), util::fmt_pct(r.lcmm.pol),
-                     std::to_string(r.lcmm.num_on_chip_buffers),
+                     util::fmt_pct(lcmm.bram_util),
+                     util::fmt_pct(lcmm.uram_util), util::fmt_pct(lcmm.pol),
+                     std::to_string(lcmm.num_on_chip_buffers),
                      util::fmt_mebibytes(static_cast<double>(
-                         r.lcmm.tensor_buffer_bytes))});
+                         lcmm.tensor_buffer_bytes))});
       if (label == std::string("RN") && p == hw::Precision::kInt8) {
         kept.emplace("RN8", std::move(r));
       }

@@ -44,8 +44,9 @@ int main(int argc, char** argv) {
                    util::fmt_fixed(p.tops, 3), util::fmt_fixed(p.latency_ms, 2),
                    util::fmt_fixed(density, 2)});
     const auto graph = models::build_by_name(p.model);
-    const bench::PairResult r = bench::run_pair(graph, hw::Precision::kInt16);
-    const auto& ours = r.lcmm;
+    const driver::BatchOutcome r =
+        bench::run_pair(graph, hw::Precision::kInt16);
+    const auto& ours = r.lcmm_report;
     const auto& plan = r.lcmm_plan;
     const int dsp = plan.design.array.dsp_cost(plan.design.precision);
     const double bram_mb = static_cast<double>(plan.bram_used) *

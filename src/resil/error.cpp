@@ -18,7 +18,6 @@ const char* code_name(Code code) {
     case Code::kTileBuffersDontFit: return "tile-buffers-dont-fit";
     case Code::kGraphTooLarge: return "graph-too-large";
     case Code::kSizeOverflow: return "size-overflow";
-    case Code::kInfeasiblePartition: return "infeasible-partition";
     case Code::kBadOptions: return "bad-options";
     case Code::kBadArgument: return "bad-argument";
     case Code::kParseError: return "parse-error";
@@ -41,8 +40,6 @@ const char* code_summary(Code code) {
       return "the input exceeds a pass's structural bound";
     case Code::kSizeOverflow:
       return "tensor or buffer size arithmetic overflowed int64";
-    case Code::kInfeasiblePartition:
-      return "the requested pipeline partition has no legal split";
     case Code::kBadOptions: return "constructor options failed validation";
     case Code::kBadArgument: return "mismatched or out-of-domain argument";
     case Code::kParseError: return "text-format input was rejected";
@@ -57,12 +54,12 @@ const char* code_summary(Code code) {
 
 const std::vector<Code>& all_codes() {
   static const std::vector<Code> codes = {
-      Code::kNoFeasibleDesign,    Code::kTileBuffersDontFit,
-      Code::kGraphTooLarge,       Code::kSizeOverflow,
-      Code::kInfeasiblePartition, Code::kBadOptions,
-      Code::kBadArgument,         Code::kParseError,
-      Code::kIoError,             Code::kFaultInjected,
-      Code::kJobTimeout,          Code::kInternal,
+      Code::kNoFeasibleDesign, Code::kTileBuffersDontFit,
+      Code::kGraphTooLarge,    Code::kSizeOverflow,
+      Code::kBadOptions,       Code::kBadArgument,
+      Code::kParseError,       Code::kIoError,
+      Code::kFaultInjected,    Code::kJobTimeout,
+      Code::kInternal,
   };
   return codes;
 }

@@ -27,7 +27,7 @@ namespace lcmm::resil {
 /// Stable diagnostic codes. lcmm::check owns E0xx-E5xx (plan verification);
 /// resil continues the numbering: E6xx feasibility/resource, E65x caller
 /// contract, E7xx input, E8xx infrastructure. Values are part of the tool
-/// output contract — never renumber, only append.
+/// output contract — never renumber or reuse a retired value, only append.
 enum class Code : std::uint16_t {
   kNone = 0,
 
@@ -36,7 +36,7 @@ enum class Code : std::uint16_t {
   kTileBuffersDontFit = 612,  ///< tile buffers exceed on-chip BRAM
   kGraphTooLarge = 613,       ///< input exceeds a pass's structural bound
   kSizeOverflow = 614,        ///< size arithmetic overflowed int64
-  kInfeasiblePartition = 615, ///< pipeline partition has no legal split
+  // 615 is retired and must not be reused (docs/robustness.md).
 
   // E65x — caller contract violations (OptionError).
   kBadOptions = 651,          ///< constructor options fail validation

@@ -12,7 +12,7 @@ namespace {
 
 constexpr const char* kSites[] = {
     "io.parse",       // text_format parse_graph entry
-    "dse.explore",    // Dse::explore, before the menu walk
+    "dse.explore",    // Dse::space table build; Dse::explore objective path
     "pass.liveness",  // feature-entity construction (§3.1 liveness)
     "pass.coloring",  // interference coloring (§3.1)
     "pass.prefetch",  // weight prefetch schedule (§3.2)

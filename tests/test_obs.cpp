@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/lcmm.hpp"
-#include "core/pipeline.hpp"
 #include "driver/batch.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
@@ -249,17 +253,36 @@ TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {
   EXPECT_EQ(dnnk_counters(4), serial);
 }
 
-TEST(Integration, PartitionPassRecordsSegments) {
-  const graph::ComputationGraph graph = models::build_by_name("alexnet");
+TEST(Integration, SessionNestsEachCompileUnderItsOwnPipelineSpan) {
   StatsSession session;
-  core::PipelinePartitioner partitioner(hw::FpgaDevice::vu9p(),
-                                        hw::Precision::kInt16, {});
-  const core::PipelinePlan plan = partitioner.partition(graph, 2);
-  EXPECT_EQ(plan.segments.size(), 2u);
-  EXPECT_EQ(session.stats().counter("partition.segments"), 2);
-  EXPECT_GE(session.stats().span_count("partition"), 1);
-  // Segment compiles nest under the partition span.
-  EXPECT_GE(session.stats().span_count("pipeline"), 2);
+  for (const char* name : {"alexnet", "squeezenet"}) {
+    const core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(),
+                                      hw::Precision::kInt16);
+    compiler.compile(models::build_by_name(name));
+  }
+  const std::vector<Span>& spans = session.stats().spans();
+  std::vector<int> roots;
+  for (int i = 0; i < static_cast<int>(spans.size()); ++i) {
+    if (spans[i].depth == 0) roots.push_back(i);
+  }
+  ASSERT_EQ(roots.size(), 2u);
+  for (const int root : roots) EXPECT_EQ(spans[root].name, "pipeline");
+
+  // Spans are recorded in begin order, so a span belongs to the compile
+  // whose root began last before it; its parent chain must end there.
+  std::map<std::pair<int, std::string>, int> nested;  // (root, name) -> count
+  for (int i = 0; i < static_cast<int>(spans.size()); ++i) {
+    if (spans[i].name != "dse" && spans[i].name != "dnnk") continue;
+    int top = i;
+    while (spans[top].parent >= 0) top = spans[top].parent;
+    const int owner = i < roots[1] ? roots[0] : roots[1];
+    EXPECT_EQ(top, owner) << spans[i].name << " span " << i;
+    ++nested[{top, spans[i].name}];
+  }
+  for (const int root : roots) {
+    EXPECT_GE((nested[{root, "dse"}]), 1) << "root " << root;
+    EXPECT_GE((nested[{root, "dnnk"}]), 1) << "root " << root;
+  }
 }
 
 }  // namespace
