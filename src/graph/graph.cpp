@@ -27,6 +27,20 @@ ComputationGraph& ComputationGraph::operator=(const ComputationGraph& other) {
   return *this;
 }
 
+void ComputationGraph::shrink_to_fit() {
+  layers_.shrink_to_fit();
+  for (Value& v : values_) {
+    v.producers.shrink_to_fit();
+    v.consumers.shrink_to_fit();
+  }
+  values_.shrink_to_fit();
+  value_alive_.shrink_to_fit();
+  own_output_shapes_.shrink_to_fit();
+  std::lock_guard<std::mutex> lock(topo_mutex_);
+  topo_cache_.shrink_to_fit();
+  step_cache_.shrink_to_fit();
+}
+
 ComputationGraph::ComputationGraph(ComputationGraph&& other) noexcept {
   *this = std::move(other);
 }

@@ -95,6 +95,11 @@ class ComputationGraph {
   /// slice coverage, residual shape equality. Throws std::logic_error.
   void validate() const;
 
+  /// Releases the growth slack that building left in the graph's storage,
+  /// so a finished graph holds only its contents (a parsed graph was
+  /// ≈30% slack).
+  void shrink_to_fit();
+
  private:
   ValueId new_value(std::string name, FeatureShape shape);
   LayerId append_layer(Layer layer, const FeatureShape& own_out);

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <map>
+#include <optional>
+#include <tuple>
 #include <stdexcept>
 
 #include "obs/scope.hpp"
@@ -16,45 +18,48 @@ namespace {
 
 /// Deterministic argmin. Ties on latency break on DSP cost, then on menu
 /// index — never on evaluation order — so serial and parallel runs pick
-/// the same design bit for bit.
+/// the same design bit for bit. Throws CompileError(kNoFeasibleDesign) if
+/// no candidate has a finite latency.
 DseResult pick_best(const std::vector<DseCandidate>& menu,
                     const std::vector<double>& latencies,
                     const FpgaDevice& device, Precision precision,
                     double freq_mhz, const std::string& graph_name) {
-  std::size_t best = 0;
-  int best_cost = menu[0].array.dsp_cost(precision);
+  std::optional<std::size_t> found;
+  int best_cost = 0;
   std::int64_t ties_broken = 0;
-  for (std::size_t i = 1; i < menu.size(); ++i) {
+  for (std::size_t i = 0; i < menu.size(); ++i) {
     // A NaN latency compares false both ways and would otherwise be
     // treated as an exact tie; reject non-finite candidates outright.
     if (!std::isfinite(latencies[i])) continue;
     const int cost = menu[i].array.dsp_cost(precision);
-    if (!std::isfinite(latencies[best])) {
-      // Only possible when candidate #0 was non-finite: the first finite
-      // latency unconditionally takes over.
-      best = i;
+    if (!found || latencies[i] < latencies[*found]) {
+      found = i;
       best_cost = cost;
       continue;
     }
-    if (latencies[i] > latencies[best]) continue;
-    if (latencies[i] < latencies[best]) {
-      best = i;
-      best_cost = cost;
-    } else if (cost < best_cost) {
-      // Equal latency: prefer the cheaper array; equal cost keeps the
-      // earlier menu index (the first-seen candidate).
+    if (latencies[i] > latencies[*found]) continue;
+    // Equal latency: prefer the cheaper array; equal cost keeps the
+    // earlier menu index (the first-seen candidate).
+    ++ties_broken;
+    if (cost < best_cost) {
       LCMM_DEBUG() << "DSE(" << graph_name << "): latency tie at "
                    << latencies[i] * 1e3 << " ms broken on DSP cost ("
                    << cost << " < " << best_cost << ") for candidate #" << i;
-      best = i;
+      found = i;
       best_cost = cost;
-      ++ties_broken;
     }
   }
+  if (!found) {
+    throw resil::CompileError(resil::Code::kNoFeasibleDesign, "dse.explore",
+                              "no candidate has a finite objective latency",
+                              graph_name);
+  }
+  LCMM_COUNT("ties_broken", ties_broken);
   if (ties_broken > 0) {
     LCMM_INFO() << "DSE(" << graph_name << "): " << ties_broken
                 << " latency tie(s) broken on (DSP cost, menu index)";
   }
+  const std::size_t best = *found;
 
   DseResult result;
   result.design.device = device;
@@ -69,6 +74,18 @@ DseResult pick_best(const std::vector<DseCandidate>& menu,
               << result.objective_latency_s * 1e3 << " ms ("
               << menu.size() << " candidates)";
   return result;
+}
+
+/// Index of `key` in first-appearance order; a new key records candidate
+/// `i` as the one that computes its terms.
+template <typename Key>
+std::uint32_t key_index(std::map<Key, std::uint32_t>& ids,
+                        std::vector<std::size_t>& first, const Key& key,
+                        std::size_t i) {
+  const auto [it, added] =
+      ids.emplace(key, static_cast<std::uint32_t>(first.size()));
+  if (added) first.push_back(i);
+  return it->second;
 }
 
 }  // namespace
@@ -117,6 +134,11 @@ ShapeClasses shape_classes(const graph::ComputationGraph& graph) {
   return out;
 }
 
+DesignSpace::Cost DesignSpace::cell(std::size_t i, std::size_t k) const {
+  const Streams& s = streams_.at(stream_key_.at(i)).at(k);
+  return {cycles_.at(i).at(k), s.if_s, s.res_s, s.wt_s, s.of_s};
+}
+
 DseResult DesignSpace::argmin(bool heavy_uram_use,
                               std::span<const std::uint8_t> on_chip_masks) const {
   LCMM_SPAN("dse");
@@ -130,12 +152,14 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
   const double cycle_s = cycle_seconds(freq);
   std::vector<double> latencies(menu_.size());
   for (std::size_t i = 0; i < menu_.size(); ++i) {
-    const std::vector<Cost>& row = costs_[i];
+    const std::vector<std::int64_t>& cycles = cycles_[i];
+    const std::vector<Streams>& streams = streams_[stream_key_[i]];
     double total = 0.0;
     for (std::size_t l = 0; l < layer_class.size(); ++l) {
-      const Cost& c = row[static_cast<std::size_t>(layer_class[l])];
-      total += eq1_latency(static_cast<double>(c.cycles) * cycle_s, c.if_s,
-                           c.res_s, c.wt_s, c.of_s,
+      const auto k = static_cast<std::size_t>(layer_class[l]);
+      const Streams& s = streams[k];
+      total += eq1_latency(static_cast<double>(cycles[k]) * cycle_s, s.if_s,
+                           s.res_s, s.wt_s, s.of_s,
                            on_chip_masks.empty() ? 0 : on_chip_masks[l]);
     }
     latencies[i] = total;
@@ -204,10 +228,14 @@ std::vector<SystolicArrayConfig> Dse::array_candidates() const {
 std::vector<TileConfig> Dse::tile_candidates(
     const graph::ComputationGraph& graph,
     const SystolicArrayConfig& array) const {
-  return tile_candidates(graph, shape_classes(graph).representative, array);
+  std::vector<TileConfig> out =
+      fitting_tiles(graph, shape_classes(graph).representative, array);
+  // SIMD lanes must be fed within a tile.
+  std::erase_if(out, [&](const TileConfig& t) { return t.tc < array.simd; });
+  return out;
 }
 
-std::vector<TileConfig> Dse::tile_candidates(
+std::vector<TileConfig> Dse::fitting_tiles(
     const graph::ComputationGraph& graph,
     std::span<const graph::LayerId> representatives,
     const SystolicArrayConfig& array) const {
@@ -217,7 +245,6 @@ std::vector<TileConfig> Dse::tile_candidates(
       options_.tile_bram_fraction * device_.bram_bytes_total());
   std::vector<TileConfig> out;
   for (int tc : kTc) {
-    if (tc < array.simd) continue;  // SIMD lanes must be fed within a tile
     for (int s : kSpatial) {
       const TileConfig tile{tc, s, s};
       if (tile_buffer_bytes(graph, representatives, array, tile, precision_)
@@ -231,11 +258,14 @@ std::vector<TileConfig> Dse::tile_candidates(
 
 std::vector<DseCandidate> Dse::menu(const graph::ComputationGraph& graph,
                                     const ShapeClasses& classes) const {
+  // Arrays with the same row count share their BRAM-feasible tiles.
+  std::map<int, std::vector<TileConfig>> fitting;
   std::vector<DseCandidate> out;
   for (const SystolicArrayConfig& array : array_candidates()) {
-    for (const TileConfig& tile :
-         tile_candidates(graph, classes.representative, array)) {
-      out.push_back({array, tile});
+    auto [it, added] = fitting.try_emplace(array.rows);
+    if (added) it->second = fitting_tiles(graph, classes.representative, array);
+    for (const TileConfig& tile : it->second) {
+      if (tile.tc >= array.simd) out.push_back({array, tile});
     }
   }
   if (out.empty()) {
@@ -256,34 +286,122 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   out.graph_name_ = graph.name();
   out.classes_ = shape_classes(graph);
   out.menu_ = menu(graph, out.classes_);
+  const std::vector<DseCandidate>& menu = out.menu_;
+  const std::vector<graph::LayerId>& reps = out.classes_.representative;
+  const std::size_t num_classes = reps.size();
 
-  // Candidates are independent, so fill their table rows on the worker
-  // pool; each row is written by exactly one task.
-  const std::size_t num_classes = out.classes_.size();
-  out.costs_.assign(out.menu_.size(), std::vector<DesignSpace::Cost>(num_classes));
-  const mem::DdrModel ddr(device_);
-  par::parallel_for(out.menu_.size(), options_.jobs, [&](std::size_t i) {
+  // Key each candidate by what each cost term reads: the streams and tile
+  // counts read (rows, tile), the pixel steps (effective cols, th, tw),
+  // the reduction steps (simd, tc). Each term is computed once per key,
+  // on the key's first candidate, by the helpers layer_cost is made of.
+  std::map<std::tuple<int, int, int, int>, std::uint32_t> stream_ids;
+  std::map<std::tuple<int, int, int>, std::uint32_t> px_ids;
+  std::map<std::pair<int, int>, std::uint32_t> red_ids;
+  std::vector<std::size_t> stream_first, px_first, red_first;
+  std::vector<std::uint32_t> px_key(menu.size()), red_key(menu.size());
+  out.stream_key_.resize(menu.size());
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    const auto& [array, tile] = menu[i];
+    out.stream_key_[i] = key_index(
+        stream_ids, stream_first,
+        std::tuple{array.rows, tile.tc, tile.th, tile.tw}, i);
+    px_key[i] = key_index(px_ids, px_first,
+                          std::tuple{array.effective_cols(), tile.th, tile.tw},
+                          i);
+    red_key[i] = key_index(red_ids, red_first, std::pair{array.simd, tile.tc}, i);
+  }
+  const auto design_of = [&](std::size_t i) {
     AcceleratorDesign design;
     design.device = device_;
     design.precision = precision_;
-    design.array = out.menu_[i].array;
-    design.tile = out.menu_[i].tile;
-    std::vector<DesignSpace::Cost>& row = out.costs_[i];
+    design.array = menu[i].array;
+    design.tile = menu[i].tile;
+    return design;
+  };
+  const int batch = AcceleratorDesign{}.batch;
+  std::vector<char> is_conv(num_classes);
+  std::size_t num_convs = 0;
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    is_conv[k] = graph.layer(reps[k]).is_conv();
+    num_convs += is_conv[k] ? 1 : 0;
+  }
+
+  // Streams and tile counts, the bulk of the work: one row per (rows,
+  // tile) key, filled on the worker pool; each row is written by exactly
+  // one task.
+  struct TileCounts {
+    std::int64_t n_m = 0;
+    std::int64_t total = 0;
+  };
+  std::vector<std::vector<TileCounts>> tiles(stream_first.size());
+  out.streams_.resize(stream_first.size());
+  const mem::DdrModel ddr(device_);
+  par::parallel_for(stream_first.size(), options_.jobs, [&](std::size_t x) {
+    const AcceleratorDesign design = design_of(stream_first[x]);
+    tiles[x].resize(num_classes);
+    out.streams_[x].resize(num_classes);
     for (std::size_t k = 0; k < num_classes; ++k) {
-      const LayerCost cost =
-          layer_cost(graph, out.classes_.representative[k], design, ddr);
+      const LayerTileGeometry geom =
+          layer_tile_geometry(graph, reps[k], design.array, design.tile);
+      const LayerCost cost = stream_cost(graph, reps[k], geom, design, ddr);
       if (cost.num_orders != 1) {
         throw resil::CompileError(resil::Code::kInternal, "dse.explore",
                                   "menu design with a stationary buffer",
                                   graph.name());
       }
-      row[k] = {cost.cycles, cost.orders[0].if_s, cost.res_s,
-                cost.orders[0].wt_s, cost.of_s};
+      out.streams_[x][k] = {cost.orders[0].if_s, cost.res_s,
+                            cost.orders[0].wt_s, cost.of_s};
+      tiles[x][k] = {geom.n_m, geom.total_tiles()};
     }
   });
+
+  // Compute steps of the conv classes, once per key; pooling cycles read
+  // no design input at all.
+  const auto conv_terms = [&](const std::vector<std::size_t>& first,
+                              auto term) {
+    std::vector<std::vector<std::int64_t>> rows(first.size());
+    for (std::size_t j = 0; j < first.size(); ++j) {
+      rows[j].resize(num_classes);
+      for (std::size_t k = 0; k < num_classes; ++k) {
+        if (is_conv[k]) rows[j][k] = term(reps[k], menu[first[j]]);
+      }
+    }
+    return rows;
+  };
+  const auto px = conv_terms(px_first, [&](graph::LayerId id,
+                                           const DseCandidate& c) {
+    return px_steps(graph, id, c.tile.th, c.tile.tw, c.array.effective_cols());
+  });
+  const auto red = conv_terms(red_first, [&](graph::LayerId id,
+                                             const DseCandidate& c) {
+    return red_steps(graph, id, c.tile.tc, c.array.simd);
+  });
+  std::vector<std::int64_t> pool(num_classes);
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    if (!is_conv[k]) pool[k] = pool_cycles(graph, reps[k], batch);
+  }
+
+  // Each candidate's cycles from its keys' terms.
+  out.cycles_.resize(menu.size());
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    const std::vector<TileCounts>& t = tiles[out.stream_key_[i]];
+    std::vector<std::int64_t>& row = out.cycles_[i];
+    row.resize(num_classes);
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      row[k] = is_conv[k] ? conv_cycles(t[k].n_m, px[px_key[i]][k],
+                                        red[red_key[i]][k], batch, t[k].total,
+                                        menu[i].array)
+                          : pool[k];
+    }
+  }
   LCMM_COUNT("shape_classes", static_cast<std::int64_t>(num_classes));
   LCMM_COUNT("cost_evals",
-             static_cast<std::int64_t>(out.menu_.size() * num_classes));
+             static_cast<std::int64_t>(menu.size() * num_classes));
+  LCMM_COUNT("cost_terms",
+             static_cast<std::int64_t>(
+                 stream_first.size() * num_classes +
+                 (px_first.size() + red_first.size()) * num_convs +
+                 (num_classes - num_convs)));
   return out;
 }
 

@@ -11,10 +11,11 @@
 //
 // One compile request evaluates its design space once: Dse::space() groups
 // the layers into shape classes and fills a clock-free (candidate x class)
-// cost table, and DesignSpace::argmin() derives every objective the
-// compiler needs — UMM at the uniform clock, the LCMM seed at the
-// heavy-URAM clock, the allocation-aware refine under an on-chip state —
-// from it with O(layers) lookups per candidate.
+// cost table, computing each cost term once per distinct input it reads
+// (docs/performance-model.md), and DesignSpace::argmin() derives every
+// objective the compiler needs — UMM at the uniform clock, the LCMM seed
+// at the heavy-URAM clock, the allocation-aware refine under an on-chip
+// state — from it with O(layers) lookups per candidate.
 #pragma once
 
 #include <cstdint>
@@ -104,7 +105,22 @@ struct DseCandidate {
 /// the clock-free Eq. 1 inputs. Built by Dse::space(); freed with it.
 class DesignSpace {
  public:
+  /// Clock-free Eq. 1 inputs of one class under one candidate. Menu
+  /// designs have no stationary buffer, so output-stationary is their
+  /// only loop order and no clock-dependent choice remains.
+  struct Cost {
+    std::int64_t cycles = 0;
+    double if_s = 0.0;
+    double res_s = 0.0;
+    double wt_s = 0.0;
+    double of_s = 0.0;
+  };
+
   const ShapeClasses& classes() const { return classes_; }
+  const std::vector<DseCandidate>& menu() const { return menu_; }
+
+  /// Shape class `k` under menu candidate `i`, as the argmins read it.
+  Cost cell(std::size_t i, std::size_t k) const;
 
   /// The design minimizing the summed per-layer Eq. 1 latency at the clock
   /// that `heavy_uram_use` implies, with layer l's streams in
@@ -119,11 +135,8 @@ class DesignSpace {
   friend class Dse;
   DesignSpace() = default;
 
-  /// Clock-free Eq. 1 inputs of one class under one candidate. Menu
-  /// designs have no stationary buffer, so output-stationary is their
-  /// only loop order and no clock-dependent choice remains.
-  struct Cost {
-    std::int64_t cycles = 0;
+  /// DDR stream seconds of one class under one (rows, tile).
+  struct Streams {
     double if_s = 0.0;
     double res_s = 0.0;
     double wt_s = 0.0;
@@ -135,11 +148,17 @@ class DesignSpace {
   std::string graph_name_;
   std::vector<DseCandidate> menu_;
   ShapeClasses classes_;
-  /// costs_[i][k]: candidate i, class k. One row per candidate keeps
-  /// every allocation small: a single table-sized block would be served by
-  /// mmap, and freeing it raises glibc's mmap threshold for the rest of
-  /// the process, which grows the heap of every later compile.
-  std::vector<std::vector<Cost>> costs_;
+  /// The table, factored by what each term reads. cycles_[i][k] is
+  /// candidate i's compute cycles for class k. The streams read the array
+  /// only through its row count, so every candidate with the same (rows,
+  /// tile) shares one row: streams_[stream_key_[i]][k]. One row per
+  /// candidate or key keeps every allocation small: a single table-sized
+  /// block would be served by mmap, and freeing it raises glibc's mmap
+  /// threshold for the rest of the process, which grows the heap of every
+  /// later compile.
+  std::vector<std::vector<std::int64_t>> cycles_;
+  std::vector<std::uint32_t> stream_key_;
+  std::vector<std::vector<Streams>> streams_;
 };
 
 class Dse {
@@ -173,7 +192,9 @@ class Dse {
   int dsp_budget() const;
 
  private:
-  std::vector<TileConfig> tile_candidates(
+  /// Tiles whose buffers fit the BRAM budget for `array`, before the SIMD
+  /// filter. The buffer sizes read the array only through its row count.
+  std::vector<TileConfig> fitting_tiles(
       const graph::ComputationGraph& graph,
       std::span<const graph::LayerId> representatives,
       const SystolicArrayConfig& array) const;

@@ -63,59 +63,86 @@ const LayerTiming& PerfModel::timing(graph::LayerId id) const {
   return timings_[static_cast<std::size_t>(id)];
 }
 
+std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
+                      int th, int tw, int effective_cols) {
+  const graph::FeatureShape& out = graph.own_output_shape(id);
+  const std::int64_t full_h = out.height / th, edge_h = out.height % th;
+  const std::int64_t full_w = out.width / tw, edge_w = out.width % tw;
+  const auto steps = [&](std::int64_t h, std::int64_t w) {
+    return ceil_div(h * w, effective_cols);
+  };
+  std::int64_t total = full_h * full_w * steps(th, tw);
+  if (edge_w > 0) total += full_h * steps(th, edge_w);
+  if (edge_h > 0) total += full_w * steps(edge_h, tw);
+  if (edge_h > 0 && edge_w > 0) total += steps(edge_h, edge_w);
+  return total;
+}
+
+std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
+                       int tc, int simd) {
+  // Depthwise convolutions (one channel per group) leave most SIMD lanes
+  // idle: the well-known inefficiency of channel-vectorized arrays on
+  // MobileNet-style layers.
+  const graph::ConvParams& conv = graph.layer(id).conv;
+  const int group_channels = graph.input_shape(id).channels / conv.groups;
+  const std::int64_t kk = static_cast<std::int64_t>(conv.kernel_h) * conv.kernel_w;
+  const std::int64_t edge = group_channels % tc;
+  return (group_channels / tc) * ceil_div(tc * kk, simd) +
+         (edge > 0 ? ceil_div(edge * kk, simd) : 0);
+}
+
+std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
+                         std::int64_t red_steps, int batch,
+                         std::int64_t total_tiles,
+                         const SystolicArrayConfig& array) {
+  // Idle PE rows on the last output-channel tile are paid in full
+  // (output-stationary array). The batch loop sits inside the weight
+  // reuse: compute repeats per image while each weight tile stays
+  // resident.
+  return n_m * px_steps * red_steps * batch +
+         total_tiles * (array.rows + array.cols + array.simd);
+}
+
+std::int64_t pool_cycles(const graph::ComputationGraph& graph,
+                         graph::LayerId id, int batch) {
+  const graph::PoolParams& p = graph.layer(id).pool;
+  const graph::FeatureShape& in = graph.input_shape(id);
+  const std::int64_t window =
+      p.global ? static_cast<std::int64_t>(in.height) * in.width
+               : static_cast<std::int64_t>(p.kernel) * p.kernel;
+  return ceil_div(graph.own_output_shape(id).elems() * window, kPoolLanes) *
+         batch;
+}
+
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                      const AcceleratorDesign& design, const mem::DdrModel& ddr) {
+  const SystolicArrayConfig& array = design.array;
+  const TileConfig& tile = design.tile;
+  const LayerTileGeometry geom = layer_tile_geometry(graph, id, array, tile);
+  LayerCost c = stream_cost(graph, id, geom, design, ddr);
+  c.cycles = graph.layer(id).is_conv()
+                 ? conv_cycles(geom.n_m,
+                               px_steps(graph, id, tile.th, tile.tw,
+                                        array.effective_cols()),
+                               red_steps(graph, id, tile.tc, array.simd),
+                               design.batch, geom.total_tiles(), array)
+                 : pool_cycles(graph, id, design.batch);
+  return c;
+}
+
+LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
+                      const LayerTileGeometry& geom,
+                      const AcceleratorDesign& design,
+                      const mem::DdrModel& ddr) {
   const graph::Layer& layer = graph.layer(id);
   const graph::FeatureShape& in = graph.input_shape(id);
   const graph::FeatureShape& out = graph.own_output_shape(id);
-  const SystolicArrayConfig& array = design.array;
+  const int rows = design.array.rows;
   const TileConfig& tile = design.tile;
   const int bpe = bytes_per_elem(design.precision);
 
   LayerCost c;
   c.nominal_macs = graph.layer_macs(id) * design.batch;
-
-  LayerTileGeometry geom = layer_tile_geometry(graph, id, array, tile);
-
-  // ---- compute ------------------------------------------------------------
-  if (layer.is_conv()) {
-    const std::int64_t kk =
-        static_cast<std::int64_t>(layer.conv.kernel_h) * layer.conv.kernel_w;
-    // Reduction steps: the per-group input channels are swept tile by tile
-    // with exact boundary extents, rounded up to the SIMD width inside each
-    // tile. Depthwise convolutions (group_channels == 1) leave most SIMD
-    // lanes idle — the well-known inefficiency of channel-vectorized
-    // arrays on MobileNet-style layers.
-    std::int64_t red_steps = 0;
-    for (int c0 = 0; c0 < geom.group_channels; c0 += tile.tc) {
-      const std::int64_t c_t = std::min(tile.tc, geom.group_channels - c0);
-      red_steps += ceil_div(c_t * kk, array.simd);
-    }
-    // Spatial sweep: boundary tiles process their true extents (sequential
-    // loop bounds are variable in the template); only the pixel-group
-    // granularity `cols` rounds up, and idle PE rows on the last
-    // output-channel tile are paid in full (output-stationary array).
-    std::int64_t px_steps = 0;
-    for (int h0 = 0; h0 < out.height; h0 += tile.th) {
-      const std::int64_t th_t = std::min(tile.th, out.height - h0);
-      for (int w0 = 0; w0 < out.width; w0 += tile.tw) {
-        const std::int64_t tw_t = std::min(tile.tw, out.width - w0);
-        px_steps += ceil_div(th_t * tw_t, array.effective_cols());
-      }
-    }
-    c.cycles = static_cast<std::int64_t>(geom.n_m) * px_steps * red_steps;
-    // The batch loop sits inside the weight reuse: compute repeats per
-    // image while each weight tile stays resident.
-    c.cycles *= design.batch;
-    // Pipeline fill/drain per tile invocation.
-    c.cycles += geom.total_tiles() * (array.rows + array.cols + array.simd);
-  } else {
-    const graph::PoolParams& p = layer.pool;
-    const std::int64_t window =
-        p.global ? static_cast<std::int64_t>(in.height) * in.width
-                 : static_cast<std::int64_t>(p.kernel) * p.kernel;
-    c.cycles = ceil_div(out.elems() * window, kPoolLanes) * design.batch;
-  }
 
   // ---- off-chip traffic (uniform management) -------------------------------
   const int in_tile_cols =
@@ -129,7 +156,7 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
   // input-feature interface during write-out.
   if (layer.has_residual()) {
     c.res_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
-    const double res_burst = static_cast<double>(array.rows) * tile.tw * bpe;
+    const double res_burst = static_cast<double>(rows) * tile.tw * bpe;
     c.res_s = ddr.transfer_seconds(c.res_bytes, res_burst);
   }
 
@@ -137,7 +164,7 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
   // on chip).
   c.of_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
   const double of_burst =
-      static_cast<double>(std::min(array.rows, out.channels)) * tile.tw * bpe;
+      static_cast<double>(std::min(rows, out.channels)) * tile.tw * bpe;
   c.of_s = ddr.transfer_seconds(c.of_bytes, of_burst);
 
   const auto add_order = [&](LoopOrder order, double if_bytes, double if_s,
@@ -159,7 +186,7 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
   // Convolution: every loop order the design can hold. The baseline
   // template only has output-stationary; stationary variants need the
   // design's extra resident buffer.
-  const double wt_burst = static_cast<double>(array.rows) *
+  const double wt_burst = static_cast<double>(rows) *
                           std::min(tile.tc, geom.group_channels) *
                           layer.conv.kernel_h * layer.conv.kernel_w * bpe;
   const double weights_once =
@@ -175,7 +202,7 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
 
   const std::int64_t kk =
       static_cast<std::int64_t>(layer.conv.kernel_h) * layer.conv.kernel_w;
-  const std::int64_t ws_buffer = 2 * static_cast<std::int64_t>(array.rows) *
+  const std::int64_t ws_buffer = 2 * static_cast<std::int64_t>(rows) *
                                  geom.group_channels * kk * bpe;
   const int in_tile_rows =
       std::min((tile.th - 1) * layer.conv.stride + layer.conv.kernel_h,

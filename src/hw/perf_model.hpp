@@ -138,9 +138,46 @@ struct LayerCost {
   int num_orders = 0;
 };
 
-/// Clock-free cost of layer `id` under `design` (its freq_mhz is unused).
+/// Clock-free cost of layer `id` under `design` (its freq_mhz is unused),
+/// assembled from the term helpers below.
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                      const AcceleratorDesign& design, const mem::DdrModel& ddr);
+
+// Term helpers: the one definition of every part of layer_cost. Each reads
+// only the inputs it takes, so Dse::space() evaluates each once per
+// distinct input and shares it across the candidates that agree on it.
+
+/// Pixel steps of one m-tile of conv `id`: Σ over its th x tw output tiles
+/// of ceil(tile pixels / effective_cols). Boundary tiles process their true
+/// extents; only the pixel-group granularity rounds up. Exact closed form:
+/// full tiles x one full tile, plus the h-edge, w-edge and corner tiles.
+std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
+                      int th, int tw, int effective_cols);
+
+/// Reduction steps of conv `id`: Σ over its tc-channel tiles of the
+/// per-group input channels of ceil(channels x kernel area / simd), in
+/// closed form (full tiles plus the remainder tile).
+std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
+                       int tc, int simd);
+
+/// Compute cycles of a conv from its terms: n_m x px x red per image, plus
+/// pipeline fill and drain per tile invocation.
+std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
+                         std::int64_t red_steps, int batch,
+                         std::int64_t total_tiles,
+                         const SystolicArrayConfig& array);
+
+/// Compute cycles of pooling layer `id` on the standalone pooling unit.
+std::int64_t pool_cycles(const graph::ComputationGraph& graph,
+                         graph::LayerId id, int batch);
+
+/// Every field of layer_cost except `cycles`: the DDR streams of each
+/// feasible loop order. Of the array it reads only `rows`; `geom` is
+/// layer_tile_geometry(graph, id, design.array, design.tile).
+LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
+                      const LayerTileGeometry& geom,
+                      const AcceleratorDesign& design,
+                      const mem::DdrModel& ddr);
 
 /// The clock step: compute time at `freq_mhz`, then the fastest feasible
 /// loop order under Eq. 1 (ties keep the earlier order).

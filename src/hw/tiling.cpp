@@ -26,28 +26,48 @@ AxisParams w_params(const graph::Layer& l) {
   return {l.pool.global ? 1 : l.pool.kernel, l.pool.global ? 1 : l.pool.stride};
 }
 
-/// Sum over tiles of the fetched input extent along one axis, clipped to
-/// the real input range (padding is generated on-chip and never fetched).
-std::int64_t fetched_extent(int out_extent, int tile, const AxisParams& ax,
-                            int in_extent, int pad) {
-  std::int64_t total = 0;
-  for (int o = 0; o < out_extent; o += tile) {
-    const int span = std::min(tile, out_extent - o);
-    const int in_first = std::max(0, o * ax.stride - pad);
-    const int in_last =
-        std::min(in_extent - 1, (o + span - 1) * ax.stride - pad + ax.kernel - 1);
-    total += std::max(0, in_last - in_first + 1);
-  }
-  return total;
-}
-
 int h_pad(const graph::Layer& l) {
   return l.is_conv() ? l.conv.pad_h : (l.pool.global ? 0 : l.pool.pad);
 }
 int w_pad(const graph::Layer& l) {
   return l.is_conv() ? l.conv.pad_w : (l.pool.global ? 0 : l.pool.pad);
 }
+
+/// Input extent fetched by the output tile starting at `o`.
+std::int64_t tile_fetch(int o, int out_extent, int tile, int kernel,
+                        int stride, int in_extent, int pad) {
+  const int span = std::min(tile, out_extent - o);
+  const int in_first = std::max(0, o * stride - pad);
+  const int in_last =
+      std::min(in_extent - 1, (o + span - 1) * stride - pad + kernel - 1);
+  return std::max(0, in_last - in_first + 1);
+}
 }  // namespace
+
+std::int64_t fetched_extent(int out_extent, int tile, int kernel, int stride,
+                            int in_extent, int pad) {
+  // Tile t is unclipped when t * step >= pad (head) and
+  // t * step + span + kernel - pad <= in_extent (tail), and full when
+  // t < out_extent / tile. Those tiles, [lo, hi), each fetch
+  // span + kernel; only the head and tail tiles are evaluated one by one.
+  const int num_tiles = static_cast<int>(ceil_div(out_extent, tile));
+  const std::int64_t step = static_cast<std::int64_t>(tile) * stride;
+  const std::int64_t span = static_cast<std::int64_t>(tile - 1) * stride;
+  const int lo = static_cast<int>(ceil_div(pad, step));
+  const std::int64_t reach = in_extent + pad - kernel - span;
+  const int hi = std::max(
+      lo, reach < 0 ? 0
+                    : static_cast<int>(std::min<std::int64_t>(
+                          reach / step + 1, out_extent / tile)));
+  std::int64_t total = (hi - lo) * (span + kernel);
+  const auto edge = [&](int t) {
+    total += tile_fetch(t * tile, out_extent, tile, kernel, stride, in_extent,
+                        pad);
+  };
+  for (int t = 0; t < std::min(lo, num_tiles); ++t) edge(t);
+  for (int t = hi; t < num_tiles; ++t) edge(t);
+  return total;
+}
 
 LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
                                       graph::LayerId id,
@@ -76,9 +96,11 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
       std::min(in.channels, g.group_channels * groups_per_mtile);
   g.n_h = static_cast<int>(ceil_div(out.height, tile.th));
   g.n_w = static_cast<int>(ceil_div(out.width, tile.tw));
-  g.fetched_rows = fetched_extent(out.height, tile.th, h_params(layer),
+  const AxisParams ah = h_params(layer);
+  const AxisParams aw = w_params(layer);
+  g.fetched_rows = fetched_extent(out.height, tile.th, ah.kernel, ah.stride,
                                   in.height, h_pad(layer));
-  g.fetched_cols = fetched_extent(out.width, tile.tw, w_params(layer),
+  g.fetched_cols = fetched_extent(out.width, tile.tw, aw.kernel, aw.stride,
                                   in.width, w_pad(layer));
   return g;
 }

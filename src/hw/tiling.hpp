@@ -58,6 +58,15 @@ TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
                                   const SystolicArrayConfig& array,
                                   const TileConfig& tile, Precision p);
 
+/// Input extent fetched along one axis, summed over the tiles of `tile`
+/// outputs that cover `out_extent` outputs of a window of `kernel` at
+/// `stride` with `pad`, each clipped to the real input range [0,
+/// in_extent) (padding is generated on-chip and never fetched). Exact
+/// closed form: the full tiles that no padding edge clips are counted in
+/// one product; only the clipped head and tail tiles are evaluated singly.
+std::int64_t fetched_extent(int out_extent, int tile, int kernel, int stride,
+                            int in_extent, int pad);
+
 /// Per-layer tile geometry used by both the performance model and the
 /// traffic model.
 struct LayerTileGeometry {

@@ -138,6 +138,7 @@ class Parser {
     }
     if (!g.has_value()) throw ParseError(line, "empty file");
     g->validate();
+    g->shrink_to_fit();
     return std::move(*g);
   }
 

@@ -32,7 +32,7 @@ enum class Code : std::uint16_t {
   kNone = 0,
 
   // E61x — feasibility and resource exhaustion (ladder-recoverable).
-  kNoFeasibleDesign = 611,    ///< DSE menu empty under the device budget
+  kNoFeasibleDesign = 611,    ///< no DSE candidate fits, or none has a finite latency
   kTileBuffersDontFit = 612,  ///< tile buffers exceed on-chip BRAM
   kGraphTooLarge = 613,       ///< input exceeds a pass's structural bound
   kSizeOverflow = 614,        ///< size arithmetic overflowed int64

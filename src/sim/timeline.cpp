@@ -79,6 +79,9 @@ TimelineOutput run_timeline(const graph::ComputationGraph& graph,
 
   TimelineOutput out;
   out.image_end_s.resize(static_cast<std::size_t>(images), 0.0);
+  // Exact size: batch outcomes keep their simulations alive, so growth
+  // slack would stay resident with them.
+  out.layers.reserve(static_cast<std::size_t>(steps * images));
   double t = 0.0;
   for (std::int64_t abs = 0; abs < steps * images; ++abs) {
     const graph::LayerId id = order[static_cast<std::size_t>(abs % steps)];

@@ -3,10 +3,15 @@
 // and LatencyTables over it for the allocation-aware refine objective.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+
 #include "core/latency_tables.hpp"
 #include "core/lcmm.hpp"
 #include "hw/dse.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
+#include "resil/error.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::hw {
@@ -74,6 +79,41 @@ TEST_P(DseTableModels, ArgminsMatchThePerCandidateModel) {
   }
 }
 
+TEST_P(DseTableModels, CellsMatchLayerCostBitForBit) {
+  // The factored table assembles each cell from shared terms; every cell
+  // must equal the per-candidate layer_cost of the class representative.
+  const graph::ComputationGraph g = models::build_by_name(GetParam());
+  for (const FpgaDevice& device : kDevices) {
+    const mem::DdrModel ddr(device);
+    for (Precision p : kAllPrecisions) {
+      const DesignSpace space = Dse(device, p).space(g);
+      const ShapeClasses& classes = space.classes();
+      for (std::size_t i = 0; i < space.menu().size(); ++i) {
+        AcceleratorDesign design;
+        design.device = device;
+        design.precision = p;
+        design.array = space.menu()[i].array;
+        design.tile = space.menu()[i].tile;
+        for (std::size_t k = 0; k < classes.size(); ++k) {
+          const LayerCost ref =
+              layer_cost(g, classes.representative[k], design, ddr);
+          const DesignSpace::Cost cell = space.cell(i, k);
+          const auto where = [&] {
+            return device.name + " " + to_string(p) + " candidate " +
+                   std::to_string(i) + " class " + std::to_string(k);
+          };
+          ASSERT_EQ(ref.num_orders, 1) << where();
+          ASSERT_EQ(cell.cycles, ref.cycles) << where();
+          ASSERT_EQ(cell.if_s, ref.orders[0].if_s) << where();
+          ASSERT_EQ(cell.res_s, ref.res_s) << where();
+          ASSERT_EQ(cell.wt_s, ref.orders[0].wt_s) << where();
+          ASSERT_EQ(cell.of_s, ref.of_s) << where();
+        }
+      }
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Zoo, DseTableModels,
                          ::testing::ValuesIn(models::model_names()),
                          [](const auto& info) { return info.param; });
@@ -95,6 +135,83 @@ TEST(DseTable, ClassesCoverEveryLayer) {
   EXPECT_EQ(space.classes().layer_class.size(), g.num_layers());
   // ResNet repeats its bottleneck blocks: far fewer shapes than layers.
   EXPECT_LT(2 * space.classes().size(), g.num_layers());
+}
+
+TEST(DseTable, TransferBoundTiesBreakOnDspCostThenMenuIndex) {
+  // VGG's pool5 and fc6 (as a 7x7 conv): every candidate is bound by a
+  // stream that reads the array only through its row count, so candidates
+  // that differ only in cols or simd tie exactly. The argmin must pick the
+  // cheapest array among the tied, then the lowest menu index. At fp32
+  // the menu lists 8x8x16 (5120 DSPs) before 8x11x8 (3520 DSPs), so the
+  // first tied candidate is not the cheapest.
+  graph::ComputationGraph g("transfer_bound");
+  auto x = g.add_input("in", {512, 14, 14});
+  x = g.add_pool("pool5", x, {graph::PoolType::kMax, 2, 2, 0});
+  g.add_conv("fc6", x, {1024, 7, 7, 1, 0, 0});
+  g.validate();
+  const FpgaDevice device = FpgaDevice::vu9p();
+  const Precision p = Precision::kFp32;
+  obs::StatsSession session;
+  const DesignSpace space = Dse(device, p).space(g);
+  const double cycle_s = cycle_seconds(device.clock_mhz(p, false));
+  const std::vector<DseCandidate>& menu = space.menu();
+
+  std::vector<double> latencies;
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    double total = 0.0;
+    for (int k : space.classes().layer_class) {
+      const DesignSpace::Cost c = space.cell(i, static_cast<std::size_t>(k));
+      const double compute_s = static_cast<double>(c.cycles) * cycle_s;
+      ASSERT_GT(std::max({c.if_s + c.res_s, c.wt_s, c.of_s}), compute_s)
+          << "candidate " << i << " is not transfer-bound";
+      total += eq1_latency(compute_s, c.if_s, c.res_s, c.wt_s, c.of_s, 0);
+    }
+    latencies.push_back(total);
+  }
+  const double best = *std::min_element(latencies.begin(), latencies.end());
+  std::vector<std::size_t> tied;
+  for (std::size_t i = 0; i < menu.size(); ++i) {
+    if (latencies[i] == best) tied.push_back(i);
+  }
+  const auto cost = [&](std::size_t i) { return menu[i].array.dsp_cost(p); };
+  // The tie set must exercise both rules: a cost difference, and an equal
+  // lowest cost that only the menu index separates.
+  ASSERT_GT(tied.size(), 2u);
+  const std::size_t expected = *std::min_element(
+      tied.begin(), tied.end(), [&](std::size_t a, std::size_t b) {
+        return std::pair{cost(a), a} < std::pair{cost(b), b};
+      });
+  EXPECT_NE(expected, tied.front()) << "cost rule not exercised";
+  EXPECT_GE(std::count_if(tied.begin(), tied.end(),
+                          [&](std::size_t i) {
+                            return cost(i) == cost(expected);
+                          }),
+            2)
+      << "menu-index rule not exercised";
+
+  const DseResult r = space.argmin(/*heavy_uram_use=*/false);
+  EXPECT_EQ(r.design.array, menu[expected].array);
+  EXPECT_EQ(r.design.tile, menu[expected].tile);
+  EXPECT_EQ(r.objective_latency_s, best);
+  EXPECT_GE(session.stats().counter("dse.ties_broken"),
+            static_cast<std::int64_t>(tied.size() - 1));
+}
+
+TEST(DseTable, AllNonFiniteObjectivesThrowATypedError) {
+  // Regression: with every latency NaN the argmin used to return
+  // candidate #0 with a NaN objective.
+  const auto g = lcmm::testing::chain3();
+  const Dse dse(FpgaDevice::vu9p(), Precision::kInt8);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    try {
+      dse.explore(g, [bad](const AcceleratorDesign&) { return bad; });
+      ADD_FAILURE() << "explore returned a design for objective " << bad;
+    } catch (const resil::CompileError& e) {
+      EXPECT_EQ(e.code(), resil::Code::kNoFeasibleDesign);
+      EXPECT_EQ(e.pass(), "dse.explore");
+    }
+  }
 }
 
 TEST(DseTable, MasksMustCoverEveryLayer) {

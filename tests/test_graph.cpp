@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <string>
+#include <vector>
 
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
@@ -108,6 +110,25 @@ TEST(Graph, ConsumersAndProducersTracked) {
   EXPECT_EQ(in.consumers.size(), 2u);  // left and right
   const Value& cat = g.value(g.layer(2).input);
   EXPECT_EQ(cat.producers.size(), 2u);
+}
+
+TEST(Graph, ShrinkToFitKeepsTheGraph) {
+  auto g = lcmm::testing::diamond();
+  g.topo_order();
+  std::vector<std::string> names;
+  for (const Layer& l : g.layers()) names.push_back(l.name);
+  const std::vector<LayerId> order = g.topo_order();
+  const std::vector<LayerId> consumers = g.value(g.layer(0).input).consumers;
+  g.shrink_to_fit();
+  ASSERT_EQ(g.num_layers(), names.size());
+  for (const Layer& l : g.layers()) EXPECT_EQ(l.name, names[l.id]);
+  EXPECT_EQ(g.topo_order(), order);
+  EXPECT_EQ(g.value(g.layer(0).input).consumers, consumers);
+  g.validate();
+  // The graph still grows after shrinking.
+  g.add_conv("after", g.layer(2).output, {8, 1, 1, 1, 0, 0});
+  g.validate();
+  EXPECT_EQ(g.num_layers(), names.size() + 1);
 }
 
 TEST(Graph, ConcatMergesChannelsAndRetiresParts) {

@@ -200,8 +200,8 @@ TEST(Integration, FullCompileEmitsNonZeroPerPassSpans) {
 
 TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   // One compile builds one design-space table and runs its argmins (UMM
-  // baseline, LCMM seed, refine) on it; the counts are the same for any
-  // number of table-filling workers.
+  // baseline, LCMM seed, refine) on it; the counts, ties included, are the
+  // same for any number of table-filling workers.
   const graph::ComputationGraph graph = models::build_by_name("googlenet");
   const auto dse_counters = [&](int jobs) {
     core::LcmmOptions options;
@@ -213,7 +213,8 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
     return std::vector<std::int64_t>{
         stats.counter("dse.menu"), stats.counter("dse.shape_classes"),
         stats.counter("dse.cost_evals"), stats.counter("dse.argmins"),
-        stats.span_count("dse")};
+        stats.span_count("dse"), stats.counter("dse.cost_terms"),
+        stats.counter("dse.ties_broken")};
   };
   const std::vector<std::int64_t> serial = dse_counters(1);
   const std::int64_t menu = serial[0], classes = serial[1];
@@ -223,6 +224,10 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   EXPECT_EQ(serial[2], menu * classes);  // exactly one table
   EXPECT_GE(serial[3], 3);               // UMM, seed and >= 1 refine
   EXPECT_EQ(serial[4], 1 + serial[3]);   // the table build plus each argmin
+  // The factored table computes each sub-term once per distinct input:
+  // far fewer than one full cost per (candidate, class).
+  EXPECT_GT(serial[5], 0);
+  EXPECT_LT(serial[5], serial[2]);
   EXPECT_EQ(dse_counters(4), serial);
 }
 
