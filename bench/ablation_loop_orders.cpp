@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
       umm.design.stationary_buffer_bytes = budget;
       core::AllocationPlan plan = compiler.compile_with_design(graph, umm.design);
       const auto usim = sim::simulate(graph, umm);
-      const auto lsim = sim::refine_against_stalls(graph, plan);
+      const auto lsim = sim::simulate(graph, plan);
 
       hw::PerfModel model(graph, umm.design);
       int os = 0, ws = 0, is = 0;

@@ -18,10 +18,10 @@
 
 namespace lcmm::bench {
 
-/// Compiles, simulates and stall-refines one (network, precision) pair on
-/// VU9P through the batch driver, exactly as lcmm_compile ships it. A
-/// failed job prints its code and pass and exits non-zero, so a bench never
-/// reports numbers from an empty plan.
+/// Compiles and simulates one (network, precision) pair on VU9P through
+/// the batch driver, exactly as lcmm_compile ships it. A failed job prints
+/// its code and pass and exits non-zero, so a bench never reports numbers
+/// from an empty plan.
 inline driver::BatchOutcome run_pair(const graph::ComputationGraph& graph,
                                      hw::Precision precision,
                                      const core::LcmmOptions& options = {}) {

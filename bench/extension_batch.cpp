@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       umm.design.batch = batch;
       core::AllocationPlan plan = compiler.compile_with_design(graph, umm.design);
       const auto usim = sim::simulate(graph, umm);
-      const auto lsim = sim::refine_against_stalls(graph, plan);
+      const auto lsim = sim::simulate(graph, plan);
       const double ops = 2.0 * static_cast<double>(graph.total_macs()) * batch;
       table.add_row({label, std::to_string(batch),
                      util::fmt_fixed(usim.total_s / batch * 1e3, 3),

@@ -53,7 +53,7 @@ int main() {
       core::AllocationPlan umm;
       core::AllocationPlan plan = compiler.compile(net, &umm);
       const sim::SimResult usim = sim::simulate(net, umm);
-      const sim::SimResult lsim = sim::refine_against_stalls(net, plan);
+      const sim::SimResult lsim = sim::simulate(net, plan);
 
       // How memory-bound is this network on this device at all?
       hw::PerfModel model(net, umm.design);

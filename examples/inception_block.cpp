@@ -50,7 +50,7 @@ int main() {
   }
 
   // Fig. 3(c): the timeline.
-  sim::SimResult sim_result = sim::refine_against_stalls(net, plan);
+  sim::SimResult sim_result = sim::simulate(net, plan);
   const sim::MemoryTrace trace = build_memory_trace(net, plan, sim_result);
   std::cout << "\n=== footprint timeline (Fig. 3c; '#'=on-chip) ===\n"
             << trace.ascii_gantt(32, 48);

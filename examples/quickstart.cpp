@@ -24,7 +24,7 @@ int main() {
   core::AllocationPlan umm;
   core::AllocationPlan plan = compiler.compile(net, &umm);
   sim::SimResult umm_sim = sim::simulate(net, umm);
-  sim::SimResult lcmm_sim = sim::refine_against_stalls(net, plan);
+  sim::SimResult lcmm_sim = sim::simulate(net, plan);
 
   std::cout << "accelerator: " << plan.design.array.to_string()
             << " PE array @ " << plan.design.freq_mhz << " MHz, tiles "

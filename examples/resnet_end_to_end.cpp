@@ -15,7 +15,7 @@ int main() {
     core::AllocationPlan umm;
     core::AllocationPlan plan = compiler.compile(net, &umm);
     sim::SimResult usim = sim::simulate(net, umm);
-    sim::SimResult lsim = sim::refine_against_stalls(net, plan);
+    sim::SimResult lsim = sim::simulate(net, plan);
 
     std::cout << "=== ResNet-152 @ " << hw::to_string(p) << " ===\n"
               << "UMM  " << util::fmt_fixed(usim.total_s * 1e3, 2)

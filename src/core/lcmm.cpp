@@ -6,6 +6,7 @@
 
 #include "obs/scope.hpp"
 #include "resil/fault.hpp"
+#include "sim/timeline.hpp"
 #include "util/logging.hpp"
 
 namespace lcmm::core {
@@ -269,7 +270,9 @@ AllocationPlan LcmmCompiler::compile_with_design(
   // Caller-fixed designs bypass the ladder (there is no rung to retreat
   // to without re-running DSE); typed errors propagate.
   resil::fault::Scope fault_scope;
-  return allocate_under_design(graph, design);
+  AllocationPlan plan = allocate_under_design(graph, design);
+  sim::refine_against_stalls(graph, plan);
+  return plan;
 }
 
 LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung) {
@@ -331,10 +334,14 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
                  .compile_lcmm(graph, hw::Dse(device_, precision_, options.dse)
                                           .space(graph));
     }
+    // Demote the weights whose prefetch stalls cost more than they save;
+    // est_latency_s becomes the simulated latency the plan ships with.
+    sim::refine_against_stalls(graph, plan);
     // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
     // use. If the allocation gains do not cover it (compute-bound
     // network), ship the uniform design unchanged — a real toolflow would
-    // too.
+    // too. A UMM plan simulates to its Eq. 1 estimate exactly, so both
+    // sides of the comparison are simulated latencies.
     const AllocationPlan& base = umm();
     if (options_.allow_fallback_to_umm && base.est_latency_s < plan.est_latency_s) {
       LCMM_INFO() << "LCMM(" << graph.name()
@@ -346,7 +353,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
       plan.is_umm = false;
     } else {
       LCMM_INFO() << "LCMM(" << graph.name() << "): "
-                  << plan.umm_latency_s * 1e3 << " ms (UMM est) -> "
+                  << base.est_latency_s * 1e3 << " ms (UMM) -> "
                   << plan.est_latency_s * 1e3 << " ms, POL "
                   << plan.pol() * 100 << "%";
     }

@@ -10,6 +10,11 @@
 //      with the bandwidth bottleneck gone, smaller tiles win back the
 //      compute padding waste (§4.1's "reduction of actual operations").
 //   7. Physical placement into BRAM/URAM pools.
+//   8. Stall refinement (sim::refine_against_stalls): demote the weights
+//      whose unhidden prefetch makes their layer slower than under UMM.
+//   9. No-benefit fallback: ship the UMM baseline if it simulates faster.
+// compile() runs 1-8 on each ladder rung it tries, then 9, and returns the
+// plan that ships; compile_with_design() runs 2-5, 7 and 8.
 //
 // compile_umm() produces the uniform-memory-management baseline on the
 // same machinery (empty allocation), so every comparison is apples to
@@ -89,8 +94,11 @@ struct AllocationPlan {
   int bram_used = 0, bram_total = 0;
   int uram_used = 0, uram_total = 0;
 
-  /// Eq. 1 latency estimates (prefetch stalls are the simulator's job).
+  /// The shipped plan's simulated latency: the Eq. 1 sum plus the prefetch
+  /// stalls left after refinement. For a UMM plan it equals the Eq. 1 sum
+  /// exactly (no prefetches, no stalls).
   double est_latency_s = 0.0;
+  /// Eq. 1 latency of this plan's design with every tensor off chip.
   double umm_latency_s = 0.0;
   int num_memory_bound_conv = 0;
   /// Memory-bound conv layers with at least one on-chip tensor (POL).
@@ -121,14 +129,16 @@ class LcmmCompiler {
   LcmmCompiler(hw::FpgaDevice device, hw::Precision precision,
                LcmmOptions options = {});
 
-  /// Full LCMM compilation. The UMM baseline it compiles for the no-benefit
+  /// Full LCMM compilation, stall refinement and fallback included: the
+  /// result is the plan that ships. The UMM baseline it compiles for the no-benefit
   /// fallback and the ladder floor is copied to `umm_baseline` when given —
   /// equal to compile_umm(graph), without a second design-space evaluation.
   AllocationPlan compile(const graph::ComputationGraph& graph,
                          AllocationPlan* umm_baseline = nullptr) const;
   /// Uniform-memory-management baseline.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph) const;
-  /// LCMM with a caller-fixed design (skips DSE; used by design-space scans).
+  /// Stall-refined LCMM with a caller-fixed design (skips DSE and the
+  /// fallback; used by design-space scans).
   AllocationPlan compile_with_design(const graph::ComputationGraph& graph,
                                      const hw::AcceleratorDesign& design) const;
 

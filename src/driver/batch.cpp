@@ -33,7 +33,7 @@ void run_job(const BatchJob& job, const resil::Deadline& deadline,
   }
   if (job.want_lcmm) {
     deadline.check("driver.simulate");
-    out.lcmm_sim = sim::refine_against_stalls(job.graph, out.lcmm_plan);
+    out.lcmm_sim = sim::simulate(job.graph, out.lcmm_plan);
     out.lcmm_report = sim::make_report(job.graph, out.lcmm_plan, out.lcmm_sim);
   }
 }

@@ -29,8 +29,7 @@ struct BatchJob {
   hw::FpgaDevice device = hw::FpgaDevice::vu9p();
   hw::Precision precision = hw::Precision::kInt16;
   core::LcmmOptions options{};
-  /// Which designs to produce. LCMM plans are stall-refined the same way
-  /// lcmm_compile ships them. With both, one LcmmCompiler::compile call
+  /// Which designs to produce. With both, one LcmmCompiler::compile call
   /// yields both: the UMM plan is the baseline it compiled anyway.
   bool want_umm = true;
   bool want_lcmm = true;

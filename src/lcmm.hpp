@@ -7,8 +7,8 @@
 //   lcmm::core::LcmmCompiler compiler(lcmm::hw::FpgaDevice::vu9p(),
 //                                     lcmm::hw::Precision::kInt16);
 //   lcmm::core::AllocationPlan umm;            // the UMM baseline
-//   auto plan = compiler.compile(net, &umm);
-//   auto sim = lcmm::sim::refine_against_stalls(net, plan);
+//   auto plan = compiler.compile(net, &umm);   // the plan that ships
+//   auto sim = lcmm::sim::simulate(net, plan);
 //   // sim.total_s vs lcmm::sim::simulate(net, umm).total_s
 #pragma once
 

@@ -176,13 +176,16 @@ StreamResult simulate_stream(const graph::ComputationGraph& graph,
 }
 
 SimResult refine_against_stalls(const graph::ComputationGraph& graph,
-                                core::AllocationPlan& plan, int max_rounds) {
+                                core::AllocationPlan& plan) {
   LCMM_SPAN("refine_stalls");
   hw::PerfModel model(graph, plan.design);
   SimResult sim = simulate(graph, plan);
-  for (int round = 0; round < max_rounds; ++round) {
+  // Runs to the fixed point: a round that changes anything demotes at least
+  // one on-chip weight and promotes none, so there are at most
+  // (on-chip weights + 1) rounds.
+  for (bool changed = true; changed;) {
     LCMM_COUNT("rounds", 1);
-    bool changed = false;
+    changed = false;
     for (const LayerExecution& exec : sim.layers) {
       if (exec.stall_s <= 0.0) continue;
       const double umm = model.timing(exec.layer).umm_latency();
@@ -195,8 +198,7 @@ SimResult refine_against_stalls(const graph::ComputationGraph& graph,
         changed = true;
       }
     }
-    if (!changed) break;
-    sim = simulate(graph, plan);
+    if (changed) sim = simulate(graph, plan);
   }
   plan.est_latency_s = sim.total_s;
   return sim;

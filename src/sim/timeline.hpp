@@ -64,11 +64,13 @@ struct StreamResult {
 StreamResult simulate_stream(const graph::ComputationGraph& graph,
                              const core::AllocationPlan& plan, int images);
 
-/// Post-pass: demotes on-chip weight tensors whose prefetch stalls make the
-/// layer slower than its UMM latency (rare; early layers with no window),
-/// re-simulating until stable. Returns the final simulation.
+/// Demotes on-chip weight tensors whose prefetch stalls make the layer
+/// slower than its UMM latency (rare; early layers with no window),
+/// re-simulating until a round demotes nothing, and sets the plan's
+/// est_latency_s to the final simulated latency. Returns that simulation.
+/// LcmmCompiler::compile and compile_with_design already run it on every
+/// plan they return, so a further call demotes nothing.
 SimResult refine_against_stalls(const graph::ComputationGraph& graph,
-                                core::AllocationPlan& plan,
-                                int max_rounds = 4);
+                                core::AllocationPlan& plan);
 
 }  // namespace lcmm::sim

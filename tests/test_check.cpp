@@ -10,7 +10,6 @@
 #include "check/check.hpp"
 #include "check/emit.hpp"
 #include "models/models.hpp"
-#include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::check {
@@ -114,8 +113,13 @@ TEST(CheckStructure, ResidentWeightOnBadLayer) {
 TEST(CheckLiveness, MergingInterferingTensorsIsCaught) {
   // vgg16 at int16 leaves buffers spilled, giving the corruption an
   // off-chip destination (race/capacity passes stay out of the picture).
+  // Its refined plan simulates slower than UMM, so skip the fallback.
   auto g = models::build_by_name("vgg16");
-  AllocationPlan plan = compiled_plan(g);
+  core::LcmmOptions options;
+  options.allow_fallback_to_umm = false;
+  AllocationPlan plan =
+      core::LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, options)
+          .compile(g);
 
   // Owner of every entity, so the corruption keeps single ownership.
   std::vector<int> owner(plan.entities.size(), -1);
@@ -414,9 +418,7 @@ TEST(CheckIntegration, AllRegisteredModelsCheckClean) {
     EXPECT_EQ(umm_report.num_errors(), 0)
         << name << "/umm: " << to_text(umm_report);
 
-    AllocationPlan plan = compiler.compile(g);
-    sim::refine_against_stalls(g, plan);
-    const CheckReport report = run_checks(g, plan);
+    const CheckReport report = run_checks(g, compiler.compile(g));
     EXPECT_EQ(report.num_errors(), 0) << name << "/lcmm: " << to_text(report);
   }
 }

@@ -122,9 +122,9 @@ TEST(Energy, LcmmMovesFewerDramBytes) {
   auto g = models::build_resnet(152);
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
   const auto umm = compiler.compile_umm(g);
-  auto plan = compiler.compile(g);
+  const auto plan = compiler.compile(g);
   const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::refine_against_stalls(g, plan);
+  const auto lsim = sim::simulate(g, plan);
   const auto eu = sim::estimate_energy(g, umm, usim);
   const auto el = sim::estimate_energy(g, plan, lsim);
   EXPECT_LT(el.dram_bytes, eu.dram_bytes);
@@ -171,10 +171,10 @@ TEST(Energy, ResidentWeightsAvoidReload) {
   without.residency_promotion = false;
   core::LcmmCompiler cw(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, with);
   core::LcmmCompiler co(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, without);
-  auto pw = cw.compile(g);
-  auto po = co.compile(g);
-  const auto sw = sim::refine_against_stalls(g, pw);
-  const auto so = sim::refine_against_stalls(g, po);
+  const auto pw = cw.compile(g);
+  const auto po = co.compile(g);
+  const auto sw = sim::simulate(g, pw);
+  const auto so = sim::simulate(g, po);
   EXPECT_LT(sim::estimate_energy(g, pw, sw).dram_bytes,
             sim::estimate_energy(g, po, so).dram_bytes);
 }

@@ -74,8 +74,8 @@ TEST(Json, NestedStructures) {
 TEST(PlanJson, ContainsExpectedSections) {
   auto g = models::build_squeezenet();
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
-  auto plan = compiler.compile(g);
-  const auto sim_result = sim::refine_against_stalls(g, plan);
+  const auto plan = compiler.compile(g);
+  const auto sim_result = sim::simulate(g, plan);
   const Json j = sim::plan_to_json(g, plan, sim_result);
   const std::string s = j.dump(-1);
   EXPECT_NE(s.find("\"report\""), std::string::npos);

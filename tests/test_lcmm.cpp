@@ -4,6 +4,7 @@
 
 #include "core/lcmm.hpp"
 #include "models/models.hpp"
+#include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::core {
@@ -168,6 +169,20 @@ TEST(Lcmm, LinearModelsStillCompile) {
     LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
     const auto plan = compiler.compile(g);
     EXPECT_LE(plan.est_latency_s, plan.umm_latency_s * (1 + 1e-9)) << name;
+  }
+  // Configs whose Eq. 1 estimate beats UMM but whose refined plan, with
+  // its prefetch stalls, does not: the fallback must ship UMM.
+  const std::tuple<const char*, hw::Precision, hw::FpgaDevice> stalled[] = {
+      {"alexnet", hw::Precision::kFp32, hw::FpgaDevice::vu9p()},
+      {"vgg16", hw::Precision::kInt16, hw::FpgaDevice::vu9p()},
+      {"alexnet", hw::Precision::kFp32, hw::FpgaDevice::zu9eg()}};
+  for (const auto& [name, precision, device] : stalled) {
+    auto g = models::build_by_name(name);
+    LcmmCompiler compiler(device, precision);
+    AllocationPlan umm;
+    const auto plan = compiler.compile(g, &umm);
+    EXPECT_LE(sim::simulate(g, plan).total_s, sim::simulate(g, umm).total_s)
+        << name << " " << to_string(precision) << " " << device.name;
   }
 }
 

@@ -71,10 +71,10 @@ TEST_P(RandomGraphProperty, SimulatedPlanBeatsOrMatchesUmm) {
   for (hw::Precision p : {hw::Precision::kInt8, hw::Precision::kInt16}) {
     core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), p);
     const auto umm = compiler.compile_umm(g);
-    auto plan = compiler.compile(g);
+    const auto plan = compiler.compile(g);
     const auto usim = sim::simulate(g, umm);
-    const auto psim = sim::refine_against_stalls(g, plan);
-    EXPECT_LE(psim.total_s, usim.total_s * 1.001) << to_string(p);
+    const auto psim = sim::simulate(g, plan);
+    EXPECT_LE(psim.total_s, usim.total_s) << to_string(p);
     // Footprint property: the static on-chip footprint fits the device.
     const auto trace = sim::build_memory_trace(g, plan, psim);
     EXPECT_LE(trace.on_chip_bytes, trace.device_sram_bytes);

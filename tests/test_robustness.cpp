@@ -17,11 +17,11 @@ void run_full_pipeline(const graph::ComputationGraph& g) {
   opt.liveness.include_compute_bound = true;
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt);
   const auto umm = compiler.compile_umm(g);
-  auto plan = compiler.compile(g);
+  const auto plan = compiler.compile(g);
   const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::refine_against_stalls(g, plan);
+  const auto lsim = sim::simulate(g, plan);
   EXPECT_GT(usim.total_s, 0.0);
-  EXPECT_LE(lsim.total_s, usim.total_s * 1.001);
+  EXPECT_LE(lsim.total_s, usim.total_s);
   const auto trace = sim::build_memory_trace(g, plan, lsim);
   EXPECT_LE(trace.on_chip_bytes, trace.device_sram_bytes);
 }
@@ -81,10 +81,10 @@ TEST(Robustness, TinyDeviceStillCompiles) {
   auto g = models::build_squeezenet();
   core::LcmmCompiler compiler(hw::FpgaDevice::zu9eg(), hw::Precision::kInt8);
   const auto umm = compiler.compile_umm(g);
-  auto plan = compiler.compile(g);
+  const auto plan = compiler.compile(g);
   const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::refine_against_stalls(g, plan);
-  EXPECT_LE(lsim.total_s, usim.total_s * 1.001);
+  const auto lsim = sim::simulate(g, plan);
+  EXPECT_LE(lsim.total_s, usim.total_s);
   // ZU9EG has no URAM: every buffer must have landed in BRAM.
   for (const auto& pb : plan.physical) {
     EXPECT_EQ(pb.sram.pool, mem::SramPool::kBram);
