@@ -100,16 +100,6 @@ Options parse_cli(const std::vector<std::string>& args) {
       } else {
         throw CliError("--format must be text, json or csv");
       }
-    } else if (consume_value(args, i, "--allocator", value)) {
-      if (value == "dnnk") {
-        opt.lcmm.allocator = core::AllocatorKind::kDnnk;
-      } else if (value == "greedy") {
-        opt.lcmm.allocator = core::AllocatorKind::kGreedy;
-      } else if (value == "exact") {
-        opt.lcmm.allocator = core::AllocatorKind::kExact;
-      } else {
-        throw CliError("--allocator must be dnnk, greedy or exact");
-      }
     } else if (consume_value(args, i, "--jobs", value)) {
       opt.jobs = to_int("--jobs", value);
       if (opt.jobs < 1) throw CliError("--jobs must be >= 1");
@@ -193,7 +183,6 @@ std::string usage() {
         "  --device vu9p|zu9eg|u250  FPGA device (default vu9p)\n"
         "\ncompilation:\n"
         "  --design umm|lcmm|both  which designs to compile (default both)\n"
-        "  --allocator dnnk|greedy|exact\n"
         "  --dse-passes N        DSE refinement passes (default 2)\n"
         "  --capacity-fraction F fraction of free SRAM handed to DNNK\n"
         "  --no-feature-reuse --no-prefetch --no-splitting --no-promotion\n"

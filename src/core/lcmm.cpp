@@ -13,23 +13,6 @@ namespace lcmm::core {
 
 namespace {
 
-AllocatorResult run_allocator(AllocatorKind kind, const InterferenceGraph& ig,
-                              const std::vector<VirtualBuffer>& buffers,
-                              const LatencyTables& tables,
-                              std::int64_t capacity,
-                              const AllocatorOptions& options) {
-  switch (kind) {
-    case AllocatorKind::kDnnk:
-      return dnnk_allocate(ig, buffers, tables, capacity, options);
-    case AllocatorKind::kGreedy:
-      return greedy_allocate(ig, buffers, tables, capacity, options);
-    case AllocatorKind::kExact:
-      return exact_allocate(ig, buffers, tables, capacity, options);
-  }
-  throw resil::CompileError(resil::Code::kInternal, "pass.dnnk",
-                            "run_allocator: bad allocator kind");
-}
-
 /// Grants consumers whose entire value sits on chip a free on-chip read:
 /// if every producer slice of a value has its output entity on chip (the
 /// buffers persist to the value's last consumer by construction), the data
@@ -229,7 +212,7 @@ AllocationPlan LcmmCompiler::allocate_under_design(
   resil::fault::hit("pass.dnnk");
   AllocatorResult allocation;
   std::vector<VirtualBuffer> buffers;
-  if (options_.buffer_splitting && options_.allocator == AllocatorKind::kDnnk) {
+  if (options_.buffer_splitting) {
     resil::fault::hit("pass.splitting");
     SplitOutcome outcome = split_and_reallocate(ig, tables, capacity,
                                                 options_.alloc, options_.split);
@@ -237,8 +220,7 @@ AllocationPlan LcmmCompiler::allocate_under_design(
     allocation = std::move(outcome.allocation);
   } else {
     buffers = build_virtual_buffers(ig, color_min_total_size(ig));
-    allocation = run_allocator(options_.allocator, ig, buffers, tables,
-                               capacity, options_.alloc);
+    allocation = dnnk_allocate(ig, buffers, tables, capacity, options_.alloc);
   }
 
   plan.entities = ig.entities();
@@ -281,9 +263,8 @@ LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung) {
     return static_cast<int>(rung) >= static_cast<int>(r);
   };
   if (at_least(resil::Rung::kShrunkDnnk)) {
-    // Smaller tile menu, halved DNNK capacity, finer DP granularity: the
-    // cheapest retreat — keeps every paper technique, just asks for less.
-    out.dse.tile_bram_fraction = std::max(0.02, base.dse.tile_bram_fraction * 0.5);
+    // Halved DNNK capacity, finer DP granularity: the cheapest retreat —
+    // keeps every paper technique, just asks for less.
     out.sram_capacity_fraction =
         std::clamp(base.sram_capacity_fraction * 0.5, 1e-6, 1.0);
     out.alloc.granularity_bytes =
@@ -307,9 +288,9 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
   resil::fault::Scope fault_scope;
 
   // The request's design space and UMM baseline: built on first use, then
-  // shared by the seed and refine DSE, the no-benefit fallback, the ladder
-  // floor and the caller. A rung that fails while building them retries
-  // on the next rung's turn.
+  // shared by every rung's seed and refine DSE, the no-benefit fallback,
+  // the ladder floor and the caller. A rung that fails while building them
+  // retries on the next rung's turn.
   std::optional<hw::DesignSpace> space;
   std::optional<AllocationPlan> baseline;
   const auto job_space = [&]() -> const hw::DesignSpace& {
@@ -323,17 +304,11 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     return *baseline;
   };
   const auto run_rung = [&](resil::Rung rung) {
-    AllocationPlan plan;
-    if (rung == resil::Rung::kFullLcmm) {
-      plan = compile_lcmm(graph, job_space());
-    } else {
-      // Degraded rungs shrink the tile menu, so they explore their own
-      // design space; the baseline stays the job's own.
-      const LcmmOptions options = degrade_options(options_, rung);
-      plan = LcmmCompiler(device_, precision_, options)
-                 .compile_lcmm(graph, hw::Dse(device_, precision_, options.dse)
-                                          .space(graph));
-    }
+    AllocationPlan plan =
+        rung == resil::Rung::kFullLcmm
+            ? compile_lcmm(graph, job_space())
+            : LcmmCompiler(device_, precision_, degrade_options(options_, rung))
+                  .compile_lcmm(graph, job_space());
     // Demote the weights whose prefetch stalls cost more than they save;
     // est_latency_s becomes the simulated latency the plan ships with.
     sim::refine_against_stalls(graph, plan);
@@ -452,28 +427,17 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
                                          const hw::DesignSpace* space) const {
   LCMM_SPAN("umm_baseline");
   resil::fault::Scope fault_scope;
-  // UMM is the ladder floor, so it gets its own bounded retreat: on a typed
-  // failure, retry with a progressively smaller tile BRAM budget.
-  static constexpr double kTileScale[] = {1.0, 0.5, 0.25};
-  for (std::size_t attempt = 0;; ++attempt) {
+  // UMM is the ladder floor. A deterministic failure would only repeat, so
+  // just a transient one gets a second attempt, on the same inputs.
+  for (bool retried = false;; retried = true) {
     try {
-      hw::DseOptions dse_options = options_.dse;
-      dse_options.tile_bram_fraction =
-          std::max(0.02, dse_options.tile_bram_fraction * kTileScale[attempt]);
-      if (space != nullptr &&
-          dse_options.tile_bram_fraction == options_.dse.tile_bram_fraction) {
-        return umm_under(graph, *space);
-      }
+      if (space != nullptr) return umm_under(graph, *space);
       return umm_under(graph,
-                       hw::Dse(device_, precision_, dse_options).space(graph));
-    } catch (const resil::OptionError&) {
-      throw;
-    } catch (const std::exception& e) {
-      if (options_.strict || attempt + 1 >= std::size(kTileScale)) throw;
-      const resil::ErrorInfo info = resil::describe(e);
-      LCMM_WARN() << "UMM(" << graph.name() << "): attempt " << attempt + 1
-                  << " failed with " << resil::code_id(info.code)
-                  << "; retrying with a smaller tile budget";
+                       hw::Dse(device_, precision_, options_.dse).space(graph));
+    } catch (const resil::CompileError& e) {
+      if (retried || options_.strict || !resil::is_transient(e.code())) throw;
+      LCMM_WARN() << "UMM(" << graph.name() << "): failed with "
+                  << resil::code_id(e.code()) << "; retrying once";
       LCMM_COUNT("umm_retries", 1);
     }
   }

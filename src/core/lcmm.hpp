@@ -13,8 +13,9 @@
 //   8. Stall refinement (sim::refine_against_stalls): demote the weights
 //      whose unhidden prefetch makes their layer slower than under UMM.
 //   9. No-benefit fallback: ship the UMM baseline if it simulates faster.
-// compile() runs 1-8 on each ladder rung it tries, then 9, and returns the
-// plan that ships; compile_with_design() runs 2-5, 7 and 8.
+// compile() evaluates one design space per request. Each ladder rung it
+// tries runs 1-8 on that space (steps 1 and 6 are argmins over it), then 9;
+// it returns the plan that ships. compile_with_design() runs 2-5, 7 and 8.
 //
 // compile_umm() produces the uniform-memory-management baseline on the
 // same machinery (empty allocation), so every comparison is apples to
@@ -29,8 +30,6 @@
 
 namespace lcmm::core {
 
-enum class AllocatorKind : std::uint8_t { kDnnk, kGreedy, kExact };
-
 struct LcmmOptions {
   bool feature_reuse = true;      // §3.1 pass (off for the Fig. 8(b) ablation)
   bool weight_prefetch = true;    // §3.2 pass (off for the Fig. 8(a) ablation)
@@ -42,7 +41,6 @@ struct LcmmOptions {
   /// cover the URAM clock penalty. Disable for pass-isolation ablations
   /// (Fig. 8) where the pass's raw effect is the point.
   bool allow_fallback_to_umm = true;
-  AllocatorKind allocator = AllocatorKind::kDnnk;
   /// Fail hard: a typed compile failure propagates instead of walking the
   /// resil degradation ladder (the pre-resil throwing behavior; --strict).
   bool strict = false;
@@ -135,7 +133,9 @@ class LcmmCompiler {
   /// equal to compile_umm(graph), without a second design-space evaluation.
   AllocationPlan compile(const graph::ComputationGraph& graph,
                          AllocationPlan* umm_baseline = nullptr) const;
-  /// Uniform-memory-management baseline.
+  /// Uniform-memory-management baseline. A transient failure
+  /// (resil::is_transient) is retried once on the same inputs unless
+  /// `strict`; any other error propagates at once.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph) const;
   /// Stall-refined LCMM with a caller-fixed design (skips DSE and the
   /// fallback; used by design-space scans).
@@ -152,8 +152,8 @@ class LcmmCompiler {
   /// happens next.
   AllocationPlan compile_lcmm(const graph::ComputationGraph& graph,
                               const hw::DesignSpace& space) const;
-  /// compile_umm, taking its first attempt's design from `space` when
-  /// given (it must be this compiler's unscaled design space).
+  /// compile_umm on `space` when given (it must be this compiler's design
+  /// space); otherwise each attempt builds its own.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph,
                              const hw::DesignSpace* space) const;
   /// The UMM plan of the design `space` picks at the uniform clock.
@@ -170,9 +170,10 @@ class LcmmCompiler {
 };
 
 /// Options for one ladder rung: restrictions are cumulative down the
-/// ladder (kShrunkDnnk shrinks tile menu/capacity/granularity; kNoPrefetch
-/// additionally disables §3.2; kNoFeatureReuse additionally disables
-/// §3.1/§3.4). kFullLcmm returns `base` unchanged.
+/// ladder (kShrunkDnnk halves the DNNK capacity and refines its
+/// granularity; kNoPrefetch additionally disables §3.2; kNoFeatureReuse
+/// additionally disables §3.1/§3.4). kFullLcmm returns `base` unchanged.
+/// No rung changes the DSE options, so every rung shares one design space.
 LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung);
 
 }  // namespace lcmm::core

@@ -9,12 +9,17 @@ namespace lcmm::core {
 
 namespace {
 
+/// Only split when the size-defining tensor is at least this many times
+/// larger than the buffer-mate it is separated from ("variance of sizes
+/// ... exceeds a threshold").
+constexpr double kSizeRatioThreshold = 1.5;
+
 /// Picks the (max-tensor, neighbor) pair to separate inside `buffer`, or
 /// returns false. The neighbor is the member with the largest standalone
 /// latency reduction — the tensor misspilling hurts most.
 bool pick_split_pair(const InterferenceGraph& graph, const LatencyTables& tables,
-                     const VirtualBuffer& buffer, double size_ratio_threshold,
-                     std::size_t& max_entity, std::size_t& neighbor) {
+                     const VirtualBuffer& buffer, std::size_t& max_entity,
+                     std::size_t& neighbor) {
   if (buffer.members.size() < 2) return false;
   max_entity = buffer.members.front();
   for (std::size_t e : buffer.members) {
@@ -29,7 +34,7 @@ bool pick_split_pair(const InterferenceGraph& graph, const LatencyTables& tables
     const TensorEntity& entity = graph.entities()[e];
     const double ratio = static_cast<double>(graph.entities()[max_entity].bytes) /
                          static_cast<double>(std::max<std::int64_t>(1, entity.bytes));
-    if (ratio < size_ratio_threshold) continue;
+    if (ratio < kSizeRatioThreshold) continue;
     if (graph.is_false_edge(max_entity, e)) continue;
     const double gain =
         tables.standalone_reduction(entity.key.layer, entity.key.source);
@@ -75,8 +80,7 @@ SplitOutcome split_and_reallocate(InterferenceGraph& graph,
     std::size_t neighbor = 0;
     if (!pick_split_pair(graph, tables,
                          outcome.buffers[static_cast<std::size_t>(candidate)],
-                         split_options.size_ratio_threshold, max_entity,
-                         neighbor)) {
+                         max_entity, neighbor)) {
       break;
     }
     graph.add_false_edge(max_entity, neighbor);

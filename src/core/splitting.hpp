@@ -14,10 +14,6 @@ namespace lcmm::core {
 
 struct SplitOptions {
   int max_iterations = 8;
-  /// Only split when the size-defining tensor is at least this many times
-  /// larger than the buffer-mate it is separated from ("variance of sizes
-  /// ... exceeds a threshold").
-  double size_ratio_threshold = 1.5;
 };
 
 struct SplitOutcome {

@@ -16,6 +16,13 @@ namespace lcmm::hw {
 
 namespace {
 
+/// Fraction of device DSPs available to the PE array (Tab. 1 uses 83% for
+/// ResNet/GoogLeNet).
+constexpr double kDspBudgetFraction = 0.83;
+/// Fraction of device BRAM available to the tile buffers. Uniform designs
+/// keep tile buffers small (Tab. 2 reports 8-12% BRAM for UMM).
+constexpr double kTileBramFraction = 0.15;
+
 /// Deterministic argmin. Ties on latency break on DSP cost, then on menu
 /// index — never on evaluation order — so serial and parallel runs pick
 /// the same design bit for bit. Throws CompileError(kNoFeasibleDesign) if
@@ -169,16 +176,14 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
 
 Dse::Dse(FpgaDevice device, Precision precision, DseOptions options)
     : device_(std::move(device)), precision_(precision), options_(options) {
-  if (options_.dsp_budget_fraction <= 0 || options_.dsp_budget_fraction > 1 ||
-      options_.tile_bram_fraction <= 0 || options_.tile_bram_fraction > 1 ||
-      options_.jobs < 0) {
+  if (options_.jobs < 0) {
     throw resil::OptionError(resil::Code::kBadOptions, "dse.options",
-                             "Dse: bad options");
+                             "Dse: jobs must be >= 0");
   }
 }
 
 int Dse::dsp_budget() const {
-  return static_cast<int>(device_.dsp_total * options_.dsp_budget_fraction);
+  return static_cast<int>(device_.dsp_total * kDspBudgetFraction);
 }
 
 std::vector<SystolicArrayConfig> Dse::array_candidates() const {
@@ -242,7 +247,7 @@ std::vector<TileConfig> Dse::fitting_tiles(
   static constexpr int kTc[] = {16, 32, 64, 128};
   static constexpr int kSpatial[] = {4, 7, 8, 14, 16, 17, 28};
   const std::int64_t bram_budget = static_cast<std::int64_t>(
-      options_.tile_bram_fraction * device_.bram_bytes_total());
+      kTileBramFraction * device_.bram_bytes_total());
   std::vector<TileConfig> out;
   for (int tc : kTc) {
     for (int s : kSpatial) {

@@ -2,12 +2,13 @@
 // uniform tile configuration), standing in for the DSE frameworks
 // [12, 18, 22] that the paper's Fig. 4 places upstream of LCMM.
 //
-// The DSE enumerates array/tile candidates under a DSP budget and a BRAM
-// budget for the double-buffered tile buffers, and minimizes a latency
-// objective. The default objective is the UMM latency (every tensor
-// off-chip); the LCMM driver re-runs the DSE with an allocation-aware
-// objective, which is how "smaller tile sizes improve computation
-// efficiency once the bandwidth bottleneck is gone" (§4.1) emerges.
+// The DSE enumerates array/tile candidates under a DSP budget (83% of the
+// device) and a BRAM budget (15%) for the double-buffered tile buffers,
+// and minimizes a latency objective. The default objective is the UMM
+// latency (every tensor off-chip); the LCMM driver re-runs the DSE with an
+// allocation-aware objective, which is how "smaller tile sizes improve
+// computation efficiency once the bandwidth bottleneck is gone" (§4.1)
+// emerges.
 //
 // One compile request evaluates its design space once: Dse::space() groups
 // the layers into shape classes and fills a clock-free (candidate x class)
@@ -29,12 +30,6 @@
 namespace lcmm::hw {
 
 struct DseOptions {
-  /// Fraction of device DSPs available to the PE array (Tab. 1 uses 83%
-  /// for ResNet/GoogLeNet and 75% for Inception-v4).
-  double dsp_budget_fraction = 0.83;
-  /// Fraction of device BRAM available to the tile buffers. Uniform designs
-  /// keep tile buffers small (Tab. 2 reports 8-12% BRAM for UMM).
-  double tile_bram_fraction = 0.15;
   /// Whether the design will rely on URAM tensor buffers (costs clock).
   bool heavy_uram_use = false;
   /// Allow int8 DSP pixel packing (2 MACs/DSP) in the candidate space.

@@ -122,7 +122,7 @@ ErrorInfo describe(const std::exception& e);
 /// semantically valid floor — a plan degrades no further.
 enum class Rung : std::uint8_t {
   kFullLcmm = 0,       ///< the full Fig. 4 pipeline
-  kShrunkDnnk = 1,     ///< smaller tile menu, halved DNNK capacity, finer granularity
+  kShrunkDnnk = 1,     ///< halved DNNK capacity, finer granularity
   kNoPrefetch = 2,     ///< weight prefetching (§3.2) disabled
   kNoFeatureReuse = 3, ///< feature reuse + splitting (§3.1/§3.4) disabled too
   kUmm = 4,            ///< plain uniform-memory-management baseline

@@ -132,9 +132,7 @@ TEST(Dse, Fp32ArraysAreSmaller) {
 
 TEST(Dse, TileCandidatesFitBramBudget) {
   const FpgaDevice dev = FpgaDevice::vu9p();
-  DseOptions opt;
-  opt.tile_bram_fraction = 0.15;
-  const Dse dse(dev, Precision::kInt8, opt);
+  const Dse dse(dev, Precision::kInt8, {});
   auto g = lcmm::testing::chain3();
   const auto arrays = dse.array_candidates();
   ASSERT_FALSE(arrays.empty());
@@ -169,10 +167,6 @@ TEST(Dse, ObjectiveOverridesDefault) {
 }
 
 TEST(Dse, BadOptionsThrow) {
-  DseOptions opt;
-  opt.dsp_budget_fraction = 0.0;
-  EXPECT_THROW(Dse(FpgaDevice::vu9p(), Precision::kInt8, opt),
-               std::invalid_argument);
   DseOptions bad_jobs;
   bad_jobs.jobs = -1;
   EXPECT_THROW(Dse(FpgaDevice::vu9p(), Precision::kInt8, bad_jobs),

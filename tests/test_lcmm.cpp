@@ -113,19 +113,6 @@ TEST(Lcmm, PassTogglesChangeEntitySets) {
   EXPECT_TRUE(fplan.prefetch.edges().empty());
 }
 
-TEST(Lcmm, AllocatorKindsAllProduceValidPlans) {
-  auto g = lcmm::testing::chain3();
-  for (AllocatorKind kind :
-       {AllocatorKind::kDnnk, AllocatorKind::kGreedy, AllocatorKind::kExact}) {
-    LcmmOptions opt;
-    opt.allocator = kind;
-    opt.liveness.include_compute_bound = true;
-    LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt);
-    const auto plan = compiler.compile(g);
-    EXPECT_LE(plan.est_latency_s, plan.umm_latency_s * (1 + 1e-9));
-  }
-}
-
 TEST(Lcmm, ResidencyPromotionGrowsUramUse) {
   auto g = models::build_resnet(152);
   LcmmOptions with, without;

@@ -17,6 +17,7 @@
 #include "core/lcmm.hpp"
 #include "driver/batch.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
 #include "resil/resil.hpp"
 #include "test_graphs.hpp"
 
@@ -293,7 +294,6 @@ void expect_check_clean(const graph::ComputationGraph& g,
 TEST(ResilLadder, DegradeOptionsAreCumulative) {
   const LcmmOptions base;
   const LcmmOptions r1 = core::degrade_options(base, Rung::kShrunkDnnk);
-  EXPECT_DOUBLE_EQ(r1.dse.tile_bram_fraction, base.dse.tile_bram_fraction * 0.5);
   EXPECT_DOUBLE_EQ(r1.sram_capacity_fraction,
                    base.sram_capacity_fraction * 0.5);
   EXPECT_EQ(r1.alloc.granularity_bytes, base.alloc.granularity_bytes / 4);
@@ -460,6 +460,58 @@ TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
     EXPECT_EQ(umm.umm_latency_s, reference.umm_latency_s) << what;
     EXPECT_EQ(umm.bram_used, reference.bram_used) << what;
     EXPECT_EQ(umm.uram_used, reference.uram_used) << what;
+  }
+}
+
+TEST(ResilLadder, DegradedRungsShareTheRequestsDesignSpace) {
+  // A degraded rung picks its designs from the table the request already
+  // built, so a one-shot fault costs a rung but no second DSE evaluation.
+  const auto g = models::build_by_name("googlenet");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  const auto cost_evals = [&](const char* site) {
+    std::optional<fault::ArmedGuard> guard;
+    if (site) guard.emplace(fault::Config{.site = site});
+    obs::StatsSession session;
+    const AllocationPlan plan = compiler.compile(g);
+    EXPECT_EQ(plan.rung, site ? Rung::kShrunkDnnk : Rung::kFullLcmm);
+    return session.stats().counter("dse.cost_evals");
+  };
+  const std::int64_t clean = cost_evals(nullptr);
+  EXPECT_GT(clean, 0);
+  EXPECT_EQ(cost_evals("pass.dnnk"), clean);
+}
+
+TEST(ResilUmm, TransientFaultsLeaveTheBaselineUnchanged) {
+  // The UMM floor retries a transient failure once on the same inputs, so
+  // a one-shot fault anywhere on its path ships the fault-free plan.
+  const auto g = models::build_by_name("googlenet");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  const AllocationPlan clean = compiler.compile_umm(g);
+  for (const char* site : {"dse.explore", "pass.place", "par.task"}) {
+    const fault::ArmedGuard guard({.site = site});
+    const AllocationPlan plan = compiler.compile_umm(g);
+    EXPECT_EQ(plan.design.array, clean.design.array) << site;
+    EXPECT_EQ(plan.design.tile, clean.design.tile) << site;
+    EXPECT_EQ(plan.design.freq_mhz, clean.design.freq_mhz) << site;
+    EXPECT_EQ(plan.est_latency_s, clean.est_latency_s) << site;
+  }
+}
+
+TEST(ResilUmm, OnlyOneRetryAndNoneInStrictMode) {
+  const auto g = lcmm::testing::chain3();
+  {
+    // Two consecutive faults outlast the single retry.
+    const fault::ArmedGuard guard({.site = "pass.place", .nth = 1, .fires = 2});
+    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+    EXPECT_THROW(compiler.compile_umm(g), CompileError);
+  }
+  {
+    LcmmOptions strict;
+    strict.strict = true;
+    const fault::ArmedGuard guard({.site = "pass.place"});
+    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
+                                strict);
+    EXPECT_THROW(compiler.compile_umm(g), CompileError);
   }
 }
 

@@ -118,10 +118,8 @@ TEST(Splitting, SizeRatioThresholdBlocksSimilarTensors) {
   auto entities = fx.entities();
   entities[1].bytes = entities[0].bytes;  // equal sizes: no "variance"
   InterferenceGraph ig(entities);
-  SplitOptions opt;
-  opt.size_ratio_threshold = 1.5;
-  const SplitOutcome outcome = split_and_reallocate(
-      ig, *fx.tables, entities[0].bytes / 2, {}, opt);
+  const SplitOutcome outcome =
+      split_and_reallocate(ig, *fx.tables, entities[0].bytes / 2);
   EXPECT_EQ(outcome.splits_performed, 0);
 }
 
