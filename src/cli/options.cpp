@@ -188,8 +188,8 @@ std::string usage() {
         "  --no-feature-reuse --no-prefetch --no-splitting --no-promotion\n"
         "  --no-fallback         keep the LCMM design even if UMM is faster\n"
         "  --strict              fail hard on the first typed compile error\n"
-        "                        instead of walking the resil degradation\n"
-        "                        ladder down to UMM (docs/robustness.md)\n"
+        "                        instead of retrying it or shipping the UMM\n"
+        "                        floor (docs/robustness.md)\n"
         "  --job-timeout S       soft per-job wall-clock budget in seconds for\n"
         "                        batch compilation (checked at phase boundaries)\n"
         "  --retries N           retries per batch job for transient failures\n"

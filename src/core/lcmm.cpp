@@ -35,6 +35,26 @@ void propagate_output_residency(const graph::ComputationGraph& graph,
   }
 }
 
+/// Runs `attempt`; a transient CompileError (resil::is_transient: an
+/// injected fault, an I/O flake) gets one more attempt on the same inputs,
+/// unless `strict`. A deterministic error would only repeat, so it — like a
+/// second failure — propagates.
+template <typename Attempt>
+AllocationPlan retry_transient_once(const char* what,
+                                    const graph::ComputationGraph& graph,
+                                    bool strict, const Attempt& attempt) {
+  for (bool retried = false;; retried = true) {
+    try {
+      return attempt();
+    } catch (const resil::CompileError& e) {
+      if (retried || strict || !resil::is_transient(e.code())) throw;
+      LCMM_WARN() << what << "(" << graph.name() << "): failed with "
+                  << resil::code_id(e.code()) << "; retrying once";
+      LCMM_COUNT("retries", 1);
+    }
+  }
+}
+
 }  // namespace
 
 bool AllocationPlan::weight_is_resident(graph::LayerId layer) const {
@@ -182,8 +202,8 @@ AllocationPlan LcmmCompiler::allocate_under_design(
     }
   }
 
-  // Passes 2+3: entities. Fault sites sit inside the feature gates so the
-  // ladder rung that disables a feature also sidesteps its faults.
+  // Passes 2+3: entities. A disabled pass (a Fig. 8 ablation) never hits
+  // its fault site.
   std::vector<TensorEntity> entities;
   if (options_.feature_reuse) {
     resil::fault::hit("pass.liveness");
@@ -249,48 +269,25 @@ AllocationPlan LcmmCompiler::allocate_under_design(
 AllocationPlan LcmmCompiler::compile_with_design(
     const graph::ComputationGraph& graph,
     const hw::AcceleratorDesign& design) const {
-  // Caller-fixed designs bypass the ladder (there is no rung to retreat
-  // to without re-running DSE); typed errors propagate.
+  // Caller-fixed designs bypass the retry and the UMM floor (the floor
+  // would need its own DSE); typed errors propagate.
   resil::fault::Scope fault_scope;
   AllocationPlan plan = allocate_under_design(graph, design);
   sim::refine_against_stalls(graph, plan);
   return plan;
 }
 
-LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung) {
-  LcmmOptions out = base;
-  const auto at_least = [&](resil::Rung r) {
-    return static_cast<int>(rung) >= static_cast<int>(r);
-  };
-  if (at_least(resil::Rung::kShrunkDnnk)) {
-    // Halved DNNK capacity, finer DP granularity: the cheapest retreat —
-    // keeps every paper technique, just asks for less.
-    out.sram_capacity_fraction =
-        std::clamp(base.sram_capacity_fraction * 0.5, 1e-6, 1.0);
-    out.alloc.granularity_bytes =
-        std::max<std::int64_t>(1024, base.alloc.granularity_bytes / 4);
-  }
-  if (at_least(resil::Rung::kNoPrefetch)) {
-    out.weight_prefetch = false;
-  }
-  if (at_least(resil::Rung::kNoFeatureReuse)) {
-    out.feature_reuse = false;
-    out.buffer_splitting = false;
-  }
-  return out;
-}
-
 AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
                                      AllocationPlan* umm_baseline) const {
-  // One pipeline span and one fault budget per top-level compile, no
-  // matter how many ladder rungs run inside.
+  // One pipeline span and one fault budget per top-level compile, retry
+  // included.
   LCMM_SPAN("pipeline");
   resil::fault::Scope fault_scope;
 
   // The request's design space and UMM baseline: built on first use, then
-  // shared by every rung's seed and refine DSE, the no-benefit fallback,
-  // the ladder floor and the caller. A rung that fails while building them
-  // retries on the next rung's turn.
+  // shared by the seed and refine DSE, the no-benefit fallback, the floor
+  // and the caller. They live outside the retry, so an attempt that fails
+  // after building them leaves them to the next.
   std::optional<hw::DesignSpace> space;
   std::optional<AllocationPlan> baseline;
   const auto job_space = [&]() -> const hw::DesignSpace& {
@@ -303,12 +300,8 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     if (!baseline) baseline.emplace(compile_umm(graph, &job_space()));
     return *baseline;
   };
-  const auto run_rung = [&](resil::Rung rung) {
-    AllocationPlan plan =
-        rung == resil::Rung::kFullLcmm
-            ? compile_lcmm(graph, job_space())
-            : LcmmCompiler(device_, precision_, degrade_options(options_, rung))
-                  .compile_lcmm(graph, job_space());
+  const auto full_lcmm = [&] {
+    AllocationPlan plan = compile_lcmm(graph, job_space());
     // Demote the weights whose prefetch stalls cost more than they save;
     // est_latency_s becomes the simulated latency the plan ships with.
     sim::refine_against_stalls(graph, plan);
@@ -326,6 +319,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
       LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
       plan = base;
       plan.is_umm = false;
+      plan.rung = resil::Rung::kFullLcmm;  // chosen on merit, not a failure
     } else {
       LCMM_INFO() << "LCMM(" << graph.name() << "): "
                   << base.est_latency_s * 1e3 << " ms (UMM) -> "
@@ -334,59 +328,32 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     }
     return plan;
   };
-  const auto ship = [&](AllocationPlan plan) {
-    if (umm_baseline) *umm_baseline = umm();
-    return plan;
-  };
 
-  if (options_.strict) {
-    AllocationPlan plan = run_rung(resil::Rung::kFullLcmm);
-    LCMM_DECIDE("ladder", 0, true, resil::rung_name(plan.rung));
-    return ship(std::move(plan));
+  AllocationPlan plan;
+  try {
+    plan = retry_transient_once("LCMM", graph, options_.strict, full_lcmm);
+  } catch (const resil::OptionError&) {
+    throw;  // caller contract violations never reach the floor
+  } catch (const std::exception& e) {
+    if (options_.strict) throw;
+    const resil::ErrorInfo info = resil::describe(e);
+    const std::string reason =
+        resil::code_id(info.code) +
+        (info.pass.empty() ? std::string() : "@" + info.pass);
+    LCMM_WARN() << "LCMM(" << graph.name() << "): failed with " << reason
+                << ": " << info.message << "; shipping the UMM baseline";
+    LCMM_DECIDE("ladder", 0, false, "full-lcmm:" + reason);
+    // The floor: a semantically valid UMM plan. If even this throws, the
+    // error propagates — a plan degrades no further than UMM.
+    plan = umm();
+    plan.is_umm = false;  // mirrors the no-benefit fallback convention
+    plan.rung = resil::Rung::kUmm;
+    plan.degrade_reason = reason;
+    LCMM_COUNT("ladder_degraded", 1);
   }
-
-  using resil::Rung;
-  std::string reason;
-  for (Rung rung : {Rung::kFullLcmm, Rung::kShrunkDnnk, Rung::kNoPrefetch,
-                    Rung::kNoFeatureReuse}) {
-    try {
-      AllocationPlan plan = run_rung(rung);
-      plan.rung = rung;
-      plan.degrade_reason = reason;
-      if (rung != Rung::kFullLcmm) {
-        LCMM_WARN() << "LCMM(" << graph.name() << "): degraded to rung '"
-                    << resil::rung_name(rung) << "' after " << reason;
-        LCMM_COUNT("ladder_degraded", 1);
-      }
-      LCMM_DECIDE("ladder", 0, true, resil::rung_name(rung));
-      return ship(std::move(plan));
-    } catch (const resil::OptionError&) {
-      throw;  // caller contract violations are never ladder-recoverable
-    } catch (const std::exception& e) {
-      const resil::ErrorInfo info = resil::describe(e);
-      reason = resil::code_id(info.code) +
-               (info.pass.empty() ? std::string() : "@" + info.pass);
-      LCMM_WARN() << "LCMM(" << graph.name() << "): rung '"
-                  << resil::rung_name(rung) << "' failed with " << reason
-                  << ": " << info.message;
-      LCMM_COUNT("ladder_rung_failures", 1);
-      LCMM_DECIDE("ladder", 0, false,
-                  std::string(resil::rung_name(rung)) + ":" + reason);
-    }
-  }
-
-  // The floor: a semantically valid UMM plan. If even this throws, the
-  // error propagates — the ladder degrades no further than UMM.
-  AllocationPlan plan = umm();
-  plan.is_umm = false;  // mirrors the no-benefit fallback convention
-  plan.rung = Rung::kUmm;
-  plan.degrade_reason = reason;
-  LCMM_WARN() << "LCMM(" << graph.name()
-              << "): every LCMM rung failed; shipping the UMM baseline after "
-              << reason;
-  LCMM_COUNT("ladder_degraded", 1);
-  LCMM_DECIDE("ladder", 0, true, resil::rung_name(Rung::kUmm));
-  return ship(std::move(plan));
+  LCMM_DECIDE("ladder", 0, true, resil::rung_name(plan.rung));
+  if (umm_baseline) *umm_baseline = umm();
+  return plan;
 }
 
 AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
@@ -427,20 +394,11 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
                                          const hw::DesignSpace* space) const {
   LCMM_SPAN("umm_baseline");
   resil::fault::Scope fault_scope;
-  // UMM is the ladder floor. A deterministic failure would only repeat, so
-  // just a transient one gets a second attempt, on the same inputs.
-  for (bool retried = false;; retried = true) {
-    try {
-      if (space != nullptr) return umm_under(graph, *space);
-      return umm_under(graph,
-                       hw::Dse(device_, precision_, options_.dse).space(graph));
-    } catch (const resil::CompileError& e) {
-      if (retried || options_.strict || !resil::is_transient(e.code())) throw;
-      LCMM_WARN() << "UMM(" << graph.name() << "): failed with "
-                  << resil::code_id(e.code()) << "; retrying once";
-      LCMM_COUNT("umm_retries", 1);
-    }
-  }
+  return retry_transient_once("UMM", graph, options_.strict, [&] {
+    if (space != nullptr) return umm_under(graph, *space);
+    return umm_under(graph,
+                     hw::Dse(device_, precision_, options_.dse).space(graph));
+  });
 }
 
 AllocationPlan LcmmCompiler::umm_under(const graph::ComputationGraph& graph,

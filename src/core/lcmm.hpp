@@ -13,9 +13,11 @@
 //   8. Stall refinement (sim::refine_against_stalls): demote the weights
 //      whose unhidden prefetch makes their layer slower than under UMM.
 //   9. No-benefit fallback: ship the UMM baseline if it simulates faster.
-// compile() evaluates one design space per request. Each ladder rung it
-// tries runs 1-8 on that space (steps 1 and 6 are argmins over it), then 9;
-// it returns the plan that ships. compile_with_design() runs 2-5, 7 and 8.
+// compile() evaluates one design space per request, runs 1-8 on it (steps
+// 1 and 6 are argmins over it), then 9, and returns the plan that ships.
+// A transient error is retried once on the same inputs; any other failure
+// ships the UMM baseline (resil::Rung::kUmm). compile_with_design() runs
+// 2-5, 7 and 8.
 //
 // compile_umm() produces the uniform-memory-management baseline on the
 // same machinery (empty allocation), so every comparison is apples to
@@ -41,8 +43,8 @@ struct LcmmOptions {
   /// cover the URAM clock penalty. Disable for pass-isolation ablations
   /// (Fig. 8) where the pass's raw effect is the point.
   bool allow_fallback_to_umm = true;
-  /// Fail hard: a typed compile failure propagates instead of walking the
-  /// resil degradation ladder (the pre-resil throwing behavior; --strict).
+  /// Fail hard: a typed compile failure propagates instead of being retried
+  /// or shipping the UMM floor (the pre-resil throwing behavior; --strict).
   bool strict = false;
   /// 1 = keep the UMM-optimal design; 2 = re-run DSE under the allocation.
   int dse_passes = 2;
@@ -65,12 +67,13 @@ struct AllocationPlan {
   bool is_umm = false;
   hw::AcceleratorDesign design;
 
-  /// Degradation-ladder rung this plan was produced on. kFullLcmm means no
-  /// degradation happened (the paper pipeline ran to completion — which
-  /// includes the deliberate no-benefit fallback to the uniform design).
+  /// Rung this plan was produced on. kFullLcmm means no degradation
+  /// happened (the paper pipeline ran to completion — which includes the
+  /// deliberate no-benefit fallback to the uniform design); kUmm means the
+  /// pipeline failed and the UMM floor shipped.
   resil::Rung rung = resil::Rung::kFullLcmm;
-  /// Why the ladder moved past full LCMM ("LCMM-E801@pass.dnnk"); empty
-  /// when rung == kFullLcmm.
+  /// Why the plan landed on the floor ("LCMM-E801@pass.dnnk"); empty when
+  /// rung == kFullLcmm.
   std::string degrade_reason;
 
   /// Allocation entities and the virtual buffers over them. `buffers`
@@ -128,9 +131,12 @@ class LcmmCompiler {
                LcmmOptions options = {});
 
   /// Full LCMM compilation, stall refinement and fallback included: the
-  /// result is the plan that ships. The UMM baseline it compiles for the no-benefit
-  /// fallback and the ladder floor is copied to `umm_baseline` when given —
-  /// equal to compile_umm(graph), without a second design-space evaluation.
+  /// result is the plan that ships. A transient failure is retried once on
+  /// the same inputs unless `strict`; any other failure ships the UMM floor
+  /// (under `strict` it propagates). The UMM baseline it compiles for the
+  /// no-benefit fallback and the floor is copied to `umm_baseline` when
+  /// given — equal to compile_umm(graph), without a second design-space
+  /// evaluation.
   AllocationPlan compile(const graph::ComputationGraph& graph,
                          AllocationPlan* umm_baseline = nullptr) const;
   /// Uniform-memory-management baseline. A transient failure
@@ -148,8 +154,7 @@ class LcmmCompiler {
 
  private:
   /// One LCMM pipeline attempt on `space`: seed DSE, allocation, refine
-  /// DSE. Throws typed errors; the ladder in compile() decides what
-  /// happens next.
+  /// DSE. Throws typed errors; compile() decides what happens next.
   AllocationPlan compile_lcmm(const graph::ComputationGraph& graph,
                               const hw::DesignSpace& space) const;
   /// compile_umm on `space` when given (it must be this compiler's design
@@ -168,12 +173,5 @@ class LcmmCompiler {
   hw::Precision precision_;
   LcmmOptions options_;
 };
-
-/// Options for one ladder rung: restrictions are cumulative down the
-/// ladder (kShrunkDnnk halves the DNNK capacity and refines its
-/// granularity; kNoPrefetch additionally disables §3.2; kNoFeatureReuse
-/// additionally disables §3.1/§3.4). kFullLcmm returns `base` unchanged.
-/// No rung changes the DSE options, so every rung shares one design space.
-LcmmOptions degrade_options(const LcmmOptions& base, resil::Rung rung);
 
 }  // namespace lcmm::core

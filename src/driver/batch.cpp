@@ -69,7 +69,8 @@ std::vector<BatchOutcome> compile_many(const std::vector<BatchJob>& jobs,
         if (out.error.empty()) out.error = "unknown error";
         out.error_info = info;
         out.timed_out = info.code == resil::Code::kJobTimeout;
-        if (!out.timed_out && attempt < max_attempts &&
+        // --strict asks to fail on the first typed error: no job retry.
+        if (!out.timed_out && !job.options.strict && attempt < max_attempts &&
             resil::is_transient(info.code)) {
           LCMM_WARN() << "batch job '" << out.label << "': transient "
                       << resil::code_id(info.code) << ", attempt " << attempt

@@ -40,7 +40,8 @@ struct BatchJob {
   /// at phase boundaries — a running pass is never interrupted mid-flight.
   double timeout_s = 0.0;
   /// Attempts per job: transient failures (resil::is_transient) retry up
-  /// to this many times; deterministic failures fail on the first.
+  /// to this many times; deterministic failures, and any failure under
+  /// options.strict, fail on the first.
   int max_attempts = 2;
 };
 

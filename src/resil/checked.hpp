@@ -2,8 +2,8 @@
 // and virtual-buffer totals are all products/sums of parser-controlled
 // dimensions; silent wraparound would turn an adversarial graph into a
 // bogus "everything fits on chip" plan. These helpers raise a typed
-// CompileError(kSizeOverflow) instead, which the ladder (or the parser's
-// ParseError wrapper) surfaces cleanly.
+// CompileError(kSizeOverflow) instead, which compile()'s UMM floor (or the
+// parser's ParseError wrapper) surfaces cleanly.
 #pragma once
 
 #include <cstdint>

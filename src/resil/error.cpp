@@ -111,9 +111,6 @@ ErrorInfo describe(const std::exception& e) {
 const char* rung_name(Rung rung) {
   switch (rung) {
     case Rung::kFullLcmm: return "full-lcmm";
-    case Rung::kShrunkDnnk: return "shrunk-dnnk";
-    case Rung::kNoPrefetch: return "no-prefetch";
-    case Rung::kNoFeatureReuse: return "no-feature-reuse";
     case Rung::kUmm: return "umm";
   }
   return "unknown";

@@ -1,15 +1,15 @@
-// Typed error taxonomy and degradation-ladder vocabulary (lcmm::resil).
+// Typed error taxonomy and degradation vocabulary (lcmm::resil).
 //
 // Every failure the compiler can raise carries a stable LCMM-Exxx code (the
 // same namespace as lcmm::check diagnostics, continued in the E6xx+ blocks),
 // the failing pass or site, and optional entity context. Two exception
 // branches partition the taxonomy:
 //
-//   CompileError : std::runtime_error     runtime/resource failures. The
-//     degradation ladder in LcmmCompiler::compile catches exactly this type
-//     and retries on the next rung; in --strict mode it propagates.
+//   CompileError : std::runtime_error     runtime/resource failures.
+//     LcmmCompiler::compile retries a transient one once and otherwise
+//     ships the UMM floor; in --strict mode it propagates.
 //   OptionError : std::invalid_argument   caller contract violations (bad
-//     options, mismatched arguments). Never swallowed by the ladder, and
+//     options, mismatched arguments). Never swallowed by compile(), and
 //     type-compatible with the std::invalid_argument the seed code threw.
 //
 // Both expose the shared ErrorInfo payload through the TypedError mixin, so
@@ -31,7 +31,7 @@ namespace lcmm::resil {
 enum class Code : std::uint16_t {
   kNone = 0,
 
-  // E61x — feasibility and resource exhaustion (ladder-recoverable).
+  // E61x — feasibility and resource exhaustion (the UMM floor may recover).
   kNoFeasibleDesign = 611,    ///< no DSE candidate fits, or none has a finite latency
   kTileBuffersDontFit = 612,  ///< tile buffers exceed on-chip BRAM
   kGraphTooLarge = 613,       ///< input exceeds a pass's structural bound
@@ -97,7 +97,7 @@ class TypedError {
 };
 
 /// Runtime compile failure: resource exhaustion, infeasibility, overflow,
-/// injected faults. The degradation ladder catches exactly this type.
+/// injected faults. compile() retries the transient ones once.
 class CompileError : public std::runtime_error, public TypedError {
  public:
   CompileError(Code code, std::string pass, std::string message,
@@ -117,19 +117,16 @@ class OptionError : public std::invalid_argument, public TypedError {
 /// a kInternal wrapper around e.what() for everything else.
 ErrorInfo describe(const std::exception& e);
 
-/// Degradation-ladder rungs, best first (docs/robustness.md). Each rung is
-/// attempted when the rung above fails with a CompileError; kUmm is the
-/// semantically valid floor — a plan degrades no further.
+/// Where a compile's plan landed (docs/robustness.md). compile() retries a
+/// transient failure once; any other failure ships the kUmm floor, the
+/// semantically valid plan below which nothing degrades. Values 1-3 are
+/// retired and must not be reused.
 enum class Rung : std::uint8_t {
-  kFullLcmm = 0,       ///< the full Fig. 4 pipeline
-  kShrunkDnnk = 1,     ///< halved DNNK capacity, finer granularity
-  kNoPrefetch = 2,     ///< weight prefetching (§3.2) disabled
-  kNoFeatureReuse = 3, ///< feature reuse + splitting (§3.1/§3.4) disabled too
-  kUmm = 4,            ///< plain uniform-memory-management baseline
+  kFullLcmm = 0,  ///< the full Fig. 4 pipeline
+  kUmm = 4,       ///< plain uniform-memory-management baseline
 };
-inline constexpr int kNumRungs = 5;
 
-/// "full-lcmm", "shrunk-dnnk", "no-prefetch", "no-feature-reuse", "umm".
+/// "full-lcmm", "umm".
 const char* rung_name(Rung rung);
 
 /// Soft wall-clock budget, checked cooperatively at phase boundaries.

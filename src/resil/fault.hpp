@@ -18,10 +18,11 @@
 //   LCMM_FAULT=site:1:2        fire hits 1 and 2
 //   LCMM_FAULT=site:1:*        sticky: fire every hit from the 1st on
 //
-// One-shot faults exercise one rung transition (the ladder recovers on the
-// next rung); sticky faults on a pass site force the walk all the way to
-// UMM. Sticky faults on sites every rung shares (dse.explore, pass.place,
-// par.task, driver.job) defeat the ladder entirely by design.
+// A one-shot fault costs a compile one retry on the same inputs and leaves
+// its plan unchanged. A sticky fault on an LCMM pass site fails the retry
+// too and ships the UMM floor. Sticky faults on sites the UMM path shares
+// (dse.explore, pass.place, par.task) defeat the floor too, and a sticky
+// driver.job fault fails the batch job, by design.
 #pragma once
 
 #include <atomic>

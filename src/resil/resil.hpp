@@ -1,7 +1,7 @@
 // Umbrella header for lcmm::resil — the graceful-degradation layer: typed
 // compile errors (error.hpp), overflow-checked size arithmetic
-// (checked.hpp) and deterministic fault injection (fault.hpp). The
-// degradation ladder itself lives in core/lcmm.hpp (LcmmCompiler::compile);
+// (checked.hpp) and deterministic fault injection (fault.hpp). The retry
+// and the UMM floor themselves live in core/lcmm.cpp (LcmmCompiler::compile);
 // see docs/robustness.md.
 #pragma once
 

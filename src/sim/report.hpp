@@ -20,8 +20,8 @@ struct DesignReport {
   std::string network;
   hw::Precision precision = hw::Precision::kInt8;
   bool is_umm = false;
-  /// Degradation-ladder rung the plan shipped on ("full-lcmm" unless the
-  /// resil ladder had to retreat) and why (empty when not degraded).
+  /// Rung the plan shipped on ("full-lcmm", or "umm" when the pipeline
+  /// failed and the UMM floor shipped) and why (empty when not degraded).
   std::string rung;
   std::string degrade_reason;
 

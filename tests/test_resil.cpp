@@ -1,6 +1,6 @@
 // Tests for lcmm::resil — the typed error taxonomy, overflow-checked size
-// arithmetic, the deterministic fault-injection registry, and the
-// degradation ladder in LcmmCompiler::compile. The FaultMatrix test at the
+// arithmetic, the deterministic fault-injection registry, and the retry and
+// UMM floor in LcmmCompiler::compile. The FaultMatrix test at the
 // bottom is env-driven (LCMM_FAULT) and is what the CI fault-injection
 // matrix job runs per registered site.
 #include <gtest/gtest.h>
@@ -64,7 +64,7 @@ TEST(ResilError, CompileErrorCarriesTypedPayload) {
   EXPECT_EQ(what,
             "[LCMM-E612] pass.place: tile buffers do not fit on the device "
             "(entity 'resnet50')");
-  // The ladder catches it as a runtime failure; batch code recovers the
+  // compile() catches it as a runtime failure; batch code recovers the
   // payload from a plain std::exception reference.
   const std::exception& base = e;
   const ErrorInfo info = describe(base);
@@ -120,9 +120,6 @@ TEST(ResilError, TransientClassification) {
 
 TEST(ResilError, RungNamesAreStable) {
   EXPECT_STREQ(rung_name(Rung::kFullLcmm), "full-lcmm");
-  EXPECT_STREQ(rung_name(Rung::kShrunkDnnk), "shrunk-dnnk");
-  EXPECT_STREQ(rung_name(Rung::kNoPrefetch), "no-prefetch");
-  EXPECT_STREQ(rung_name(Rung::kNoFeatureReuse), "no-feature-reuse");
   EXPECT_STREQ(rung_name(Rung::kUmm), "umm");
 }
 
@@ -275,46 +272,64 @@ TEST(ResilFault, NestedScopesShareTheOuterBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Degradation ladder.
+// Retry and UMM floor.
 // ---------------------------------------------------------------------------
 
-/// Degraded rungs recompile with restricted options; the checker must
-/// re-derive budgets from what the plan was actually compiled with.
 void expect_check_clean(const graph::ComputationGraph& g,
-                        const AllocationPlan& plan, const LcmmOptions& base) {
-  const LcmmOptions effective =
-      plan.rung == Rung::kUmm ? base : core::degrade_options(base, plan.rung);
+                        const AllocationPlan& plan, const LcmmOptions& options) {
   const check::CheckReport report =
-      check::run_checks(g, plan, check::CheckOptions::from(effective));
+      check::run_checks(g, plan, check::CheckOptions::from(options));
   EXPECT_FALSE(report.fails(false))
       << "rung " << rung_name(plan.rung) << ": " << report.num_errors()
       << " checker errors";
 }
 
-TEST(ResilLadder, DegradeOptionsAreCumulative) {
-  const LcmmOptions base;
-  const LcmmOptions r1 = core::degrade_options(base, Rung::kShrunkDnnk);
-  EXPECT_DOUBLE_EQ(r1.sram_capacity_fraction,
-                   base.sram_capacity_fraction * 0.5);
-  EXPECT_EQ(r1.alloc.granularity_bytes, base.alloc.granularity_bytes / 4);
-  EXPECT_TRUE(r1.weight_prefetch);
-  EXPECT_TRUE(r1.feature_reuse);
-
-  const LcmmOptions r2 = core::degrade_options(base, Rung::kNoPrefetch);
-  EXPECT_FALSE(r2.weight_prefetch);
-  EXPECT_TRUE(r2.feature_reuse);
-  EXPECT_DOUBLE_EQ(r2.sram_capacity_fraction, r1.sram_capacity_fraction);
-
-  const LcmmOptions r3 = core::degrade_options(base, Rung::kNoFeatureReuse);
-  EXPECT_FALSE(r3.weight_prefetch);
-  EXPECT_FALSE(r3.feature_reuse);
-  EXPECT_FALSE(r3.buffer_splitting);
+TEST(ResilLadder, OneShotFaultsLeaveThePlanUnchanged) {
+  // A single injected failure anywhere on the compile path costs one retry
+  // on the same inputs and nothing else: the plan, its UMM baseline and
+  // the design-space work all equal a fault-free compile's.
+  const auto g = models::build_by_name("googlenet");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  struct Run {
+    AllocationPlan plan, umm;
+    std::int64_t cost_evals = 0;
+  };
+  const auto run = [&](const char* site) {
+    std::optional<fault::ArmedGuard> guard;
+    if (site) guard.emplace(fault::Config{.site = site});
+    obs::StatsSession session;
+    Run r;
+    r.plan = compiler.compile(g, &r.umm);
+    r.cost_evals = session.stats().counter("dse.cost_evals");
+    return r;
+  };
+  const Run clean = run(nullptr);
+  ASSERT_EQ(clean.plan.rung, Rung::kFullLcmm);
+  ASSERT_GT(clean.cost_evals, 0);
+  for (const char* site : {"dse.explore", "pass.liveness", "pass.coloring",
+                           "pass.prefetch", "pass.dnnk", "pass.splitting",
+                           "pass.place", "par.task"}) {
+    const Run r = run(site);
+    EXPECT_EQ(r.plan.rung, Rung::kFullLcmm) << site;
+    EXPECT_TRUE(r.plan.degrade_reason.empty()) << site;
+    EXPECT_EQ(r.plan.design.array, clean.plan.design.array) << site;
+    EXPECT_EQ(r.plan.design.tile, clean.plan.design.tile) << site;
+    EXPECT_EQ(r.plan.design.freq_mhz, clean.plan.design.freq_mhz) << site;
+    EXPECT_EQ(r.plan.est_latency_s, clean.plan.est_latency_s) << site;
+    EXPECT_EQ(r.plan.buffer_on_chip, clean.plan.buffer_on_chip) << site;
+    EXPECT_EQ(r.plan.resident_weights, clean.plan.resident_weights) << site;
+    EXPECT_EQ(r.umm.design.array, clean.umm.design.array) << site;
+    EXPECT_EQ(r.umm.design.tile, clean.umm.design.tile) << site;
+    EXPECT_EQ(r.umm.design.freq_mhz, clean.umm.design.freq_mhz) << site;
+    EXPECT_EQ(r.umm.est_latency_s, clean.umm.est_latency_s) << site;
+    EXPECT_EQ(r.cost_evals, clean.cost_evals) << site;
+  }
 }
 
 TEST(ResilLadder, OneShotFaultAtEveryCompileSiteDegradesOneRung) {
-  // A single injected failure anywhere on the compile path must cost
-  // exactly one rung: the fault fires on full-lcmm, the budget is spent,
-  // and shrunk-dnnk completes with a check-clean plan.
+  // A single injected failure anywhere on the compile path costs exactly
+  // one retry: the fault fires once, the budget is spent, and the second
+  // attempt completes full-lcmm with a check-clean plan.
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
   for (const char* site : {"dse.explore", "pass.liveness", "pass.coloring",
@@ -323,11 +338,51 @@ TEST(ResilLadder, OneShotFaultAtEveryCompileSiteDegradesOneRung) {
     const fault::ArmedGuard guard({.site = site});
     const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
                                 base);
+    obs::StatsSession session;
     const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, Rung::kShrunkDnnk) << site;
-    EXPECT_EQ(plan.degrade_reason, std::string("LCMM-E801@") + site) << site;
+    EXPECT_EQ(plan.rung, Rung::kFullLcmm) << site;
+    EXPECT_TRUE(plan.degrade_reason.empty()) << site;
+    EXPECT_EQ(session.stats().counter("retries"), 1) << site;
+    EXPECT_EQ(session.stats().counter("ladder_degraded"), 0) << site;
     expect_check_clean(g, plan, base);
   }
+}
+
+TEST(ResilLadder, DegradedRungsShareTheRequestsDesignSpace) {
+  // The retry and the UMM floor both pick their designs from the table the
+  // request already built: neither a one-shot fault (retried) nor a sticky
+  // one (floor) costs a second DSE evaluation.
+  const auto g = models::build_by_name("googlenet");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  const auto cost_evals = [&](const char* site, int fires, Rung expected) {
+    std::optional<fault::ArmedGuard> guard;
+    if (site) guard.emplace(fault::Config{.site = site, .nth = 1, .fires = fires});
+    obs::StatsSession session;
+    const AllocationPlan plan = compiler.compile(g);
+    EXPECT_EQ(plan.rung, expected) << (site ? site : "clean") << " " << fires;
+    return session.stats().counter("dse.cost_evals");
+  };
+  const std::int64_t clean = cost_evals(nullptr, 0, Rung::kFullLcmm);
+  EXPECT_GT(clean, 0);
+  EXPECT_EQ(cost_evals("pass.dnnk", 1, Rung::kFullLcmm), clean);
+  EXPECT_EQ(cost_evals("pass.dnnk", -1, Rung::kUmm), clean);
+}
+
+TEST(ResilLadder, InfeasibleDeviceBuildsTheDesignSpaceTwice) {
+  // A deterministic E611 is not retried: the pipeline builds the design
+  // space once, the UMM floor once more, and the error propagates.
+  hw::FpgaDevice no_dsps = hw::FpgaDevice::vu9p();
+  no_dsps.dsp_total = 0;
+  const auto g = lcmm::testing::chain3();
+  const LcmmCompiler compiler(no_dsps, hw::Precision::kInt16);
+  obs::StatsSession session;
+  try {
+    compiler.compile(g);
+    FAIL() << "expected no feasible design";
+  } catch (const CompileError& e) {
+    EXPECT_EQ(e.code(), Code::kNoFeasibleDesign);
+  }
+  EXPECT_EQ(session.stats().span_count("dse"), 2);
 }
 
 TEST(ResilLadder, SitesOffTheCompilePathLeaveThePipelineAlone) {
@@ -341,36 +396,41 @@ TEST(ResilLadder, SitesOffTheCompilePathLeaveThePipelineAlone) {
   }
 }
 
+TEST(ResilLadder, NoBenefitFallbackIsNotADegradation) {
+  // vgg16 is compute-bound: the pipeline completes and ships the uniform
+  // design on merit, which keeps the full-lcmm rung.
+  const auto g = models::build_by_name("vgg16");
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  AllocationPlan umm;
+  const AllocationPlan plan = compiler.compile(g, &umm);
+  EXPECT_EQ(plan.design.tile, umm.design.tile);
+  EXPECT_EQ(plan.est_latency_s, umm.est_latency_s);
+  EXPECT_FALSE(plan.is_umm);
+  EXPECT_EQ(plan.rung, Rung::kFullLcmm);
+  EXPECT_TRUE(plan.degrade_reason.empty());
+}
+
 TEST(ResilLadder, StickyGatedFaultsLandOnTheRungThatDisablesThem) {
-  // A persistent failure in a gated pass degrades until the rung that
-  // turns the pass off: prefetch faults stop at no-prefetch, liveness
-  // faults at no-feature-reuse.
+  // A persistent failure in a gated pass outlasts the retry, and no rung
+  // turns the pass off any more: prefetch and liveness faults both ship
+  // the UMM floor, naming the site.
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
-  {
-    const fault::ArmedGuard guard(
-        {.site = "pass.prefetch", .nth = 1, .fires = -1});
+  for (const char* site : {"pass.prefetch", "pass.liveness"}) {
+    const fault::ArmedGuard guard({.site = site, .nth = 1, .fires = -1});
     const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
                                 base);
     const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, Rung::kNoPrefetch);
-    expect_check_clean(g, plan, base);
-  }
-  {
-    const fault::ArmedGuard guard(
-        {.site = "pass.liveness", .nth = 1, .fires = -1});
-    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
-                                base);
-    const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, Rung::kNoFeatureReuse);
+    EXPECT_EQ(plan.rung, Rung::kUmm) << site;
+    EXPECT_EQ(plan.degrade_reason, std::string("LCMM-E801@") + site) << site;
     expect_check_clean(g, plan, base);
   }
 }
 
 TEST(ResilLadder, StickyUngatedFaultFallsToTheUmmFloor) {
-  // pass.dnnk is hit on every LCMM rung but not on the UMM baseline path:
-  // the ladder bottoms out shipping UMM, flagged via rung (not is_umm,
-  // which mirrors the no-benefit fallback convention).
+  // pass.dnnk is hit on every LCMM attempt but not on the UMM baseline
+  // path: the compile ships UMM, flagged via rung (not is_umm, which
+  // mirrors the no-benefit fallback convention).
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
   const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1, .fires = -1});
@@ -385,7 +445,7 @@ TEST(ResilLadder, StickyUngatedFaultFallsToTheUmmFloor) {
 
 TEST(ResilLadder, StickyFaultOnASharedSiteDefeatsEvenTheFloor) {
   // pass.place runs on the UMM path too; a persistent failure there leaves
-  // no rung to retreat to, and the error propagates typed.
+  // no floor to retreat to, and the error propagates typed.
   const auto g = lcmm::testing::chain3();
   const fault::ArmedGuard guard({.site = "pass.place", .nth = 1, .fires = -1});
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
@@ -413,21 +473,9 @@ TEST(ResilLadder, StrictModePropagatesInsteadOfDegrading) {
   }
 }
 
-TEST(ResilLadder, DegradedPlansStillBeatNothing) {
-  // The shrunk-dnnk plan is a real LCMM plan: entities allocated, physical
-  // placement done, latency estimated.
-  const auto g = lcmm::testing::diamond();
-  const fault::ArmedGuard guard({.site = "dse.explore"});
-  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
-  const AllocationPlan plan = compiler.compile(g);
-  EXPECT_EQ(plan.rung, Rung::kShrunkDnnk);
-  EXPECT_GT(plan.est_latency_s, 0.0);
-  EXPECT_EQ(plan.state.num_layers(), static_cast<std::size_t>(g.num_layers()));
-}
-
 TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
   // compile(g, &umm) hands back the baseline it built for the fallback and
-  // the floor; whatever rung the LCMM plan lands on, that baseline is the
+  // the floor; whichever rung the LCMM plan lands on, that baseline is the
   // job's own compile_umm(g).
   const auto g = models::build_by_name("squeezenet");
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
@@ -438,10 +486,9 @@ TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
     Rung rung;
   } cases[] = {
       {nullptr, 0, Rung::kFullLcmm},
-      {"pass.dnnk", 1, Rung::kShrunkDnnk},
-      {"pass.place", 1, Rung::kShrunkDnnk},
-      {"pass.prefetch", -1, Rung::kNoPrefetch},
-      {"pass.liveness", -1, Rung::kNoFeatureReuse},
+      {"pass.dnnk", 1, Rung::kFullLcmm},
+      {"pass.place", 1, Rung::kFullLcmm},
+      {"pass.prefetch", -1, Rung::kUmm},
       {"pass.dnnk", -1, Rung::kUmm},
   };
   for (const auto& c : cases) {
@@ -461,24 +508,6 @@ TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
     EXPECT_EQ(umm.bram_used, reference.bram_used) << what;
     EXPECT_EQ(umm.uram_used, reference.uram_used) << what;
   }
-}
-
-TEST(ResilLadder, DegradedRungsShareTheRequestsDesignSpace) {
-  // A degraded rung picks its designs from the table the request already
-  // built, so a one-shot fault costs a rung but no second DSE evaluation.
-  const auto g = models::build_by_name("googlenet");
-  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
-  const auto cost_evals = [&](const char* site) {
-    std::optional<fault::ArmedGuard> guard;
-    if (site) guard.emplace(fault::Config{.site = site});
-    obs::StatsSession session;
-    const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, site ? Rung::kShrunkDnnk : Rung::kFullLcmm);
-    return session.stats().counter("dse.cost_evals");
-  };
-  const std::int64_t clean = cost_evals(nullptr);
-  EXPECT_GT(clean, 0);
-  EXPECT_EQ(cost_evals("pass.dnnk"), clean);
 }
 
 TEST(ResilUmm, TransientFaultsLeaveTheBaselineUnchanged) {
@@ -548,6 +577,21 @@ TEST(ResilBatch, RetriesAreBoundedByMaxAttempts) {
   EXPECT_EQ(outcomes[0].error_info.pass, "driver.job");
 }
 
+TEST(ResilBatch, StrictJobsFailOnTheFirstAttempt) {
+  // --strict asks to fail on the first typed error, so the job retry that
+  // would absorb a one-shot fault stays off too.
+  const fault::ArmedGuard guard({.site = "pass.dnnk"});
+  std::vector<driver::BatchJob> jobs;
+  jobs.push_back(small_job(lcmm::testing::chain3()));
+  jobs.back().options.strict = true;
+  const auto outcomes = driver::compile_many(jobs, 1);
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].ok());
+  EXPECT_EQ(outcomes[0].attempts, 1);
+  EXPECT_EQ(outcomes[0].error_info.code, Code::kFaultInjected);
+  EXPECT_EQ(outcomes[0].error_info.pass, "pass.dnnk");
+}
+
 TEST(ResilBatch, DeterministicFailuresDoNotRetry) {
   hw::FpgaDevice no_dsps = hw::FpgaDevice::vu9p();
   no_dsps.dsp_total = 0;
@@ -593,8 +637,8 @@ TEST(ResilBatch, SweepSurvivesAMidListFailure) {
 TEST(ResilBatch, FaultedOutcomesAreWorkerCountIndependent) {
   // The acceptance bar: under an armed fault, --jobs 1 and --jobs 8 must
   // produce byte-identical outcomes — same rung, same errors, same
-  // latencies. Sticky pass.prefetch degrades every LCMM plan to the
-  // no-prefetch rung deterministically.
+  // latencies. Sticky pass.prefetch lands every LCMM plan on the UMM floor
+  // deterministically.
   const fault::ArmedGuard guard(
       {.site = "pass.prefetch", .nth = 1, .fires = -1});
   const auto sweep = [](int workers) {
@@ -614,7 +658,7 @@ TEST(ResilBatch, FaultedOutcomesAreWorkerCountIndependent) {
     EXPECT_EQ(serial[i].error, parallel[i].error) << i;
     EXPECT_EQ(serial[i].attempts, parallel[i].attempts) << i;
     EXPECT_EQ(serial[i].lcmm_plan.rung, parallel[i].lcmm_plan.rung) << i;
-    EXPECT_EQ(serial[i].lcmm_plan.rung, Rung::kNoPrefetch) << i;
+    EXPECT_EQ(serial[i].lcmm_plan.rung, Rung::kUmm) << i;
     EXPECT_EQ(serial[i].umm_report.latency_ms, parallel[i].umm_report.latency_ms)
         << i;
     EXPECT_EQ(serial[i].lcmm_report.latency_ms,
