@@ -153,7 +153,12 @@ AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
   std::vector<double> prev(width, 0.0);
   std::vector<double> curr(width, 0.0);
   std::vector<MemberTerm> terms;
+  std::vector<std::size_t> owner_rows;
+  std::vector<std::uint8_t> boundary(width, 0);
+  std::vector<std::size_t> run_starts;
+  std::vector<double> run_gains;
   std::int64_t member_terms = 0;
+  std::int64_t gain_runs = 0;
 
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t size_units =
@@ -168,29 +173,80 @@ AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
       build_member_terms(graph, ordered_members(graph, buffers[i]), buffer_of,
                          tables, i, width, terms);
       member_terms += static_cast<std::int64_t>(terms.size() * (width - size_units));
+
+      // The masks read only the owner rows' pbuf_table bits, so they are
+      // constant on each run of columns where none of those bits changes.
+      owner_rows.clear();
+      for (const MemberTerm& term : terms) {
+        owner_rows.insert(owner_rows.end(), term.owner_offset.begin(),
+                          term.owner_offset.begin() + term.num_owners);
+      }
+      std::sort(owner_rows.begin(), owner_rows.end());
+      owner_rows.erase(std::unique(owner_rows.begin(), owner_rows.end()),
+                       owner_rows.end());
+      std::fill(boundary.begin() + static_cast<std::ptrdiff_t>(size_units),
+                boundary.end(), 0);
+      for (const std::size_t offset : owner_rows) {
+        const std::uint8_t* const owner = pbuf_table.data() + offset;
+        for (std::size_t j = size_units + 1; j < width; ++j) {
+          boundary[j] |= static_cast<std::uint8_t>(owner[j] != owner[j - 1]);
+        }
+      }
+      run_starts.assign(1, size_units);
+      for (std::size_t j = size_units + 1; j < width; ++j) {
+        if (boundary[j]) run_starts.push_back(j);
+      }
+      run_starts.push_back(width);
+      gain_runs += static_cast<std::int64_t>(run_starts.size() - 1);
+
+      // Each cell adds the member gains to prev[j - size] one by one in
+      // member order, exactly as a per-cell loop would, so the values and
+      // the take/skip ties are bit-identical to it. A run's gains are the
+      // same in every column, so kLanes columns are summed side by side:
+      // independent add chains in registers instead of one pass over curr
+      // per member.
+      constexpr std::size_t kLanes = 8;
       std::uint8_t* const row = pbuf_table.data() + i * width;
-      for (std::size_t j = size_units; j < width; ++j) {
-        const double l0 = prev[j];
-        double l1 = prev[j - size_units];
+      const auto settle = [&](std::size_t j, double take) {
+        if (prev[j] > take) {
+          curr[j] = prev[j];
+        } else {
+          curr[j] = take;
+          row[j] = 1;
+        }
+      };
+      for (std::size_t r = 0; r + 1 < run_starts.size(); ++r) {
+        const std::size_t begin = run_starts[r];
+        const std::size_t end = run_starts[r + 1];
+        run_gains.clear();
         for (const MemberTerm& term : terms) {
           std::uint8_t mask = term.fixed_mask;
           for (int o = 0; o < term.num_owners; ++o) {
             mask = static_cast<std::uint8_t>(
-                mask | pbuf_table[term.owner_offset[o] + j] << term.owner_source[o]);
+                mask | pbuf_table[term.owner_offset[o] + begin] << term.owner_source[o]);
           }
-          l1 += term.gain[mask];
+          run_gains.push_back(term.gain[mask]);
         }
-        if (l0 > l1) {
-          curr[j] = l0;
-        } else {
-          curr[j] = l1;
-          row[j] = 1;
+        std::size_t j = begin;
+        for (; j + kLanes <= end; j += kLanes) {
+          std::array<double, kLanes> take;
+          for (std::size_t k = 0; k < kLanes; ++k) take[k] = prev[j + k - size_units];
+          for (const double gain : run_gains) {
+            for (std::size_t k = 0; k < kLanes; ++k) take[k] += gain;
+          }
+          for (std::size_t k = 0; k < kLanes; ++k) settle(j + k, take[k]);
+        }
+        for (; j < end; ++j) {
+          double take = prev[j - size_units];
+          for (const double gain : run_gains) take += gain;
+          settle(j, take);
         }
       }
     }
     std::swap(prev, curr);
   }
   LCMM_COUNT("member_terms", member_terms);
+  LCMM_COUNT("gain_runs", gain_runs);
 
   // Backtrace over pbuf_table.
   std::vector<bool> selection(n, false);

@@ -8,8 +8,12 @@
 // compensation term is read from the partial allocation table pbuf_table,
 // and the final allocation is recovered by a backtrace. Each row builds its
 // members' column-independent terms once (marginal gains per reachable
-// mask, same-buffer sources, owner rows), so a cell costs a few pbuf_table
-// reads and one addition per member.
+// mask, same-buffer sources, owner rows). The masks read only the owner
+// rows' pbuf_table bits, so the row cuts its columns into runs of equal
+// owner state: a row's masks are built once per run of equal owner state,
+// and a cell costs one add per member, independent across columns. Each
+// cell still adds its members' gains one by one in member order, so the
+// values are bit-identical to composing every mask inside every cell.
 //
 // Two reference allocators share the result type: a value-density greedy
 // (ablation baseline) and an exhaustive search (test oracle).

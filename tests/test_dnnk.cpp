@@ -8,6 +8,7 @@
 #include "core/liveness.hpp"
 #include "core/prefetch.hpp"
 #include "models/models.hpp"
+#include "obs/obs.hpp"
 #include "resil/error.hpp"
 #include "test_graphs.hpp"
 
@@ -420,6 +421,111 @@ TEST(Dnnk, MemberMaskComposesEarlierBufferAndSameBufferSources) {
   EXPECT_TRUE(all.buffer_on_chip[0]);
   EXPECT_TRUE(all.buffer_on_chip[1]);
   EXPECT_EQ(all.state.layer_mask(0), 0x0B);
+}
+
+/// dnnk.gain_runs of one dnnk_allocate call.
+std::int64_t gain_runs_of(const InterferenceGraph& ig,
+                          const std::vector<VirtualBuffer>& buffers,
+                          const LatencyTables& tables, std::int64_t capacity,
+                          const AllocatorOptions& options = {}) {
+  obs::StatsSession session;
+  dnnk_allocate(ig, buffers, tables, capacity, options);
+  return session.stats().counter("dnnk.gain_runs");
+}
+
+TEST(Dnnk, RowWithoutOwnersIsOneRun) {
+  // Every buffer holds the input of its own layer and nothing else, so no
+  // row reads pbuf_table: each row that fits the capacity is a single run.
+  auto inst = singleton_instance(6);
+  const AllocatorOptions opt;
+  const std::int64_t total = total_buffer_bytes(inst.buffers);
+  for (std::int64_t cap = 0; cap <= total; cap += total / 12) {
+    expect_matches_per_cell_reference(inst.ig, inst.buffers, inst.tables, cap,
+                                      "capacity " + std::to_string(cap), opt);
+    const auto fitting = std::count_if(
+        inst.buffers.begin(), inst.buffers.end(), [&](const VirtualBuffer& b) {
+          return quantized_units(b.bytes, opt) <= cap / opt.granularity_bytes;
+        });
+    EXPECT_EQ(gain_runs_of(inst.ig, inst.buffers, inst.tables, cap, opt), fitting)
+        << "capacity " << cap;
+  }
+}
+
+TEST(Dnnk, OwnerBitsFlippingAtAdjacentColumnsGiveRunsOfOne) {
+  // m two-unit buffers X, each worth more than the one-unit buffer O after
+  // them, leave O's pbuf_table row alternating: at an odd column O fits
+  // beside the same X picks as one column lower, at an even column it
+  // would displace an X. Buffer D holds the input and residual of O's
+  // layer, so its masks read O's bit and its row splits into runs of one
+  // column at every column up to 2m + 1. Each X holds every stream of its
+  // own layer, so no X row has owners.
+  constexpr int kM = 6;
+  graph::ComputationGraph g("flip_fixture");
+  auto x = g.add_input("in", {64, 14, 14});
+  x = g.add_conv("res", x, {64, 1, 1, 1, 0, 0}, /*residual=*/x);
+  for (int l = 0; l < kM; ++l) {
+    x = g.add_conv("c" + std::to_string(l), x, {256, 1, 1, 1, 0, 0});
+  }
+  g.validate();
+  hw::AcceleratorDesign design = small_design();
+  design.array = {64, 16, 32};
+  const hw::PerfModel model(g, design);
+  const LatencyTables tables(model);
+  const auto bits = [](std::initializer_list<TensorSource> sources) {
+    std::uint8_t mask = 0;
+    for (TensorSource s : sources) mask |= 1u << static_cast<int>(s);
+    return mask;
+  };
+  const std::uint8_t o_mask = bits({TensorSource::kOutput});
+  const std::uint8_t d_mask = bits({TensorSource::kInput, TensorSource::kResidual});
+  const std::uint8_t x_mask =
+      bits({TensorSource::kInput, TensorSource::kWeight, TensorSource::kOutput});
+  ASSERT_NE(tables.node_latency(0, 0) - tables.node_latency(0, d_mask),
+            tables.node_latency(0, o_mask) - tables.node_latency(0, o_mask | d_mask))
+      << "D's value must depend on O's bit";
+
+  constexpr std::int64_t kUnit = 4096;
+  std::vector<TensorEntity> entities;
+  std::vector<VirtualBuffer> buffers;
+  const auto add_buffer = [&](std::int64_t bytes, graph::LayerId layer,
+                              std::vector<TensorSource> sources) {
+    VirtualBuffer b{static_cast<int>(buffers.size()), bytes, {}, 0, 0};
+    const hw::LayerTiming& t = model.timing(layer);
+    for (TensorSource source : sources) {
+      TensorEntity e;
+      e.key = {layer, source};
+      e.bytes = bytes;
+      e.stream_latency_s = source == TensorSource::kInput      ? t.if_s
+                           : source == TensorSource::kResidual ? t.res_s
+                           : source == TensorSource::kWeight   ? t.wt_s
+                                                               : t.of_s;
+      entities.push_back(e);
+      b.members.push_back(entities.size() - 1);
+    }
+    buffers.push_back(b);
+  };
+  const double o_gain = tables.marginal_gain(0, TensorSource::kOutput, 0);
+  for (graph::LayerId layer = 1; layer <= kM; ++layer) {
+    ASSERT_GT(tables.node_latency(layer, 0) - tables.node_latency(layer, x_mask),
+              o_gain)
+        << "layer " << layer;
+    add_buffer(2 * kUnit, layer,
+               {TensorSource::kInput, TensorSource::kWeight, TensorSource::kOutput});
+  }
+  add_buffer(kUnit, 0, {TensorSource::kOutput});
+  add_buffer(kUnit, 0, {TensorSource::kInput, TensorSource::kResidual});
+  const InterferenceGraph ig(std::move(entities));
+  AllocatorOptions fine;
+  fine.granularity_bytes = kUnit;
+  const std::int64_t total = total_buffer_bytes(buffers);
+  for (std::int64_t capacity = 0; capacity <= total; capacity += kUnit) {
+    expect_matches_per_cell_reference(ig, buffers, tables, capacity,
+                                      "capacity " + std::to_string(capacity), fine);
+  }
+  // At 2m + 2 units: one run per X row and for O, and 2m + 1 runs over D's
+  // 2m + 2 columns (only the last two columns share O's bit).
+  EXPECT_EQ(gain_runs_of(ig, buffers, tables, (2 * kM + 2) * kUnit, fine),
+            kM + 1 + (2 * kM + 1));
 }
 
 TEST(Exact, RejectsOversizedInstances) {

@@ -233,8 +233,10 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
 
 TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {
   // member_terms counts the member additions the DP performs (members x
-  // columns that can hold the buffer, summed over rows); like dp_cells it
-  // is a pure function of the jobs, so repeats and worker counts agree.
+  // columns that can hold the buffer, summed over rows) and gain_runs the
+  // (row, run of equal owner state) pairs whose masks were built; like
+  // dp_cells they are pure functions of the jobs, so repeats and worker
+  // counts agree.
   const auto dnnk_counters = [](int workers) {
     std::vector<driver::BatchJob> jobs;
     for (const char* name : {"googlenet", "resnet50", "squeezenet"}) {
@@ -249,11 +251,14 @@ TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {
     const CompileStats& stats = session.stats();
     return std::vector<std::int64_t>{stats.counter("dnnk.member_terms"),
                                      stats.counter("dnnk.dp_cells"),
-                                     stats.span_count("dnnk")};
+                                     stats.span_count("dnnk"),
+                                     stats.counter("dnnk.gain_runs")};
   };
   const std::vector<std::int64_t> serial = dnnk_counters(1);
   EXPECT_GT(serial[0], 0);
   EXPECT_GT(serial[1], 0);
+  EXPECT_GT(serial[3], 0);
+  EXPECT_LE(serial[3], serial[1]);
   EXPECT_EQ(dnnk_counters(1), serial);
   EXPECT_EQ(dnnk_counters(4), serial);
 }
