@@ -69,10 +69,10 @@ std::int64_t fetched_extent(int out_extent, int tile, int kernel, int stride,
   return total;
 }
 
-LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
-                                      graph::LayerId id,
-                                      const SystolicArrayConfig& array,
-                                      const TileConfig& tile) {
+LayerTileGeometry layer_tile_counts(const graph::ComputationGraph& graph,
+                                    graph::LayerId id,
+                                    const SystolicArrayConfig& array,
+                                    const TileConfig& tile) {
   if (!array.valid() || !tile.valid()) {
     throw resil::OptionError(resil::Code::kBadArgument, "hw.tiling",
                              "layer_tile_geometry: invalid config");
@@ -96,6 +96,17 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
       std::min(in.channels, g.group_channels * groups_per_mtile);
   g.n_h = static_cast<int>(ceil_div(out.height, tile.th));
   g.n_w = static_cast<int>(ceil_div(out.width, tile.tw));
+  return g;
+}
+
+LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
+                                      graph::LayerId id,
+                                      const SystolicArrayConfig& array,
+                                      const TileConfig& tile) {
+  LayerTileGeometry g = layer_tile_counts(graph, id, array, tile);
+  const graph::Layer& layer = graph.layer(id);
+  const graph::FeatureShape& in = graph.input_shape(id);
+  const graph::FeatureShape& out = graph.own_output_shape(id);
   const AxisParams ah = h_params(layer);
   const AxisParams aw = w_params(layer);
   g.fetched_rows = fetched_extent(out.height, tile.th, ah.kernel, ah.stride,

@@ -97,4 +97,12 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
                                       const SystolicArrayConfig& array,
                                       const TileConfig& tile);
 
+/// layer_tile_geometry without the halo walk: every field but
+/// fetched_rows and fetched_cols (left 0), from integer ceil-divisions
+/// alone. The DSE's compute-cycle table reads nothing else.
+LayerTileGeometry layer_tile_counts(const graph::ComputationGraph& graph,
+                                    graph::LayerId id,
+                                    const SystolicArrayConfig& array,
+                                    const TileConfig& tile);
+
 }  // namespace lcmm::hw

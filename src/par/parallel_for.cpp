@@ -43,11 +43,21 @@ void parallel_for(std::size_t n, int jobs,
   // stats sink: the per-operation hit counter rides into every task.
   resil::fault::State* const fault_state = resil::fault::current_state();
   std::vector<TaskState> tasks(n);
-  std::atomic<std::size_t> next{0};
+  // What the helpers share with the caller. It outlives the call: a helper
+  // that starts after the caller has drained every index finds `closed`
+  // and returns without touching anything else.
+  struct Loop {
+    std::atomic<std::size_t> next{0};
+    std::mutex mutex;
+    std::condition_variable idle;
+    int active = 0;  ///< Helpers inside drain().
+    bool closed = false;
+  };
+  const auto loop = std::make_shared<Loop>();
 
   const auto drain = [&] {
     for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = loop->next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       TaskState& task = tasks[i];
       obs::CompileStats* sink = nullptr;
@@ -68,38 +78,30 @@ void parallel_for(std::size_t n, int jobs,
     }
   };
 
-  // The calling thread is worker 0; the pool supplies the rest.
+  // The calling thread is worker 0; the pool supplies the rest. A helper
+  // still queued when the caller has drained every index is not waited
+  // for: when this loop runs inside a pool task, every pool thread may be
+  // a caller just like us, and that helper might never start.
   ThreadPool& pool = ThreadPool::global();
   pool.ensure_threads(static_cast<int>(workers) - 1);
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t pending = workers - 1;
   for (std::size_t w = 1; w < workers; ++w) {
-    pool.submit([&] {
+    pool.submit([loop, &drain] {
+      {
+        std::lock_guard<std::mutex> lock(loop->mutex);
+        if (loop->closed) return;
+        ++loop->active;
+      }
       drain();
-      // Notify under the lock: once the waiter observes pending == 0 it
-      // returns and destroys the stack-local cv/mutex, so an unlocked
-      // notify could race with their destruction.
-      std::lock_guard<std::mutex> lock(done_mutex);
-      --pending;
-      done_cv.notify_one();
+      std::lock_guard<std::mutex> lock(loop->mutex);
+      --loop->active;
+      loop->idle.notify_one();
     });
   }
   drain();
-  // Wait for the helpers, help-draining the queue instead of blocking:
-  // when this loop runs inside a pool task (nested parallel_for), every
-  // pool thread may be a blocked caller just like us, and the only way
-  // our queued helpers ever run is if waiting threads execute them. Once
-  // the queue is empty our remaining helpers are running (or done) on
-  // other threads and will signal done_cv, so plain waiting is safe.
   {
-    std::unique_lock<std::mutex> lock(done_mutex);
-    while (pending > 0) {
-      lock.unlock();
-      const bool ran = pool.try_run_one();
-      lock.lock();
-      if (!ran) done_cv.wait(lock, [&] { return pending == 0; });
-    }
+    std::unique_lock<std::mutex> lock(loop->mutex);
+    loop->closed = true;
+    loop->idle.wait(lock, [&] { return loop->active == 0; });
   }
 
   // Deterministic epilogue: telemetry merges and the error choice depend

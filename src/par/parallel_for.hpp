@@ -1,10 +1,13 @@
 // Deterministic data-parallel primitives over the shared thread pool.
 //
 // parallel_for(n, jobs, body) runs body(0..n-1) on min(jobs, n) workers.
-// The calling thread always participates, and while waiting for its
-// helpers it executes other queued pool tasks (help-draining), so nested
-// parallel sections cannot deadlock on pool starvation. The contract that
-// makes parallel runs indistinguishable from serial ones:
+// The calling thread always participates and can drain every index alone:
+// it then waits only for helpers already running an index, never for a
+// queued one and never by running another task, so nested parallel
+// sections cannot deadlock on pool starvation, and a caller is never held
+// up by an unrelated task (such as another loop's whole share of a batch).
+// The contract that makes parallel runs indistinguishable from serial
+// ones:
 //
 //  * Results: parallel_map writes each result into its own index slot, so
 //    the output vector is independent of scheduling.

@@ -23,18 +23,6 @@ void ThreadPool::submit(std::function<void()> task) {
   wake_.notify_one();
 }
 
-bool ThreadPool::try_run_one() {
-  std::function<void()> task;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (queue_.empty()) return false;
-    task = std::move(queue_.front());
-    queue_.pop_front();
-  }
-  task();
-  return true;
-}
-
 void ThreadPool::ensure_threads(int num_threads) {
   std::lock_guard<std::mutex> lock(mutex_);
   while (static_cast<int>(threads_.size()) < num_threads) {

@@ -2,10 +2,9 @@
 //
 // The pool owns plain std::threads that drain a FIFO task queue. Nesting
 // parallel constructs cannot deadlock: parallel_for's calling thread
-// always participates in its own work, and while it waits for submitted
-// helpers it help-drains the queue (try_run_one) instead of blocking — so
-// a pool thread whose task fans out again keeps the pool making progress
-// (see parallel_for.hpp for the determinism contract).
+// drains its own indices and waits only for helpers that are already
+// running, never for a queued one (see parallel_for.hpp for the
+// determinism contract).
 //
 // A process-global pool (ThreadPool::global()) is created lazily and grown
 // on demand up to the largest worker count any parallel_for has asked for;
@@ -32,12 +31,6 @@ class ThreadPool {
   /// Enqueues a task. Tasks must not throw (parallel_for captures
   /// exceptions before they reach the pool).
   void submit(std::function<void()> task);
-
-  /// Pops and runs one queued task on the calling thread; returns false
-  /// when the queue is empty. Threads waiting for their own fan-out call
-  /// this in a loop ("help-draining"), which is what makes nested
-  /// parallel sections deadlock-free even when every pool thread is busy.
-  bool try_run_one();
 
   /// Grows the pool to at least `num_threads` workers.
   void ensure_threads(int num_threads);

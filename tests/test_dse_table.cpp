@@ -4,7 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <optional>
+#include <random>
+#include <set>
+#include <span>
+#include <tuple>
 
 #include "core/latency_tables.hpp"
 #include "core/lcmm.hpp"
@@ -219,6 +225,145 @@ TEST(DseTable, MasksMustCoverEveryLayer) {
   const DesignSpace space = Dse(FpgaDevice::vu9p(), Precision::kInt8).space(g);
   const std::vector<std::uint8_t> short_masks(g.num_layers() - 1, 0);
   EXPECT_THROW(space.argmin(true, short_masks), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The compute bound and the pruned argmin.
+// ---------------------------------------------------------------------------
+
+/// One random on-chip mask per layer (any of the four stream bits).
+std::vector<std::uint8_t> random_masks(std::size_t layers, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> bits(0, 15);
+  std::vector<std::uint8_t> masks(layers);
+  for (std::uint8_t& m : masks) m = static_cast<std::uint8_t>(bits(rng));
+  return masks;
+}
+
+/// Candidate `i`'s objective from the table cells, summed in layer order.
+double layer_order_sum(const DesignSpace& space, std::size_t i, double cycle_s,
+                       std::span<const std::uint8_t> masks) {
+  const std::vector<int>& layer_class = space.classes().layer_class;
+  double total = 0.0;
+  for (std::size_t l = 0; l < layer_class.size(); ++l) {
+    const DesignSpace::Cost c =
+        space.cell(i, static_cast<std::size_t>(layer_class[l]));
+    total += eq1_latency(static_cast<double>(c.cycles) * cycle_s, c.if_s,
+                         c.res_s, c.wt_s, c.of_s, masks.empty() ? 0 : masks[l]);
+  }
+  return total;
+}
+
+std::vector<graph::ComputationGraph> zoo_and_random_graphs() {
+  std::vector<graph::ComputationGraph> graphs;
+  for (const std::string& name : models::model_names()) {
+    graphs.push_back(models::build_by_name(name));
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    graphs.push_back(models::random_graph(seed));
+  }
+  return graphs;
+}
+
+TEST(DseTable, ComputeBoundNeverExceedsLatency) {
+  std::uint64_t seed = 0;
+  for (const graph::ComputationGraph& g : zoo_and_random_graphs()) {
+    for (const FpgaDevice& device : kDevices) {
+      for (Precision p : kAllPrecisions) {
+        const DesignSpace space = Dse(device, p).space(g);
+        const std::vector<std::uint8_t> masks =
+            random_masks(g.num_layers(), ++seed);
+        for (bool heavy : {false, true}) {
+          const double cycle_s = cycle_seconds(device.clock_mhz(p, heavy));
+          for (std::span<const std::uint8_t> m :
+               {std::span<const std::uint8_t>(), std::span(masks)}) {
+            for (std::size_t i = 0; i < space.menu().size(); ++i) {
+              ASSERT_LE(space.latency_bound(i, heavy),
+                        layer_order_sum(space, i, cycle_s, m))
+                  << g.name() << " " << device.name << " " << to_string(p)
+                  << (heavy ? " heavy-uram" : " uniform")
+                  << (m.empty() ? " no masks" : " random masks")
+                  << " candidate " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(DseTable, ArgminMatchesExhaustiveScanUnderRandomMasks) {
+  std::uint64_t seed = 100;
+  for (const graph::ComputationGraph& g : zoo_and_random_graphs()) {
+    for (const FpgaDevice& device : kDevices) {
+      for (Precision p : kAllPrecisions) {
+        // The argmins run first, on a fresh space, so each fills only the
+        // stream rows its own walk needs; the scan below fills the rest.
+        const DesignSpace space = Dse(device, p).space(g);
+        struct Query {
+          bool heavy;
+          std::vector<std::uint8_t> masks;
+          DseResult result;
+        };
+        std::vector<Query> queries = {
+            {false, {}, {}},
+            {true, {}, {}},
+            {true, random_masks(g.num_layers(), ++seed), {}},
+            {true, random_masks(g.num_layers(), ++seed), {}},
+            {false, random_masks(g.num_layers(), ++seed), {}},
+        };
+        for (Query& q : queries) q.result = space.argmin(q.heavy, q.masks);
+
+        const std::vector<DseCandidate>& menu = space.menu();
+        for (const Query& q : queries) {
+          const double cycle_s = cycle_seconds(device.clock_mhz(p, q.heavy));
+          std::optional<std::tuple<double, int, std::size_t>> best;
+          for (std::size_t i = 0; i < menu.size(); ++i) {
+            const double latency = layer_order_sum(space, i, cycle_s, q.masks);
+            if (!std::isfinite(latency)) continue;
+            const std::tuple key{latency, menu[i].array.dsp_cost(p), i};
+            if (!best || key < *best) best = key;
+          }
+          ASSERT_TRUE(best.has_value());
+          const std::size_t want = std::get<2>(*best);
+          const std::string what = g.name() + " " + device.name + " " +
+                                   to_string(p) +
+                                   (q.heavy ? " heavy-uram" : " uniform") +
+                                   (q.masks.empty() ? "" : " random masks");
+          EXPECT_EQ(q.result.design.array, menu[want].array) << what;
+          EXPECT_EQ(q.result.design.tile, menu[want].tile) << what;
+          EXPECT_EQ(q.result.objective_latency_s, std::get<0>(*best)) << what;
+        }
+      }
+    }
+  }
+}
+
+TEST(DseTable, BoundSkipsWork) {
+  // A full compile runs three argmins (UMM, LCMM seed, refine) on one
+  // space; the bound lets them skip stream rows and candidates.
+  const graph::ComputationGraph g = models::build_by_name("resnet152");
+  const FpgaDevice device = FpgaDevice::vu9p();
+  const Precision p = Precision::kInt16;
+  const std::vector<DseCandidate> menu = Dse(device, p).space(g).menu();
+  std::set<std::tuple<int, int, int, int>> row_keys;
+  for (const DseCandidate& c : menu) {
+    row_keys.insert({c.array.rows, c.tile.tc, c.tile.th, c.tile.tw});
+  }
+
+  obs::StatsSession session;
+  core::LcmmCompiler(device, p).compile(g);
+  const obs::CompileStats& stats = session.stats();
+  const auto menu_size = static_cast<std::int64_t>(menu.size());
+  EXPECT_EQ(stats.counter("dse.menu"), menu_size);
+  const std::int64_t rows = stats.counter("dse.stream_rows");
+  EXPECT_GT(rows, 0);
+  EXPECT_LT(rows, static_cast<std::int64_t>(row_keys.size()));
+  const std::int64_t evaluated = stats.counter("dse.candidates_evaluated");
+  const std::int64_t argmins = stats.counter("dse.argmins");
+  EXPECT_GE(argmins, 3);
+  EXPECT_GE(evaluated, argmins);
+  EXPECT_LT(evaluated, argmins * menu_size);
 }
 
 // ---------------------------------------------------------------------------

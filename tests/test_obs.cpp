@@ -200,8 +200,9 @@ TEST(Integration, FullCompileEmitsNonZeroPerPassSpans) {
 
 TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   // One compile builds one design-space table and runs its argmins (UMM
-  // baseline, LCMM seed, refine) on it; the counts, ties included, are the
-  // same for any number of table-filling workers.
+  // baseline, LCMM seed, refine) on it; the counts, ties, stream rows and
+  // evaluated candidates included, are the same for any number of
+  // table-filling workers.
   const graph::ComputationGraph graph = models::build_by_name("googlenet");
   const auto dse_counters = [&](int jobs) {
     core::LcmmOptions options;
@@ -214,7 +215,8 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
         stats.counter("dse.menu"), stats.counter("dse.shape_classes"),
         stats.counter("dse.cost_evals"), stats.counter("dse.argmins"),
         stats.span_count("dse"), stats.counter("dse.cost_terms"),
-        stats.counter("dse.ties_broken")};
+        stats.counter("dse.ties_broken"), stats.counter("dse.stream_rows"),
+        stats.counter("dse.candidates_evaluated")};
   };
   const std::vector<std::int64_t> serial = dse_counters(1);
   const std::int64_t menu = serial[0], classes = serial[1];
@@ -228,6 +230,11 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   // far fewer than one full cost per (candidate, class).
   EXPECT_GT(serial[5], 0);
   EXPECT_LT(serial[5], serial[2]);
+  // The argmins fill stream rows and evaluate candidates only while the
+  // compute bound lets a candidate win.
+  EXPECT_GT(serial[7], 0);
+  EXPECT_GE(serial[8], serial[3]);
+  EXPECT_LT(serial[8], serial[3] * menu);
   EXPECT_EQ(dse_counters(4), serial);
 }
 

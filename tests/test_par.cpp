@@ -119,6 +119,52 @@ TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
   EXPECT_EQ(total.load(), 16);
 }
 
+TEST(ParallelFor, WaitingCallerRunsNoQueuedTask) {
+  // Every pool thread is busy and an unrelated task waits in the queue
+  // ahead of the loop's helper. The caller must finish its loop alone and
+  // leave that task to the pool: a caller that ran it would be held up by
+  // unrelated work (in a batch, by the whole second job stream).
+  par::ThreadPool& pool = par::ThreadPool::global();
+  pool.ensure_threads(1);
+  const int threads = pool.num_threads();
+  std::mutex m;
+  std::condition_variable cv;
+  int blocked = 0, finished = 0;
+  bool release = false, foreign_ran = false;
+  std::thread::id foreign_thread;
+  for (int t = 0; t < threads; ++t) {
+    pool.submit([&] {
+      std::unique_lock<std::mutex> lock(m);
+      ++blocked;
+      cv.notify_all();
+      cv.wait(lock, [&] { return release; });
+      ++finished;
+      cv.notify_all();
+    });
+  }
+  {
+    std::unique_lock<std::mutex> lock(m);
+    cv.wait(lock, [&] { return blocked == threads; });
+  }
+  pool.submit([&] {
+    std::lock_guard<std::mutex> lock(m);
+    foreign_ran = true;
+    foreign_thread = std::this_thread::get_id();
+    ++finished;
+    cv.notify_all();
+  });
+
+  std::atomic<int> visited{0};
+  par::parallel_for(8, 2, [&](std::size_t) { visited.fetch_add(1); });
+  EXPECT_EQ(visited.load(), 8);
+  std::unique_lock<std::mutex> lock(m);
+  EXPECT_FALSE(foreign_ran) << "the caller ran a queued task";
+  release = true;
+  cv.notify_all();
+  cv.wait(lock, [&] { return finished == threads + 1; });
+  EXPECT_NE(foreign_thread, std::this_thread::get_id());
+}
+
 TEST(ParallelMap, ResultsLandInIndexOrder) {
   const auto squares = par::parallel_map(
       50, 8, [](std::size_t i) { return static_cast<int>(i * i); });
