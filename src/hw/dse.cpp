@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "obs/scope.hpp"
@@ -123,14 +124,18 @@ class Incumbent {
 /// First-appearance ids over a directly indexed key space.
 class KeyIds {
  public:
+  // The menu axes give fewer keys than an 8-bit id can number.
+  static_assert(std::size(kCols) * kMaxPixelPack * std::size(kSpatial) <
+                0xff);
+
   explicit KeyIds(std::size_t slots) : ids_(slots, kNone) {}
 
   /// Id of the key in `slot`; a new key records candidate `i` as the one
   /// that computes its terms.
-  std::uint32_t id(std::size_t slot, std::size_t i) {
-    std::uint32_t& id = ids_.at(slot);
+  std::uint8_t id(std::size_t slot, std::size_t i) {
+    std::uint8_t& id = ids_[slot];
     if (id == kNone) {
-      id = static_cast<std::uint32_t>(first.size());
+      id = static_cast<std::uint8_t>(first.size());
       first.push_back(i);
     }
     return id;
@@ -140,59 +145,141 @@ class KeyIds {
   std::vector<std::size_t> first;
 
  private:
-  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
-  std::vector<std::uint32_t> ids_;
+  static constexpr std::uint8_t kNone = 0xff;
+  std::vector<std::uint8_t> ids_;
+};
+
+/// For each of the classes `ids`, by position, the position of the first
+/// of them whose `fields` (the shape fields one term reads) equal its own.
+template <typename Fields>
+std::vector<std::size_t> first_alike(const std::vector<ShapeKey>& shapes,
+                                     const std::vector<std::uint32_t>& ids,
+                                     Fields fields) {
+  std::vector<std::size_t> first(ids.size());
+  std::vector<std::size_t> distinct;
+  for (std::size_t p = 0; p < ids.size(); ++p) {
+    const auto it = std::find_if(
+        distinct.begin(), distinct.end(), [&](std::size_t d) {
+          return fields(shapes[ids[d]]) == fields(shapes[ids[p]]);
+        });
+    first[p] = it == distinct.end() ? p : *it;
+    if (it == distinct.end()) distinct.push_back(p);
+  }
+  return first;
+}
+
+/// The positions of `keys` in (key, position) order: a stable LSD radix
+/// sort, one byte per pass, up to the highest byte any key uses. Keys are
+/// nonnegative. Unlike a comparison sort of a few hundred keys it takes
+/// no data-dependent branch.
+std::vector<std::uint32_t> radix_order(const std::vector<std::int64_t>& keys) {
+  std::vector<std::uint32_t> order(keys.size()), next(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::uint64_t used = 0;
+  for (const std::int64_t key : keys) used |= static_cast<std::uint64_t>(key);
+  for (int shift = 0; shift < 64 && (used >> shift) != 0; shift += 8) {
+    const auto digit = [&](std::uint32_t i) {
+      return (static_cast<std::uint64_t>(keys[i]) >> shift) & 0xff;
+    };
+    std::size_t start[257] = {};
+    for (const std::uint32_t i : order) ++start[digit(i) + 1];
+    for (std::size_t d = 1; d < 257; ++d) start[d] += start[d - 1];
+    for (const std::uint32_t i : order) next[start[digit(i)]++] = i;
+    order.swap(next);
+  }
+  return order;
+}
+
+constexpr std::size_t kNumRows = std::size(kRows);
+constexpr std::size_t kNumTc = std::size(kTc);
+constexpr std::size_t kNumSpatial = std::size(kSpatial);
+
+/// The menu's BRAM filter, by axis. Over the classes, tile_buffer_bytes'
+/// input maximum reads (tc, spatial), its weight maximum is rows x a tc
+/// term and its output maximum rows x a spatial term, so each maximum is
+/// taken once per axis value at one PE row, and every (rows, tile) check
+/// is then three table reads.
+class TileFilter {
+ public:
+  TileFilter(std::span<const ShapeKey> shapes, Precision p,
+             std::int64_t budget)
+      : budget_(budget) {
+    for (std::size_t t = 0; t < kNumTc; ++t) {
+      for (std::size_t s = 0; s < kNumSpatial; ++s) {
+        const TileConfig tile{kTc[t], kSpatial[s], kSpatial[s]};
+        for (const ShapeKey& shape : shapes) {
+          const TileBufferBytes b = tile_buffer_bytes(shape, 1, tile, p);
+          input_[t][s] = std::max(input_[t][s], b.input);
+          weight_[t] = std::max(weight_[t], b.weight);
+          output_[s] = std::max(output_[s], b.output);
+        }
+      }
+    }
+  }
+
+  /// The tiles whose buffers fit for `rows` PE rows, tc outer.
+  std::vector<TileConfig> tiles(int rows) const {
+    std::vector<TileConfig> out;
+    for (std::size_t t = 0; t < kNumTc; ++t) {
+      for (std::size_t s = 0; s < kNumSpatial; ++s) {
+        if (input_[t][s] + rows * weight_[t] + rows * output_[s] <= budget_) {
+          out.push_back({kTc[t], kSpatial[s], kSpatial[s]});
+        }
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::int64_t budget_;
+  std::int64_t input_[kNumTc][kNumSpatial] = {};
+  std::int64_t weight_[kNumTc] = {};
+  std::int64_t output_[kNumSpatial] = {};
 };
 
 }  // namespace
-
-ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id) {
-  const graph::Layer& layer = graph.layer(id);
-  const graph::FeatureShape& in = graph.input_shape(id);
-  const graph::FeatureShape& out = graph.own_output_shape(id);
-  ShapeKey k;
-  k.kind = layer.kind;
-  if (layer.is_conv()) {
-    k.conv_kernel_h = layer.conv.kernel_h;
-    k.conv_kernel_w = layer.conv.kernel_w;
-    k.conv_stride = layer.conv.stride;
-    k.conv_pad_h = layer.conv.pad_h;
-    k.conv_pad_w = layer.conv.pad_w;
-    k.conv_groups = layer.conv.groups;
-  } else {
-    k.pool_kernel = layer.pool.kernel;
-    k.pool_stride = layer.pool.stride;
-    k.pool_pad = layer.pool.pad;
-    k.pool_global = layer.pool.global;
-  }
-  k.in_channels = in.channels;
-  k.in_height = in.height;
-  k.in_width = in.width;
-  k.out_channels = out.channels;
-  k.out_height = out.height;
-  k.out_width = out.width;
-  k.residual = layer.has_residual();
-  k.weight_elems = graph.layer_weight_elems(id);
-  k.macs = graph.layer_macs(id);
-  return k;
-}
 
 ShapeClasses shape_classes(const graph::ComputationGraph& graph) {
   ShapeClasses out;
   out.layer_class.reserve(graph.num_layers());
   std::map<ShapeKey, int> ids;
   for (const graph::Layer& layer : graph.layers()) {
-    const auto [it, added] = ids.emplace(shape_key(graph, layer.id),
-                                         static_cast<int>(out.size()));
-    if (added) out.representative.push_back(layer.id);
+    const ShapeKey key = shape_key(graph, layer.id);
+    const auto [it, added] = ids.try_emplace(key, static_cast<int>(out.size()));
+    if (added) {
+      out.representative.push_back(layer.id);
+      out.shape.push_back(key);
+    }
     out.layer_class.push_back(it->second);
   }
   return out;
 }
 
+template <typename F>
+void DesignSpace::for_each_cycles(std::size_t i, F&& f) const {
+  const Axes& a = axes_[i];
+  const SystolicArrayConfig& array = menu_[i].array;
+  const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
+  const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
+  const std::vector<LayerTileGeometry>& hw = spatial_tiles_[a.spatial];
+  const std::vector<std::int64_t>& px = px_[a.px];
+  const std::vector<std::int64_t>& red = red_[a.red];
+  for (std::size_t j = 0; j < convs_.size(); ++j) {
+    const std::uint32_t k = convs_[j];
+    const std::int64_t n_m = m[k].n_m;
+    f(k, conv_cycles(n_m, px[j], red[j], batch_,
+                     n_m * c[k].n_c * hw[k].spatial_tiles(), array));
+  }
+  for (std::size_t j = 0; j < pools_.size(); ++j) f(pools_[j], pool_[j]);
+}
+
 DesignSpace::Cost DesignSpace::cell(std::size_t i, std::size_t k) const {
   const Streams& s = streams(i).at(k);
-  return {cycles_.at(i).at(k), s.if_s, s.res_s, s.wt_s, s.of_s};
+  Cost cost{0, s.if_s, s.res_s, s.wt_s, s.of_s};
+  for_each_cycles(i, [&](std::size_t c, std::int64_t cycles) {
+    if (c == k) cost.cycles = cycles;
+  });
+  return cost;
 }
 
 double DesignSpace::latency_bound(std::size_t i, bool heavy_uram_use) const {
@@ -213,31 +300,52 @@ double DesignSpace::bound(std::size_t i, double cycle_s) const {
   return static_cast<double>(compute_cycles_[i]) * cycle_s * shrink;
 }
 
+std::size_t DesignSpace::stream_slot(std::size_t i) const {
+  const Axes& a = axes_[i];
+  return (a.rows * kNumTc + a.tc) * kNumSpatial + a.spatial;
+}
+
 const std::vector<DesignSpace::Streams>& DesignSpace::streams(
     std::size_t i) const {
-  const std::uint32_t x = stream_key_.at(i);
-  if (streams_[x].empty()) fill_rows({x});
+  const std::size_t x = stream_slot(i);
+  if (streams_[x].empty()) fill_rows({static_cast<std::uint32_t>(i)});
   return streams_[x];
 }
 
-void DesignSpace::fill_rows(const std::vector<std::uint32_t>& keys) const {
-  const std::vector<graph::LayerId>& reps = classes_.representative;
+void DesignSpace::fill_rows(const std::vector<std::uint32_t>& candidates) const {
+  const std::vector<ShapeKey>& shapes = classes_.shape;
+  for (const std::uint32_t i : candidates) {
+    const std::uint32_t bit = 1u << axes_[i].spatial;
+    if (fetched_spatial_ & bit) continue;
+    std::vector<LayerTileGeometry>& hw = spatial_tiles_[axes_[i].spatial];
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      hw[k] = layer_tile_geometry(shapes[k], menu_[i].array, menu_[i].tile);
+    }
+    fetched_spatial_ |= bit;
+  }
   const mem::DdrModel ddr(device_);
   // Each row is built aside and assigned whole by one task, so a task that
   // fails leaves its row empty for the next caller to fill.
-  par::parallel_for(keys.size(), jobs_, [&](std::size_t j) {
-    const std::uint32_t x = keys[j];
-    const DseCandidate& c = menu_[stream_first_[x]];
+  par::parallel_for(candidates.size(), jobs_, [&](std::size_t j) {
+    const std::size_t i = candidates[j];
+    const Axes& a = axes_[i];
     AcceleratorDesign design;
     design.device = device_;
     design.precision = precision_;
-    design.array = c.array;
-    design.tile = c.tile;
-    std::vector<Streams> row(reps.size());
-    for (std::size_t k = 0; k < reps.size(); ++k) {
-      const LayerTileGeometry geom =
-          layer_tile_geometry(*graph_, reps[k], c.array, c.tile);
-      const LayerCost cost = stream_cost(*graph_, reps[k], geom, design, ddr);
+    design.array = menu_[i].array;
+    design.tile = menu_[i].tile;
+    const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
+    const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
+    const std::vector<LayerTileGeometry>& hw = spatial_tiles_[a.spatial];
+    std::vector<Streams> row(shapes.size());
+    for (std::size_t k = 0; k < shapes.size(); ++k) {
+      // layer_tile_geometry(shapes[k], design.array, design.tile), each
+      // field from the axis value that determines it.
+      LayerTileGeometry geom = hw[k];
+      geom.n_m = m[k].n_m;
+      geom.channels_per_mtile = m[k].channels_per_mtile;
+      geom.n_c = c[k].n_c;
+      const LayerCost cost = stream_cost(shapes[k], geom, design, ddr);
       if (cost.num_orders != 1) {
         throw resil::CompileError(resil::Code::kInternal, "dse.explore",
                                   "menu design with a stationary buffer",
@@ -246,24 +354,39 @@ void DesignSpace::fill_rows(const std::vector<std::uint32_t>& keys) const {
       row[k] = {cost.orders[0].if_s, cost.res_s, cost.orders[0].wt_s,
                 cost.of_s};
     }
-    streams_[x] = std::move(row);
-    LCMM_COUNT("stream_rows", 1);
-    LCMM_COUNT("cost_terms", static_cast<std::int64_t>(reps.size()));
+    streams_[stream_slot(i)] = std::move(row);
   });
+  if (candidates.empty()) return;
+  LCMM_COUNT("stream_rows", static_cast<std::int64_t>(candidates.size()));
+  LCMM_COUNT("cost_terms",
+             static_cast<std::int64_t>(candidates.size() * shapes.size()));
 }
 
 double DesignSpace::latency(std::size_t i, double cycle_s,
-                            std::span<const std::uint8_t> on_chip_masks) const {
+                            std::span<const std::uint8_t> on_chip_masks,
+                            std::vector<double>& scratch) const {
   const std::vector<int>& layer_class = classes_.layer_class;
-  const std::vector<std::int64_t>& cycles = cycles_[i];
   const std::vector<Streams>& row = streams(i);
+  scratch.resize(row.size());
   double total = 0.0;
+  if (on_chip_masks.empty()) {
+    // Every layer of a class has the same Eq. 1 term.
+    for_each_cycles(i, [&](std::size_t k, std::int64_t cycles) {
+      const Streams& s = row[k];
+      scratch[k] = eq1_latency(static_cast<double>(cycles) * cycle_s, s.if_s,
+                               s.res_s, s.wt_s, s.of_s, 0);
+    });
+    for (const int k : layer_class) total += scratch[static_cast<std::size_t>(k)];
+    return total;
+  }
+  for_each_cycles(i, [&](std::size_t k, std::int64_t cycles) {
+    scratch[k] = static_cast<double>(cycles) * cycle_s;
+  });
   for (std::size_t l = 0; l < layer_class.size(); ++l) {
     const auto k = static_cast<std::size_t>(layer_class[l]);
     const Streams& s = row[k];
-    total += eq1_latency(static_cast<double>(cycles[k]) * cycle_s, s.if_s,
-                         s.res_s, s.wt_s, s.of_s,
-                         on_chip_masks.empty() ? 0 : on_chip_masks[l]);
+    total += eq1_latency(scratch[k], s.if_s, s.res_s, s.wt_s, s.of_s,
+                         on_chip_masks[l]);
   }
   return total;
 }
@@ -279,20 +402,21 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
   }
   const double freq = device_.clock_mhz(precision_, heavy_uram_use);
   const double cycle_s = cycle_seconds(freq);
+  std::vector<double> scratch;
 
   // The first candidate's latency caps every bound the walk below can
   // reach, so fill the rows of every candidate under it in one parallel
   // pass (all of them if that latency is not finite).
   const std::uint32_t first = scan_order_.front();
-  const double cap = latency(first, cycle_s, on_chip_masks);
+  const double cap = latency(first, cycle_s, on_chip_masks, scratch);
   std::vector<std::uint32_t> rows;
   std::vector<char> queued(streams_.size());
   for (const std::uint32_t i : scan_order_) {
     if (std::isfinite(cap) && bound(i, cycle_s) > cap) break;
-    const std::uint32_t x = stream_key_[i];
+    const std::size_t x = stream_slot(i);
     if (streams_[x].empty() && !queued[x]) {
       queued[x] = 1;
-      rows.push_back(x);
+      rows.push_back(i);
     }
   }
   fill_rows(rows);
@@ -305,7 +429,7 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
   for (std::size_t p = 1; p < scan_order_.size(); ++p) {
     const std::uint32_t i = scan_order_[p];
     if (best.found() && bound(i, cycle_s) > best.latency()) break;
-    best.offer(i, latency(i, cycle_s, on_chip_masks));
+    best.offer(i, latency(i, cycle_s, on_chip_masks, scratch));
     ++evaluated;
   }
   LCMM_COUNT("candidates_evaluated", evaluated);
@@ -322,6 +446,11 @@ Dse::Dse(FpgaDevice device, Precision precision, DseOptions options)
 
 int Dse::dsp_budget() const {
   return static_cast<int>(device_.dsp_total * kDspBudgetFraction);
+}
+
+std::int64_t Dse::tile_bram_budget() const {
+  return static_cast<std::int64_t>(kTileBramFraction *
+                                   device_.bram_bytes_total());
 }
 
 std::vector<SystolicArrayConfig> Dse::array_candidates() const {
@@ -364,40 +493,27 @@ std::vector<TileConfig> Dse::tile_candidates(
     const graph::ComputationGraph& graph,
     const SystolicArrayConfig& array) const {
   std::vector<TileConfig> out =
-      fitting_tiles(graph, shape_classes(graph).representative, array);
+      TileFilter(shape_classes(graph).shape, precision_, tile_bram_budget())
+          .tiles(array.rows);
   // SIMD lanes must be fed within a tile.
   std::erase_if(out, [&](const TileConfig& t) { return t.tc < array.simd; });
   return out;
 }
 
-std::vector<TileConfig> Dse::fitting_tiles(
-    const graph::ComputationGraph& graph,
-    std::span<const graph::LayerId> representatives,
-    const SystolicArrayConfig& array) const {
-  const std::int64_t bram_budget = static_cast<std::int64_t>(
-      kTileBramFraction * device_.bram_bytes_total());
-  std::vector<TileConfig> out;
-  for (int tc : kTc) {
-    for (int s : kSpatial) {
-      const TileConfig tile{tc, s, s};
-      if (tile_buffer_bytes(graph, representatives, array, tile, precision_)
-              .total() <= bram_budget) {
-        out.push_back(tile);
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<DseCandidate> Dse::menu(const graph::ComputationGraph& graph,
                                     const ShapeClasses& classes) const {
+  const TileFilter filter(classes.shape, precision_, tile_bram_budget());
   // Arrays with the same row count share their BRAM-feasible tiles.
-  std::map<int, std::vector<TileConfig>> fitting;
+  std::vector<TileConfig> fitting[kNumRows];
+  bool filtered[kNumRows] = {};
   std::vector<DseCandidate> out;
   for (const SystolicArrayConfig& array : array_candidates()) {
-    auto [it, added] = fitting.try_emplace(array.rows);
-    if (added) it->second = fitting_tiles(graph, classes.representative, array);
-    for (const TileConfig& tile : it->second) {
+    const std::size_t r = axis_index(kRows, array.rows);
+    if (!filtered[r]) {
+      fitting[r] = filter.tiles(array.rows);
+      filtered[r] = true;
+    }
+    for (const TileConfig& tile : fitting[r]) {
       if (tile.tc >= array.simd) out.push_back({array, tile});
     }
   }
@@ -418,134 +534,157 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   out.device_ = device_;
   out.precision_ = precision_;
   out.jobs_ = options_.jobs;
+  out.batch_ = AcceleratorDesign{}.batch;
   out.classes_ = shape_classes(graph);
   out.menu_ = menu(graph, out.classes_);
   const std::vector<DseCandidate>& menu = out.menu_;
-  const std::vector<graph::LayerId>& reps = out.classes_.representative;
-  const std::size_t num_classes = reps.size();
+  const std::vector<ShapeKey>& shapes = out.classes_.shape;
+  const std::size_t num_classes = shapes.size();
 
-  // Key each candidate by what each cost term reads: the streams read
-  // (rows, tile), the pixel steps (effective cols, th, tw), the reduction
-  // steps (simd, tc), and the tile counts factor into n_m (rows), n_c (tc)
-  // and n_h x n_w (th, tw). Each term is computed once per key, on the
-  // key's first candidate, by the helpers layer_cost is made of. The keys
-  // index the menu axes directly (menu tiles are square).
-  constexpr std::size_t kNumTc = std::size(kTc);
-  constexpr std::size_t kNumSpatial = std::size(kSpatial);
-  KeyIds stream_ids(std::size(kRows) * kNumTc * kNumSpatial);
+  // Place each candidate on the menu axes. The tile counts read one axis
+  // each (rows, tc, spatial), the pixel steps (effective cols, spatial)
+  // and the reduction steps (simd, tc); each term is computed once per
+  // axis value or key that some candidate uses, on its first such
+  // candidate. Menu tiles are square.
   KeyIds px_ids((kMaxPixelPack * std::ranges::max(kCols) + 1) * kNumSpatial);
   KeyIds red_ids(std::size(kSimd) * kNumTc);
-  KeyIds m_ids(std::size(kRows)), c_ids(kNumTc), hw_ids(kNumSpatial);
-  std::vector<std::uint32_t> px_key(menu.size()), red_key(menu.size()),
-      m_key(menu.size()), c_key(menu.size()), hw_key(menu.size());
-  out.stream_key_.resize(menu.size());
+  std::size_t rows_first[kNumRows], tc_first[kNumTc], spatial_first[kNumSpatial];
+  std::fill(std::begin(rows_first), std::end(rows_first), menu.size());
+  std::fill(std::begin(tc_first), std::end(tc_first), menu.size());
+  std::fill(std::begin(spatial_first), std::end(spatial_first), menu.size());
+  out.axes_.resize(menu.size());
   for (std::size_t i = 0; i < menu.size(); ++i) {
     const auto& [array, tile] = menu[i];
-    const std::size_t rows = axis_index(kRows, array.rows);
-    const std::size_t tc = axis_index(kTc, tile.tc);
-    const std::size_t spatial = axis_index(kSpatial, tile.th);
-    out.stream_key_[i] =
-        stream_ids.id((rows * kNumTc + tc) * kNumSpatial + spatial, i);
-    px_key[i] = px_ids.id(
-        static_cast<std::size_t>(array.effective_cols()) * kNumSpatial + spatial,
-        i);
-    red_key[i] = red_ids.id(axis_index(kSimd, array.simd) * kNumTc + tc, i);
-    m_key[i] = m_ids.id(rows, i);
-    c_key[i] = c_ids.id(tc, i);
-    hw_key[i] = hw_ids.id(spatial, i);
-  }
-  out.stream_first_ = std::move(stream_ids.first);
-  out.streams_.resize(out.stream_first_.size());
-  const int batch = AcceleratorDesign{}.batch;
-  std::vector<char> is_conv(num_classes);
-  std::size_t num_convs = 0;
-  for (std::size_t k = 0; k < num_classes; ++k) {
-    is_conv[k] = graph.layer(reps[k]).is_conv();
-    num_convs += is_conv[k] ? 1 : 0;
+    DesignSpace::Axes& a = out.axes_[i];
+    a.rows = static_cast<std::uint8_t>(axis_index(kRows, array.rows));
+    a.tc = static_cast<std::uint8_t>(axis_index(kTc, tile.tc));
+    a.spatial = static_cast<std::uint8_t>(axis_index(kSpatial, tile.th));
+    a.px = px_ids.id(static_cast<std::size_t>(array.effective_cols()) *
+                             kNumSpatial + a.spatial, i);
+    a.red = red_ids.id(axis_index(kSimd, array.simd) * kNumTc + a.tc, i);
+    rows_first[a.rows] = std::min(rows_first[a.rows], i);
+    tc_first[a.tc] = std::min(tc_first[a.tc], i);
+    spatial_first[a.spatial] = std::min(spatial_first[a.spatial], i);
   }
 
-  // Per-key terms of the conv classes, once per key; pooling cycles read
-  // no design input at all.
+  // The per-axis tile counts of every class.
+  const auto counts_by = [&](std::size_t first) {
+    std::vector<LayerTileGeometry> row;
+    if (first == menu.size()) return row;
+    row.resize(num_classes);
+    const DseCandidate& c = menu[first];
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      row[k] = layer_tile_counts(shapes[k], c.array, c.tile);
+    }
+    return row;
+  };
+  for (const std::size_t first : rows_first) {
+    out.rows_tiles_.push_back(counts_by(first));
+  }
+  for (const std::size_t first : tc_first) {
+    out.tc_tiles_.push_back(counts_by(first));
+  }
+  for (const std::size_t first : spatial_first) {
+    out.spatial_tiles_.push_back(counts_by(first));
+  }
+
+  // Per-key step terms of the conv classes, each computed once per
+  // distinct value of the shape fields it reads and copied to the classes
+  // that share them; pooling cycles read no design input at all. Both are
+  // stored by position in convs_ or pools_.
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    (shapes[k].is_conv() ? out.convs_ : out.pools_)
+        .push_back(static_cast<std::uint32_t>(k));
+  }
+  const std::vector<std::uint32_t>& convs = out.convs_;
+  std::int64_t terms = 0;
   const auto conv_terms = [&](const std::vector<std::size_t>& first,
-                              auto term) {
+                              auto fields, auto term) {
+    const std::vector<std::size_t> alike = first_alike(shapes, convs, fields);
     std::vector<std::vector<std::int64_t>> rows(first.size());
     for (std::size_t j = 0; j < first.size(); ++j) {
-      rows[j].resize(num_classes);
-      for (std::size_t k = 0; k < num_classes; ++k) {
-        if (is_conv[k]) rows[j][k] = term(reps[k], menu[first[j]]);
+      std::vector<std::int64_t>& row = rows[j];
+      row.resize(convs.size());
+      for (std::size_t c = 0; c < convs.size(); ++c) {
+        if (alike[c] != c) {
+          row[c] = row[alike[c]];
+          continue;
+        }
+        row[c] = term(shapes[convs[c]], menu[first[j]]);
+        ++terms;
       }
     }
     return rows;
   };
-  const auto tile_counts = [&](graph::LayerId id, const DseCandidate& c) {
-    return layer_tile_counts(graph, id, c.array, c.tile);
-  };
-  const auto m_tiles = conv_terms(m_ids.first, [&](graph::LayerId id,
-                                                  const DseCandidate& c) {
-    return std::int64_t{tile_counts(id, c).n_m};
-  });
-  const auto c_tiles = conv_terms(c_ids.first, [&](graph::LayerId id,
-                                                  const DseCandidate& c) {
-    return std::int64_t{tile_counts(id, c).n_c};
-  });
-  const auto hw_tiles = conv_terms(hw_ids.first, [&](graph::LayerId id,
-                                                    const DseCandidate& c) {
-    return tile_counts(id, c).spatial_tiles();
-  });
-  const auto px = conv_terms(px_ids.first, [&](graph::LayerId id,
-                                              const DseCandidate& c) {
-    return px_steps(graph, id, c.tile.th, c.tile.tw, c.array.effective_cols());
-  });
-  const auto red = conv_terms(red_ids.first, [&](graph::LayerId id,
-                                                const DseCandidate& c) {
-    return red_steps(graph, id, c.tile.tc, c.array.simd);
-  });
-  std::vector<std::int64_t> pool(num_classes);
-  for (std::size_t k = 0; k < num_classes; ++k) {
-    if (!is_conv[k]) pool[k] = pool_cycles(graph, reps[k], batch);
-  }
+  out.px_ = conv_terms(
+      px_ids.first,
+      [](const ShapeKey& s) { return std::tuple{s.out_height, s.out_width}; },
+      [](const ShapeKey& shape, const DseCandidate& c) {
+        return px_steps(shape, c.tile.th, c.tile.tw, c.array.effective_cols());
+      });
+  out.red_ = conv_terms(
+      red_ids.first,
+      [](const ShapeKey& s) {
+        return std::tuple{s.in_channels, s.conv_groups, s.conv_kernel_h,
+                          s.conv_kernel_w};
+      },
+      [](const ShapeKey& shape, const DseCandidate& c) {
+        return red_steps(shape, c.tile.tc, c.array.simd);
+      });
   std::vector<std::int64_t> layers_in(num_classes);
   for (const int k : out.classes_.layer_class) {
     ++layers_in[static_cast<std::size_t>(k)];
   }
+  std::int64_t pool_sum = 0;
+  for (const std::uint32_t k : out.pools_) {
+    out.pool_.push_back(pool_cycles(shapes[k], out.batch_));
+    pool_sum += layers_in[k] * out.pool_.back();
+    ++terms;
+  }
 
-  // Each candidate's cycles from its keys' terms, and their exact sum
-  // over the layers.
-  out.cycles_.resize(menu.size());
+  // Each candidate's exact cycle sum over the layers. conv_cycles is
+  // linear in n_m x px x red and in total_tiles, so the conv layers sum to
+  // conv_cycles(1, Σ L n_m px red, 1, batch, Σ L total_tiles) over the
+  // classes, L layers each: Σ L n_m is kept per rows value and the tile
+  // sum per (rows, tc, spatial), so a candidate costs two multiplies per
+  // class.
+  std::vector<std::vector<std::int64_t>> layers_n_m(kNumRows);
+  for (std::size_t r = 0; r < kNumRows; ++r) {
+    if (out.rows_tiles_[r].empty()) continue;
+    for (const std::uint32_t k : convs) {
+      layers_n_m[r].push_back(layers_in[k] * out.rows_tiles_[r][k].n_m);
+    }
+  }
+  std::vector<std::int64_t> slot_tiles(kNumRows * kNumTc * kNumSpatial, -1);
   out.compute_cycles_.resize(menu.size());
   for (std::size_t i = 0; i < menu.size(); ++i) {
-    const std::vector<std::int64_t>& n_m = m_tiles[m_key[i]];
-    const std::vector<std::int64_t>& n_c = c_tiles[c_key[i]];
-    const std::vector<std::int64_t>& n_hw = hw_tiles[hw_key[i]];
-    const std::vector<std::int64_t>& px_row = px[px_key[i]];
-    const std::vector<std::int64_t>& red_row = red[red_key[i]];
-    std::vector<std::int64_t>& row = out.cycles_[i];
-    row.resize(num_classes);
-    std::int64_t total = 0;
-    for (std::size_t k = 0; k < num_classes; ++k) {
-      row[k] = is_conv[k] ? conv_cycles(n_m[k], px_row[k], red_row[k],
-                                        batch, n_m[k] * n_c[k] * n_hw[k],
-                                        menu[i].array)
-                          : pool[k];
-      total += layers_in[k] * row[k];
+    const DesignSpace::Axes& a = out.axes_[i];
+    const std::vector<std::int64_t>& l_n_m = layers_n_m[a.rows];
+    std::int64_t& tiles = slot_tiles[out.stream_slot(i)];
+    if (tiles < 0) {
+      const std::vector<LayerTileGeometry>& c = out.tc_tiles_[a.tc];
+      const std::vector<LayerTileGeometry>& hw = out.spatial_tiles_[a.spatial];
+      tiles = 0;
+      for (std::size_t j = 0; j < convs.size(); ++j) {
+        tiles += l_n_m[j] * c[convs[j]].n_c * hw[convs[j]].spatial_tiles();
+      }
     }
-    out.compute_cycles_[i] = total;
+    const std::vector<std::int64_t>& px = out.px_[a.px];
+    const std::vector<std::int64_t>& red = out.red_[a.red];
+    std::int64_t steps = 0;
+    for (std::size_t j = 0; j < convs.size(); ++j) {
+      steps += l_n_m[j] * px[j] * red[j];
+    }
+    out.compute_cycles_[i] =
+        conv_cycles(1, steps, 1, out.batch_, tiles, menu[i].array) + pool_sum;
   }
-  out.scan_order_.resize(menu.size());
-  std::iota(out.scan_order_.begin(), out.scan_order_.end(), 0u);
-  std::sort(out.scan_order_.begin(), out.scan_order_.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              return std::pair{out.compute_cycles_[a], a} <
-                     std::pair{out.compute_cycles_[b], b};
-            });
+  out.scan_order_ = radix_order(out.compute_cycles_);
+  out.streams_.resize(kNumRows * kNumTc * kNumSpatial);
   LCMM_COUNT("shape_classes", static_cast<std::int64_t>(num_classes));
   LCMM_COUNT("cost_evals",
              static_cast<std::int64_t>(menu.size() * num_classes));
   // The stream rows add theirs as argmins fill them.
-  LCMM_COUNT("cost_terms",
-             static_cast<std::int64_t>(
-                 (px_ids.first.size() + red_ids.first.size()) * num_convs +
-                 (num_classes - num_convs)));
+  LCMM_COUNT("cost_terms", terms);
   return out;
 }
 

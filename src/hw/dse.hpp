@@ -11,13 +11,16 @@
 // emerges.
 //
 // One compile request evaluates its design space once: Dse::space() groups
-// the layers into shape classes and fills the clock-free compute cycles of
-// every (candidate, class), computing each cost term once per distinct
-// input it reads (docs/performance-model.md). DesignSpace::argmin() derives
-// every objective the compiler needs — UMM at the uniform clock, the LCMM
-// seed at the heavy-URAM clock, the allocation-aware refine under an
-// on-chip state — from it with O(layers) lookups per candidate it
-// evaluates.
+// the layers into shape classes, reads each class's ShapeKey from the graph
+// once, and from then on computes every cost term as plain arithmetic on
+// those keys, once per menu axis value it reads (docs/performance-model.md):
+// the BRAM filter from per-(tc, spatial) input and per-tc weight maxima,
+// the tile counts per rows, tc and spatial value, the pixel and reduction
+// steps per key and distinct shape input, and the streams per (rows, tile)
+// row. DesignSpace::argmin() derives every objective the compiler needs —
+// UMM at the uniform clock, the LCMM seed at the heavy-URAM clock, the
+// allocation-aware refine under an on-chip state — from it with O(layers)
+// lookups per candidate it evaluates.
 //
 // Eq. 1 puts a layer's latency at or above its compute time under any
 // on-chip mask, so a candidate's total compute cycles C_i times the cycle
@@ -25,7 +28,8 @@
 // (C_i, menu index) order and stops at the first bound above the best
 // latency found; the DDR stream terms (the costly part of a cell) are
 // computed per (rows, tile) row only when a candidate that can still win
-// needs them, and then kept in the space.
+// needs them, and then kept in the space, and a candidate's class cycles
+// only when it is evaluated.
 #pragma once
 
 #include <cstdint>
@@ -57,42 +61,14 @@ struct DseResult {
   double objective_latency_s = 0.0;
 };
 
-/// Every layer field the per-layer cost and the tile-buffer sizes read.
-/// Layers with equal keys cost the same under every design, wherever they
-/// sit in the network. Fields a layer kind does not read stay zero.
-struct ShapeKey {
-  graph::LayerKind kind = graph::LayerKind::kConv;
-  int conv_kernel_h = 0;
-  int conv_kernel_w = 0;
-  int conv_stride = 0;
-  int conv_pad_h = 0;
-  int conv_pad_w = 0;
-  int conv_groups = 0;
-  int pool_kernel = 0;
-  int pool_stride = 0;
-  int pool_pad = 0;
-  bool pool_global = false;
-  int in_channels = 0;
-  int in_height = 0;
-  int in_width = 0;
-  int out_channels = 0;
-  int out_height = 0;
-  int out_width = 0;
-  bool residual = false;
-  std::int64_t weight_elems = 0;
-  std::int64_t macs = 0;
-
-  auto operator<=>(const ShapeKey&) const = default;
-};
-
-ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id);
-
 /// The graph's layers grouped by ShapeKey.
 struct ShapeClasses {
   /// Class of each layer, indexed by LayerId.
   std::vector<int> layer_class;
   /// First layer of each class; class ids follow first appearance.
   std::vector<graph::LayerId> representative;
+  /// Shape of each class, by class id: all any cost term reads.
+  std::vector<ShapeKey> shape;
 
   std::size_t size() const { return representative.size(); }
 };
@@ -163,37 +139,73 @@ class DesignSpace {
     double of_s = 0.0;
   };
 
+  /// Where a candidate reads its terms: its rows, tc and spatial values as
+  /// menu axis positions, and its pixel-step ((effective cols, spatial))
+  /// and reduction-step ((simd, tc)) term rows.
+  struct Axes {
+    std::uint8_t rows = 0;
+    std::uint8_t tc = 0;
+    std::uint8_t spatial = 0;
+    std::uint8_t px = 0;
+    std::uint8_t red = 0;
+  };
+
+  /// Calls f(k, cycles) with candidate `i`'s compute cycles of each class k.
+  template <typename F>
+  void for_each_cycles(std::size_t i, F&& f) const;
   double bound(std::size_t i, double cycle_s) const;
+  /// The stream row that candidate `i` reads: one per (rows, tc, spatial).
+  std::size_t stream_slot(std::size_t i) const;
   /// Candidate `i`'s stream row, filled first if empty.
   const std::vector<Streams>& streams(std::size_t i) const;
-  /// Fills the (empty) stream rows `keys`, one task per row.
-  void fill_rows(const std::vector<std::uint32_t>& keys) const;
-  /// Candidate `i`'s objective: Eq. 1 summed in layer order.
+  /// Fills the (empty, distinct) stream rows of `candidates`, one task per
+  /// row, after the fetched extents of their spatial values.
+  void fill_rows(const std::vector<std::uint32_t>& candidates) const;
+  /// Candidate `i`'s objective: Eq. 1 summed in layer order. `scratch`
+  /// holds one value per class.
   double latency(std::size_t i, double cycle_s,
-                 std::span<const std::uint8_t> on_chip_masks) const;
+                 std::span<const std::uint8_t> on_chip_masks,
+                 std::vector<double>& scratch) const;
 
   const graph::ComputationGraph* graph_ = nullptr;
   FpgaDevice device_;
   Precision precision_ = Precision::kInt8;
   int jobs_ = 0;
+  int batch_ = 1;
   std::vector<DseCandidate> menu_;
   ShapeClasses classes_;
-  /// The table, factored by what each term reads. cycles_[i][k] is
-  /// candidate i's compute cycles for class k, and compute_cycles_[i] their
-  /// sum over the layers; scan_order_ sorts the menu by (compute_cycles_,
-  /// menu index). The streams read the array only through its row count,
-  /// so every candidate with the same (rows, tile) shares one row:
-  /// streams_[stream_key_[i]][k], computed on candidate
-  /// stream_first_[stream_key_[i]]'s design and empty until first needed.
-  /// One row per candidate or key keeps every allocation small: a single
-  /// table-sized block would be served by mmap, and freeing it raises
-  /// glibc's mmap threshold for the rest of the process, which grows the
-  /// heap of every later compile.
-  std::vector<std::vector<std::int64_t>> cycles_;
+  std::vector<Axes> axes_;
+  /// The terms, each computed once per space from the classes' shapes for
+  /// each axis value it reads (docs/performance-model.md). Indexed by axis
+  /// position, then class; a value that no candidate uses stays empty.
+  /// rows_tiles_, tc_tiles_ and spatial_tiles_ hold layer_tile_counts
+  /// per class for one rows, tc or spatial value; only the fields that
+  /// value determines are read (n_m and channels_per_mtile; n_c; n_h and
+  /// n_w). A spatial row becomes layer_tile_geometry, fetched extents
+  /// included, when the first stream row of its value is filled
+  /// (bit s of fetched_spatial_). convs_ and pools_ list the class ids
+  /// of each kind; px_ and red_ hold the pixel and reduction steps by term
+  /// key, then position in convs_, and pool_ the pooling cycles by
+  /// position in pools_.
+  /// compute_cycles_[i] is candidate i's exact cycle sum over the layers
+  /// and scan_order_ sorts the menu by (compute_cycles_, menu index). The
+  /// streams read the array only through its row count, so they are kept
+  /// per (rows, tc, spatial): streams_[stream_slot(i)][k], empty until
+  /// first needed. One row per axis value, key or slot keeps every
+  /// allocation small: a single table-sized block would be served by
+  /// mmap, and freeing it raises glibc's mmap threshold for the rest of
+  /// the process, which grows the heap of every later compile.
+  std::vector<std::vector<LayerTileGeometry>> rows_tiles_;
+  std::vector<std::vector<LayerTileGeometry>> tc_tiles_;
+  mutable std::vector<std::vector<LayerTileGeometry>> spatial_tiles_;
+  mutable std::uint32_t fetched_spatial_ = 0;
+  std::vector<std::vector<std::int64_t>> px_;
+  std::vector<std::vector<std::int64_t>> red_;
+  std::vector<std::int64_t> pool_;
+  std::vector<std::uint32_t> convs_;
+  std::vector<std::uint32_t> pools_;
   std::vector<std::int64_t> compute_cycles_;
   std::vector<std::uint32_t> scan_order_;
-  std::vector<std::uint32_t> stream_key_;
-  std::vector<std::size_t> stream_first_;
   mutable std::vector<std::vector<Streams>> streams_;
 };
 
@@ -229,14 +241,12 @@ class Dse {
 
   const DseOptions& options() const { return options_; }
   int dsp_budget() const;
+  /// Bytes of BRAM the double-buffered tile buffers may take: a tile is
+  /// legal when tile_buffer_bytes(graph, array, tile, p).total() is at
+  /// most this.
+  std::int64_t tile_bram_budget() const;
 
  private:
-  /// Tiles whose buffers fit the BRAM budget for `array`, before the SIMD
-  /// filter. The buffer sizes read the array only through its row count.
-  std::vector<TileConfig> fitting_tiles(
-      const graph::ComputationGraph& graph,
-      std::span<const graph::LayerId> representatives,
-      const SystolicArrayConfig& array) const;
   /// The menu in its historical order (arrays outer, tiles inner).
   std::vector<DseCandidate> menu(const graph::ComputationGraph& graph,
                                  const ShapeClasses& classes) const;

@@ -65,9 +65,15 @@ const LayerTiming& PerfModel::timing(graph::LayerId id) const {
 
 std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
                       int th, int tw, int effective_cols) {
-  const graph::FeatureShape& out = graph.own_output_shape(id);
-  const std::int64_t full_h = out.height / th, edge_h = out.height % th;
-  const std::int64_t full_w = out.width / tw, edge_w = out.width % tw;
+  return px_steps(shape_key(graph, id), th, tw, effective_cols);
+}
+
+std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
+                      int effective_cols) {
+  const std::int64_t full_h = shape.out_height / th;
+  const std::int64_t edge_h = shape.out_height % th;
+  const std::int64_t full_w = shape.out_width / tw;
+  const std::int64_t edge_w = shape.out_width % tw;
   const auto steps = [&](std::int64_t h, std::int64_t w) {
     return ceil_div(h * w, effective_cols);
   };
@@ -80,53 +86,48 @@ std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
 
 std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
                        int tc, int simd) {
+  return red_steps(shape_key(graph, id), tc, simd);
+}
+
+std::int64_t red_steps(const ShapeKey& shape, int tc, int simd) {
   // Depthwise convolutions (one channel per group) leave most SIMD lanes
   // idle: the well-known inefficiency of channel-vectorized arrays on
   // MobileNet-style layers.
-  const graph::ConvParams& conv = graph.layer(id).conv;
-  const int group_channels = graph.input_shape(id).channels / conv.groups;
-  const std::int64_t kk = static_cast<std::int64_t>(conv.kernel_h) * conv.kernel_w;
+  const int group_channels = shape.in_channels / shape.conv_groups;
+  const std::int64_t kk =
+      static_cast<std::int64_t>(shape.conv_kernel_h) * shape.conv_kernel_w;
   const std::int64_t edge = group_channels % tc;
   return (group_channels / tc) * ceil_div(tc * kk, simd) +
          (edge > 0 ? ceil_div(edge * kk, simd) : 0);
 }
 
-std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
-                         std::int64_t red_steps, int batch,
-                         std::int64_t total_tiles,
-                         const SystolicArrayConfig& array) {
-  // Idle PE rows on the last output-channel tile are paid in full
-  // (output-stationary array). The batch loop sits inside the weight
-  // reuse: compute repeats per image while each weight tile stays
-  // resident.
-  return n_m * px_steps * red_steps * batch +
-         total_tiles * (array.rows + array.cols + array.simd);
-}
-
 std::int64_t pool_cycles(const graph::ComputationGraph& graph,
                          graph::LayerId id, int batch) {
-  const graph::PoolParams& p = graph.layer(id).pool;
-  const graph::FeatureShape& in = graph.input_shape(id);
+  return pool_cycles(shape_key(graph, id), batch);
+}
+
+std::int64_t pool_cycles(const ShapeKey& shape, int batch) {
   const std::int64_t window =
-      p.global ? static_cast<std::int64_t>(in.height) * in.width
-               : static_cast<std::int64_t>(p.kernel) * p.kernel;
-  return ceil_div(graph.own_output_shape(id).elems() * window, kPoolLanes) *
-         batch;
+      shape.pool_global
+          ? static_cast<std::int64_t>(shape.in_height) * shape.in_width
+          : static_cast<std::int64_t>(shape.pool_kernel) * shape.pool_kernel;
+  return ceil_div(shape.out().elems() * window, kPoolLanes) * batch;
 }
 
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                      const AcceleratorDesign& design, const mem::DdrModel& ddr) {
+  const ShapeKey shape = shape_key(graph, id);
   const SystolicArrayConfig& array = design.array;
   const TileConfig& tile = design.tile;
-  const LayerTileGeometry geom = layer_tile_geometry(graph, id, array, tile);
-  LayerCost c = stream_cost(graph, id, geom, design, ddr);
-  c.cycles = graph.layer(id).is_conv()
+  const LayerTileGeometry geom = layer_tile_geometry(shape, array, tile);
+  LayerCost c = stream_cost(shape, geom, design, ddr);
+  c.cycles = shape.is_conv()
                  ? conv_cycles(geom.n_m,
-                               px_steps(graph, id, tile.th, tile.tw,
+                               px_steps(shape, tile.th, tile.tw,
                                         array.effective_cols()),
-                               red_steps(graph, id, tile.tc, array.simd),
+                               red_steps(shape, tile.tc, array.simd),
                                design.batch, geom.total_tiles(), array)
-                 : pool_cycles(graph, id, design.batch);
+                 : pool_cycles(shape, design.batch);
   return c;
 }
 
@@ -134,37 +135,42 @@ LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                       const LayerTileGeometry& geom,
                       const AcceleratorDesign& design,
                       const mem::DdrModel& ddr) {
-  const graph::Layer& layer = graph.layer(id);
-  const graph::FeatureShape& in = graph.input_shape(id);
-  const graph::FeatureShape& out = graph.own_output_shape(id);
+  return stream_cost(shape_key(graph, id), geom, design, ddr);
+}
+
+LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
+                      const AcceleratorDesign& design,
+                      const mem::DdrModel& ddr) {
   const int rows = design.array.rows;
   const TileConfig& tile = design.tile;
   const int bpe = bytes_per_elem(design.precision);
+  const std::int64_t out_elems = shape.out().elems();
 
   LayerCost c;
-  c.nominal_macs = graph.layer_macs(id) * design.batch;
+  c.nominal_macs = shape.macs * design.batch;
 
   // ---- off-chip traffic (uniform management) -------------------------------
   const int in_tile_cols =
-      std::min((tile.tw - 1) * (layer.is_conv() ? layer.conv.stride : 1) +
-                   (layer.is_conv() ? layer.conv.kernel_w : 1),
-               in.width);
+      std::min((tile.tw - 1) * (shape.is_conv() ? shape.conv_stride : 1) +
+                   (shape.is_conv() ? shape.conv_kernel_w : 1),
+               shape.in_width);
   const double if_burst =
-      static_cast<double>(std::min(tile.tc, in.channels)) * in_tile_cols * bpe;
+      static_cast<double>(std::min(tile.tc, shape.in_channels)) *
+      in_tile_cols * bpe;
 
   // Fused residual stream: one extra read of the output-sized tensor on the
   // input-feature interface during write-out.
-  if (layer.has_residual()) {
-    c.res_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
+  if (shape.residual) {
+    c.res_bytes = static_cast<double>(out_elems) * bpe * design.batch;
     const double res_burst = static_cast<double>(rows) * tile.tw * bpe;
     c.res_s = ddr.transfer_seconds(c.res_bytes, res_burst);
   }
 
   // Output features: written exactly once per image (accumulation stays
   // on chip).
-  c.of_bytes = static_cast<double>(out.elems()) * bpe * design.batch;
+  c.of_bytes = static_cast<double>(out_elems) * bpe * design.batch;
   const double of_burst =
-      static_cast<double>(std::min(rows, out.channels)) * tile.tw * bpe;
+      static_cast<double>(std::min(rows, shape.out_channels)) * tile.tw * bpe;
   c.of_s = ddr.transfer_seconds(c.of_bytes, of_burst);
 
   const auto add_order = [&](LoopOrder order, double if_bytes, double if_s,
@@ -173,9 +179,9 @@ LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
         LayerCost::Order{order, if_bytes, if_s, wt_bytes, wt_s};
   };
 
-  if (!layer.is_conv()) {
+  if (!shape.is_conv()) {
     // Pooling sweeps its input exactly once per image.
-    const double if_bytes = static_cast<double>(in.channels) *
+    const double if_bytes = static_cast<double>(shape.in_channels) *
                             geom.fetched_rows * geom.fetched_cols * bpe *
                             design.batch;
     add_order(LoopOrder::kOutputStationary, if_bytes,
@@ -188,26 +194,25 @@ LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
   // design's extra resident buffer.
   const double wt_burst = static_cast<double>(rows) *
                           std::min(tile.tc, geom.group_channels) *
-                          layer.conv.kernel_h * layer.conv.kernel_w * bpe;
-  const double weights_once =
-      static_cast<double>(graph.layer_weight_elems(id)) * bpe;
+                          shape.conv_kernel_h * shape.conv_kernel_w * bpe;
+  const double weights_once = static_cast<double>(shape.weight_elems) * bpe;
   // Input bytes when re-fetched per m-tile vs streamed once (halo only),
   // per image in the batch.
   const double if_per_mtile = static_cast<double>(geom.n_m) *
                               geom.channels_per_mtile * geom.fetched_rows *
                               geom.fetched_cols * bpe * design.batch;
-  const double if_once = static_cast<double>(in.channels) *
+  const double if_once = static_cast<double>(shape.in_channels) *
                          geom.fetched_rows * geom.fetched_cols * bpe *
                          design.batch;
 
   const std::int64_t kk =
-      static_cast<std::int64_t>(layer.conv.kernel_h) * layer.conv.kernel_w;
+      static_cast<std::int64_t>(shape.conv_kernel_h) * shape.conv_kernel_w;
   const std::int64_t ws_buffer = 2 * static_cast<std::int64_t>(rows) *
                                  geom.group_channels * kk * bpe;
   const int in_tile_rows =
-      std::min((tile.th - 1) * layer.conv.stride + layer.conv.kernel_h,
-               in.height);
-  const std::int64_t is_buffer = 2 * static_cast<std::int64_t>(in.channels) *
+      std::min((tile.th - 1) * shape.conv_stride + shape.conv_kernel_h,
+               shape.in_height);
+  const std::int64_t is_buffer = 2 * static_cast<std::int64_t>(shape.in_channels) *
                                  in_tile_rows * in_tile_cols * bpe;
 
   struct Candidate {

@@ -146,6 +146,8 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
 // Term helpers: the one definition of every part of layer_cost. Each reads
 // only the inputs it takes, so Dse::space() evaluates each once per
 // distinct input and shares it across the candidates that agree on it.
+// The graph-and-layer-id forms read the layer's ShapeKey and delegate to
+// the shape forms, which are plain arithmetic on it.
 
 /// Pixel steps of one m-tile of conv `id`: Σ over its th x tw output tiles
 /// of ceil(tile pixels / effective_cols). Boundary tiles process their true
@@ -153,29 +155,44 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
 /// full tiles x one full tile, plus the h-edge, w-edge and corner tiles.
 std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
                       int th, int tw, int effective_cols);
+std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
+                      int effective_cols);
 
 /// Reduction steps of conv `id`: Σ over its tc-channel tiles of the
 /// per-group input channels of ceil(channels x kernel area / simd), in
 /// closed form (full tiles plus the remainder tile).
 std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
                        int tc, int simd);
+std::int64_t red_steps(const ShapeKey& shape, int tc, int simd);
 
 /// Compute cycles of a conv from its terms: n_m x px x red per image, plus
-/// pipeline fill and drain per tile invocation.
-std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
-                         std::int64_t red_steps, int batch,
-                         std::int64_t total_tiles,
-                         const SystolicArrayConfig& array);
+/// pipeline fill and drain per tile invocation. Idle PE rows on the last
+/// output-channel tile are paid in full (output-stationary array). The
+/// batch loop sits inside the weight reuse: compute repeats per image
+/// while each weight tile stays resident. Linear in n_m x px x red and in
+/// total_tiles, which Dse::space uses to sum a candidate's layers at once.
+inline std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
+                                std::int64_t red_steps, int batch,
+                                std::int64_t total_tiles,
+                                const SystolicArrayConfig& array) {
+  return n_m * px_steps * red_steps * batch +
+         total_tiles * (array.rows + array.cols + array.simd);
+}
 
 /// Compute cycles of pooling layer `id` on the standalone pooling unit.
 std::int64_t pool_cycles(const graph::ComputationGraph& graph,
                          graph::LayerId id, int batch);
+std::int64_t pool_cycles(const ShapeKey& shape, int batch);
 
 /// Every field of layer_cost except `cycles`: the DDR streams of each
-/// feasible loop order. Of the array it reads only `rows`; `geom` is
-/// layer_tile_geometry(graph, id, design.array, design.tile).
+/// feasible loop order. Of the array it reads only `rows`; of `geom` it
+/// reads every field but n_c. `geom` is layer_tile_geometry(graph, id,
+/// design.array, design.tile).
 LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                       const LayerTileGeometry& geom,
+                      const AcceleratorDesign& design,
+                      const mem::DdrModel& ddr);
+LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
                       const AcceleratorDesign& design,
                       const mem::DdrModel& ddr);
 

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "graph/graph.hpp"
@@ -37,6 +36,43 @@ struct TileConfig {
   bool operator==(const TileConfig&) const = default;
 };
 
+/// Every layer field the per-layer cost and the tile-buffer sizes read.
+/// Layers with equal keys cost the same under every design, wherever they
+/// sit in the network. Fields a layer kind does not read stay zero. The
+/// term helpers below take it so that a caller reads the graph once per
+/// layer (or once per shape class) and every term after that is plain
+/// arithmetic.
+struct ShapeKey {
+  graph::LayerKind kind = graph::LayerKind::kConv;
+  int conv_kernel_h = 0;
+  int conv_kernel_w = 0;
+  int conv_stride = 0;
+  int conv_pad_h = 0;
+  int conv_pad_w = 0;
+  int conv_groups = 0;
+  int pool_kernel = 0;
+  int pool_stride = 0;
+  int pool_pad = 0;
+  bool pool_global = false;
+  int in_channels = 0;
+  int in_height = 0;
+  int in_width = 0;
+  int out_channels = 0;
+  int out_height = 0;
+  int out_width = 0;
+  bool residual = false;
+  std::int64_t weight_elems = 0;
+  std::int64_t macs = 0;
+
+  bool is_conv() const { return kind == graph::LayerKind::kConv; }
+  graph::FeatureShape out() const {
+    return {out_channels, out_height, out_width};
+  }
+  auto operator<=>(const ShapeKey&) const = default;
+};
+
+ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id);
+
 /// Double-buffered on-chip tile buffer requirements, in bytes, sized for the
 /// worst layer of a network (the uniform part of the memory hierarchy).
 struct TileBufferBytes {
@@ -51,11 +87,12 @@ struct TileBufferBytes {
 TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
                                   const SystolicArrayConfig& array,
                                   const TileConfig& tile, Precision p);
-/// The same, sized for the worst of `layers` only (the DSE passes one
-/// representative per shape class: the sizes read nothing else).
-TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
-                                  std::span<const graph::LayerId> layers,
-                                  const SystolicArrayConfig& array,
+/// The same for one layer of shape `shape` on an array of `rows` PE rows
+/// (the sizes read the array through nothing else). The input term reads
+/// (shape, tc, th, tw), the weight term is `rows` times a (shape, tc)
+/// term, and the output term is `rows` x th x tw x accumulator bytes for
+/// every layer; the DSE's menu filter takes its maxima axis by axis.
+TileBufferBytes tile_buffer_bytes(const ShapeKey& shape, int rows,
                                   const TileConfig& tile, Precision p);
 
 /// Input extent fetched along one axis, summed over the tiles of `tile`
@@ -96,12 +133,20 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
                                       graph::LayerId id,
                                       const SystolicArrayConfig& array,
                                       const TileConfig& tile);
+LayerTileGeometry layer_tile_geometry(const ShapeKey& shape,
+                                      const SystolicArrayConfig& array,
+                                      const TileConfig& tile);
 
 /// layer_tile_geometry without the halo walk: every field but
 /// fetched_rows and fetched_cols (left 0), from integer ceil-divisions
-/// alone. The DSE's compute-cycle table reads nothing else.
+/// alone. The DSE's compute cycles read nothing else. Of the array
+/// it reads only `rows`: n_m and channels_per_mtile read (shape, rows),
+/// n_c reads (shape, tc) and n_h, n_w read (shape, th, tw).
 LayerTileGeometry layer_tile_counts(const graph::ComputationGraph& graph,
                                     graph::LayerId id,
+                                    const SystolicArrayConfig& array,
+                                    const TileConfig& tile);
+LayerTileGeometry layer_tile_counts(const ShapeKey& shape,
                                     const SystolicArrayConfig& array,
                                     const TileConfig& tile);
 

@@ -1,6 +1,5 @@
 #include "mem/ddr.hpp"
 
-#include <stdexcept>
 #include "resil/error.hpp"
 
 namespace lcmm::mem {
@@ -16,27 +15,7 @@ DdrModel::DdrModel(const hw::FpgaDevice& device, DdrModelOptions options)
     throw resil::OptionError(resil::Code::kBadOptions, "mem.ddr",
                              "DdrModel: device has no DDR bandwidth");
   }
-}
-
-double DdrModel::efficiency(double burst_bytes) const {
-  if (burst_bytes <= 0.0) return 0.0;
-  const double raw = burst_bytes / (burst_bytes + options_.burst_overhead_bytes);
-  return raw < options_.max_efficiency ? raw : options_.max_efficiency;
-}
-
-double DdrModel::stream_peak_bytes_per_sec() const {
-  return total_peak_bytes_per_sec_ / options_.streams;
-}
-
-double DdrModel::stream_bytes_per_sec(double burst_bytes) const {
-  return stream_peak_bytes_per_sec() * efficiency(burst_bytes);
-}
-
-double DdrModel::transfer_seconds(double bytes, double burst_bytes) const {
-  if (bytes <= 0.0) return 0.0;
-  const double bw = stream_bytes_per_sec(burst_bytes);
-  if (bw <= 0.0) throw std::logic_error("DdrModel: zero effective bandwidth");
-  return bytes / bw;
+  stream_peak_bytes_per_sec_ = total_peak_bytes_per_sec_ / options_.streams;
 }
 
 }  // namespace lcmm::mem

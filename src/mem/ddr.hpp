@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 #include "hw/device.hpp"
 
@@ -36,23 +37,37 @@ class DdrModel {
 
   /// Burst efficiency in (0, max_efficiency] for the given contiguous
   /// burst length in bytes.
-  double efficiency(double burst_bytes) const;
+  double efficiency(double burst_bytes) const {
+    if (burst_bytes <= 0.0) return 0.0;
+    const double raw =
+        burst_bytes / (burst_bytes + options_.burst_overhead_bytes);
+    return raw < options_.max_efficiency ? raw : options_.max_efficiency;
+  }
 
   /// Theoretical per-stream bandwidth in bytes/second (the paper's
   /// 25.6 GB/s figure for the VU9P).
-  double stream_peak_bytes_per_sec() const;
+  double stream_peak_bytes_per_sec() const { return stream_peak_bytes_per_sec_; }
 
   /// Effective per-stream bandwidth for transfers with the given burst
   /// length, bytes/second.
-  double stream_bytes_per_sec(double burst_bytes) const;
+  double stream_bytes_per_sec(double burst_bytes) const {
+    return stream_peak_bytes_per_sec_ * efficiency(burst_bytes);
+  }
 
   /// Seconds to move `bytes` on one stream with the given burst length.
-  double transfer_seconds(double bytes, double burst_bytes) const;
+  /// Inline: the DSE evaluates it four times per stream-table cell.
+  double transfer_seconds(double bytes, double burst_bytes) const {
+    if (bytes <= 0.0) return 0.0;
+    const double bw = stream_bytes_per_sec(burst_bytes);
+    if (bw <= 0.0) throw std::logic_error("DdrModel: zero effective bandwidth");
+    return bytes / bw;
+  }
 
   const DdrModelOptions& options() const { return options_; }
 
  private:
   double total_peak_bytes_per_sec_;
+  double stream_peak_bytes_per_sec_ = 0.0;
   DdrModelOptions options_;
 };
 

@@ -68,9 +68,13 @@ void set_log_level(LogLevel level) {
 
 LogLevel log_level() { return g_level.load(std::memory_order_relaxed); }
 
-void log_line(LogLevel level, std::string_view message) {
+bool log_enabled(LogLevel level) {
   const LogLevel threshold = g_level.load(std::memory_order_relaxed);
-  if (level < threshold || threshold == LogLevel::kOff) return;
+  return level >= threshold && threshold != LogLevel::kOff;
+}
+
+void log_line(LogLevel level, std::string_view message) {
+  if (!log_enabled(level)) return;
   const double now = elapsed_s();
   std::lock_guard<std::mutex> lock(log_mutex());
   std::fprintf(stderr, "[%9.3fs] [%s] %.*s\n", now, level_name(level),

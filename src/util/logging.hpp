@@ -28,6 +28,10 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 void set_log_level(LogLevel level);
 LogLevel log_level();
 
+/// Whether a message at `level` passes the threshold. LCMM_LOG checks it
+/// before formatting anything, so a filtered message costs one atomic load.
+bool log_enabled(LogLevel level);
+
 /// Emits one formatted line ("[level] message") to stderr if enabled.
 void log_line(LogLevel level, std::string_view message);
 
@@ -51,11 +55,21 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// Makes `Voidify() & message` a void expression, so that LCMM_LOG can be
+/// the false branch of a conditional.
+struct Voidify {
+  void operator&(const LogMessage&) const {}
+};
+
 }  // namespace detail
 
 }  // namespace lcmm::util
 
-#define LCMM_LOG(level) ::lcmm::util::detail::LogMessage(level)
+#define LCMM_LOG(level)                      \
+  !::lcmm::util::log_enabled(level)          \
+      ? (void)0                              \
+      : ::lcmm::util::detail::Voidify() &    \
+            ::lcmm::util::detail::LogMessage(level)
 #define LCMM_DEBUG() LCMM_LOG(::lcmm::util::LogLevel::kDebug)
 #define LCMM_INFO() LCMM_LOG(::lcmm::util::LogLevel::kInfo)
 #define LCMM_WARN() LCMM_LOG(::lcmm::util::LogLevel::kWarn)

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <optional>
 #include <random>
 #include <set>
@@ -73,6 +74,18 @@ void expect_refine_equivalence(const graph::ComputationGraph& g,
               g.name() + " " + device.name + " " + to_string(p) + " refine");
 }
 
+/// Every zoo net, then random_graph seeds 1-20.
+std::vector<graph::ComputationGraph> zoo_and_random_graphs() {
+  std::vector<graph::ComputationGraph> graphs;
+  for (const std::string& name : models::model_names()) {
+    graphs.push_back(models::build_by_name(name));
+  }
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    graphs.push_back(models::random_graph(seed));
+  }
+  return graphs;
+}
+
 class DseTableModels : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DseTableModels, ArgminsMatchThePerCandidateModel) {
@@ -85,39 +98,58 @@ TEST_P(DseTableModels, ArgminsMatchThePerCandidateModel) {
   }
 }
 
-TEST_P(DseTableModels, CellsMatchLayerCostBitForBit) {
-  // The factored table assembles each cell from shared terms; every cell
-  // must equal the per-candidate layer_cost of the class representative.
-  const graph::ComputationGraph g = models::build_by_name(GetParam());
+/// Every cell of `g`'s space against the per-candidate layer_cost of the
+/// class representative, on every device and precision; and each
+/// candidate's compute bound against its exact layer-order cycle sum.
+void expect_cells_match_layer_cost(const graph::ComputationGraph& g) {
   for (const FpgaDevice& device : kDevices) {
     const mem::DdrModel ddr(device);
     for (Precision p : kAllPrecisions) {
       const DesignSpace space = Dse(device, p).space(g);
       const ShapeClasses& classes = space.classes();
+      const double cycle_s = cycle_seconds(device.clock_mhz(p, false));
+      const double shrink =
+          1.0 - static_cast<double>(g.num_layers() + 4) * 0x1p-52;
       for (std::size_t i = 0; i < space.menu().size(); ++i) {
         AcceleratorDesign design;
         design.device = device;
         design.precision = p;
         design.array = space.menu()[i].array;
         design.tile = space.menu()[i].tile;
+        const auto where = [&](std::size_t k) {
+          return g.name() + " " + device.name + " " + to_string(p) +
+                 " candidate " + std::to_string(i) + " class " +
+                 std::to_string(k);
+        };
         for (std::size_t k = 0; k < classes.size(); ++k) {
           const LayerCost ref =
               layer_cost(g, classes.representative[k], design, ddr);
           const DesignSpace::Cost cell = space.cell(i, k);
-          const auto where = [&] {
-            return device.name + " " + to_string(p) + " candidate " +
-                   std::to_string(i) + " class " + std::to_string(k);
-          };
-          ASSERT_EQ(ref.num_orders, 1) << where();
-          ASSERT_EQ(cell.cycles, ref.cycles) << where();
-          ASSERT_EQ(cell.if_s, ref.orders[0].if_s) << where();
-          ASSERT_EQ(cell.res_s, ref.res_s) << where();
-          ASSERT_EQ(cell.wt_s, ref.orders[0].wt_s) << where();
-          ASSERT_EQ(cell.of_s, ref.of_s) << where();
+          ASSERT_EQ(ref.num_orders, 1) << where(k);
+          ASSERT_EQ(cell.cycles, ref.cycles) << where(k);
+          ASSERT_EQ(cell.if_s, ref.orders[0].if_s) << where(k);
+          ASSERT_EQ(cell.res_s, ref.res_s) << where(k);
+          ASSERT_EQ(cell.wt_s, ref.orders[0].wt_s) << where(k);
+          ASSERT_EQ(cell.of_s, ref.of_s) << where(k);
         }
+        // The space sums its compute cycles per axis value rather than per
+        // layer; the bound must still read the exact per-layer sum.
+        std::int64_t cycles = 0;
+        for (const int k : classes.layer_class) {
+          cycles += space.cell(i, static_cast<std::size_t>(k)).cycles;
+        }
+        ASSERT_EQ(space.latency_bound(i, false),
+                  static_cast<double>(cycles) * cycle_s * shrink)
+            << where(0);
       }
     }
   }
+}
+
+TEST_P(DseTableModels, CellsMatchLayerCostBitForBit) {
+  // The factored table assembles each cell from shared terms; every cell
+  // must equal the per-candidate layer_cost of the class representative.
+  expect_cells_match_layer_cost(models::build_by_name(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Zoo, DseTableModels,
@@ -131,6 +163,69 @@ TEST(DseTable, RandomGraphArgminsMatchThePerCandidateModel) {
     for (Precision p : kAllPrecisions) {
       expect_umm_equivalence(g, device, p);
       expect_refine_equivalence(g, device, p);
+    }
+  }
+}
+
+TEST(DseTable, RandomGraphCellsMatchLayerCostBitForBit) {
+  // Odd strides, pads and groups reach the edge tiles of the fetched
+  // extents that the zoo's shapes leave out.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    expect_cells_match_layer_cost(models::random_graph(seed));
+  }
+}
+
+TEST(DseTable, MenuMatchesTileBufferBytes) {
+  // The menu filter reads each tile_buffer_bytes term per axis value; it
+  // must keep exactly the (array, tile) pairs whose whole-graph buffers fit
+  // the BRAM budget and whose tile feeds the SIMD lanes, in menu order
+  // (arrays outer, tc, then spatial). The axes restate the DSE's menu.
+  constexpr int kTc[] = {16, 32, 64, 128};
+  constexpr int kSpatial[] = {4, 7, 8, 14, 16, 17, 28};
+  for (const graph::ComputationGraph& g : zoo_and_random_graphs()) {
+    for (const FpgaDevice& device : kDevices) {
+      for (Precision p : kAllPrecisions) {
+        for (bool packing : {false, true}) {
+          DseOptions options;
+          options.allow_int8_packing = packing;
+          const Dse dse(device, p, options);
+          const std::string what = g.name() + " " + device.name + " " +
+                                   to_string(p) +
+                                   (packing ? " packing" : " no packing");
+          // tile_buffer_bytes reads the array only through its row count.
+          std::map<int, std::vector<TileConfig>> fitting;
+          std::vector<DseCandidate> want;
+          for (const SystolicArrayConfig& array : dse.array_candidates()) {
+            auto [it, added] = fitting.try_emplace(array.rows);
+            for (int tc : kTc) {
+              for (int s : kSpatial) {
+                const TileConfig tile{tc, s, s};
+                if (added && tile_buffer_bytes(g, array, tile, p).total() <=
+                                 dse.tile_bram_budget()) {
+                  it->second.push_back(tile);
+                }
+              }
+            }
+            std::vector<TileConfig> tiles;
+            for (const TileConfig& tile : it->second) {
+              if (tile.tc >= array.simd) tiles.push_back(tile);
+            }
+            ASSERT_EQ(dse.tile_candidates(g, array), tiles)
+                << what << " array " << array.to_string();
+            for (const TileConfig& tile : tiles) want.push_back({array, tile});
+          }
+          if (want.empty()) {
+            EXPECT_THROW(dse.space(g), resil::CompileError) << what;
+            continue;
+          }
+          const std::vector<DseCandidate> menu = dse.space(g).menu();
+          ASSERT_EQ(menu.size(), want.size()) << what;
+          for (std::size_t i = 0; i < menu.size(); ++i) {
+            ASSERT_EQ(menu[i].array, want[i].array) << what << " #" << i;
+            ASSERT_EQ(menu[i].tile, want[i].tile) << what << " #" << i;
+          }
+        }
+      }
     }
   }
 }
@@ -252,17 +347,6 @@ double layer_order_sum(const DesignSpace& space, std::size_t i, double cycle_s,
                          c.res_s, c.wt_s, c.of_s, masks.empty() ? 0 : masks[l]);
   }
   return total;
-}
-
-std::vector<graph::ComputationGraph> zoo_and_random_graphs() {
-  std::vector<graph::ComputationGraph> graphs;
-  for (const std::string& name : models::model_names()) {
-    graphs.push_back(models::build_by_name(name));
-  }
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    graphs.push_back(models::random_graph(seed));
-  }
-  return graphs;
 }
 
 TEST(DseTable, ComputeBoundNeverExceedsLatency) {
