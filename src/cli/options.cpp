@@ -100,9 +100,6 @@ Options parse_cli(const std::vector<std::string>& args) {
       } else {
         throw CliError("--format must be text, json or csv");
       }
-    } else if (consume_value(args, i, "--jobs", value)) {
-      opt.jobs = to_int("--jobs", value);
-      if (opt.jobs < 1) throw CliError("--jobs must be >= 1");
     } else if (consume_value(args, i, "--dse-passes", value)) {
       opt.lcmm.dse_passes = to_int("--dse-passes", value);
     } else if (consume_value(args, i, "--capacity-fraction", value)) {
@@ -122,10 +119,6 @@ Options parse_cli(const std::vector<std::string>& args) {
     } else if (consume_value(args, i, "--job-timeout", value)) {
       opt.job_timeout_s = to_double("--job-timeout", value);
       if (opt.job_timeout_s <= 0) throw CliError("--job-timeout must be > 0");
-    } else if (consume_value(args, i, "--retries", value)) {
-      const int retries = to_int("--retries", value);
-      if (retries < 0) throw CliError("--retries must be >= 0");
-      opt.job_attempts = retries + 1;
     } else if (arg == "--list-fault-sites") {
       opt.list_fault_sites = true;
     } else if (consume_value(args, i, "--chrome-trace", value)) {
@@ -192,14 +185,8 @@ std::string usage() {
         "                        floor (docs/robustness.md)\n"
         "  --job-timeout S       soft per-job wall-clock budget in seconds for\n"
         "                        batch compilation (checked at phase boundaries)\n"
-        "  --retries N           retries per batch job for transient failures\n"
-        "                        (default 1; deterministic errors never retry)\n"
         "  --list-fault-sites    print the registered LCMM_FAULT injection\n"
         "                        sites and exit\n"
-        "  --jobs N              worker threads for DSE candidate evaluation\n"
-        "                        and batch compilation (default: LCMM_JOBS or\n"
-        "                        the hardware concurrency); plans, reports and\n"
-        "                        stats are identical for every N\n"
         "\noutput:\n"
         "  --format text|json|csv  report format (default text)\n"
         "  --trace               print the tensor residency timeline\n"

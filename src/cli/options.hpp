@@ -30,11 +30,6 @@ struct Options {
 
   core::LcmmOptions lcmm;
 
-  /// Worker threads for DSE candidate evaluation and batch compilation.
-  /// 0 = auto: LCMM_JOBS when set, else the hardware concurrency. Results
-  /// are identical for every value (see docs/parallelism.md).
-  int jobs = 0;
-
   bool emit_dot = false;
   bool emit_graph = false;
   bool emit_trace = false;
@@ -66,8 +61,6 @@ struct Options {
   /// Per-job wall-clock budget in seconds for batch compilation
   /// (<= 0 = unlimited), checked at phase boundaries.
   double job_timeout_s = 0.0;
-  /// Attempts per batch job (transient failures retry; default 2).
-  int job_attempts = 2;
 };
 
 /// Parses argv (argv[0] is skipped). Throws CliError on bad input.

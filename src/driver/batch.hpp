@@ -5,9 +5,9 @@
 // state; compile_many() fans them out over lcmm::par and returns outcomes
 // in input order. A job that throws reports a structured error (code,
 // failing pass, job label) in BatchOutcome instead of tearing down the
-// whole sweep; transient failures (injected faults, io flakes) get a
-// bounded retry, and each job runs under a soft wall-clock deadline
-// checked at phase boundaries. When the calling thread is collecting obs
+// whole sweep (the compiler itself retries a transient failure once), and
+// each job runs under a soft wall-clock deadline checked at phase
+// boundaries. When the calling thread is collecting obs
 // telemetry, per-job stats merge back in job order — the collected
 // registry is identical whatever the worker count (see
 // docs/parallelism.md).
@@ -39,10 +39,6 @@ struct BatchJob {
   /// Soft per-job wall-clock budget in seconds (<= 0 = unlimited), checked
   /// at phase boundaries — a running pass is never interrupted mid-flight.
   double timeout_s = 0.0;
-  /// Attempts per job: transient failures (resil::is_transient) retry up
-  /// to this many times; deterministic failures, and any failure under
-  /// options.strict, fail on the first.
-  int max_attempts = 2;
 };
 
 struct BatchOutcome {
@@ -55,7 +51,7 @@ struct BatchOutcome {
   std::string label;        ///< BatchJob::label (or the graph name).
   std::string error;        ///< Non-empty when the job failed; plan fields empty.
   resil::ErrorInfo error_info;  ///< Structured error (code, pass, entity).
-  int attempts = 0;         ///< Attempts consumed (>1 means a retry happened).
+  int attempts = 0;         ///< Always 1: a job runs once.
   bool timed_out = false;   ///< Failed on the wall-clock deadline.
 
   bool ok() const { return error.empty(); }

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "obs/scope.hpp"
-#include "par/parallel_for.hpp"
 #include "resil/error.hpp"
 #include "resil/fault.hpp"
 #include "util/logging.hpp"
@@ -45,7 +44,7 @@ std::size_t axis_index(const int (&axis)[N], int value) {
 
 /// The lexicographic minimum of (latency, DSP cost, menu index) over the
 /// finite latencies offered. Neither the winner nor the tie count depends
-/// on the order of the offers, so serial, parallel and pruned scans pick
+/// on the order of the offers, so the exhaustive and the pruned scans pick
 /// the same design bit for bit.
 class Incumbent {
  public:
@@ -308,58 +307,51 @@ std::size_t DesignSpace::stream_slot(std::size_t i) const {
 const std::vector<DesignSpace::Streams>& DesignSpace::streams(
     std::size_t i) const {
   const std::size_t x = stream_slot(i);
-  if (streams_[x].empty()) fill_rows({static_cast<std::uint32_t>(i)});
+  if (streams_[x].empty()) fill_row(i);
   return streams_[x];
 }
 
-void DesignSpace::fill_rows(const std::vector<std::uint32_t>& candidates) const {
+void DesignSpace::fill_row(std::size_t i) const {
   const std::vector<ShapeKey>& shapes = classes_.shape;
-  for (const std::uint32_t i : candidates) {
-    const std::uint32_t bit = 1u << axes_[i].spatial;
-    if (fetched_spatial_ & bit) continue;
-    std::vector<LayerTileGeometry>& hw = spatial_tiles_[axes_[i].spatial];
+  const Axes& a = axes_[i];
+  std::vector<LayerTileGeometry>& hw = spatial_tiles_[a.spatial];
+  const std::uint32_t bit = 1u << a.spatial;
+  if (!(fetched_spatial_ & bit)) {
     for (std::size_t k = 0; k < shapes.size(); ++k) {
       hw[k] = layer_tile_geometry(shapes[k], menu_[i].array, menu_[i].tile);
     }
     fetched_spatial_ |= bit;
   }
   const mem::DdrModel ddr(device_);
-  // Each row is built aside and assigned whole by one task, so a task that
-  // fails leaves its row empty for the next caller to fill.
-  par::parallel_for(candidates.size(), jobs_, [&](std::size_t j) {
-    const std::size_t i = candidates[j];
-    const Axes& a = axes_[i];
-    AcceleratorDesign design;
-    design.device = device_;
-    design.precision = precision_;
-    design.array = menu_[i].array;
-    design.tile = menu_[i].tile;
-    const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
-    const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
-    const std::vector<LayerTileGeometry>& hw = spatial_tiles_[a.spatial];
-    std::vector<Streams> row(shapes.size());
-    for (std::size_t k = 0; k < shapes.size(); ++k) {
-      // layer_tile_geometry(shapes[k], design.array, design.tile), each
-      // field from the axis value that determines it.
-      LayerTileGeometry geom = hw[k];
-      geom.n_m = m[k].n_m;
-      geom.channels_per_mtile = m[k].channels_per_mtile;
-      geom.n_c = c[k].n_c;
-      const LayerCost cost = stream_cost(shapes[k], geom, design, ddr);
-      if (cost.num_orders != 1) {
-        throw resil::CompileError(resil::Code::kInternal, "dse.explore",
-                                  "menu design with a stationary buffer",
-                                  graph_->name());
-      }
-      row[k] = {cost.orders[0].if_s, cost.res_s, cost.orders[0].wt_s,
-                cost.of_s};
+  AcceleratorDesign design;
+  design.device = device_;
+  design.precision = precision_;
+  design.array = menu_[i].array;
+  design.tile = menu_[i].tile;
+  const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
+  const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
+  // The row is built aside and assigned whole, so a failed fill leaves it
+  // empty for the next caller to fill.
+  std::vector<Streams> row(shapes.size());
+  for (std::size_t k = 0; k < shapes.size(); ++k) {
+    // layer_tile_geometry(shapes[k], design.array, design.tile), each
+    // field from the axis value that determines it.
+    LayerTileGeometry geom = hw[k];
+    geom.n_m = m[k].n_m;
+    geom.channels_per_mtile = m[k].channels_per_mtile;
+    geom.n_c = c[k].n_c;
+    const LayerCost cost = stream_cost(shapes[k], geom, design, ddr);
+    if (cost.num_orders != 1) {
+      throw resil::CompileError(resil::Code::kInternal, "dse.explore",
+                                "menu design with a stationary buffer",
+                                graph_->name());
     }
-    streams_[stream_slot(i)] = std::move(row);
-  });
-  if (candidates.empty()) return;
-  LCMM_COUNT("stream_rows", static_cast<std::int64_t>(candidates.size()));
-  LCMM_COUNT("cost_terms",
-             static_cast<std::int64_t>(candidates.size() * shapes.size()));
+    row[k] = {cost.orders[0].if_s, cost.res_s, cost.orders[0].wt_s,
+              cost.of_s};
+  }
+  streams_[stream_slot(i)] = std::move(row);
+  LCMM_COUNT("stream_rows", 1);
+  LCMM_COUNT("cost_terms", static_cast<std::int64_t>(shapes.size()));
 }
 
 double DesignSpace::latency(std::size_t i, double cycle_s,
@@ -404,30 +396,12 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
   const double cycle_s = cycle_seconds(freq);
   std::vector<double> scratch;
 
-  // The first candidate's latency caps every bound the walk below can
-  // reach, so fill the rows of every candidate under it in one parallel
-  // pass (all of them if that latency is not finite).
-  const std::uint32_t first = scan_order_.front();
-  const double cap = latency(first, cycle_s, on_chip_masks, scratch);
-  std::vector<std::uint32_t> rows;
-  std::vector<char> queued(streams_.size());
-  for (const std::uint32_t i : scan_order_) {
-    if (std::isfinite(cap) && bound(i, cycle_s) > cap) break;
-    const std::size_t x = stream_slot(i);
-    if (streams_[x].empty() && !queued[x]) {
-      queued[x] = 1;
-      rows.push_back(i);
-    }
-  }
-  fill_rows(rows);
-
   // Bounds rise along the scan order, so once one exceeds the best latency
-  // no later candidate can tie or beat it.
+  // no later candidate can tie or beat it. A candidate's stream row is
+  // filled when it is first evaluated.
   Incumbent best(menu_, precision_);
-  best.offer(first, cap);
-  std::int64_t evaluated = 1;
-  for (std::size_t p = 1; p < scan_order_.size(); ++p) {
-    const std::uint32_t i = scan_order_[p];
+  std::int64_t evaluated = 0;
+  for (const std::uint32_t i : scan_order_) {
     if (best.found() && bound(i, cycle_s) > best.latency()) break;
     best.offer(i, latency(i, cycle_s, on_chip_masks, scratch));
     ++evaluated;
@@ -437,12 +411,7 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
 }
 
 Dse::Dse(FpgaDevice device, Precision precision, DseOptions options)
-    : device_(std::move(device)), precision_(precision), options_(options) {
-  if (options_.jobs < 0) {
-    throw resil::OptionError(resil::Code::kBadOptions, "dse.options",
-                             "Dse: jobs must be >= 0");
-  }
-}
+    : device_(std::move(device)), precision_(precision), options_(options) {}
 
 int Dse::dsp_budget() const {
   return static_cast<int>(device_.dsp_total * kDspBudgetFraction);
@@ -533,7 +502,6 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   out.graph_ = &graph;
   out.device_ = device_;
   out.precision_ = precision_;
-  out.jobs_ = options_.jobs;
   out.batch_ = AcceleratorDesign{}.batch;
   out.classes_ = shape_classes(graph);
   out.menu_ = menu(graph, out.classes_);
@@ -697,20 +665,16 @@ DseResult Dse::explore(const graph::ComputationGraph& graph,
   LCMM_COUNT("argmins", 1);
   const std::vector<DseCandidate> candidates = menu(graph, shape_classes(graph));
   const double freq = device_.clock_mhz(precision_, options_.heavy_uram_use);
-  // Candidates are independent, so evaluate them on the worker pool; each
-  // latency lands in its own slot, making the vector scheduling-invariant.
-  const std::vector<double> latencies =
-      par::parallel_map(candidates.size(), options_.jobs, [&](std::size_t i) {
-        AcceleratorDesign design;
-        design.device = device_;
-        design.precision = precision_;
-        design.array = candidates[i].array;
-        design.tile = candidates[i].tile;
-        design.freq_mhz = freq;
-        return objective(design);
-      });
+  AcceleratorDesign design;
+  design.device = device_;
+  design.precision = precision_;
+  design.freq_mhz = freq;
   Incumbent best(candidates, precision_);
-  for (std::size_t i = 0; i < candidates.size(); ++i) best.offer(i, latencies[i]);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    design.array = candidates[i].array;
+    design.tile = candidates[i].tile;
+    best.offer(i, objective(design));
+  }
   LCMM_COUNT("candidates_evaluated",
              static_cast<std::int64_t>(candidates.size()));
   return best.result(device_, freq, graph.name());

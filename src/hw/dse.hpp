@@ -49,11 +49,6 @@ struct DseOptions {
   /// Off by default: the paper's baseline [18] does not pack (its quoted
   /// 2.7 Tops peak is one MAC per DSP).
   bool allow_int8_packing = false;
-  /// Workers for candidate evaluation and stream rows (0 =
-  /// par::default_jobs()). The result is worker-count independent: every
-  /// argmin reduces with an explicit (latency, DSP cost, menu index)
-  /// tie-break.
-  int jobs = 0;
 };
 
 struct DseResult {
@@ -158,9 +153,9 @@ class DesignSpace {
   std::size_t stream_slot(std::size_t i) const;
   /// Candidate `i`'s stream row, filled first if empty.
   const std::vector<Streams>& streams(std::size_t i) const;
-  /// Fills the (empty, distinct) stream rows of `candidates`, one task per
-  /// row, after the fetched extents of their spatial values.
-  void fill_rows(const std::vector<std::uint32_t>& candidates) const;
+  /// Fills candidate `i`'s (empty) stream row, after the fetched extents
+  /// of its spatial value.
+  void fill_row(std::size_t i) const;
   /// Candidate `i`'s objective: Eq. 1 summed in layer order. `scratch`
   /// holds one value per class.
   double latency(std::size_t i, double cycle_s,
@@ -170,7 +165,6 @@ class DesignSpace {
   const graph::ComputationGraph* graph_ = nullptr;
   FpgaDevice device_;
   Precision precision_ = Precision::kInt8;
-  int jobs_ = 0;
   int batch_ = 1;
   std::vector<DseCandidate> menu_;
   ShapeClasses classes_;
@@ -218,18 +212,16 @@ class Dse {
 
   /// Builds `graph`'s design space: the menu, the shape classes, the
   /// compute cycles and the scan order. The stream rows are filled later,
-  /// on DseOptions::jobs workers, by the argmins that need them. The space
-  /// borrows `graph`. Throws CompileError(kNoFeasibleDesign) if no
-  /// candidate fits.
+  /// one at a time, by the argmin walks that need them. The space borrows
+  /// `graph`. Throws CompileError(kNoFeasibleDesign) if no candidate fits.
   DesignSpace space(const graph::ComputationGraph& graph) const;
 
   /// Explores the candidate space for `graph`. With no objective, minimizes
   /// the UMM total latency at the options' clock (space(graph).argmin()).
   /// Throws CompileError(kNoFeasibleDesign) if no candidate fits.
-  /// An objective is evaluated on every candidate, on DseOptions::jobs
-  /// workers; latency ties break on DSP cost, then menu index, so the
-  /// winner does not depend on evaluation order (serial and parallel runs
-  /// agree bitwise). The exhaustive reference for DesignSpace::argmin.
+  /// An objective is evaluated on every candidate in menu order; latency
+  /// ties break on DSP cost, then menu index, exactly as in
+  /// DesignSpace::argmin, whose exhaustive reference this is.
   DseResult explore(const graph::ComputationGraph& graph,
                     const Objective& objective = nullptr) const;
 

@@ -1,9 +1,9 @@
 // Worker-count policy for the lcmm::par subsystem.
 //
 // The library stays serial unless somebody asks for workers: the process
-// default starts at 1 (or the LCMM_JOBS environment variable when set), the
-// tools raise it from --jobs, and the bench sweeps raise it to the machine
-// width. Every parallel entry point takes a `jobs` argument where 0 means
+// default starts at 1 (or the LCMM_JOBS environment variable when set), and
+// the bench sweeps raise their batch workers to the machine width. Every
+// parallel entry point takes a `jobs` argument where 0 means
 // "use the process default", so call sites never hard-code a width.
 #pragma once
 

@@ -1,8 +1,8 @@
 // lcmm::par — fixed-size thread pool and deterministic parallel loops.
 //
-// The framework sits inside design-space sweeps compiling many graphs, so
-// the evaluation loops (DSE candidates, batch compilation, bench sweeps)
-// fan out over this subsystem. Determinism is the design constraint:
+// The framework sits inside sweeps compiling many graphs, so the
+// evaluation loops (batch compilation, bench sweeps) fan out over this
+// subsystem; a single compile runs on its calling thread. Determinism is the design constraint:
 // whatever the worker count, results, telemetry order and error selection
 // are bitwise identical to a serial run (see parallel_for.hpp for the
 // contract and docs/parallelism.md for the full thread-safety story).

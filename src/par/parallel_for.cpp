@@ -31,7 +31,7 @@ void parallel_for(std::size_t n, int jobs,
   if (workers <= 1) {
     for (std::size_t i = 0; i < n; ++i) {
       // Same injection point as the parallel path, so LCMM_FAULT=par.task
-      // behaves identically for --jobs 1 and --jobs N.
+      // behaves identically for one worker and many.
       resil::fault::hit("par.task");
       body(i);
     }

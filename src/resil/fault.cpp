@@ -1,6 +1,7 @@
 #include "resil/fault.hpp"
 
 #include <cstdlib>
+#include <deque>
 #include <mutex>
 
 #include "resil/error.hpp"
@@ -20,14 +21,22 @@ constexpr const char* kSites[] = {
     "pass.splitting", // buffer splitting (§3.4)
     "pass.place",     // physical BRAM/URAM placement
     "par.task",       // every lcmm::par task wrapper
-    "driver.job",     // every driver::compile_many job
 };
 
 // The armed config is read on every hit() from arbitrary threads while
-// tests arm/disarm between operations; configs are immutable once
-// published and intentionally leaked on replacement (bounded by the
-// number of arm() calls, i.e. a handful per test process).
+// tests arm/disarm between operations, so hit() takes no lock: a config is
+// immutable once published and stays owned by the registry until exit,
+// which keeps it valid for a hit() that loaded it just before a re-arm.
+// The registry holds one config per arm() call, a handful per process.
 std::atomic<const Config*> g_armed{nullptr};
+
+const Config* publish(Config config) {
+  static std::mutex mutex;
+  // A deque never moves its elements when it grows at the back.
+  static std::deque<Config> published;
+  const std::lock_guard<std::mutex> lock(mutex);
+  return &published.emplace_back(std::move(config));
+}
 
 thread_local State* tl_state = nullptr;
 
@@ -48,7 +57,7 @@ void arm(Config config) {
                       "unknown fault site '" + config.site + "'");
   }
   if (config.nth < 1) config.nth = 1;
-  g_armed.store(new Config(std::move(config)), std::memory_order_release);
+  g_armed.store(publish(std::move(config)), std::memory_order_release);
 }
 
 void disarm() { g_armed.store(nullptr, std::memory_order_release); }
@@ -127,7 +136,8 @@ void hit(const char* site) {
   if (n < config->nth) return;
   if (config->fires >= 0 && n >= config->nth + config->fires) return;
   // Keep the message free of the hit index: with racing workers the index
-  // that fires can vary, and batch error strings must match across --jobs.
+  // that fires can vary, and batch error strings must match across worker
+  // counts.
   throw CompileError(Code::kFaultInjected, site,
                      "deterministic fault injected");
 }

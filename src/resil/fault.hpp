@@ -8,7 +8,7 @@
 // into pool tasks exactly like the obs sink. With the default one-shot
 // config (fires = 1) exactly one hit fires per operation no matter how the
 // scheduler interleaves workers — which is what makes batch outcomes
-// identical for --jobs 1 and --jobs 8.
+// identical for every compile_many worker count.
 //
 // Arming: programmatically via arm()/ArmedGuard (tests), or from the
 // LCMM_FAULT environment variable (CI):
@@ -21,8 +21,9 @@
 // A one-shot fault costs a compile one retry on the same inputs and leaves
 // its plan unchanged. A sticky fault on an LCMM pass site fails the retry
 // too and ships the UMM floor. Sticky faults on sites the UMM path shares
-// (dse.explore, pass.place, par.task) defeat the floor too, and a sticky
-// driver.job fault fails the batch job, by design.
+// (dse.explore, pass.place) defeat the floor too, by design. No compile
+// pass runs lcmm::par tasks, so par.task fires only in a parallel loop
+// run inside a Scope.
 #pragma once
 
 #include <atomic>
@@ -35,7 +36,7 @@
 namespace lcmm::resil::fault {
 
 /// Registered injection sites (pass boundaries, DSE, the par task wrapper,
-/// the io parser, the batch driver).
+/// the io parser).
 std::span<const char* const> sites();
 bool is_site(std::string_view name);
 

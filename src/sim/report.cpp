@@ -83,9 +83,10 @@ util::Json report_to_json(const DesignReport& report) {
 }
 
 util::Json plan_to_json(const graph::ComputationGraph& graph,
-                        const core::AllocationPlan& plan, const SimResult& sim) {
+                        const core::AllocationPlan& plan, const SimResult& sim,
+                        const DesignReport& report) {
   util::Json j = util::Json::object();
-  j["report"] = report_to_json(make_report(graph, plan, sim));
+  j["report"] = report_to_json(report);
 
   util::Json design = util::Json::object();
   design["device"] = plan.design.device.name;

@@ -49,8 +49,10 @@ std::int64_t estimate_luts(const core::AllocationPlan& plan);
 
 /// Machine-readable forms (CLI --format=json).
 util::Json report_to_json(const DesignReport& report);
-/// Full plan detail: design point, buffers, residency, per-layer timeline.
+/// Full plan detail: `report` (make_report of the same plan and sim), the
+/// design point, buffers, residency and the per-layer timeline.
 util::Json plan_to_json(const graph::ComputationGraph& graph,
-                        const core::AllocationPlan& plan, const SimResult& sim);
+                        const core::AllocationPlan& plan, const SimResult& sim,
+                        const DesignReport& report);
 
 }  // namespace lcmm::sim

@@ -77,15 +77,6 @@ TEST(Cli, CheckFlags) {
   EXPECT_THROW(parse_cli({"--model", "m", "--check-report"}), CliError);
 }
 
-TEST(Cli, JobsFlag) {
-  EXPECT_EQ(parse_cli({"--model", "m"}).jobs, 0);  // 0 = auto
-  EXPECT_EQ(parse_cli({"--model", "m", "--jobs", "1"}).jobs, 1);
-  EXPECT_EQ(parse_cli({"--model", "m", "--jobs=8"}).jobs, 8);
-  EXPECT_THROW(parse_cli({"--model", "m", "--jobs", "0"}), CliError);
-  EXPECT_THROW(parse_cli({"--model", "m", "--jobs", "-3"}), CliError);
-  EXPECT_THROW(parse_cli({"--model", "m", "--jobs", "many"}), CliError);
-}
-
 TEST(Cli, RequiresExactlyOneInput) {
   EXPECT_THROW(parse_cli({}), CliError);
   EXPECT_THROW(parse_cli({"--format", "json"}), CliError);
@@ -105,6 +96,10 @@ TEST(Cli, UnknownOptionRejected) {
   // DNNK is the only allocator the compiler runs; the greedy and exact
   // references are library functions, not a flag.
   EXPECT_THROW(parse_cli({"--model", "m", "--allocator", "dnnk"}), CliError);
+  // The tool compiles one job on its calling thread and retries inside the
+  // compiler only: there are no worker or job-retry flags.
+  EXPECT_THROW(parse_cli({"--model", "m", "--jobs", "4"}), CliError);
+  EXPECT_THROW(parse_cli({"--model", "m", "--retries", "1"}), CliError);
 }
 
 TEST(Cli, MissingValueRejected) {

@@ -175,6 +175,23 @@ TEST(DseTable, RandomGraphCellsMatchLayerCostBitForBit) {
   }
 }
 
+TEST(DseTable, GroupedConvCellsMatchLayerCostAtEveryRowCount) {
+  // Grouped, non-depthwise convs whose output channels are not a multiple
+  // of every menu row count: an m-tile of 8, 16 or 32 PE rows covers one,
+  // two or four of conv1's groups (10 output channels each), so the input
+  // channels each m-tile fetches (channels_per_mtile), and with them if_s,
+  // depend on the row count and not only on n_m.
+  graph::ComputationGraph g("grouped");
+  auto x = g.add_input("in", {48, 28, 28});
+  x = g.add_conv("conv1", x, {40, 3, 3, 1, 1, 1, 4});
+  g.add_conv("conv2", x, {60, 1, 1, 1, 0, 0, 5});
+  g.validate();
+  expect_cells_match_layer_cost(g);
+  for (const FpgaDevice& device : kDevices) {
+    for (Precision p : kAllPrecisions) expect_umm_equivalence(g, device, p);
+  }
+}
+
 TEST(DseTable, MenuMatchesTileBufferBytes) {
   // The menu filter reads each tile_buffer_bytes term per axis value; it
   // must keep exactly the (array, tile) pairs whose whole-graph buffers fit

@@ -76,7 +76,8 @@ TEST(PlanJson, ContainsExpectedSections) {
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
   const auto plan = compiler.compile(g);
   const auto sim_result = sim::simulate(g, plan);
-  const Json j = sim::plan_to_json(g, plan, sim_result);
+  const Json j = sim::plan_to_json(g, plan, sim_result,
+                                   sim::make_report(g, plan, sim_result));
   const std::string s = j.dump(-1);
   EXPECT_NE(s.find("\"report\""), std::string::npos);
   EXPECT_NE(s.find("\"virtual_buffers\""), std::string::npos);

@@ -201,15 +201,19 @@ TEST(Integration, FullCompileEmitsNonZeroPerPassSpans) {
 TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   // One compile builds one design-space table and runs its argmins (UMM
   // baseline, LCMM seed, refine) on it; the counts, ties, stream rows and
-  // evaluated candidates included, are the same for any number of
-  // table-filling workers.
+  // evaluated candidates included, add up job by job at any batch worker
+  // count.
   const graph::ComputationGraph graph = models::build_by_name("googlenet");
-  const auto dse_counters = [&](int jobs) {
-    core::LcmmOptions options;
-    options.dse.jobs = jobs;
+  const auto dse_counters = [&](std::size_t copies, int workers) {
+    const std::vector<driver::BatchJob> jobs(
+        copies, {.graph = graph,
+                 .device = hw::FpgaDevice::vu9p(),
+                 .precision = hw::Precision::kInt16,
+                 .want_umm = false});
     StatsSession session;
-    core::LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, options)
-        .compile(graph);
+    for (const auto& outcome : driver::compile_many(jobs, workers)) {
+      EXPECT_TRUE(outcome.ok()) << outcome.error;
+    }
     const CompileStats& stats = session.stats();
     return std::vector<std::int64_t>{
         stats.counter("dse.menu"), stats.counter("dse.shape_classes"),
@@ -218,7 +222,7 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
         stats.counter("dse.ties_broken"), stats.counter("dse.stream_rows"),
         stats.counter("dse.candidates_evaluated")};
   };
-  const std::vector<std::int64_t> serial = dse_counters(1);
+  const std::vector<std::int64_t> serial = dse_counters(1, 1);
   const std::int64_t menu = serial[0], classes = serial[1];
   EXPECT_GT(menu, 0);
   EXPECT_GT(classes, 0);
@@ -235,7 +239,10 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
   EXPECT_GT(serial[7], 0);
   EXPECT_GE(serial[8], serial[3]);
   EXPECT_LT(serial[8], serial[3] * menu);
-  EXPECT_EQ(dse_counters(4), serial);
+  std::vector<std::int64_t> twice = serial;
+  for (std::int64_t& count : twice) count *= 2;
+  EXPECT_EQ(dse_counters(2, 1), twice);
+  EXPECT_EQ(dse_counters(2, 4), twice);
 }
 
 TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {

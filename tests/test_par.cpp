@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "driver/batch.hpp"
-#include "hw/dse.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
 #include "par/par.hpp"
@@ -218,28 +217,6 @@ TEST(ParallelFor, TelemetryMergesInSpawnOrder) {
   for (int jobs : {2, 8}) {
     EXPECT_EQ(instrumented_sweep_fingerprint(jobs), serial)
         << "jobs " << jobs;
-  }
-}
-
-TEST(Dse, ExploreIsWorkerCountIndependent) {
-  for (const std::string& name : models::model_names()) {
-    const auto graph = models::build_by_name(name);
-    hw::DseOptions serial_opt;
-    serial_opt.jobs = 1;
-    hw::DseOptions parallel_opt;
-    parallel_opt.jobs = 8;
-    const hw::Dse serial(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
-                         serial_opt);
-    const hw::Dse parallel(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
-                           parallel_opt);
-    const hw::DseResult a = serial.explore(graph);
-    const hw::DseResult b = parallel.explore(graph);
-    EXPECT_EQ(a.design.array.rows, b.design.array.rows) << name;
-    EXPECT_EQ(a.design.array.cols, b.design.array.cols) << name;
-    EXPECT_EQ(a.design.array.simd, b.design.array.simd) << name;
-    EXPECT_EQ(a.design.array.pixel_pack, b.design.array.pixel_pack) << name;
-    EXPECT_EQ(a.design.tile, b.design.tile) << name;
-    EXPECT_EQ(a.objective_latency_s, b.objective_latency_s) << name;
   }
 }
 

@@ -21,7 +21,6 @@
 #include "io/text_format.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
-#include "par/jobs.hpp"
 #include "resil/fault.hpp"
 #include "sim/chrome_trace.hpp"
 #include "sim/memory_trace.hpp"
@@ -109,9 +108,6 @@ void print_csv_report(const sim::DesignReport& r, bool header) {
 
 int run(const cli::Options& opt) {
   if (opt.verbose) util::set_log_level(util::LogLevel::kDebug);
-  par::set_default_jobs(opt.jobs > 0
-                            ? opt.jobs
-                            : par::jobs_from_env_or(par::hardware_jobs()));
 
   // Compiler telemetry is collected only when requested: without a session
   // the instrumentation macros cost one pointer load per site.
@@ -147,7 +143,6 @@ int run(const cli::Options& opt) {
       .want_lcmm = opt.design != cli::DesignChoice::kUmm,
       .label = graph.name(),
       .timeout_s = opt.job_timeout_s,
-      .max_attempts = opt.job_attempts,
   });
   const driver::BatchJob& job = jobs.front();
   driver::BatchOutcome outcome = std::move(driver::compile_many(jobs).front());
@@ -157,9 +152,6 @@ int run(const cli::Options& opt) {
     if (!outcome.error_info.pass.empty()) {
       std::cerr << " in " << outcome.error_info.pass;
     }
-    if (outcome.attempts > 1) {
-      std::cerr << ", " << outcome.attempts << " attempts";
-    }
     std::cerr << "): " << outcome.error << "\n";
     return 1;
   }
@@ -168,15 +160,17 @@ int run(const cli::Options& opt) {
     const char* design;  // the requested design, even after a UMM fallback
     core::AllocationPlan plan;
     sim::SimResult sim;
+    sim::DesignReport report;
   };
   std::vector<Compiled> runs;
   if (job.want_umm) {
-    runs.push_back(
-        {"umm", std::move(outcome.umm_plan), std::move(outcome.umm_sim)});
+    runs.push_back({"umm", std::move(outcome.umm_plan),
+                    std::move(outcome.umm_sim), std::move(outcome.umm_report)});
   }
   if (job.want_lcmm) {
-    runs.push_back(
-        {"lcmm", std::move(outcome.lcmm_plan), std::move(outcome.lcmm_sim)});
+    runs.push_back({"lcmm", std::move(outcome.lcmm_plan),
+                    std::move(outcome.lcmm_sim),
+                    std::move(outcome.lcmm_report)});
   }
 
   if (opt.emit_roofline) {
@@ -189,18 +183,17 @@ int run(const cli::Options& opt) {
   if (opt.format == cli::OutputFormat::kJson) {
     util::Json out = util::Json::array();
     for (const Compiled& c : runs) {
-      out.push(plan_to_json(graph, c.plan, c.sim));
+      out.push(plan_to_json(graph, c.plan, c.sim, c.report));
     }
     std::cout << out.dump() << "\n";
   } else {
     bool first = true;
     for (const Compiled& c : runs) {
-      const sim::DesignReport r = make_report(graph, c.plan, c.sim);
       if (opt.format == cli::OutputFormat::kCsv) {
-        print_csv_report(r, first);
+        print_csv_report(c.report, first);
       } else {
         if (!first) std::cout << "\n";
-        print_text_report(r);
+        print_text_report(c.report);
       }
       first = false;
     }
