@@ -1,5 +1,5 @@
-// Graphviz DOT export of a computation graph, for debugging model builders
-// and for visualizing interference/prefetch structures in the examples.
+// Graphviz DOT export of a computation graph (`lcmm_compile --dot`), for
+// debugging model builders and rendering topologies in the examples.
 #pragma once
 
 #include <string>

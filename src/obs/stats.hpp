@@ -14,8 +14,8 @@
 // that thread, so the disabled cost is one pointer load per site. Because
 // the sink is per-thread, a registry itself needs no locks: worker threads
 // spawned by lcmm::par run against fresh per-task registries, and
-// parallel_for merges them back into the spawning thread's registry in
-// spawn order (merge_child), so collected stats are deterministic no
+// parallel_map merges them back into the spawning thread's registry in
+// index order (merge_child), so collected stats are deterministic no
 // matter how many workers ran (see docs/parallelism.md).
 #pragma once
 

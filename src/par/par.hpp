@@ -1,4 +1,4 @@
-// lcmm::par — fixed-size thread pool and deterministic parallel loops.
+// lcmm::par — deterministic parallel loops.
 //
 // The framework sits inside sweeps compiling many graphs, so the
 // evaluation loops (batch compilation, bench sweeps) fan out over this
@@ -10,4 +10,3 @@
 
 #include "par/jobs.hpp"          // IWYU pragma: export
 #include "par/parallel_for.hpp"  // IWYU pragma: export
-#include "par/thread_pool.hpp"   // IWYU pragma: export

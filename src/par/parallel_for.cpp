@@ -1,16 +1,14 @@
 #include "par/parallel_for.hpp"
 
 #include <atomic>
-#include <condition_variable>
 #include <exception>
 #include <memory>
-#include <mutex>
+#include <thread>
 
 #include "obs/stats.hpp"
-#include "par/thread_pool.hpp"
 #include "resil/fault.hpp"
 
-namespace lcmm::par {
+namespace lcmm::par::detail {
 
 namespace {
 
@@ -24,40 +22,25 @@ struct TaskState {
 
 }  // namespace
 
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& body) {
+void for_each_index(std::size_t n, int jobs,
+                    const std::function<void(std::size_t)>& body) {
   const std::size_t worker_budget = static_cast<std::size_t>(effective_jobs(jobs));
   const std::size_t workers = worker_budget < n ? worker_budget : n;
   if (workers <= 1) {
-    for (std::size_t i = 0; i < n; ++i) {
-      // Same injection point as the parallel path, so LCMM_FAULT=par.task
-      // behaves identically for one worker and many.
-      resil::fault::hit("par.task");
-      body(i);
-    }
+    for (std::size_t i = 0; i < n; ++i) body(i);
     return;
   }
 
   obs::CompileStats* const parent = obs::current();
-  // Workers join the caller's fault budget the same way they adopt its
+  // Helpers join the caller's fault budget the same way they adopt its
   // stats sink: the per-operation hit counter rides into every task.
   resil::fault::State* const fault_state = resil::fault::current_state();
   std::vector<TaskState> tasks(n);
-  // What the helpers share with the caller. It outlives the call: a helper
-  // that starts after the caller has drained every index finds `closed`
-  // and returns without touching anything else.
-  struct Loop {
-    std::atomic<std::size_t> next{0};
-    std::mutex mutex;
-    std::condition_variable idle;
-    int active = 0;  ///< Helpers inside drain().
-    bool closed = false;
-  };
-  const auto loop = std::make_shared<Loop>();
+  std::atomic<std::size_t> next{0};
 
   const auto drain = [&] {
     for (;;) {
-      const std::size_t i = loop->next.fetch_add(1, std::memory_order_relaxed);
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n) return;
       TaskState& task = tasks[i];
       obs::CompileStats* sink = nullptr;
@@ -69,7 +52,6 @@ void parallel_for(std::size_t n, int jobs,
       obs::CompileStats* const previous = obs::set_current(sink);
       const resil::fault::StateGuard fault_guard(fault_state);
       try {
-        resil::fault::hit("par.task");
         body(i);
       } catch (...) {
         task.error = std::current_exception();
@@ -78,30 +60,13 @@ void parallel_for(std::size_t n, int jobs,
     }
   };
 
-  // The calling thread is worker 0; the pool supplies the rest. A helper
-  // still queued when the caller has drained every index is not waited
-  // for: when this loop runs inside a pool task, every pool thread may be
-  // a caller just like us, and that helper might never start.
-  ThreadPool& pool = ThreadPool::global();
-  pool.ensure_threads(static_cast<int>(workers) - 1);
-  for (std::size_t w = 1; w < workers; ++w) {
-    pool.submit([loop, &drain] {
-      {
-        std::lock_guard<std::mutex> lock(loop->mutex);
-        if (loop->closed) return;
-        ++loop->active;
-      }
-      drain();
-      std::lock_guard<std::mutex> lock(loop->mutex);
-      --loop->active;
-      loop->idle.notify_one();
-    });
-  }
-  drain();
   {
-    std::unique_lock<std::mutex> lock(loop->mutex);
-    loop->closed = true;
-    loop->idle.wait(lock, [&] { return loop->active == 0; });
+    // The calling thread is worker 0. Leaving this scope joins every
+    // helper, also when starting one throws.
+    std::vector<std::jthread> helpers;
+    helpers.reserve(workers - 1);
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(drain);
+    drain();
   }
 
   // Deterministic epilogue: telemetry merges and the error choice depend
@@ -116,4 +81,4 @@ void parallel_for(std::size_t n, int jobs,
   }
 }
 
-}  // namespace lcmm::par
+}  // namespace lcmm::par::detail

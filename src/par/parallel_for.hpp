@@ -1,13 +1,11 @@
-// Deterministic data-parallel primitives over the shared thread pool.
+// Deterministic data-parallel map over threads started per call.
 //
-// parallel_for(n, jobs, body) runs body(0..n-1) on min(jobs, n) workers.
-// The calling thread always participates and can drain every index alone:
-// it then waits only for helpers already running an index, never for a
-// queued one and never by running another task, so nested parallel
-// sections cannot deadlock on pool starvation, and a caller is never held
-// up by an unrelated task (such as another loop's whole share of a batch).
-// The contract that makes parallel runs indistinguishable from serial
-// ones:
+// parallel_map(n, jobs, fn) runs fn(0..n-1) on min(jobs, n) workers: the
+// calling thread and min(jobs, n) - 1 helper threads it starts, which
+// claim indices from one shared counter and are all joined before the
+// call returns. No thread outlives the call, and no call waits on
+// another's threads. The contract that makes parallel runs
+// indistinguishable from serial ones:
 //
 //  * Results: parallel_map writes each result into its own index slot, so
 //    the output vector is independent of scheduling.
@@ -34,12 +32,18 @@
 
 namespace lcmm::par {
 
-/// Runs body(i) for i in [0, n) on up to `jobs` workers (0 = default_jobs()).
-void parallel_for(std::size_t n, int jobs,
-                  const std::function<void(std::size_t)>& body);
+namespace detail {
 
-/// parallel_for that collects fn(i) into a vector in index order. The
-/// result type must be default-constructible and movable.
+/// The type-erased loop behind parallel_map: runs body(i) for i in [0, n)
+/// on up to `jobs` workers (0 = default_jobs()).
+void for_each_index(std::size_t n, int jobs,
+                    const std::function<void(std::size_t)>& body);
+
+}  // namespace detail
+
+/// Collects fn(i) for i in [0, n) into a vector in index order, on up to
+/// `jobs` workers (0 = default_jobs()). The result type must be
+/// default-constructible and movable.
 template <typename Fn>
 auto parallel_map(std::size_t n, int jobs, Fn&& fn)
     -> std::vector<std::decay_t<decltype(fn(std::size_t{}))>> {
@@ -48,7 +52,7 @@ auto parallel_map(std::size_t n, int jobs, Fn&& fn)
                 "parallel_map<bool> would race on vector<bool> bit-packing; "
                 "map to char or int instead");
   std::vector<Result> out(n);
-  parallel_for(n, jobs, [&](std::size_t i) { out[i] = fn(i); });
+  detail::for_each_index(n, jobs, [&](std::size_t i) { out[i] = fn(i); });
   return out;
 }
 

@@ -20,7 +20,6 @@ constexpr const char* kSites[] = {
     "pass.dnnk",      // knapsack allocation (§3.3)
     "pass.splitting", // buffer splitting (§3.4)
     "pass.place",     // physical BRAM/URAM placement
-    "par.task",       // every lcmm::par task wrapper
 };
 
 // The armed config is read on every hit() from arbitrary threads while

@@ -5,7 +5,7 @@
 // Hit counting is scoped per top-level operation (one compile, one parse,
 // one batch job), not global: Scope installs a fresh thread-local counter
 // unless one is already active, and lcmm::par propagates the active counter
-// into pool tasks exactly like the obs sink. With the default one-shot
+// into its helper threads exactly like the obs sink. With the default one-shot
 // config (fires = 1) exactly one hit fires per operation no matter how the
 // scheduler interleaves workers — which is what makes batch outcomes
 // identical for every compile_many worker count.
@@ -21,9 +21,7 @@
 // A one-shot fault costs a compile one retry on the same inputs and leaves
 // its plan unchanged. A sticky fault on an LCMM pass site fails the retry
 // too and ships the UMM floor. Sticky faults on sites the UMM path shares
-// (dse.explore, pass.place) defeat the floor too, by design. No compile
-// pass runs lcmm::par tasks, so par.task fires only in a parallel loop
-// run inside a Scope.
+// (dse.explore, pass.place) defeat the floor too, by design.
 #pragma once
 
 #include <atomic>
@@ -35,8 +33,7 @@
 
 namespace lcmm::resil::fault {
 
-/// Registered injection sites (pass boundaries, DSE, the par task wrapper,
-/// the io parser).
+/// Registered injection sites (pass boundaries, DSE, the io parser).
 std::span<const char* const> sites();
 bool is_site(std::string_view name);
 

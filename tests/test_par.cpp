@@ -1,12 +1,10 @@
-// lcmm::par: worker-count policy, the thread pool, parallel_for/map, and
+// lcmm::par: worker-count policy, parallel_map and its helper threads, and
 // the determinism contract — results, telemetry and errors must be
 // indistinguishable between serial and parallel runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <latch>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -48,38 +46,11 @@ TEST(ParJobs, DefaultJobsRoundTrip) {
   EXPECT_EQ(par::effective_jobs(-2), 1);
 }
 
-TEST(ParThreadPool, RunsSubmittedTasks) {
-  par::ThreadPool pool(2);
-  EXPECT_EQ(pool.num_threads(), 2);
-  std::atomic<int> done{0};
-  std::mutex m;
-  std::condition_variable cv;
-  for (int i = 0; i < 16; ++i) {
-    pool.submit([&] {
-      if (done.fetch_add(1) + 1 == 16) {
-        std::lock_guard<std::mutex> lock(m);
-        cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(m);
-  ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
-                          [&] { return done.load() == 16; }));
-}
-
-TEST(ParThreadPool, EnsureThreadsGrowsButNeverShrinks) {
-  par::ThreadPool pool(1);
-  pool.ensure_threads(3);
-  EXPECT_EQ(pool.num_threads(), 3);
-  pool.ensure_threads(2);
-  EXPECT_EQ(pool.num_threads(), 3);
-}
-
 TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
   for (int jobs : {1, 2, 8}) {
     std::vector<std::atomic<int>> hits(100);
-    par::parallel_for(hits.size(), jobs,
-                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    par::parallel_map(hits.size(), jobs,
+                      [&](std::size_t i) { return hits[i].fetch_add(1); });
     for (std::size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " jobs " << jobs;
     }
@@ -88,20 +59,25 @@ TEST(ParallelFor, VisitsEveryIndexExactlyOnce) {
 
 TEST(ParallelFor, SerialPathStaysOnCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
-  par::parallel_for(8, 1, [&](std::size_t) {
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
+  const auto ids = par::parallel_map(
+      8, 1, [](std::size_t) { return std::this_thread::get_id(); });
+  for (const std::thread::id id : ids) EXPECT_EQ(id, caller);
 }
 
 TEST(ParallelFor, ZeroIterationsIsANoOp) {
-  par::parallel_for(0, 8, [](std::size_t) { FAIL() << "body ran"; });
+  const auto out = par::parallel_map(0, 8, [](std::size_t) {
+    ADD_FAILURE() << "body ran";
+    return 0;
+  });
+  EXPECT_TRUE(out.empty());
 }
 
 TEST(ParallelFor, RethrowsLowestFailingIndex) {
   for (int jobs : {1, 4}) {
     try {
-      par::parallel_for(64, jobs, [](std::size_t i) {
+      par::parallel_map(64, jobs, [](std::size_t i) {
         if (i % 2 == 1) throw std::runtime_error("fail@" + std::to_string(i));
+        return i;
       });
       FAIL() << "expected a throw (jobs " << jobs << ")";
     } catch (const std::runtime_error& e) {
@@ -112,56 +88,11 @@ TEST(ParallelFor, RethrowsLowestFailingIndex) {
 
 TEST(ParallelFor, NestedLoopsDoNotDeadlock) {
   std::atomic<int> total{0};
-  par::parallel_for(4, 4, [&](std::size_t) {
-    par::parallel_for(4, 4, [&](std::size_t) { total.fetch_add(1); });
+  par::parallel_map(4, 4, [&](std::size_t) {
+    return par::parallel_map(4, 4,
+                             [&](std::size_t) { return total.fetch_add(1); });
   });
   EXPECT_EQ(total.load(), 16);
-}
-
-TEST(ParallelFor, WaitingCallerRunsNoQueuedTask) {
-  // Every pool thread is busy and an unrelated task waits in the queue
-  // ahead of the loop's helper. The caller must finish its loop alone and
-  // leave that task to the pool: a caller that ran it would be held up by
-  // unrelated work (in a batch, by the whole second job stream).
-  par::ThreadPool& pool = par::ThreadPool::global();
-  pool.ensure_threads(1);
-  const int threads = pool.num_threads();
-  std::mutex m;
-  std::condition_variable cv;
-  int blocked = 0, finished = 0;
-  bool release = false, foreign_ran = false;
-  std::thread::id foreign_thread;
-  for (int t = 0; t < threads; ++t) {
-    pool.submit([&] {
-      std::unique_lock<std::mutex> lock(m);
-      ++blocked;
-      cv.notify_all();
-      cv.wait(lock, [&] { return release; });
-      ++finished;
-      cv.notify_all();
-    });
-  }
-  {
-    std::unique_lock<std::mutex> lock(m);
-    cv.wait(lock, [&] { return blocked == threads; });
-  }
-  pool.submit([&] {
-    std::lock_guard<std::mutex> lock(m);
-    foreign_ran = true;
-    foreign_thread = std::this_thread::get_id();
-    ++finished;
-    cv.notify_all();
-  });
-
-  std::atomic<int> visited{0};
-  par::parallel_for(8, 2, [&](std::size_t) { visited.fetch_add(1); });
-  EXPECT_EQ(visited.load(), 8);
-  std::unique_lock<std::mutex> lock(m);
-  EXPECT_FALSE(foreign_ran) << "the caller ran a queued task";
-  release = true;
-  cv.notify_all();
-  cv.wait(lock, [&] { return finished == threads + 1; });
-  EXPECT_NE(foreign_thread, std::this_thread::get_id());
 }
 
 TEST(ParallelMap, ResultsLandInIndexOrder) {
@@ -171,6 +102,28 @@ TEST(ParallelMap, ResultsLandInIndexOrder) {
   for (std::size_t i = 0; i < squares.size(); ++i) {
     EXPECT_EQ(squares[i], static_cast<int>(i * i));
   }
+}
+
+/// Counts thread exits of threads that ran a HelpersAreJoinedBeforeReturn
+/// body: each such thread constructs one ExitCounter on first touch.
+std::atomic<int> g_thread_exits{0};
+
+struct ExitCounter {
+  ~ExitCounter() { g_thread_exits.fetch_add(1); }
+};
+
+TEST(ParallelMap, HelpersAreJoinedBeforeReturn) {
+  // The latch holds every body until four distinct threads run at once:
+  // the caller and three helpers. Each helper's thread_local is destroyed
+  // when it exits, so three exits are counted by the time the call returns.
+  g_thread_exits.store(0);
+  std::latch all_running(4);
+  par::parallel_map(4, 4, [&](std::size_t i) {
+    all_running.arrive_and_wait();
+    thread_local ExitCounter counter;
+    return i;
+  });
+  EXPECT_EQ(g_thread_exits.load(), 3);
 }
 
 /// Scheduling-independent rendering of a registry: everything except the
@@ -198,13 +151,14 @@ std::string instrumented_sweep_fingerprint(int jobs) {
   obs::StatsSession session;
   {
     obs::ScopedSpan sweep("sweep");
-    par::parallel_for(6, jobs, [](std::size_t i) {
+    par::parallel_map(6, jobs, [](std::size_t i) {
       obs::ScopedSpan item("item");
       if (obs::CompileStats* sink = obs::current()) {
         sink->count("work", static_cast<std::int64_t>(i));
         sink->gauge("size", static_cast<double>(i) * 2.0);
         sink->decide("t" + std::to_string(i), 64, i % 2 == 0, "parity");
       }
+      return i;
     });
   }
   return structural_fingerprint(session.stats());

@@ -187,10 +187,10 @@ TEST(ResilDeadline, ExpiryRaisesJobTimeoutNamingThePhase) {
 
 TEST(ResilFault, RegistryListsTheDocumentedSites) {
   const auto sites = fault::sites();
-  EXPECT_EQ(sites.size(), 9u);
+  EXPECT_EQ(sites.size(), 8u);
   for (const char* site : {"io.parse", "dse.explore", "pass.liveness",
                            "pass.coloring", "pass.prefetch", "pass.dnnk",
-                           "pass.splitting", "pass.place", "par.task"}) {
+                           "pass.splitting", "pass.place"}) {
     EXPECT_TRUE(fault::is_site(site)) << site;
   }
   EXPECT_FALSE(fault::is_site("pass.unknown"));
@@ -232,19 +232,19 @@ TEST(ResilFault, OneShotFiresExactlyOncePerScope) {
 
 TEST(ResilFault, NthSkipsEarlierHitsAndStickyNeverStops) {
   {
-    const fault::ArmedGuard guard({.site = "par.task", .nth = 3, .fires = 1});
+    const fault::ArmedGuard guard({.site = "io.parse", .nth = 3, .fires = 1});
     const fault::Scope scope;
-    EXPECT_NO_THROW(fault::hit("par.task"));
-    EXPECT_NO_THROW(fault::hit("par.task"));
-    EXPECT_THROW(fault::hit("par.task"), CompileError);
-    EXPECT_NO_THROW(fault::hit("par.task"));
+    EXPECT_NO_THROW(fault::hit("io.parse"));
+    EXPECT_NO_THROW(fault::hit("io.parse"));
+    EXPECT_THROW(fault::hit("io.parse"), CompileError);
+    EXPECT_NO_THROW(fault::hit("io.parse"));
   }
   {
-    const fault::ArmedGuard guard({.site = "par.task", .nth = 2, .fires = -1});
+    const fault::ArmedGuard guard({.site = "io.parse", .nth = 2, .fires = -1});
     const fault::Scope scope;
-    EXPECT_NO_THROW(fault::hit("par.task"));
-    EXPECT_THROW(fault::hit("par.task"), CompileError);
-    EXPECT_THROW(fault::hit("par.task"), CompileError);
+    EXPECT_NO_THROW(fault::hit("io.parse"));
+    EXPECT_THROW(fault::hit("io.parse"), CompileError);
+    EXPECT_THROW(fault::hit("io.parse"), CompileError);
   }
 }
 
@@ -385,15 +385,12 @@ TEST(ResilLadder, InfeasibleDeviceBuildsTheDesignSpaceTwice) {
 }
 
 TEST(ResilLadder, SitesOffTheCompilePathLeaveThePipelineAlone) {
-  // No compile pass runs lcmm::par tasks, so par.task is off the path too.
   const auto g = lcmm::testing::chain3();
-  for (const char* site : {"io.parse", "par.task"}) {
-    const fault::ArmedGuard guard({.site = site});
-    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
-    const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, Rung::kFullLcmm) << site;
-    EXPECT_TRUE(plan.degrade_reason.empty()) << site;
-  }
+  const fault::ArmedGuard guard({.site = "io.parse"});
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+  const AllocationPlan plan = compiler.compile(g);
+  EXPECT_EQ(plan.rung, Rung::kFullLcmm);
+  EXPECT_TRUE(plan.degrade_reason.empty());
 }
 
 TEST(ResilLadder, NoBenefitFallbackIsNotADegradation) {
