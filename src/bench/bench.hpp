@@ -118,8 +118,6 @@ class Harness {
   /// (0, or 2 when the file cannot be written).
   int finish();
 
-  const std::string& json_path() const { return json_path_; }
-
  private:
   BenchRun run_;
   std::string json_path_;

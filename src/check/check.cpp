@@ -653,7 +653,7 @@ CheckReport run_checks(const graph::ComputationGraph& graph,
   run_pass(kPasses[0], ctx, report);
   if (fatally_malformed(report)) return report;
 
-  const sim::SimResult sim = sim::simulate(graph, plan);
+  const sim::SimResult sim = sim::simulate(model, plan);
   ctx.sim = &sim;
   for (std::size_t p = 1; p < std::size(kPasses); ++p) {
     run_pass(kPasses[p], ctx, report);

@@ -35,6 +35,25 @@ void propagate_output_residency(const graph::ComputationGraph& graph,
   }
 }
 
+/// `model`'s design with every tensor off chip: its Eq. 1 latency, the
+/// memory-bound conv layers POL counts, and its tile buffers.
+AllocationPlan uniform_plan(const hw::PerfModel& model, hw::Precision precision) {
+  const graph::ComputationGraph& graph = model.graph();
+  AllocationPlan plan;
+  plan.design = model.design();
+  plan.state = OnChipState(graph.num_layers());
+  plan.umm_latency_s = model.umm_total_latency();
+  plan.est_latency_s = plan.umm_latency_s;
+  for (const graph::Layer& layer : graph.layers()) {
+    if (layer.is_conv() && model.timing(layer.id).memory_bound()) {
+      ++plan.num_memory_bound_conv;
+    }
+  }
+  plan.tile_buffers = hw::tile_buffer_bytes(graph, plan.design.array,
+                                            plan.design.tile, precision);
+  return plan;
+}
+
 /// Runs `attempt`; a transient CompileError (resil::is_transient: an
 /// injected fault, an I/O flake) gets one more attempt on the same inputs,
 /// unless `strict`. A deterministic error would only repeat, so it — like a
@@ -94,9 +113,6 @@ void LcmmCompiler::place_physical(AllocationPlan& plan,
   LCMM_SPAN("place");
   resil::fault::hit("pass.place");
   mem::SramPools pools(device_.bram36_total, device_.uram_total);
-  plan.tile_buffers =
-      hw::tile_buffer_bytes(graph, plan.design.array, plan.design.tile,
-                            precision_);
   // Tile buffers live in BRAM (they need banked narrow ports).
   for (std::int64_t bytes :
        {plan.tile_buffers.input, plan.tile_buffers.weight, plan.tile_buffers.output}) {
@@ -186,21 +202,11 @@ void LcmmCompiler::place_physical(AllocationPlan& plan,
   plan.uram_total = pools.uram_total();
 }
 
-AllocationPlan LcmmCompiler::allocate_under_design(
-    const graph::ComputationGraph& graph,
-    const hw::AcceleratorDesign& design) const {
+AllocationPlan LcmmCompiler::allocate(const hw::PerfModel& model) const {
   LCMM_SPAN("allocate");
-  hw::PerfModel model(graph, design);
+  const graph::ComputationGraph& graph = model.graph();
   LatencyTables tables(model);
-
-  AllocationPlan plan;
-  plan.design = design;
-  plan.umm_latency_s = model.umm_total_latency();
-  for (const graph::Layer& layer : graph.layers()) {
-    if (layer.is_conv() && model.timing(layer.id).memory_bound()) {
-      ++plan.num_memory_bound_conv;
-    }
-  }
+  AllocationPlan plan = uniform_plan(model, precision_);
 
   // Passes 2+3: entities. A disabled pass (a Fig. 8 ablation) never hits
   // its fault site.
@@ -219,9 +225,8 @@ AllocationPlan LcmmCompiler::allocate_under_design(
   }
 
   // Capacity: whatever the tile buffers leave, with a routing margin.
-  const hw::TileBufferBytes tiles =
-      hw::tile_buffer_bytes(graph, design.array, design.tile, precision_);
-  const std::int64_t free_bytes = device_.sram_bytes_total() - tiles.total();
+  const std::int64_t free_bytes =
+      device_.sram_bytes_total() - plan.tile_buffers.total();
   const std::int64_t capacity = static_cast<std::int64_t>(
       static_cast<double>(std::max<std::int64_t>(0, free_bytes)) *
       options_.sram_capacity_fraction);
@@ -272,24 +277,28 @@ AllocationPlan LcmmCompiler::compile_with_design(
   // Caller-fixed designs bypass the retry and the UMM floor (the floor
   // would need its own DSE); typed errors propagate.
   resil::fault::Scope fault_scope;
-  AllocationPlan plan = allocate_under_design(graph, design);
-  sim::refine_against_stalls(graph, plan);
+  const hw::PerfModel model(graph, design);
+  AllocationPlan plan = allocate(model);
+  sim::refine_against_stalls(model, plan);
   return plan;
 }
 
 AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
-                                     AllocationPlan* umm_baseline) const {
+                                     AllocationPlan* umm_baseline,
+                                     sim::SimResult* umm_sim,
+                                     sim::SimResult* plan_sim) const {
   // One pipeline span and one fault budget per top-level compile, retry
   // included.
   LCMM_SPAN("pipeline");
   resil::fault::Scope fault_scope;
 
-  // The request's design space and UMM baseline: built on first use, then
-  // shared by the seed and refine DSE, the no-benefit fallback, the floor
-  // and the caller. They live outside the retry, so an attempt that fails
-  // after building them leaves them to the next.
+  // The request's design space and simulated UMM baseline: built on first
+  // use, then shared by the seed and refine DSE, the no-benefit fallback,
+  // the floor and the caller. They live outside the retry, so an attempt
+  // that fails after building them leaves them to the next.
   std::optional<hw::DesignSpace> space;
   std::optional<AllocationPlan> baseline;
+  sim::SimResult base_sim;
   const auto job_space = [&]() -> const hw::DesignSpace& {
     if (!space) {
       space.emplace(hw::Dse(device_, precision_, options_.dse).space(graph));
@@ -297,14 +306,12 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     return *space;
   };
   const auto umm = [&]() -> const AllocationPlan& {
-    if (!baseline) baseline.emplace(compile_umm(graph, &job_space()));
+    if (!baseline) baseline.emplace(compile_umm(graph, &job_space(), &base_sim));
     return *baseline;
   };
+  sim::SimResult shipped_sim;
   const auto full_lcmm = [&] {
-    AllocationPlan plan = compile_lcmm(graph, job_space());
-    // Demote the weights whose prefetch stalls cost more than they save;
-    // est_latency_s becomes the simulated latency the plan ships with.
-    sim::refine_against_stalls(graph, plan);
+    AllocationPlan plan = compile_lcmm(graph, job_space(), shipped_sim);
     // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
     // use. If the allocation gains do not cover it (compute-bound
     // network), ship the uniform design unchanged — a real toolflow would
@@ -318,6 +325,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
       LCMM_COUNT("fallback_to_umm", 1);
       LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
       plan = base;
+      shipped_sim = base_sim;
       plan.is_umm = false;
       plan.rung = resil::Rung::kFullLcmm;  // chosen on merit, not a failure
     } else {
@@ -346,6 +354,7 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     // The floor: a semantically valid UMM plan. If even this throws, the
     // error propagates — a plan degrades no further than UMM.
     plan = umm();
+    shipped_sim = base_sim;
     plan.is_umm = false;  // mirrors the no-benefit fallback convention
     plan.rung = resil::Rung::kUmm;
     plan.degrade_reason = reason;
@@ -353,16 +362,20 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
   }
   LCMM_DECIDE("ladder", 0, true, resil::rung_name(plan.rung));
   if (umm_baseline) *umm_baseline = umm();
+  if (umm_sim) *umm_sim = base_sim;
+  if (plan_sim) *plan_sim = std::move(shipped_sim);
   return plan;
 }
 
 AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
-                                          const hw::DesignSpace& space) const {
+                                          const hw::DesignSpace& space,
+                                          sim::SimResult& refined_sim) const {
   // LCMM designs lean on URAM, so every LCMM objective runs at the
   // heavy-URAM clock. Pass 1: best design assuming uniform management.
   const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/true);
   LCMM_COUNT("dse_rounds", 1);
-  AllocationPlan plan = allocate_under_design(graph, seed.design);
+  hw::PerfModel model(graph, seed.design);
+  AllocationPlan plan = allocate(model);
 
   // Pass 2+: re-optimize the design under the allocation's on-chip state;
   // keep whichever (design, allocation) pair estimates fastest.
@@ -375,49 +388,48 @@ AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
       LCMM_COUNT("dse_converged", 1);
       break;  // converged
     }
-    AllocationPlan refined_plan = allocate_under_design(graph, refined.design);
+    hw::PerfModel refined_model(graph, refined.design);
+    AllocationPlan refined_plan = allocate(refined_model);
     if (refined_plan.est_latency_s < plan.est_latency_s) {
       LCMM_COUNT("dse_refinements_kept", 1);
       plan = std::move(refined_plan);
+      model = std::move(refined_model);
     } else {
       break;
     }
   }
+  // Demote the weights whose prefetch stalls cost more than they save;
+  // est_latency_s becomes the simulated latency the plan ships with.
+  refined_sim = sim::refine_against_stalls(model, plan);
   return plan;
 }
 
 AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph) const {
-  return compile_umm(graph, nullptr);
+  return compile_umm(graph, nullptr, nullptr);
 }
 
 AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
-                                         const hw::DesignSpace* space) const {
+                                         const hw::DesignSpace* space,
+                                         sim::SimResult* sim) const {
   LCMM_SPAN("umm_baseline");
   resil::fault::Scope fault_scope;
   return retry_transient_once("UMM", graph, options_.strict, [&] {
-    if (space != nullptr) return umm_under(graph, *space);
-    return umm_under(graph,
-                     hw::Dse(device_, precision_, options_.dse).space(graph));
+    if (space != nullptr) return umm_under(graph, *space, sim);
+    return umm_under(
+        graph, hw::Dse(device_, precision_, options_.dse).space(graph), sim);
   });
 }
 
 AllocationPlan LcmmCompiler::umm_under(const graph::ComputationGraph& graph,
-                                       const hw::DesignSpace& space) const {
+                                       const hw::DesignSpace& space,
+                                       sim::SimResult* sim) const {
   const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/false);
-  hw::PerfModel model(graph, seed.design);
-  AllocationPlan plan;
+  const hw::PerfModel model(graph, seed.design);
+  AllocationPlan plan = uniform_plan(model, precision_);
   plan.is_umm = true;
   plan.rung = resil::Rung::kUmm;
-  plan.design = seed.design;
-  plan.state = OnChipState(graph.num_layers());
-  plan.umm_latency_s = model.umm_total_latency();
-  plan.est_latency_s = plan.umm_latency_s;
-  for (const graph::Layer& layer : graph.layers()) {
-    if (layer.is_conv() && model.timing(layer.id).memory_bound()) {
-      ++plan.num_memory_bound_conv;
-    }
-  }
   place_physical(plan, graph);
+  if (sim) *sim = sim::simulate(model, plan);
   return plan;
 }
 

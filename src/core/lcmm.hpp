@@ -15,9 +15,11 @@
 //   9. No-benefit fallback: ship the UMM baseline if it simulates faster.
 // compile() evaluates one design space per request, runs 1-8 on it (steps
 // 1 and 6 are argmins over it), then 9, and returns the plan that ships.
-// A transient error is retried once on the same inputs; any other failure
-// ships the UMM baseline (resil::Rung::kUmm). compile_with_design() runs
-// 2-5, 7 and 8.
+// Each design gets one hw::PerfModel, read by its allocation and every
+// round of 8; the UMM baseline gets one model and one simulation, which 9,
+// the floor and compile()'s caller reuse. A transient error is retried
+// once on the same inputs; any other failure ships the UMM baseline
+// (resil::Rung::kUmm). compile_with_design() runs 2-5, 7 and 8.
 //
 // compile_umm() produces the uniform-memory-management baseline on the
 // same machinery (empty allocation), so every comparison is apples to
@@ -29,6 +31,10 @@
 #include "hw/dse.hpp"
 #include "mem/sram.hpp"
 #include "resil/error.hpp"
+
+namespace lcmm::sim {
+struct SimResult;
+}  // namespace lcmm::sim
 
 namespace lcmm::core {
 
@@ -107,9 +113,6 @@ struct AllocationPlan {
 
   bool weight_is_resident(graph::LayerId layer) const;
 
-  double speedup_vs_umm() const {
-    return est_latency_s > 0 ? umm_latency_s / est_latency_s : 0.0;
-  }
   double pol() const {
     return num_memory_bound_conv > 0
                ? static_cast<double>(num_benefiting_conv) / num_memory_bound_conv
@@ -136,9 +139,12 @@ class LcmmCompiler {
   /// (under `strict` it propagates). The UMM baseline it compiles for the
   /// no-benefit fallback and the floor is copied to `umm_baseline` when
   /// given — equal to compile_umm(graph), without a second design-space
-  /// evaluation.
+  /// evaluation — and its simulation to `umm_sim`; the returned plan's
+  /// simulation goes to `plan_sim`. Both equal sim::simulate bit for bit.
   AllocationPlan compile(const graph::ComputationGraph& graph,
-                         AllocationPlan* umm_baseline = nullptr) const;
+                         AllocationPlan* umm_baseline = nullptr,
+                         sim::SimResult* umm_sim = nullptr,
+                         sim::SimResult* plan_sim = nullptr) const;
   /// Uniform-memory-management baseline. A transient failure
   /// (resil::is_transient) is retried once on the same inputs unless
   /// `strict`; any other error propagates at once.
@@ -148,24 +154,25 @@ class LcmmCompiler {
   AllocationPlan compile_with_design(const graph::ComputationGraph& graph,
                                      const hw::AcceleratorDesign& design) const;
 
-  const LcmmOptions& options() const { return options_; }
-  const hw::FpgaDevice& device() const { return device_; }
-  hw::Precision precision() const { return precision_; }
-
  private:
   /// One LCMM pipeline attempt on `space`: seed DSE, allocation, refine
-  /// DSE. Throws typed errors; compile() decides what happens next.
+  /// DSE, then stall refinement of the kept plan into `refined_sim`. Throws
+  /// typed errors; compile() decides what happens next.
   AllocationPlan compile_lcmm(const graph::ComputationGraph& graph,
-                              const hw::DesignSpace& space) const;
+                              const hw::DesignSpace& space,
+                              sim::SimResult& refined_sim) const;
   /// compile_umm on `space` when given (it must be this compiler's design
-  /// space); otherwise each attempt builds its own.
+  /// space); otherwise each attempt builds its own. Simulates into `sim`
+  /// when given.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph,
-                             const hw::DesignSpace* space) const;
+                             const hw::DesignSpace* space,
+                             sim::SimResult* sim) const;
   /// The UMM plan of the design `space` picks at the uniform clock.
   AllocationPlan umm_under(const graph::ComputationGraph& graph,
-                           const hw::DesignSpace& space) const;
-  AllocationPlan allocate_under_design(const graph::ComputationGraph& graph,
-                                       const hw::AcceleratorDesign& design) const;
+                           const hw::DesignSpace& space,
+                           sim::SimResult* sim) const;
+  /// Passes 2-5 and 7 under `model`'s design.
+  AllocationPlan allocate(const hw::PerfModel& model) const;
   void place_physical(AllocationPlan& plan,
                       const graph::ComputationGraph& graph) const;
 

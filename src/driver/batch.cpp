@@ -9,29 +9,29 @@ namespace lcmm::driver {
 
 namespace {
 
-/// Compiles (and simulates) every requested design of a job, checking the
-/// deadline at each phase boundary.
+/// Compiles every requested design of a job and reports each from the
+/// simulation its compile ran, checking the deadline before and after the
+/// compile.
 void run_job(const BatchJob& job, const resil::Deadline& deadline,
              BatchOutcome& out) {
   const core::LcmmCompiler compiler(job.device, job.precision, job.options);
   if (job.want_lcmm) {
     deadline.check("driver.lcmm");
-    // compile() builds the UMM baseline for its fallback anyway: ship that
-    // one instead of exploring the design space a second time.
-    out.lcmm_plan =
-        compiler.compile(job.graph, job.want_umm ? &out.umm_plan : nullptr);
+    // compile() builds and simulates the UMM baseline for its fallback
+    // anyway: ship that one instead of exploring the design space again.
+    const bool umm = job.want_umm;
+    out.lcmm_plan = compiler.compile(job.graph, umm ? &out.umm_plan : nullptr,
+                                     umm ? &out.umm_sim : nullptr, &out.lcmm_sim);
   } else if (job.want_umm) {
     deadline.check("driver.umm");
     out.umm_plan = compiler.compile_umm(job.graph);
-  }
-  if (job.want_umm) {
-    deadline.check("driver.simulate");
     out.umm_sim = sim::simulate(job.graph, out.umm_plan);
+  }
+  deadline.check("driver.report");
+  if (job.want_umm) {
     out.umm_report = sim::make_report(job.graph, out.umm_plan, out.umm_sim);
   }
   if (job.want_lcmm) {
-    deadline.check("driver.simulate");
-    out.lcmm_sim = sim::simulate(job.graph, out.lcmm_plan);
     out.lcmm_report = sim::make_report(job.graph, out.lcmm_plan, out.lcmm_sim);
   }
 }

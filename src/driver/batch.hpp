@@ -30,7 +30,9 @@ struct BatchJob {
   hw::Precision precision = hw::Precision::kInt16;
   core::LcmmOptions options{};
   /// Which designs to produce. With both, one LcmmCompiler::compile call
-  /// yields both: the UMM plan is the baseline it compiled anyway.
+  /// yields both plans and their simulations: the UMM plan is the baseline
+  /// it compiled and simulated anyway. UMM alone is compile_umm plus one
+  /// simulate.
   bool want_umm = true;
   bool want_lcmm = true;
   /// Label echoed in BatchOutcome and error reports ("resnet50/int8");
@@ -63,9 +65,10 @@ struct BatchOutcome {
   }
 };
 
-/// Compiles and simulates every job on up to `workers` threads
-/// (0 = par::default_jobs()). Outcomes are in job order and independent of
-/// the worker count.
+/// Compiles every job on up to `workers` threads (0 = par::default_jobs())
+/// and reports each plan from the simulation its compile ran; no plan is
+/// simulated twice. Outcomes are in job order and independent of the
+/// worker count.
 std::vector<BatchOutcome> compile_many(const std::vector<BatchJob>& jobs,
                                        int workers = 0);
 

@@ -70,7 +70,6 @@ class ComputationGraph {
   std::vector<ValueId> live_values() const;
   const Value& value(ValueId id) const;
   bool value_alive(ValueId id) const;
-  std::size_t num_values_allocated() const { return values_.size(); }
 
   /// Layer execution order (Kahn topological sort; with the append-only
   /// builder this equals layer-id order, which validate() asserts).

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+
+#include "obs/scope.hpp"
 #include "resil/error.hpp"
 
 namespace lcmm::hw {
@@ -36,6 +38,7 @@ PerfModel::PerfModel(const graph::ComputationGraph& graph,
                      AcceleratorDesign design)
     : graph_(&graph), design_(std::move(design)),
       ddr_(design_.device, design_.ddr_options) {
+  LCMM_SPAN("perf_model");
   if (!design_.array.valid() || !design_.tile.valid() || design_.freq_mhz <= 0) {
     throw resil::OptionError(resil::Code::kBadArgument, "hw.perf_model",
                              "PerfModel: incomplete accelerator design");
@@ -63,11 +66,6 @@ const LayerTiming& PerfModel::timing(graph::LayerId id) const {
   return timings_[static_cast<std::size_t>(id)];
 }
 
-std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
-                      int th, int tw, int effective_cols) {
-  return px_steps(shape_key(graph, id), th, tw, effective_cols);
-}
-
 std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
                       int effective_cols) {
   const std::int64_t full_h = shape.out_height / th;
@@ -84,11 +82,6 @@ std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
   return total;
 }
 
-std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
-                       int tc, int simd) {
-  return red_steps(shape_key(graph, id), tc, simd);
-}
-
 std::int64_t red_steps(const ShapeKey& shape, int tc, int simd) {
   // Depthwise convolutions (one channel per group) leave most SIMD lanes
   // idle: the well-known inefficiency of channel-vectorized arrays on
@@ -99,11 +92,6 @@ std::int64_t red_steps(const ShapeKey& shape, int tc, int simd) {
   const std::int64_t edge = group_channels % tc;
   return (group_channels / tc) * ceil_div(tc * kk, simd) +
          (edge > 0 ? ceil_div(edge * kk, simd) : 0);
-}
-
-std::int64_t pool_cycles(const graph::ComputationGraph& graph,
-                         graph::LayerId id, int batch) {
-  return pool_cycles(shape_key(graph, id), batch);
 }
 
 std::int64_t pool_cycles(const ShapeKey& shape, int batch) {
@@ -129,13 +117,6 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                                design.batch, geom.total_tiles(), array)
                  : pool_cycles(shape, design.batch);
   return c;
-}
-
-LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
-                      const LayerTileGeometry& geom,
-                      const AcceleratorDesign& design,
-                      const mem::DdrModel& ddr) {
-  return stream_cost(shape_key(graph, id), geom, design, ddr);
 }
 
 LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
@@ -282,12 +263,6 @@ double PerfModel::ops_per_sec(double latency_s) const {
                              "ops_per_sec: latency <= 0");
   }
   return total_nominal_ops() / latency_s;
-}
-
-int PerfModel::num_memory_bound_layers() const {
-  int n = 0;
-  for (const LayerTiming& t : timings_) n += t.memory_bound() ? 1 : 0;
-  return n;
 }
 
 }  // namespace lcmm::hw

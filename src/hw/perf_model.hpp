@@ -146,23 +146,19 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
 // Term helpers: the one definition of every part of layer_cost. Each reads
 // only the inputs it takes, so Dse::space() evaluates each once per
 // distinct input and shares it across the candidates that agree on it.
-// The graph-and-layer-id forms read the layer's ShapeKey and delegate to
-// the shape forms, which are plain arithmetic on it.
+// They take the layer's ShapeKey (shape_key(graph, id)) and are plain
+// arithmetic on it.
 
-/// Pixel steps of one m-tile of conv `id`: Σ over its th x tw output tiles
+/// Pixel steps of one m-tile of a conv: Σ over its th x tw output tiles
 /// of ceil(tile pixels / effective_cols). Boundary tiles process their true
 /// extents; only the pixel-group granularity rounds up. Exact closed form:
 /// full tiles x one full tile, plus the h-edge, w-edge and corner tiles.
-std::int64_t px_steps(const graph::ComputationGraph& graph, graph::LayerId id,
-                      int th, int tw, int effective_cols);
 std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
                       int effective_cols);
 
-/// Reduction steps of conv `id`: Σ over its tc-channel tiles of the
+/// Reduction steps of a conv: Σ over its tc-channel tiles of the
 /// per-group input channels of ceil(channels x kernel area / simd), in
 /// closed form (full tiles plus the remainder tile).
-std::int64_t red_steps(const graph::ComputationGraph& graph, graph::LayerId id,
-                       int tc, int simd);
 std::int64_t red_steps(const ShapeKey& shape, int tc, int simd);
 
 /// Compute cycles of a conv from its terms: n_m x px x red per image, plus
@@ -179,19 +175,13 @@ inline std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
          total_tiles * (array.rows + array.cols + array.simd);
 }
 
-/// Compute cycles of pooling layer `id` on the standalone pooling unit.
-std::int64_t pool_cycles(const graph::ComputationGraph& graph,
-                         graph::LayerId id, int batch);
+/// Compute cycles of a pooling layer on the standalone pooling unit.
 std::int64_t pool_cycles(const ShapeKey& shape, int batch);
 
 /// Every field of layer_cost except `cycles`: the DDR streams of each
 /// feasible loop order. Of the array it reads only `rows`; of `geom` it
-/// reads every field but n_c. `geom` is layer_tile_geometry(graph, id,
+/// reads every field but n_c. `geom` is layer_tile_geometry(shape,
 /// design.array, design.tile).
-LayerCost stream_cost(const graph::ComputationGraph& graph, graph::LayerId id,
-                      const LayerTileGeometry& geom,
-                      const AcceleratorDesign& design,
-                      const mem::DdrModel& ddr);
 LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
                       const AcceleratorDesign& design,
                       const mem::DdrModel& ddr);
@@ -200,6 +190,8 @@ LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
 /// loop order under Eq. 1 (ties keep the earlier order).
 LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz);
 
+/// One design's per-layer timings on one graph, built in an obs span
+/// "perf_model"; a compile builds one per design and passes it down.
 class PerfModel {
  public:
   PerfModel(const graph::ComputationGraph& graph, AcceleratorDesign design);
@@ -216,8 +208,6 @@ class PerfModel {
   double total_nominal_ops() const;
   /// Achieved throughput in ops/s for a given end-to-end latency.
   double ops_per_sec(double latency_s) const;
-  /// Number of layers whose UMM latency is transfer-dominated.
-  int num_memory_bound_layers() const;
 
  private:
   const graph::ComputationGraph* graph_;

@@ -99,13 +99,6 @@ ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id) {
   return k;
 }
 
-LayerTileGeometry layer_tile_counts(const graph::ComputationGraph& graph,
-                                    graph::LayerId id,
-                                    const SystolicArrayConfig& array,
-                                    const TileConfig& tile) {
-  return layer_tile_counts(shape_key(graph, id), array, tile);
-}
-
 LayerTileGeometry layer_tile_counts(const ShapeKey& shape,
                                     const SystolicArrayConfig& array,
                                     const TileConfig& tile) {

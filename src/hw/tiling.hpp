@@ -142,10 +142,6 @@ LayerTileGeometry layer_tile_geometry(const ShapeKey& shape,
 /// alone. The DSE's compute cycles read nothing else. Of the array
 /// it reads only `rows`: n_m and channels_per_mtile read (shape, rows),
 /// n_c reads (shape, tc) and n_h, n_w read (shape, th, tw).
-LayerTileGeometry layer_tile_counts(const graph::ComputationGraph& graph,
-                                    graph::LayerId id,
-                                    const SystolicArrayConfig& array,
-                                    const TileConfig& tile);
 LayerTileGeometry layer_tile_counts(const ShapeKey& shape,
                                     const SystolicArrayConfig& array,
                                     const TileConfig& tile);

@@ -34,9 +34,9 @@ struct TimelineOutput {
 /// their window, earliest target first; for image k > 0 a window that the
 /// paper's backtrace could not fit (start == kBeforeExecution) extends
 /// into image k-1.
-TimelineOutput run_timeline(const graph::ComputationGraph& graph,
-                            const core::AllocationPlan& plan,
+TimelineOutput run_timeline(const core::AllocationPlan& plan,
                             const hw::PerfModel& model, int images) {
+  const graph::ComputationGraph& graph = model.graph();
   const std::vector<graph::LayerId>& order = graph.topo_order();
   const std::int64_t steps = static_cast<std::int64_t>(order.size());
 
@@ -138,15 +138,14 @@ TimelineOutput run_timeline(const graph::ComputationGraph& graph,
 
 }  // namespace
 
-SimResult simulate(const graph::ComputationGraph& graph,
-                   const core::AllocationPlan& plan) {
+SimResult simulate(const hw::PerfModel& model, const core::AllocationPlan& plan) {
   LCMM_SPAN("simulate");
+  const graph::ComputationGraph& graph = model.graph();
   if (plan.state.num_layers() != graph.num_layers()) {
     throw std::invalid_argument("simulate: plan does not match graph");
   }
   LCMM_COUNT("layers", static_cast<std::int64_t>(graph.num_layers()));
-  hw::PerfModel model(graph, plan.design);
-  TimelineOutput out = run_timeline(graph, plan, model, 1);
+  TimelineOutput out = run_timeline(plan, model, 1);
   SimResult result;
   result.total_s = out.total_s;
   result.total_stall_s = out.total_stall_s;
@@ -155,14 +154,19 @@ SimResult simulate(const graph::ComputationGraph& graph,
   return result;
 }
 
+SimResult simulate(const graph::ComputationGraph& graph,
+                   const core::AllocationPlan& plan) {
+  return simulate(hw::PerfModel(graph, plan.design), plan);
+}
+
 StreamResult simulate_stream(const graph::ComputationGraph& graph,
                              const core::AllocationPlan& plan, int images) {
   if (plan.state.num_layers() != graph.num_layers()) {
     throw std::invalid_argument("simulate_stream: plan does not match graph");
   }
   if (images < 1) throw std::invalid_argument("simulate_stream: images < 1");
-  hw::PerfModel model(graph, plan.design);
-  const TimelineOutput out = run_timeline(graph, plan, model, images);
+  const TimelineOutput out =
+      run_timeline(plan, hw::PerfModel(graph, plan.design), images);
   StreamResult result;
   result.images = images;
   result.total_s = out.total_s;
@@ -175,11 +179,10 @@ StreamResult simulate_stream(const graph::ComputationGraph& graph,
   return result;
 }
 
-SimResult refine_against_stalls(const graph::ComputationGraph& graph,
+SimResult refine_against_stalls(const hw::PerfModel& model,
                                 core::AllocationPlan& plan) {
   LCMM_SPAN("refine_stalls");
-  hw::PerfModel model(graph, plan.design);
-  SimResult sim = simulate(graph, plan);
+  SimResult sim = simulate(model, plan);
   // Runs to the fixed point: a round that changes anything demotes at least
   // one on-chip weight and promotes none, so there are at most
   // (on-chip weights + 1) rounds.
@@ -193,15 +196,20 @@ SimResult refine_against_stalls(const graph::ComputationGraph& graph,
           plan.state.is_on({exec.layer, core::TensorSource::kWeight})) {
         plan.state.set({exec.layer, core::TensorSource::kWeight}, false);
         LCMM_COUNT("demoted_weights", 1);
-        LCMM_DECIDE(graph.layer(exec.layer).name + ".wt", 0, false,
+        LCMM_DECIDE(model.graph().layer(exec.layer).name + ".wt", 0, false,
                     "prefetch-stall-regression");
         changed = true;
       }
     }
-    if (changed) sim = simulate(graph, plan);
+    if (changed) sim = simulate(model, plan);
   }
   plan.est_latency_s = sim.total_s;
   return sim;
+}
+
+SimResult refine_against_stalls(const graph::ComputationGraph& graph,
+                                core::AllocationPlan& plan) {
+  return refine_against_stalls(hw::PerfModel(graph, plan.design), plan);
 }
 
 }  // namespace lcmm::sim

@@ -39,8 +39,9 @@ struct SimResult {
   double hidden_prefetch_s = 0.0;
 };
 
-/// Simulates `plan` on `graph`. The plan must have been produced for the
-/// same graph (checked via layer count).
+/// Simulates `plan` under `model`, its design's model (the layer count is
+/// checked). The graph form builds that model first.
+SimResult simulate(const hw::PerfModel& model, const core::AllocationPlan& plan);
 SimResult simulate(const graph::ComputationGraph& graph,
                    const core::AllocationPlan& plan);
 
@@ -66,10 +67,13 @@ StreamResult simulate_stream(const graph::ComputationGraph& graph,
 
 /// Demotes on-chip weight tensors whose prefetch stalls make the layer
 /// slower than its UMM latency (rare; early layers with no window),
-/// re-simulating until a round demotes nothing, and sets the plan's
-/// est_latency_s to the final simulated latency. Returns that simulation.
-/// LcmmCompiler::compile and compile_with_design already run it on every
-/// plan they return, so a further call demotes nothing.
+/// re-simulating under the plan's `model` (one simulate per round) until a
+/// round demotes nothing, and sets the plan's est_latency_s to the final
+/// simulated latency. Returns that simulation. LcmmCompiler::compile and
+/// compile_with_design already run it on every plan they return, so a
+/// further call demotes nothing. The graph form builds the model first.
+SimResult refine_against_stalls(const hw::PerfModel& model,
+                                core::AllocationPlan& plan);
 SimResult refine_against_stalls(const graph::ComputationGraph& graph,
                                 core::AllocationPlan& plan);
 

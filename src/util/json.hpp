@@ -62,7 +62,6 @@ class Json {
   bool is_bool() const { return std::holds_alternative<bool>(value_); }
   bool is_int() const { return std::holds_alternative<std::int64_t>(value_); }
   bool is_double() const { return std::holds_alternative<double>(value_); }
-  bool is_number() const { return is_int() || is_double(); }
   bool is_string() const { return std::holds_alternative<std::string>(value_); }
   bool is_object() const { return std::holds_alternative<Object>(value_); }
   bool is_array() const { return std::holds_alternative<Array>(value_); }

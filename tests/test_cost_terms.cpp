@@ -126,6 +126,7 @@ TEST_P(CostTermsZoo, ClosedFormsMatchTheTileLoopsOnTheMenu) {
   for (const graph::Layer& layer : g.layers()) {
     const graph::FeatureShape& in = g.input_shape(layer.id);
     const graph::FeatureShape& out = g.own_output_shape(layer.id);
+    const ShapeKey shape = shape_key(g, layer.id);
     for (const TileConfig& t : dims.tiles) {
       const LayerTileGeometry geom =
           layer_tile_geometry(g, layer.id, {8, 8, 4}, t);
@@ -140,14 +141,14 @@ TEST_P(CostTermsZoo, ClosedFormsMatchTheTileLoopsOnTheMenu) {
                                       in.width, c.pad_w))
             << layer.name << " " << t.to_string();
         for (int cols : dims.effective_cols) {
-          EXPECT_EQ(px_steps(g, layer.id, t.th, t.tw, cols),
+          EXPECT_EQ(px_steps(shape, t.th, t.tw, cols),
                     px_steps_loop(out, t.th, t.tw, cols))
               << layer.name << " " << t.to_string() << " cols " << cols;
         }
         const std::int64_t kk =
             static_cast<std::int64_t>(c.kernel_h) * c.kernel_w;
         for (int simd : dims.simd) {
-          EXPECT_EQ(red_steps(g, layer.id, t.tc, simd),
+          EXPECT_EQ(red_steps(shape, t.tc, simd),
                     red_steps_loop(in.channels / c.groups, kk, t.tc, simd))
               << layer.name << " " << t.to_string() << " simd " << simd;
         }

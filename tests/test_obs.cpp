@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -9,6 +12,7 @@
 #include "driver/batch.hpp"
 #include "models/models.hpp"
 #include "obs/obs.hpp"
+#include "resil/fault.hpp"
 
 namespace lcmm::obs {
 namespace {
@@ -307,6 +311,76 @@ TEST(Integration, SessionNestsEachCompileUnderItsOwnPipelineSpan) {
     EXPECT_GE((nested[{root, "dse"}]), 1) << "root " << root;
     EXPECT_GE((nested[{root, "dnnk"}]), 1) << "root " << root;
   }
+}
+
+/// Bit patterns of every number in `sim`, for bit-for-bit comparison.
+std::vector<std::uint64_t> sim_bits(const sim::SimResult& sim) {
+  std::vector<std::uint64_t> bits;
+  const auto add = [&](double x) {
+    bits.push_back(std::bit_cast<std::uint64_t>(x));
+  };
+  add(sim.total_s);
+  add(sim.total_stall_s);
+  add(sim.hidden_prefetch_s);
+  for (const sim::LayerExecution& e : sim.layers) {
+    bits.push_back(static_cast<std::uint64_t>(e.layer));
+    for (double x : {e.start_s, e.end_s, e.compute_s, e.if_s, e.wt_s, e.of_s,
+                     e.stall_s}) {
+      add(x);
+    }
+  }
+  return bits;
+}
+
+TEST(Integration, EachDesignModelledOnceEachPlanSimulatedOnce) {
+  // A --design both job builds one cost model per design it allocates
+  // under plus one for the UMM baseline, and simulates once per stall
+  // refinement round plus once for the baseline; the outcome's simulations
+  // are those runs, equal to fresh ones bit for bit. vu9p and zu9eg hold
+  // most of the no-benefit fallbacks; the sticky pass.dnnk job ships the
+  // UMM floor.
+  std::vector<driver::BatchJob> jobs;
+  for (const std::string& name : models::model_names()) {
+    const graph::ComputationGraph graph = models::build_by_name(name);
+    for (const hw::FpgaDevice& device :
+         {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg()}) {
+      for (hw::Precision precision : hw::kAllPrecisions) {
+        jobs.push_back({.graph = graph, .device = device, .precision = precision,
+                        .label = name + "/" + device.name + "/" +
+                                 hw::to_string(precision)});
+      }
+    }
+  }
+  jobs.push_back({.graph = models::build_by_name("googlenet"),
+                  .label = "googlenet/sticky-dnnk"});
+  std::int64_t fallbacks = 0;
+  for (const driver::BatchJob& job : jobs) {
+    std::optional<resil::fault::ArmedGuard> fault;
+    if (job.label.ends_with("sticky-dnnk")) {
+      fault.emplace(resil::fault::Config{.site = "pass.dnnk", .fires = -1});
+    }
+    StatsSession session;
+    const std::vector<driver::BatchOutcome> out = driver::compile_many({job}, 1);
+    ASSERT_TRUE(out[0].ok()) << job.label << ": " << out[0].error;
+    const CompileStats& stats = session.stats();
+    EXPECT_EQ(stats.span_count("perf_model"), stats.span_count("allocate") + 1)
+        << job.label;
+    EXPECT_EQ(stats.span_count("simulate"),
+              stats.counter("refine_stalls.rounds") + 1)
+        << job.label;
+    EXPECT_EQ(sim_bits(out[0].umm_sim),
+              sim_bits(sim::simulate(job.graph, out[0].umm_plan)))
+        << job.label;
+    EXPECT_EQ(sim_bits(out[0].lcmm_sim),
+              sim_bits(sim::simulate(job.graph, out[0].lcmm_plan)))
+        << job.label;
+    fallbacks += stats.counter("pipeline.fallback_to_umm");
+    if (fault) {
+      EXPECT_EQ(out[0].lcmm_plan.rung, resil::Rung::kUmm);
+      EXPECT_EQ(stats.counter("refine_stalls.rounds"), 0);
+    }
+  }
+  EXPECT_GT(fallbacks, 0);
 }
 
 }  // namespace
