@@ -30,7 +30,7 @@ DiagLocation entity_location(const CheckContext& ctx, const TensorEntity& e,
   if (e.key.layer >= 0 &&
       static_cast<std::size_t>(e.key.layer) < ctx.graph.num_layers()) {
     loc.layer_name = ctx.graph.layer(e.key.layer).name;
-    loc.step = ctx.graph.step_of(e.key.layer);
+    loc.step = e.key.layer;
   }
   loc.tensor = e.name;
   loc.buffer_id = buffer_id;
@@ -42,7 +42,7 @@ DiagLocation layer_location(const CheckContext& ctx, graph::LayerId id) {
   loc.layer = id;
   if (id >= 0 && static_cast<std::size_t>(id) < ctx.graph.num_layers()) {
     loc.layer_name = ctx.graph.layer(id).name;
-    loc.step = ctx.graph.step_of(id);
+    loc.step = id;
   }
   return loc;
 }
@@ -67,7 +67,7 @@ bool rederive_interval(const CheckContext& ctx, const TensorEntity& e,
     return false;
   }
   const graph::Layer& layer = ctx.graph.layer(e.key.layer);
-  const int step = ctx.graph.step_of(layer.id);
+  const int step = layer.id;
   switch (e.key.source) {
     case TensorSource::kInput:
       out = {core::value_def_step(ctx.graph, layer.input), step};
@@ -270,7 +270,6 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
 // whose window does not cover the load time T miss their deadline.
 // ---------------------------------------------------------------------------
 void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
-  const std::vector<graph::LayerId>& order = ctx.graph.topo_order();
   for (const core::PrefetchEdge& edge : ctx.plan.prefetch.edges()) {
     if (edge.target < 0 ||
         static_cast<std::size_t>(edge.target) >= ctx.graph.num_layers() ||
@@ -282,7 +281,7 @@ void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
                  layer_location(ctx, edge.target));
       continue;
     }
-    const int target_step = ctx.graph.step_of(edge.target);
+    const int target_step = edge.target;
     if (edge.start_step != core::kBeforeExecution &&
         (edge.start_step < 0 || edge.start_step >= target_step)) {
       report.add(Code::kPdgCycle,
@@ -299,8 +298,7 @@ void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
         edge.start_step == core::kBeforeExecution ? 0 : edge.start_step;
     double window = 0.0;
     for (int s = first; s < target_step; ++s) {
-      window += ctx.model.timing(order[static_cast<std::size_t>(s)])
-                    .umm_latency();
+      window += ctx.model.timing(s).umm_latency();
     }
     const double tol =
         ctx.options.latency_rel_tol * std::max(window, edge.window_seconds) +
@@ -385,7 +383,7 @@ void pass_race(const CheckContext& ctx, CheckReport& report) {
       if (entity.key.source == TensorSource::kWeight) {
         if (!ctx.plan.state.is_on(entity.key)) continue;  // demoted: no DMA
         if (ctx.plan.weight_is_resident(entity.key.layer)) continue;
-        const int target = clamp_step(ctx.graph.step_of(entity.key.layer));
+        const int target = clamp_step(entity.key.layer);
         const core::PrefetchEdge* edge =
             ctx.plan.prefetch.edge_for(entity.key.layer);
         const int start = edge ? edge->start_step : core::kBeforeExecution;
@@ -527,14 +525,11 @@ void pass_capacity(const CheckContext& ctx, CheckReport& report) {
     }
   }
   if (peak > budget && peak_step >= 0) {
-    DiagLocation loc =
-        layer_location(ctx, ctx.graph.topo_order()[static_cast<std::size_t>(
-                                peak_step)]);
     report.add(Code::kStepCapacityExceeded,
                "live on-chip tensors need " + std::to_string(peak) +
                    " bytes at step " + std::to_string(peak_step) +
                    " but R_sram is " + std::to_string(budget),
-               std::move(loc));
+               layer_location(ctx, peak_step));
   }
 }
 

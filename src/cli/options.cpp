@@ -116,9 +116,6 @@ Options parse_cli(const std::vector<std::string>& args) {
       opt.lcmm.allow_fallback_to_umm = false;
     } else if (arg == "--strict") {
       opt.lcmm.strict = true;
-    } else if (consume_value(args, i, "--job-timeout", value)) {
-      opt.job_timeout_s = to_double("--job-timeout", value);
-      if (opt.job_timeout_s <= 0) throw CliError("--job-timeout must be > 0");
     } else if (arg == "--list-fault-sites") {
       opt.list_fault_sites = true;
     } else if (consume_value(args, i, "--chrome-trace", value)) {
@@ -183,8 +180,6 @@ std::string usage() {
         "  --strict              fail hard on the first typed compile error\n"
         "                        instead of retrying it or shipping the UMM\n"
         "                        floor (docs/robustness.md)\n"
-        "  --job-timeout S       soft per-job wall-clock budget in seconds for\n"
-        "                        batch compilation (checked at phase boundaries)\n"
         "  --list-fault-sites    print the registered LCMM_FAULT injection\n"
         "                        sites and exit\n"
         "\noutput:\n"

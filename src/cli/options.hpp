@@ -58,9 +58,6 @@ struct Options {
   bool list_rules = false;
   /// --list-fault-sites: print the resil fault-injection sites and exit.
   bool list_fault_sites = false;
-  /// Per-job wall-clock budget in seconds for batch compilation
-  /// (<= 0 = unlimited), checked at phase boundaries.
-  double job_timeout_s = 0.0;
 };
 
 /// Parses argv (argv[0] is skipped). Throws CliError on bad input.

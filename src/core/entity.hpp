@@ -33,7 +33,8 @@ struct TensorKey {
   auto operator<=>(const TensorKey&) const = default;
 };
 
-/// Execution steps are positions in the graph's topological order. A def
+/// An execution step is a layer's id: the builder appends layers in
+/// execution order (graph::ComputationGraph::validate checks it). A def
 /// step of kBeforeExecution marks data available before inference starts
 /// (graph inputs; weights loaded from DRAM).
 inline constexpr int kBeforeExecution = -1;

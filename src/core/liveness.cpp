@@ -10,7 +10,7 @@ namespace lcmm::core {
 int value_def_step(const graph::ComputationGraph& graph, graph::ValueId value) {
   const graph::Value& v = graph.value(value);
   int def = kBeforeExecution;
-  for (graph::LayerId p : v.producers) def = std::max(def, graph.step_of(p));
+  for (graph::LayerId p : v.producers) def = std::max(def, p);
   return def;
 }
 
@@ -18,7 +18,7 @@ int value_last_use_step(const graph::ComputationGraph& graph,
                         graph::ValueId value) {
   const graph::Value& v = graph.value(value);
   int last = value_def_step(graph, value);
-  for (graph::LayerId c : v.consumers) last = std::max(last, graph.step_of(c));
+  for (graph::LayerId c : v.consumers) last = std::max(last, c);
   return last;
 }
 
@@ -41,7 +41,7 @@ std::vector<TensorEntity> build_feature_entities(const hw::PerfModel& model,
       LCMM_COUNT("skipped_non_conv", 1);
       continue;
     }
-    const int step = graph.step_of(layer.id);
+    const int step = layer.id;
 
     // t_if(i): the consumed value, live from its production to this read.
     {

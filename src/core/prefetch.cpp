@@ -38,14 +38,7 @@ PrefetchResult build_prefetch_schedule(const hw::PerfModel& model,
   LCMM_SPAN("prefetch");
   std::int64_t backtrace_steps = 0;
   const graph::ComputationGraph& graph = model.graph();
-  const std::vector<graph::LayerId>& order = graph.topo_order();
   const int bpe = hw::bytes_per_elem(model.design().precision);
-
-  // UMM latency per execution step, for the backtrace clock.
-  std::vector<double> step_latency(order.size());
-  for (std::size_t s = 0; s < order.size(); ++s) {
-    step_latency[s] = model.timing(order[s]).umm_latency();
-  }
 
   std::vector<PrefetchEdge> edges;
   for (const graph::Layer& layer : graph.layers()) {
@@ -61,14 +54,13 @@ PrefetchResult build_prefetch_schedule(const hw::PerfModel& model,
     edge.load_seconds = model.ddr().transfer_seconds(
         static_cast<double>(bytes), kSequentialBurstBytes);
 
-    // Backtrace: accumulate elapsed execution time walking backwards until
-    // it covers the load time.
-    const int k = graph.step_of(layer.id);
+    // Backtrace: accumulate the UMM execution time of the preceding steps,
+    // walking backwards until it covers the load time.
     double elapsed = 0.0;
     int start = kBeforeExecution;
-    for (int s = k - 1; s >= 0; --s) {
+    for (int s = layer.id - 1; s >= 0; --s) {
       ++backtrace_steps;
-      elapsed += step_latency[static_cast<std::size_t>(s)];
+      elapsed += model.timing(s).umm_latency();
       if (elapsed >= edge.load_seconds) {
         start = s;
         break;
@@ -98,7 +90,7 @@ std::vector<TensorEntity> build_weight_entities(const hw::PerfModel& model,
     e.bytes = resil::checked_mul(graph.layer_weight_elems(layer.id), bpe,
                                  "weight bytes");
     e.def_step = edge.start_step;
-    e.last_use_step = graph.step_of(layer.id);
+    e.last_use_step = layer.id;
     e.stream_latency_s = model.timing(layer.id).wt_s;
     entities.push_back(std::move(e));
   }

@@ -10,24 +10,19 @@ namespace lcmm::driver {
 namespace {
 
 /// Compiles every requested design of a job and reports each from the
-/// simulation its compile ran, checking the deadline before and after the
-/// compile.
-void run_job(const BatchJob& job, const resil::Deadline& deadline,
-             BatchOutcome& out) {
+/// simulation its compile ran.
+void run_job(const BatchJob& job, BatchOutcome& out) {
   const core::LcmmCompiler compiler(job.device, job.precision, job.options);
   if (job.want_lcmm) {
-    deadline.check("driver.lcmm");
     // compile() builds and simulates the UMM baseline for its fallback
     // anyway: ship that one instead of exploring the design space again.
     const bool umm = job.want_umm;
     out.lcmm_plan = compiler.compile(job.graph, umm ? &out.umm_plan : nullptr,
                                      umm ? &out.umm_sim : nullptr, &out.lcmm_sim);
   } else if (job.want_umm) {
-    deadline.check("driver.umm");
     out.umm_plan = compiler.compile_umm(job.graph);
     out.umm_sim = sim::simulate(job.graph, out.umm_plan);
   }
-  deadline.check("driver.report");
   if (job.want_umm) {
     out.umm_report = sim::make_report(job.graph, out.umm_plan, out.umm_sim);
   }
@@ -46,13 +41,12 @@ std::vector<BatchOutcome> compile_many(const std::vector<BatchJob>& jobs,
     // One fault budget for the whole job, shared by its compiles.
     resil::fault::Scope fault_scope;
     try {
-      run_job(job, resil::Deadline(job.timeout_s), out);
+      run_job(job, out);
     } catch (const std::exception& e) {
       out = BatchOutcome{};
       out.error = e.what();
       if (out.error.empty()) out.error = "unknown error";
       out.error_info = resil::describe(e);
-      out.timed_out = out.error_info.code == resil::Code::kJobTimeout;
     }
     out.label = job.label.empty() ? job.graph.name() : job.label;
     out.attempts = 1;

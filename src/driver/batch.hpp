@@ -2,14 +2,13 @@
 // paper's evaluation (§4) runs, as one concurrent entry point.
 //
 // Each BatchJob owns its graph and options, so jobs share no mutable
-// state; compile_many() fans them out over lcmm::par and returns outcomes
-// in input order. A job that throws reports a structured error (code,
-// failing pass, job label) in BatchOutcome instead of tearing down the
-// whole sweep (the compiler itself retries a transient failure once), and
-// each job runs under a soft wall-clock deadline checked at phase
-// boundaries. When the calling thread is collecting obs
-// telemetry, per-job stats merge back in job order — the collected
-// registry is identical whatever the worker count (see
+// state; compile_many() fans them out with par::parallel_map and returns
+// outcomes in input order. Each job runs once, on one worker thread. A job
+// that throws reports a structured error (code, failing pass, job label)
+// in BatchOutcome instead of tearing down the whole sweep (the compiler
+// itself retries a transient failure once). When the calling thread is
+// collecting obs telemetry, per-job stats merge back in job order — the
+// collected registry is identical whatever the worker count (see
 // docs/parallelism.md).
 #pragma once
 
@@ -38,9 +37,6 @@ struct BatchJob {
   /// Label echoed in BatchOutcome and error reports ("resnet50/int8");
   /// defaults to the graph name when empty.
   std::string label{};
-  /// Soft per-job wall-clock budget in seconds (<= 0 = unlimited), checked
-  /// at phase boundaries — a running pass is never interrupted mid-flight.
-  double timeout_s = 0.0;
 };
 
 struct BatchOutcome {
@@ -54,7 +50,6 @@ struct BatchOutcome {
   std::string error;        ///< Non-empty when the job failed; plan fields empty.
   resil::ErrorInfo error_info;  ///< Structured error (code, pass, entity).
   int attempts = 0;         ///< Always 1: a job runs once.
-  bool timed_out = false;   ///< Failed on the wall-clock deadline.
 
   bool ok() const { return error.empty(); }
   /// UMM/LCMM latency ratio (requires both designs).

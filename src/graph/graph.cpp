@@ -7,26 +7,6 @@ namespace lcmm::graph {
 
 ComputationGraph::ComputationGraph(std::string name) : name_(std::move(name)) {}
 
-ComputationGraph::ComputationGraph(const ComputationGraph& other) {
-  *this = other;
-}
-
-ComputationGraph& ComputationGraph::operator=(const ComputationGraph& other) {
-  if (this == &other) return *this;
-  // Lock the source so a copy taken while other threads read (and lazily
-  // fill) its caches is race-free; the destination gets a fresh mutex.
-  std::lock_guard<std::mutex> lock(other.topo_mutex_);
-  name_ = other.name_;
-  current_stage_ = other.current_stage_;
-  layers_ = other.layers_;
-  values_ = other.values_;
-  value_alive_ = other.value_alive_;
-  own_output_shapes_ = other.own_output_shapes_;
-  topo_cache_ = other.topo_cache_;
-  step_cache_ = other.step_cache_;
-  return *this;
-}
-
 void ComputationGraph::shrink_to_fit() {
   layers_.shrink_to_fit();
   for (Value& v : values_) {
@@ -36,30 +16,6 @@ void ComputationGraph::shrink_to_fit() {
   values_.shrink_to_fit();
   value_alive_.shrink_to_fit();
   own_output_shapes_.shrink_to_fit();
-  std::lock_guard<std::mutex> lock(topo_mutex_);
-  topo_cache_.shrink_to_fit();
-  step_cache_.shrink_to_fit();
-}
-
-ComputationGraph::ComputationGraph(ComputationGraph&& other) noexcept {
-  *this = std::move(other);
-}
-
-ComputationGraph& ComputationGraph::operator=(ComputationGraph&& other) noexcept {
-  if (this == &other) return *this;
-  // Moves require exclusive access to `other` (standard move semantics);
-  // no lock is taken here. Locking would not make moving a concurrently
-  // used graph safe, and std::mutex::lock can throw, which a noexcept
-  // operation must not risk.
-  name_ = std::move(other.name_);
-  current_stage_ = std::move(other.current_stage_);
-  layers_ = std::move(other.layers_);
-  values_ = std::move(other.values_);
-  value_alive_ = std::move(other.value_alive_);
-  own_output_shapes_ = std::move(other.own_output_shapes_);
-  topo_cache_ = std::move(other.topo_cache_);
-  step_cache_ = std::move(other.step_cache_);
-  return *this;
 }
 
 ValueId ComputationGraph::new_value(std::string name, FeatureShape shape) {
@@ -118,8 +74,6 @@ LayerId ComputationGraph::append_layer(Layer layer, const FeatureShape& own_out)
   mutable_value(layer.output).producers.push_back(id);
   layers_.push_back(std::move(layer));
   own_output_shapes_.push_back(own_out);
-  topo_cache_.clear();
-  step_cache_.clear();
   return id;
 }
 
@@ -220,61 +174,6 @@ std::vector<ValueId> ComputationGraph::live_values() const {
   return out;
 }
 
-const std::vector<LayerId>& ComputationGraph::topo_order() const {
-  // Serialize the lazy fill; after it, the caches are immutable until the
-  // next builder-phase mutation, so the returned reference stays valid for
-  // concurrent readers.
-  std::lock_guard<std::mutex> lock(topo_mutex_);
-  if (!topo_cache_.empty() || layers_.empty()) return topo_cache_;
-  // Kahn's algorithm over layer->layer dependencies induced by values.
-  std::vector<int> indegree(layers_.size(), 0);
-  std::vector<std::vector<LayerId>> succ(layers_.size());
-  for (const Layer& layer : layers_) {
-    for (ValueId in : {layer.input, layer.residual}) {
-      if (in == kInvalidValue) continue;
-      for (LayerId producer : values_[static_cast<std::size_t>(in)].producers) {
-        succ[static_cast<std::size_t>(producer)].push_back(layer.id);
-        ++indegree[static_cast<std::size_t>(layer.id)];
-      }
-    }
-  }
-  std::vector<LayerId> ready;
-  for (std::size_t i = 0; i < layers_.size(); ++i) {
-    if (indegree[i] == 0) ready.push_back(static_cast<LayerId>(i));
-  }
-  // Min-id first gives the deterministic builder order.
-  std::make_heap(ready.begin(), ready.end(), std::greater<>());
-  while (!ready.empty()) {
-    std::pop_heap(ready.begin(), ready.end(), std::greater<>());
-    const LayerId next = ready.back();
-    ready.pop_back();
-    topo_cache_.push_back(next);
-    for (LayerId s : succ[static_cast<std::size_t>(next)]) {
-      if (--indegree[static_cast<std::size_t>(s)] == 0) {
-        ready.push_back(s);
-        std::push_heap(ready.begin(), ready.end(), std::greater<>());
-      }
-    }
-  }
-  if (topo_cache_.size() != layers_.size()) {
-    topo_cache_.clear();
-    throw std::logic_error("graph '" + name_ + "' contains a cycle");
-  }
-  step_cache_.assign(layers_.size(), -1);
-  for (std::size_t pos = 0; pos < topo_cache_.size(); ++pos) {
-    step_cache_[static_cast<std::size_t>(topo_cache_[pos])] = static_cast<int>(pos);
-  }
-  return topo_cache_;
-}
-
-int ComputationGraph::step_of(LayerId id) const {
-  topo_order();
-  if (id < 0 || static_cast<std::size_t>(id) >= step_cache_.size()) {
-    throw std::out_of_range("layer id " + std::to_string(id) + " out of range");
-  }
-  return step_cache_[static_cast<std::size_t>(id)];
-}
-
 const FeatureShape& ComputationGraph::input_shape(LayerId id) const {
   return value(layer(id).input).shape;
 }
@@ -313,14 +212,16 @@ int ComputationGraph::num_conv_layers() const {
 }
 
 void ComputationGraph::validate() const {
-  const std::vector<LayerId>& order = topo_order();
-  for (std::size_t pos = 0; pos < order.size(); ++pos) {
-    if (order[pos] != static_cast<LayerId>(pos)) {
-      throw std::logic_error("graph '" + name_ +
-                             "': builder order is not topological");
-    }
-  }
   for (const Layer& l : layers_) {
+    for (ValueId in : {l.input, l.residual}) {
+      if (in == kInvalidValue) continue;
+      for (LayerId p : values_[static_cast<std::size_t>(in)].producers) {
+        if (p >= l.id) {
+          throw std::logic_error("graph '" + name_ +
+                                 "': builder order is not topological");
+        }
+      }
+    }
     if (!value_alive(l.input) || !value_alive(l.output)) {
       throw std::logic_error("layer '" + l.name + "' references a retired value");
     }

@@ -1,16 +1,15 @@
 // The DNN computation graph: a DAG of conv/pool layers over feature-map
-// values. Graphs are built through the add_* API (which performs shape
-// inference eagerly and therefore guarantees layers are appended in a valid
-// topological order) and are immutable afterwards.
+// values. Graphs are built through the add_* API, which performs shape
+// inference eagerly and only reads values that already exist, so layers are
+// appended in topological order: a layer's id is its execution step
+// (validate() checks this). Graphs are immutable afterwards.
 //
-// Thread safety: construction (add_*) is single-threaded, but once built,
-// all const accessors may be called concurrently — the lazily computed
-// topological-order caches are filled under an internal mutex so parallel
-// DSE workers can share one graph (see docs/parallelism.md).
+// Thread safety: construction (add_*) is single-threaded. A built graph is
+// plain data with no lazy state, so its const accessors may be called
+// concurrently without a lock (see docs/parallelism.md).
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,13 +22,6 @@ namespace lcmm::graph {
 class ComputationGraph {
  public:
   explicit ComputationGraph(std::string name);
-  // The topo-cache mutex is not copyable, so the special members are
-  // user-provided (each instance gets its own lock; data is deep-copied).
-  ComputationGraph(const ComputationGraph& other);
-  ComputationGraph& operator=(const ComputationGraph& other);
-  ComputationGraph(ComputationGraph&& other) noexcept;
-  ComputationGraph& operator=(ComputationGraph&& other) noexcept;
-  ~ComputationGraph() = default;
 
   // ---- construction -----------------------------------------------------
 
@@ -71,12 +63,6 @@ class ComputationGraph {
   const Value& value(ValueId id) const;
   bool value_alive(ValueId id) const;
 
-  /// Layer execution order (Kahn topological sort; with the append-only
-  /// builder this equals layer-id order, which validate() asserts).
-  const std::vector<LayerId>& topo_order() const;
-  /// Position of a layer in topo_order().
-  int step_of(LayerId id) const;
-
   /// Shape of the layer's main input value.
   const FeatureShape& input_shape(LayerId id) const;
   /// Shape of the slice this layer itself produces (for concat branches
@@ -90,7 +76,8 @@ class ComputationGraph {
   /// Conv layers only (the paper's "layers" counts).
   int num_conv_layers() const;
 
-  /// Full consistency check: shape agreement, topological sanity, concat
+  /// Full consistency check: shape agreement, ids in execution order (every
+  /// producer of a layer's input and residual has a smaller id), concat
   /// slice coverage, residual shape equality. Throws std::logic_error.
   void validate() const;
 
@@ -110,11 +97,6 @@ class ComputationGraph {
   std::vector<Value> values_;
   std::vector<bool> value_alive_;
   std::vector<FeatureShape> own_output_shapes_;  // indexed by LayerId
-  /// Guards the lazy fill of the caches below; once filled they are only
-  /// read (append_layer, a builder-phase mutation, resets them).
-  mutable std::mutex topo_mutex_;
-  mutable std::vector<LayerId> topo_cache_;
-  mutable std::vector<int> step_cache_;
 };
 
 }  // namespace lcmm::graph

@@ -271,8 +271,7 @@ std::string serialize_graph(const graph::ComputationGraph& graph) {
 
   std::string stage;
   std::map<graph::ValueId, int> remaining_producers;
-  for (graph::LayerId id : graph.topo_order()) {
-    const graph::Layer& l = graph.layer(id);
+  for (const graph::Layer& l : graph.layers()) {
     if (l.stage != stage) {
       stage = l.stage;
       if (!stage.empty()) os << "stage " << stage << "\n";
@@ -296,7 +295,7 @@ std::string serialize_graph(const graph::ComputationGraph& graph) {
     } else {
       const graph::ConvParams& p = l.conv;
       os << "conv " << l.name << " " << ref.at(l.input)
-         << " out=" << graph.own_output_shape(id).channels
+         << " out=" << graph.own_output_shape(l.id).channels
          << " kernel=" << pair_str(p.kernel_h, p.kernel_w);
       if (p.stride != 1) os << " stride=" << p.stride;
       if (p.pad_h != 0 || p.pad_w != 0) os << " pad=" << pair_str(p.pad_h, p.pad_w);

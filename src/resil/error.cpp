@@ -23,7 +23,6 @@ const char* code_name(Code code) {
     case Code::kParseError: return "parse-error";
     case Code::kIoError: return "io-error";
     case Code::kFaultInjected: return "fault-injected";
-    case Code::kJobTimeout: return "job-timeout";
     case Code::kInternal: return "internal";
   }
   return "unknown";
@@ -46,7 +45,6 @@ const char* code_summary(Code code) {
     case Code::kIoError: return "file system failure reading input";
     case Code::kFaultInjected:
       return "deterministic fault injected via LCMM_FAULT or fault::arm";
-    case Code::kJobTimeout: return "batch job exceeded its wall-clock budget";
     case Code::kInternal: return "invariant violation or unexpected exception";
   }
   return "unknown";
@@ -58,8 +56,7 @@ const std::vector<Code>& all_codes() {
       Code::kGraphTooLarge,    Code::kSizeOverflow,
       Code::kBadOptions,       Code::kBadArgument,
       Code::kParseError,       Code::kIoError,
-      Code::kFaultInjected,    Code::kJobTimeout,
-      Code::kInternal,
+      Code::kFaultInjected,    Code::kInternal,
   };
   return codes;
 }
@@ -114,26 +111,6 @@ const char* rung_name(Rung rung) {
     case Rung::kUmm: return "umm";
   }
   return "unknown";
-}
-
-Deadline::Deadline(double seconds) {
-  if (seconds > 0) {
-    unlimited_ = false;
-    deadline_ = std::chrono::steady_clock::now() +
-                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                    std::chrono::duration<double>(seconds));
-  }
-}
-
-bool Deadline::expired() const {
-  return !unlimited_ && std::chrono::steady_clock::now() >= deadline_;
-}
-
-void Deadline::check(const std::string& phase) const {
-  if (expired()) {
-    throw CompileError(Code::kJobTimeout, phase,
-                       "wall-clock budget exhausted at phase boundary");
-  }
 }
 
 }  // namespace lcmm::resil

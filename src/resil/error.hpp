@@ -16,7 +16,6 @@
 // the batch driver can report (code, pass, entity) uniformly via describe().
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -48,7 +47,7 @@ enum class Code : std::uint16_t {
 
   // E8xx — infrastructure.
   kFaultInjected = 801,       ///< deterministic fault-injection hit (LCMM_FAULT)
-  kJobTimeout = 802,          ///< batch job exceeded its wall-clock budget
+  // 802 is retired and must not be reused (docs/robustness.md).
   kInternal = 899,            ///< invariant violation / unexpected exception
 };
 
@@ -128,19 +127,5 @@ enum class Rung : std::uint8_t {
 
 /// "full-lcmm", "umm".
 const char* rung_name(Rung rung);
-
-/// Soft wall-clock budget, checked cooperatively at phase boundaries.
-/// seconds <= 0 means unlimited.
-class Deadline {
- public:
-  explicit Deadline(double seconds);
-  bool expired() const;
-  /// Throws CompileError(kJobTimeout) naming `phase` when expired.
-  void check(const std::string& phase) const;
-
- private:
-  std::chrono::steady_clock::time_point deadline_{};
-  bool unlimited_ = true;
-};
 
 }  // namespace lcmm::resil

@@ -37,8 +37,7 @@ struct TimelineOutput {
 TimelineOutput run_timeline(const core::AllocationPlan& plan,
                             const hw::PerfModel& model, int images) {
   const graph::ComputationGraph& graph = model.graph();
-  const std::vector<graph::LayerId>& order = graph.topo_order();
-  const std::int64_t steps = static_cast<std::int64_t>(order.size());
+  const std::int64_t steps = static_cast<std::int64_t>(graph.num_layers());
 
   std::vector<PrefetchRequest> requests;
   for (int img = 0; img < images; ++img) {
@@ -49,7 +48,7 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
       if (plan.weight_is_resident(layer.id)) continue;
       PrefetchRequest r;
       r.target = layer.id;
-      r.target_abs = base + graph.step_of(layer.id);
+      r.target_abs = base + layer.id;
       double load = 0.0;
       int start_step = core::kBeforeExecution;
       if (const core::PrefetchEdge* edge = plan.prefetch.edge_for(layer.id)) {
@@ -84,7 +83,7 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
   out.layers.reserve(static_cast<std::size_t>(steps * images));
   double t = 0.0;
   for (std::int64_t abs = 0; abs < steps * images; ++abs) {
-    const graph::LayerId id = order[static_cast<std::size_t>(abs % steps)];
+    const auto id = static_cast<graph::LayerId>(abs % steps);
     const hw::LayerTiming& timing = model.timing(id);
     const std::uint8_t mask = plan.state.layer_mask(id);
 

@@ -155,19 +155,18 @@ ValueMap tiled_execute(const graph::ComputationGraph& graph,
       values.emplace(vid, synthesize_input(v.shape, seed + vid));
     }
   }
-  for (graph::LayerId id : graph.topo_order()) {
-    const graph::Layer& l = graph.layer(id);
+  for (const graph::Layer& l : graph.layers()) {
     auto& out = values.try_emplace(l.output,
                                    Tensor3i(graph.value(l.output).shape))
                     .first->second;
     const Tensor3i& input = values.at(l.input);
     const Tensor3i* residual =
         l.has_residual() ? &values.at(l.residual) : nullptr;
-    const LayerWeights weights = synthesize_weights(graph, id, seed);
+    const LayerWeights weights = synthesize_weights(graph, l.id, seed);
     if (l.is_conv()) {
-      tiled_conv(graph, id, design, input, residual, weights, out);
+      tiled_conv(graph, l.id, design, input, residual, weights, out);
     } else {
-      reference_layer(graph, id, input, residual, weights, out);
+      reference_layer(graph, l.id, input, residual, weights, out);
     }
   }
   return values;

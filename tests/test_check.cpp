@@ -197,7 +197,7 @@ TEST(CheckPrefetch, ForwardEdgeIsACycle) {
   // An edge starting at (or after) its target cannot be scheduled: the
   // prefetching dependence graph is no longer a DAG over execution steps.
   core::PrefetchEdge& bad = edges.front();
-  bad.start_step = g.step_of(bad.target);
+  bad.start_step = bad.target;
   plan.prefetch = core::PrefetchResult(std::move(edges));
 
   const CheckReport report = run_checks(g, plan);
@@ -249,7 +249,6 @@ TEST(CheckRace, EarlyPrefetchIntoSharedBufferRaces) {
   auto g = models::build_by_name("resnet50");
   AllocationPlan plan = compiled_plan(g);
   const hw::PerfModel model(g, plan.design);
-  const std::vector<graph::LayerId>& order = g.topo_order();
 
   // Find an on-chip buffer time-multiplexing two streamed weights, and
   // start the later load inside the earlier weight's occupancy. The
@@ -269,8 +268,7 @@ TEST(CheckRace, EarlyPrefetchIntoSharedBufferRaces) {
     }
     if (weights.size() < 2) continue;
     std::sort(weights.begin(), weights.end(), [&](std::size_t x, std::size_t y) {
-      return g.step_of(plan.entities[x].key.layer) <
-             g.step_of(plan.entities[y].key.layer);
+      return plan.entities[x].key.layer < plan.entities[y].key.layer;
     });
     const graph::LayerId first_target = plan.entities[weights.front()].key.layer;
     const graph::LayerId later_target = plan.entities[weights.back()].key.layer;
@@ -278,14 +276,14 @@ TEST(CheckRace, EarlyPrefetchIntoSharedBufferRaces) {
     std::vector<core::PrefetchEdge> edges = plan.prefetch.edges();
     for (core::PrefetchEdge& e : edges) {
       if (e.target != later_target) continue;
-      const int new_start = std::max(0, g.step_of(first_target) - 1);
+      const int new_start = std::max(0, first_target - 1);
       if (new_start >= e.start_step && e.start_step != core::kBeforeExecution) {
         break;  // already starts that early; try another buffer
       }
       e.start_step = new_start;
       double window = 0.0;
-      for (int s = new_start; s < g.step_of(later_target); ++s) {
-        window += model.timing(order[static_cast<std::size_t>(s)]).umm_latency();
+      for (int s = new_start; s < later_target; ++s) {
+        window += model.timing(s).umm_latency();
       }
       e.window_seconds = window;
       found = true;

@@ -4,8 +4,14 @@
 #include <string>
 #include <vector>
 
+#include "core/liveness.hpp"
+#include "core/prefetch.hpp"
 #include "graph/dot.hpp"
 #include "graph/graph.hpp"
+#include "io/text_format.hpp"
+#include "models/models.hpp"
+#include "par/parallel_for.hpp"
+#include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::graph {
@@ -93,13 +99,29 @@ TEST(Layer, ResidualAddsMacs) {
                       static_cast<std::int64_t>(256) * 14 * 14);
 }
 
+/// Every producer of a layer's input and residual has a smaller id, so the
+/// ids are an execution order, and validate() agrees.
+void expect_ids_are_execution_order(const ComputationGraph& g) {
+  SCOPED_TRACE(g.name());
+  for (const Layer& l : g.layers()) {
+    for (ValueId in : {l.input, l.residual}) {
+      if (in == kInvalidValue) continue;
+      for (LayerId p : g.value(in).producers) EXPECT_LT(p, l.id) << l.name;
+    }
+  }
+  EXPECT_NO_THROW(g.validate());
+}
+
 TEST(Graph, BuilderProducesTopologicalIds) {
-  auto g = lcmm::testing::chain3();
-  EXPECT_EQ(g.num_layers(), 3u);
-  const auto& order = g.topo_order();
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], static_cast<LayerId>(i));
-    EXPECT_EQ(g.step_of(order[i]), static_cast<int>(i));
+  for (const std::string& name : models::model_names()) {
+    const ComputationGraph g = models::build_by_name(name);
+    expect_ids_are_execution_order(g);
+    expect_ids_are_execution_order(io::parse_graph(io::serialize_graph(g)));
+  }
+  models::RandomGraphOptions options;
+  options.max_layers = 60;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    expect_ids_are_execution_order(models::random_graph(seed, options));
   }
 }
 
@@ -114,15 +136,12 @@ TEST(Graph, ConsumersAndProducersTracked) {
 
 TEST(Graph, ShrinkToFitKeepsTheGraph) {
   auto g = lcmm::testing::diamond();
-  g.topo_order();
   std::vector<std::string> names;
   for (const Layer& l : g.layers()) names.push_back(l.name);
-  const std::vector<LayerId> order = g.topo_order();
   const std::vector<LayerId> consumers = g.value(g.layer(0).input).consumers;
   g.shrink_to_fit();
   ASSERT_EQ(g.num_layers(), names.size());
   for (const Layer& l : g.layers()) EXPECT_EQ(l.name, names[l.id]);
-  EXPECT_EQ(g.topo_order(), order);
   EXPECT_EQ(g.value(g.layer(0).input).consumers, consumers);
   g.validate();
   // The graph still grows after shrinking.
@@ -214,12 +233,51 @@ TEST(Graph, OutOfRangeAccessesThrow) {
   auto g = lcmm::testing::chain3();
   EXPECT_THROW((void)g.layer(99), std::out_of_range);
   EXPECT_THROW((void)g.value(-1), std::out_of_range);
-  EXPECT_THROW((void)g.step_of(99), std::out_of_range);
 }
 
 TEST(Graph, BadInputShapeThrows) {
   graph::ComputationGraph g("t");
   EXPECT_THROW(g.add_input("in", {0, 4, 4}), std::invalid_argument);
+}
+
+/// What liveness, the prefetch backtrace and the simulator compute for one
+/// plan, as doubles to compare exactly.
+std::vector<double> pass_fingerprint(const ComputationGraph& g,
+                                     const core::AllocationPlan& plan) {
+  const hw::PerfModel model(g, plan.design);
+  std::vector<double> out;
+  const auto add = [&](auto... xs) {
+    (out.push_back(static_cast<double>(xs)), ...);
+  };
+  for (const core::TensorEntity& e : core::build_feature_entities(model)) {
+    add(e.bytes, e.def_step, e.last_use_step, e.stream_latency_s);
+  }
+  const core::PrefetchResult prefetch = core::build_prefetch_schedule(model);
+  for (const core::PrefetchEdge& e : prefetch.edges()) {
+    add(e.target, e.start_step, e.load_seconds, e.window_seconds);
+  }
+  const sim::SimResult sim = sim::simulate(model, plan);
+  add(sim.total_s, sim.total_stall_s, sim.hidden_prefetch_s);
+  for (const sim::LayerExecution& x : sim.layers) {
+    add(x.start_s, x.end_s, x.stall_s);
+  }
+  return out;
+}
+
+// Workers read one const graph at once with no lock (run under TSan in CI).
+// They are the shared graph's first readers, so lazily filled state in it
+// would be filled concurrently.
+TEST(Graph, WorkersShareOneConstGraph) {
+  const ComputationGraph g = models::build_googlenet();
+  const core::AllocationPlan plan =
+      core::LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16)
+          .compile(g);
+  const ComputationGraph shared = models::build_googlenet();
+  const auto parallel = par::parallel_map(
+      8, 4, [&](std::size_t) { return pass_fingerprint(shared, plan); });
+  const std::vector<double> serial = pass_fingerprint(g, plan);
+  ASSERT_FALSE(serial.empty());
+  for (const std::vector<double>& run : parallel) EXPECT_EQ(run, serial);
 }
 
 TEST(Dot, ContainsNodesAndEdges) {

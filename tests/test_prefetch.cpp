@@ -23,7 +23,7 @@ TEST(Prefetch, EdgePerEligibleConvLayer) {
   EXPECT_EQ(r.edges().size(), 3u);  // every conv has weights
   for (const auto& e : r.edges()) {
     EXPECT_GT(e.load_seconds, 0.0);
-    EXPECT_LT(e.start_step, g.step_of(e.target));
+    EXPECT_LT(e.start_step, e.target);
   }
 }
 
@@ -47,9 +47,8 @@ TEST(Prefetch, BacktraceCoversLoadTime) {
     EXPECT_TRUE(e.fully_hidden());
     // ...and must be minimal: one step later would be too short.
     double shorter = 0.0;
-    for (int s = e.start_step + 1; s < g.step_of(e.target); ++s) {
-      shorter += model.timing(g.topo_order()[static_cast<std::size_t>(s)])
-                     .umm_latency();
+    for (int s = e.start_step + 1; s < e.target; ++s) {
+      shorter += model.timing(s).umm_latency();
     }
     EXPECT_LT(shorter, e.load_seconds);
   }
@@ -90,7 +89,7 @@ TEST(Prefetch, WeightEntitiesUseWindowLifespans) {
     const PrefetchEdge* edge = r.edge_for(e.key.layer);
     ASSERT_NE(edge, nullptr);
     EXPECT_EQ(e.def_step, edge->start_step);
-    EXPECT_EQ(e.last_use_step, g.step_of(e.key.layer));
+    EXPECT_EQ(e.last_use_step, e.key.layer);
     EXPECT_EQ(e.bytes, g.layer_weight_elems(e.key.layer) *
                            hw::bytes_per_elem(model.design().precision));
     EXPECT_DOUBLE_EQ(e.stream_latency_s, model.timing(e.key.layer).wt_s);

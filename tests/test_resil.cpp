@@ -5,12 +5,10 @@
 // matrix job runs per registered site.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "check/check.hpp"
@@ -114,7 +112,6 @@ TEST(ResilError, TransientClassification) {
   EXPECT_TRUE(is_transient(Code::kIoError));
   EXPECT_FALSE(is_transient(Code::kNoFeasibleDesign));
   EXPECT_FALSE(is_transient(Code::kTileBuffersDontFit));
-  EXPECT_FALSE(is_transient(Code::kJobTimeout));
   EXPECT_FALSE(is_transient(Code::kBadOptions));
 }
 
@@ -155,29 +152,6 @@ TEST(ResilChecked, AdversarialShapeElemsOverflowIsTyped) {
     FAIL() << "expected kSizeOverflow";
   } catch (const CompileError& e) {
     EXPECT_EQ(e.code(), Code::kSizeOverflow);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Deadline.
-// ---------------------------------------------------------------------------
-
-TEST(ResilDeadline, NonPositiveBudgetMeansUnlimited) {
-  const Deadline unlimited(0.0);
-  EXPECT_FALSE(unlimited.expired());
-  EXPECT_NO_THROW(unlimited.check("any-phase"));
-}
-
-TEST(ResilDeadline, ExpiryRaisesJobTimeoutNamingThePhase) {
-  const Deadline tight(1e-6);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  EXPECT_TRUE(tight.expired());
-  try {
-    tight.check("driver.lcmm");
-    FAIL() << "expected kJobTimeout";
-  } catch (const CompileError& e) {
-    EXPECT_EQ(e.code(), Code::kJobTimeout);
-    EXPECT_EQ(e.pass(), "driver.lcmm");
   }
 }
 
@@ -607,18 +581,6 @@ TEST(ResilBatch, DeterministicFailuresDoNotRetry) {
   EXPECT_EQ(outcomes[0].attempts, 1);  // kNoFeasibleDesign is not transient
   EXPECT_EQ(outcomes[0].error_info.code, Code::kNoFeasibleDesign);
   EXPECT_EQ(outcomes[0].label, "chain3/no-dsps");
-}
-
-TEST(ResilBatch, TimeoutIsTypedAndFinal) {
-  std::vector<driver::BatchJob> jobs;
-  jobs.push_back(small_job(lcmm::testing::chain3()));
-  jobs.back().timeout_s = 1e-9;
-  const auto outcomes = driver::compile_many(jobs, 1);
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_FALSE(outcomes[0].ok());
-  EXPECT_TRUE(outcomes[0].timed_out);
-  EXPECT_EQ(outcomes[0].error_info.code, Code::kJobTimeout);
-  EXPECT_EQ(outcomes[0].attempts, 1);
 }
 
 TEST(ResilBatch, SweepSurvivesAMidListFailure) {

@@ -142,7 +142,6 @@ int run(const cli::Options& opt) {
       .want_umm = opt.design != cli::DesignChoice::kLcmm,
       .want_lcmm = opt.design != cli::DesignChoice::kUmm,
       .label = graph.name(),
-      .timeout_s = opt.job_timeout_s,
   });
   const driver::BatchJob& job = jobs.front();
   driver::BatchOutcome outcome = std::move(driver::compile_many(jobs).front());
