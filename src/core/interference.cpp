@@ -1,6 +1,6 @@
 #include "core/interference.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 #include "obs/scope.hpp"
@@ -10,66 +10,56 @@ namespace lcmm::core {
 InterferenceGraph::InterferenceGraph(std::vector<TensorEntity> entities)
     : entities_(std::move(entities)) {
   LCMM_SPAN("interference");
-  const std::size_t n = entities_.size();
-  // Exactly one cell per unordered pair: the strict upper triangle has
-  // n*(n-1)/2 cells and index() never addresses past it.
-  adj_.assign(n >= 2 ? n * (n - 1) / 2 : 0, 0);
-  std::int64_t edges = 0;
-  for (std::size_t a = 0; a < n; ++a) {
-    for (std::size_t b = a + 1; b < n; ++b) {
-      if (entities_[a].overlaps(entities_[b])) {
-        adj_[index(a, b)] = 1;
-        ++edges;
-      }
-    }
+  lifespans_.reserve(entities_.size());
+  for (const TensorEntity& e : entities_) {
+    lifespans_.push_back({e.def_step, e.last_use_step, false});
   }
-  LCMM_COUNT("entities", static_cast<std::int64_t>(n));
-  LCMM_COUNT("pairs_checked", static_cast<std::int64_t>(n > 0 ? n * (n - 1) / 2 : 0));
-  LCMM_COUNT("edges", edges);
+  LCMM_COUNT("entities", static_cast<std::int64_t>(entities_.size()));
 }
 
-std::size_t InterferenceGraph::index(std::size_t a, std::size_t b) const {
+void InterferenceGraph::check_pair(std::size_t a, std::size_t b) const {
   if (a == b || a >= entities_.size() || b >= entities_.size()) {
     throw std::out_of_range("InterferenceGraph: bad pair");
   }
-  if (a > b) std::swap(a, b);
-  // Upper triangle, row-major: row a spans (n-1-a) cells.
-  const std::size_t n = entities_.size();
-  const std::size_t cell = a * n - a * (a + 1) / 2 + (b - a - 1);
-  assert(cell < adj_.size());
-  return cell;
+}
+
+bool InterferenceGraph::listed(std::size_t a, std::size_t b) const {
+  const std::pair<std::size_t, std::size_t> edge = std::minmax(a, b);
+  return std::find(false_edges_.begin(), false_edges_.end(), edge) !=
+         false_edges_.end();
 }
 
 bool InterferenceGraph::interferes(std::size_t a, std::size_t b) const {
   if (a == b) return true;
-  return adj_[index(a, b)] != 0;
+  check_pair(a, b);
+  const Lifespan& x = lifespans_[a];
+  const Lifespan& y = lifespans_[b];
+  if (x.overlaps(y)) return true;
+  return x.has_false_edge && y.has_false_edge && listed(a, b);
 }
 
 void InterferenceGraph::add_false_edge(std::size_t a, std::size_t b) {
-  std::uint8_t& cell = adj_[index(a, b)];
-  if (cell == 0) {
-    cell = 2;
-    ++false_edges_;
-  }
+  check_pair(a, b);
+  if (interferes(a, b)) return;
+  false_edges_.push_back(std::minmax(a, b));
+  lifespans_[a].has_false_edge = true;
+  lifespans_[b].has_false_edge = true;
 }
 
 bool InterferenceGraph::is_false_edge(std::size_t a, std::size_t b) const {
   if (a == b) return false;
-  return adj_[index(a, b)] == 2;
-}
-
-std::size_t InterferenceGraph::degree(std::size_t a) const {
-  std::size_t d = 0;
-  for (std::size_t b = 0; b < entities_.size(); ++b) {
-    if (b != a && interferes(a, b)) ++d;
-  }
-  return d;
+  check_pair(a, b);
+  return listed(a, b);
 }
 
 std::size_t InterferenceGraph::num_edges() const {
-  std::size_t e = 0;
-  for (std::uint8_t cell : adj_) e += cell != 0;
-  return e;
+  std::size_t edges = false_edges_.size();
+  for (std::size_t a = 0; a < lifespans_.size(); ++a) {
+    for (std::size_t b = a + 1; b < lifespans_.size(); ++b) {
+      edges += lifespans_[a].overlaps(lifespans_[b]);
+    }
+  }
+  return edges;
 }
 
 }  // namespace lcmm::core

@@ -4,9 +4,15 @@
 // step — they can then never occupy the same buffer. The buffer-splitting
 // pass (§3.4) additionally inserts *false* interference edges to force two
 // compatible tensors apart when sharing would cause misspilling.
+//
+// The real edges are never stored: a query compares the two lifespans.
+// Only the false edges are kept, in a short list that a query consults
+// only when both entities have one.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "core/entity.hpp"
@@ -15,31 +21,51 @@ namespace lcmm::core {
 
 class InterferenceGraph {
  public:
-  /// Builds interval-overlap interference for `entities`.
+  /// Interval-overlap interference for `entities`.
   explicit InterferenceGraph(std::vector<TensorEntity> entities);
 
   const std::vector<TensorEntity>& entities() const { return entities_; }
   std::size_t size() const { return entities_.size(); }
 
+  /// Overlapping lifespans or a false edge; an entity interferes with
+  /// itself. Throws std::out_of_range for an unknown entity.
   bool interferes(std::size_t a, std::size_t b) const;
-  /// Adds a false lifespan-overlap edge (buffer splitting). Idempotent.
+  /// Adds a false lifespan-overlap edge (buffer splitting). Idempotent; a
+  /// pair whose lifespans overlap stays a real edge.
   void add_false_edge(std::size_t a, std::size_t b);
   bool is_false_edge(std::size_t a, std::size_t b) const;
-  std::size_t num_false_edges() const { return false_edges_; }
+  std::size_t num_false_edges() const { return false_edges_.size(); }
 
-  /// Degree counting both real and false edges.
-  std::size_t degree(std::size_t a) const;
+  /// Real plus false edges, counted on demand.
   std::size_t num_edges() const;
-  /// Cells in the dense upper-triangular adjacency: exactly n*(n-1)/2.
-  std::size_t adjacency_cells() const { return adj_.size(); }
+  /// Unordered entity pairs: exactly n*(n-1)/2.
+  std::size_t adjacency_cells() const {
+    const std::size_t n = entities_.size();
+    return n >= 2 ? n * (n - 1) / 2 : 0;
+  }
 
  private:
-  std::size_t index(std::size_t a, std::size_t b) const;
+  /// The part of an entity a query reads, kept compact for coloring's
+  /// pair loop.
+  struct Lifespan {
+    int def_step = 0;
+    int last_use_step = 0;
+    bool has_false_edge = false;
+
+    /// Same test as TensorEntity::overlaps.
+    bool overlaps(const Lifespan& other) const {
+      return std::max(def_step, other.def_step) <=
+             std::min(last_use_step, other.last_use_step);
+    }
+  };
+
+  void check_pair(std::size_t a, std::size_t b) const;
+  bool listed(std::size_t a, std::size_t b) const;
 
   std::vector<TensorEntity> entities_;
-  /// Dense upper-triangular adjacency: 0 none, 1 real, 2 false.
-  std::vector<std::uint8_t> adj_;
-  std::size_t false_edges_ = 0;
+  std::vector<Lifespan> lifespans_;
+  /// False edges as (smaller, larger) entity index.
+  std::vector<std::pair<std::size_t, std::size_t>> false_edges_;
 };
 
 }  // namespace lcmm::core

@@ -235,23 +235,18 @@ AllocationPlan LcmmCompiler::allocate(const hw::PerfModel& model) const {
   InterferenceGraph ig(std::move(entities));
   resil::fault::hit("pass.coloring");
   resil::fault::hit("pass.dnnk");
-  AllocatorResult allocation;
-  std::vector<VirtualBuffer> buffers;
-  if (options_.buffer_splitting) {
-    resil::fault::hit("pass.splitting");
-    SplitOutcome outcome = split_and_reallocate(ig, tables, capacity,
-                                                options_.alloc, options_.split);
-    buffers = std::move(outcome.buffers);
-    allocation = std::move(outcome.allocation);
-  } else {
-    buffers = build_virtual_buffers(ig, color_min_total_size(ig));
-    allocation = dnnk_allocate(ig, buffers, tables, capacity, options_.alloc);
-  }
+  if (options_.buffer_splitting) resil::fault::hit("pass.splitting");
+  // Without splitting, the allocation is the splitting pass's first round.
+  const SplitOptions split = options_.buffer_splitting
+                                 ? options_.split
+                                 : SplitOptions{.max_iterations = 0};
+  SplitOutcome outcome =
+      split_and_reallocate(ig, tables, capacity, options_.alloc, split);
 
   plan.entities = ig.entities();
-  plan.buffers = std::move(buffers);
-  plan.buffer_on_chip = std::move(allocation.buffer_on_chip);
-  plan.state = std::move(allocation.state);
+  plan.buffers = std::move(outcome.buffers);
+  plan.buffer_on_chip = std::move(outcome.allocation.buffer_on_chip);
+  plan.state = std::move(outcome.allocation.state);
   LCMM_COUNT("entities", static_cast<std::int64_t>(plan.entities.size()));
   LCMM_COUNT("buffers", static_cast<std::int64_t>(plan.buffers.size()));
   LCMM_COUNT("on_chip_buffers",

@@ -3,7 +3,6 @@
 #include <exception>
 
 #include "par/parallel_for.hpp"
-#include "resil/fault.hpp"
 
 namespace lcmm::driver {
 
@@ -38,8 +37,6 @@ std::vector<BatchOutcome> compile_many(const std::vector<BatchJob>& jobs,
   return par::parallel_map(jobs.size(), workers, [&](std::size_t i) {
     const BatchJob& job = jobs[i];
     BatchOutcome out;
-    // One fault budget for the whole job, shared by its compiles.
-    resil::fault::Scope fault_scope;
     try {
       run_job(job, out);
     } catch (const std::exception& e) {

@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "obs/stats.hpp"
-#include "resil/fault.hpp"
 
 namespace lcmm::par::detail {
 
@@ -32,9 +31,6 @@ void for_each_index(std::size_t n, int jobs,
   }
 
   obs::CompileStats* const parent = obs::current();
-  // Helpers join the caller's fault budget the same way they adopt its
-  // stats sink: the per-operation hit counter rides into every task.
-  resil::fault::State* const fault_state = resil::fault::current_state();
   std::vector<TaskState> tasks(n);
   std::atomic<std::size_t> next{0};
 
@@ -50,7 +46,6 @@ void for_each_index(std::size_t n, int jobs,
         sink = task.stats.get();
       }
       obs::CompileStats* const previous = obs::set_current(sink);
-      const resil::fault::StateGuard fault_guard(fault_state);
       try {
         body(i);
       } catch (...) {

@@ -1,5 +1,6 @@
 #include "resil/fault.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <deque>
 #include <mutex>
@@ -37,7 +38,9 @@ const Config* publish(Config config) {
   return &published.emplace_back(std::move(config));
 }
 
-thread_local State* tl_state = nullptr;
+/// The hit counter of the operation running on this thread, or nullptr
+/// outside any Scope.
+thread_local std::int64_t* tl_hits = nullptr;
 
 }  // namespace
 
@@ -104,39 +107,28 @@ void arm_from_env() {
   });
 }
 
-State* current_state() { return tl_state; }
-
-StateGuard::StateGuard(State* state) : previous_(tl_state) {
-  tl_state = state;
-}
-
-StateGuard::~StateGuard() { tl_state = previous_; }
-
 Scope::Scope() {
   arm_from_env();
-  if (tl_state == nullptr) {
-    tl_state = &own_;
+  if (tl_hits == nullptr) {
+    tl_hits = &hits_;
     installed_ = true;
   }
 }
 
 Scope::~Scope() {
-  if (installed_) tl_state = nullptr;
+  if (installed_) tl_hits = nullptr;
 }
 
 void hit(const char* site) {
   const Config* config = g_armed.load(std::memory_order_acquire);
   if (config == nullptr) return;
-  State* state = tl_state;
-  if (state == nullptr) return;
+  if (tl_hits == nullptr) return;
   if (config->site != site) return;
-  const std::int64_t n =
-      state->hits.fetch_add(1, std::memory_order_relaxed) + 1;
+  const std::int64_t n = ++*tl_hits;
   if (n < config->nth) return;
   if (config->fires >= 0 && n >= config->nth + config->fires) return;
-  // Keep the message free of the hit index: with racing workers the index
-  // that fires can vary, and batch error strings must match across worker
-  // counts.
+  // The message names no hit index, so every firing hit of a site reads
+  // the same.
   throw CompileError(Code::kFaultInjected, site,
                      "deterministic fault injected");
 }

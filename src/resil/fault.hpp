@@ -2,13 +2,12 @@
 //
 // A single armed Config names one site; fault::hit(site) at that site
 // throws CompileError(kFaultInjected) on a deterministic subset of hits.
-// Hit counting is scoped per top-level operation (one compile, one parse,
-// one batch job), not global: Scope installs a fresh thread-local counter
-// unless one is already active, and lcmm::par propagates the active counter
-// into its helper threads exactly like the obs sink. With the default one-shot
-// config (fires = 1) exactly one hit fires per operation no matter how the
-// scheduler interleaves workers — which is what makes batch outcomes
-// identical for every compile_many worker count.
+// Hit counting is scoped per top-level operation (one compile, one parse),
+// not global: Scope installs a fresh thread-local counter unless one is
+// already active. An operation runs on one thread, so with the default
+// one-shot config (fires = 1) exactly one hit fires per operation whichever
+// compile_many worker runs it — which is what makes batch outcomes
+// identical for every worker count.
 //
 // Arming: programmatically via arm()/ArmedGuard (tests), or from the
 // LCMM_FAULT environment variable (CI):
@@ -24,7 +23,6 @@
 // (dse.explore, pass.place) defeat the floor too, by design.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -52,28 +50,6 @@ std::optional<Config> armed();
 /// Idempotent per process; Scope calls it lazily so tools need no wiring.
 void arm_from_env();
 
-/// Opaque per-operation hit counter; shared by every thread helping with
-/// one top-level operation.
-struct State {
-  std::atomic<std::int64_t> hits{0};
-};
-
-/// The counter active on this thread, or nullptr outside any Scope.
-State* current_state();
-
-/// Installs an existing counter on this thread for the guard's lifetime —
-/// how lcmm::par workers join the calling operation's fault budget.
-class StateGuard {
- public:
-  explicit StateGuard(State* state);
-  StateGuard(const StateGuard&) = delete;
-  StateGuard& operator=(const StateGuard&) = delete;
-  ~StateGuard();
-
- private:
-  State* previous_;
-};
-
 /// Top-level operation scope: installs a fresh counter unless one is
 /// already active (nested scopes share the outer counter, so one compile
 /// has exactly one fault budget regardless of internal structure).
@@ -85,7 +61,7 @@ class Scope {
   ~Scope();
 
  private:
-  State own_;
+  std::int64_t hits_ = 0;
   bool installed_ = false;
 };
 

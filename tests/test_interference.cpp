@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/interference.hpp"
+#include "util/rng.hpp"
 
 namespace lcmm::core {
 namespace {
@@ -31,9 +32,8 @@ TEST(Interference, EdgesFromOverlap) {
 }
 
 TEST(Interference, AdjacencyIsExactlyUpperTriangle) {
-  // Regression: the dense adjacency used to allocate n*(n+1)/2 cells, one
-  // superfluous diagonal's worth — the upper triangle above the diagonal
-  // needs exactly n*(n-1)/2 (and 0, not 1, cells for a single entity).
+  // One cell per unordered entity pair: exactly n*(n-1)/2, so 0 (not 1)
+  // for a single entity and no diagonal.
   EXPECT_EQ(InterferenceGraph(three_entities()).adjacency_cells(), 3u);
   EXPECT_EQ(InterferenceGraph({}).adjacency_cells(), 0u);
   EXPECT_EQ(
@@ -76,13 +76,6 @@ TEST(Interference, FalseEdgeAdds) {
   EXPECT_FALSE(g.is_false_edge(0, 1));  // real edge stays real
 }
 
-TEST(Interference, DegreeCountsBothKinds) {
-  InterferenceGraph g(three_entities());
-  EXPECT_EQ(g.degree(0), 1u);
-  g.add_false_edge(0, 2);
-  EXPECT_EQ(g.degree(0), 2u);
-}
-
 TEST(Interference, OutOfRangeThrows) {
   InterferenceGraph g(three_entities());
   EXPECT_THROW((void)g.interferes(0, 7), std::out_of_range);
@@ -104,6 +97,61 @@ TEST(Interference, BeforeExecutionIntervalsOverlapStepZero) {
   EXPECT_TRUE(g.interferes(0, 1));
   EXPECT_TRUE(g.interferes(0, 2));   // both live before execution
   EXPECT_FALSE(g.interferes(1, 2));  // [-1,-1] vs [0,1]
+}
+
+TEST(Interference, MatchesIntervalsAndFalseEdges) {
+  // Random lifespans (some live before execution) and random false edges:
+  // interferes() is exactly "lifespans overlap or a false edge was added",
+  // whatever the query order, and num_edges() is the brute-force count.
+  util::Rng rng(25);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 1 + rng.next_below(24);
+    std::vector<TensorEntity> v;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int def = static_cast<int>(rng.next_int(kBeforeExecution, 12));
+      const int last = def + static_cast<int>(rng.next_below(5));
+      v.push_back(make_entity(static_cast<int>(i), TensorSource::kInput, 8, def,
+                              last));
+    }
+    InterferenceGraph g(v);
+    std::vector<std::vector<bool>> added(n, std::vector<bool>(n, false));
+    const std::size_t adds = n >= 2 ? rng.next_below(2 * n) : 0;
+    for (std::size_t k = 0; k < adds; ++k) {
+      const std::size_t a = rng.next_below(n);
+      const std::size_t b = rng.next_below(n);
+      if (a == b) continue;
+      const bool was = g.interferes(a, b);
+      g.add_false_edge(a, b);
+      g.add_false_edge(b, a);  // idempotent from either end
+      EXPECT_TRUE(g.interferes(a, b));
+      if (v[a].overlaps(v[b])) {
+        EXPECT_TRUE(was);
+        EXPECT_FALSE(g.is_false_edge(a, b));  // a real edge stays real
+      } else {
+        added[a][b] = added[b][a] = true;
+      }
+    }
+    std::size_t edges = 0;
+    std::size_t false_edges = 0;
+    for (std::size_t a = 0; a < n; ++a) {
+      EXPECT_TRUE(g.interferes(a, a));
+      EXPECT_FALSE(g.is_false_edge(a, a));
+      for (std::size_t b = 0; b < n; ++b) {
+        if (a == b) continue;
+        EXPECT_EQ(g.interferes(a, b), v[a].overlaps(v[b]) || added[a][b])
+            << trial << ": " << a << "," << b;
+        EXPECT_EQ(g.is_false_edge(a, b), added[a][b]) << trial;
+        EXPECT_EQ(g.interferes(a, b), g.interferes(b, a));
+        EXPECT_EQ(g.is_false_edge(a, b), g.is_false_edge(b, a));
+        if (a < b) {
+          edges += g.interferes(a, b);
+          false_edges += added[a][b];
+        }
+      }
+    }
+    EXPECT_EQ(g.num_edges(), edges) << trial;
+    EXPECT_EQ(g.num_false_edges(), false_edges) << trial;
+  }
 }
 
 }  // namespace
