@@ -87,18 +87,17 @@ bool rederive_interval(const CheckContext& ctx, const TensorEntity& e,
 }
 
 /// Re-derives an entity's byte footprint from the graph shapes and the
-/// design precision (activations scale with the batch, weights do not).
+/// design precision.
 std::int64_t rederive_bytes(const CheckContext& ctx, const TensorEntity& e) {
   const graph::Layer& layer = ctx.graph.layer(e.key.layer);
   const int bpe = hw::bytes_per_elem(ctx.plan.design.precision);
-  const int batch = ctx.plan.design.batch;
   switch (e.key.source) {
     case TensorSource::kInput:
-      return ctx.graph.value(layer.input).shape.elems() * bpe * batch;
+      return ctx.graph.value(layer.input).shape.elems() * bpe;
     case TensorSource::kResidual:
-      return ctx.graph.value(layer.residual).shape.elems() * bpe * batch;
+      return ctx.graph.value(layer.residual).shape.elems() * bpe;
     case TensorSource::kOutput:
-      return ctx.graph.own_output_shape(layer.id).elems() * bpe * batch;
+      return ctx.graph.own_output_shape(layer.id).elems() * bpe;
     case TensorSource::kWeight:
       return ctx.graph.layer_weight_elems(layer.id) * bpe;
   }

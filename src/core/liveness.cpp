@@ -27,9 +27,7 @@ std::vector<TensorEntity> build_feature_entities(const hw::PerfModel& model,
   LCMM_SPAN("liveness");
   const graph::ComputationGraph& graph = model.graph();
   std::vector<TensorEntity> entities;
-  // Activations scale with the batch; weight entity sizes do not.
-  const int bpe =
-      hw::bytes_per_elem(model.design().precision) * model.design().batch;
+  const int bpe = hw::bytes_per_elem(model.design().precision);
 
   for (const graph::Layer& layer : graph.layers()) {
     const hw::LayerTiming& t = model.timing(layer.id);

@@ -266,7 +266,7 @@ void DesignSpace::for_each_cycles(std::size_t i, F&& f) const {
   for (std::size_t j = 0; j < convs_.size(); ++j) {
     const std::uint32_t k = convs_[j];
     const std::int64_t n_m = m[k].n_m;
-    f(k, conv_cycles(n_m, px[j], red[j], batch_,
+    f(k, conv_cycles(n_m, px[j], red[j],
                      n_m * c[k].n_c * hw[k].spatial_tiles(), array));
   }
   for (std::size_t j = 0; j < pools_.size(); ++j) f(pools_[j], pool_[j]);
@@ -341,13 +341,7 @@ void DesignSpace::fill_row(std::size_t i) const {
     geom.channels_per_mtile = m[k].channels_per_mtile;
     geom.n_c = c[k].n_c;
     const LayerCost cost = stream_cost(shapes[k], geom, design, ddr);
-    if (cost.num_orders != 1) {
-      throw resil::CompileError(resil::Code::kInternal, "dse.explore",
-                                "menu design with a stationary buffer",
-                                graph_->name());
-    }
-    row[k] = {cost.orders[0].if_s, cost.res_s, cost.orders[0].wt_s,
-              cost.of_s};
+    row[k] = {cost.if_s, cost.res_s, cost.wt_s, cost.of_s};
   }
   streams_[stream_slot(i)] = std::move(row);
   LCMM_COUNT("stream_rows", 1);
@@ -502,7 +496,6 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   out.graph_ = &graph;
   out.device_ = device_;
   out.precision_ = precision_;
-  out.batch_ = AcceleratorDesign{}.batch;
   out.classes_ = shape_classes(graph);
   out.menu_ = menu(graph, out.classes_);
   const std::vector<DseCandidate>& menu = out.menu_;
@@ -605,14 +598,14 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   }
   std::int64_t pool_sum = 0;
   for (const std::uint32_t k : out.pools_) {
-    out.pool_.push_back(pool_cycles(shapes[k], out.batch_));
+    out.pool_.push_back(pool_cycles(shapes[k]));
     pool_sum += layers_in[k] * out.pool_.back();
     ++terms;
   }
 
   // Each candidate's exact cycle sum over the layers. conv_cycles is
   // linear in n_m x px x red and in total_tiles, so the conv layers sum to
-  // conv_cycles(1, Σ L n_m px red, 1, batch, Σ L total_tiles) over the
+  // conv_cycles(1, Σ L n_m px red, 1, Σ L total_tiles) over the
   // classes, L layers each: Σ L n_m is kept per rows value and the tile
   // sum per (rows, tc, spatial), so a candidate costs two multiplies per
   // class.
@@ -644,7 +637,7 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
       steps += l_n_m[j] * px[j] * red[j];
     }
     out.compute_cycles_[i] =
-        conv_cycles(1, steps, 1, out.batch_, tiles, menu[i].array) + pool_sum;
+        conv_cycles(1, steps, 1, tiles, menu[i].array) + pool_sum;
   }
   out.scan_order_ = radix_order(out.compute_cycles_);
   out.streams_.resize(kNumRows * kNumTc * kNumSpatial);

@@ -84,9 +84,7 @@ struct DseCandidate {
 /// thread at a time.
 class DesignSpace {
  public:
-  /// Clock-free Eq. 1 inputs of one class under one candidate. Menu
-  /// designs have no stationary buffer, so output-stationary is their
-  /// only loop order and no clock-dependent choice remains.
+  /// Clock-free Eq. 1 inputs of one class under one candidate.
   struct Cost {
     std::int64_t cycles = 0;
     double if_s = 0.0;
@@ -165,7 +163,6 @@ class DesignSpace {
   const graph::ComputationGraph* graph_ = nullptr;
   FpgaDevice device_;
   Precision precision_ = Precision::kInt8;
-  int batch_ = 1;
   std::vector<DseCandidate> menu_;
   ShapeClasses classes_;
   std::vector<Axes> axes_;

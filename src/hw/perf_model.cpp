@@ -8,15 +8,6 @@
 
 namespace lcmm::hw {
 
-std::string to_string(LoopOrder order) {
-  switch (order) {
-    case LoopOrder::kOutputStationary: return "output-stationary";
-    case LoopOrder::kWeightStationary: return "weight-stationary";
-    case LoopOrder::kInputStationary: return "input-stationary";
-  }
-  return "?";
-}
-
 namespace {
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
@@ -47,10 +38,6 @@ PerfModel::PerfModel(const graph::ComputationGraph& graph,
     throw resil::OptionError(
         resil::Code::kBadArgument, "hw.perf_model",
         "PerfModel: DSP pixel packing requires 8-bit precision");
-  }
-  if (design_.batch < 1) {
-    throw resil::OptionError(resil::Code::kBadArgument, "hw.perf_model",
-                             "PerfModel: batch must be >= 1");
   }
   timings_.reserve(graph.num_layers());
   for (const graph::Layer& layer : graph.layers()) {
@@ -94,12 +81,12 @@ std::int64_t red_steps(const ShapeKey& shape, int tc, int simd) {
          (edge > 0 ? ceil_div(edge * kk, simd) : 0);
 }
 
-std::int64_t pool_cycles(const ShapeKey& shape, int batch) {
+std::int64_t pool_cycles(const ShapeKey& shape) {
   const std::int64_t window =
       shape.pool_global
           ? static_cast<std::int64_t>(shape.in_height) * shape.in_width
           : static_cast<std::int64_t>(shape.pool_kernel) * shape.pool_kernel;
-  return ceil_div(shape.out().elems() * window, kPoolLanes) * batch;
+  return ceil_div(shape.out().elems() * window, kPoolLanes);
 }
 
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
@@ -114,8 +101,8 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                                px_steps(shape, tile.th, tile.tw,
                                         array.effective_cols()),
                                red_steps(shape, tile.tc, array.simd),
-                               design.batch, geom.total_tiles(), array)
-                 : pool_cycles(shape, design.batch);
+                               geom.total_tiles(), array)
+                 : pool_cycles(shape);
   return c;
 }
 
@@ -128,7 +115,7 @@ LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
   const std::int64_t out_elems = shape.out().elems();
 
   LayerCost c;
-  c.nominal_macs = shape.macs * design.batch;
+  c.nominal_macs = shape.macs;
 
   // ---- off-chip traffic (uniform management) -------------------------------
   const int in_tile_cols =
@@ -142,109 +129,41 @@ LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
   // Fused residual stream: one extra read of the output-sized tensor on the
   // input-feature interface during write-out.
   if (shape.residual) {
-    c.res_bytes = static_cast<double>(out_elems) * bpe * design.batch;
+    c.res_bytes = static_cast<double>(out_elems) * bpe;
     const double res_burst = static_cast<double>(rows) * tile.tw * bpe;
     c.res_s = ddr.transfer_seconds(c.res_bytes, res_burst);
   }
 
-  // Output features: written exactly once per image (accumulation stays
-  // on chip).
-  c.of_bytes = static_cast<double>(out_elems) * bpe * design.batch;
+  // Output features: written exactly once (accumulation stays on chip).
+  c.of_bytes = static_cast<double>(out_elems) * bpe;
   const double of_burst =
       static_cast<double>(std::min(rows, shape.out_channels)) * tile.tw * bpe;
   c.of_s = ddr.transfer_seconds(c.of_bytes, of_burst);
 
-  const auto add_order = [&](LoopOrder order, double if_bytes, double if_s,
-                             double wt_bytes, double wt_s) {
-    c.orders[static_cast<std::size_t>(c.num_orders++)] =
-        LayerCost::Order{order, if_bytes, if_s, wt_bytes, wt_s};
-  };
-
   if (!shape.is_conv()) {
-    // Pooling sweeps its input exactly once per image.
-    const double if_bytes = static_cast<double>(shape.in_channels) *
-                            geom.fetched_rows * geom.fetched_cols * bpe *
-                            design.batch;
-    add_order(LoopOrder::kOutputStationary, if_bytes,
-              ddr.transfer_seconds(if_bytes, if_burst), 0.0, 0.0);
+    // Pooling sweeps its input exactly once.
+    c.if_bytes = static_cast<double>(shape.in_channels) * geom.fetched_rows *
+                 geom.fetched_cols * bpe;
+    c.if_s = ddr.transfer_seconds(c.if_bytes, if_burst);
     return c;
   }
 
-  // Convolution: every loop order the design can hold. The baseline
-  // template only has output-stationary; stationary variants need the
-  // design's extra resident buffer.
+  // Convolution, output stationary: the input is re-fetched per m-tile and
+  // the weights once per spatial tile.
+  c.if_bytes = static_cast<double>(geom.n_m) * geom.channels_per_mtile *
+               geom.fetched_rows * geom.fetched_cols * bpe;
+  c.if_s = ddr.transfer_seconds(c.if_bytes, if_burst);
   const double wt_burst = static_cast<double>(rows) *
                           std::min(tile.tc, geom.group_channels) *
                           shape.conv_kernel_h * shape.conv_kernel_w * bpe;
   const double weights_once = static_cast<double>(shape.weight_elems) * bpe;
-  // Input bytes when re-fetched per m-tile vs streamed once (halo only),
-  // per image in the batch.
-  const double if_per_mtile = static_cast<double>(geom.n_m) *
-                              geom.channels_per_mtile * geom.fetched_rows *
-                              geom.fetched_cols * bpe * design.batch;
-  const double if_once = static_cast<double>(shape.in_channels) *
-                         geom.fetched_rows * geom.fetched_cols * bpe *
-                         design.batch;
-
-  const std::int64_t kk =
-      static_cast<std::int64_t>(shape.conv_kernel_h) * shape.conv_kernel_w;
-  const std::int64_t ws_buffer = 2 * static_cast<std::int64_t>(rows) *
-                                 geom.group_channels * kk * bpe;
-  const int in_tile_rows =
-      std::min((tile.th - 1) * shape.conv_stride + shape.conv_kernel_h,
-               shape.in_height);
-  const std::int64_t is_buffer = 2 * static_cast<std::int64_t>(shape.in_channels) *
-                                 in_tile_rows * in_tile_cols * bpe;
-
-  struct Candidate {
-    LoopOrder order;
-    double if_bytes;
-    double wt_bytes;
-    bool feasible;
-  };
-  const Candidate candidates[] = {
-      {LoopOrder::kOutputStationary, if_per_mtile,
-       static_cast<double>(geom.spatial_tiles()) * weights_once, true},
-      {LoopOrder::kWeightStationary, if_per_mtile, weights_once,
-       ws_buffer <= design.stationary_buffer_bytes},
-      {LoopOrder::kInputStationary, if_once,
-       static_cast<double>(geom.spatial_tiles()) * weights_once,
-       is_buffer <= design.stationary_buffer_bytes},
-  };
-  for (const Candidate& cand : candidates) {
-    if (!cand.feasible) continue;
-    add_order(cand.order, cand.if_bytes,
-              ddr.transfer_seconds(cand.if_bytes, if_burst), cand.wt_bytes,
-              ddr.transfer_seconds(cand.wt_bytes, wt_burst));
-  }
+  c.wt_bytes = static_cast<double>(geom.spatial_tiles()) * weights_once;
+  c.wt_s = ddr.transfer_seconds(c.wt_bytes, wt_burst);
   return c;
 }
 
 LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz) {
-  LayerTiming t;
-  t.cycles = cost.cycles;
-  t.nominal_macs = cost.nominal_macs;
-  t.compute_s = static_cast<double>(cost.cycles) * cycle_seconds(freq_mhz);
-  t.res_bytes = cost.res_bytes;
-  t.res_s = cost.res_s;
-  t.of_bytes = cost.of_bytes;
-  t.of_s = cost.of_s;
-  // Loop-order choice is the only clock-dependent decision: a faster order
-  // must beat the current one's Eq. 1 latency, compute term included.
-  for (int i = 0; i < cost.num_orders; ++i) {
-    const LayerCost::Order& o = cost.orders[static_cast<std::size_t>(i)];
-    const double latency =
-        eq1_latency(t.compute_s, o.if_s, t.res_s, o.wt_s, t.of_s, 0);
-    const double current =
-        eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s, 0);
-    if (i > 0 && !(latency < current)) continue;
-    t.if_bytes = o.if_bytes;
-    t.if_s = o.if_s;
-    t.wt_bytes = o.wt_bytes;
-    t.wt_s = o.wt_s;
-    t.order = o.order;
-  }
-  return t;
+  return {cost, static_cast<double>(cost.cycles) * cycle_seconds(freq_mhz)};
 }
 
 double PerfModel::umm_total_latency() const {
@@ -254,7 +173,7 @@ double PerfModel::umm_total_latency() const {
 }
 
 double PerfModel::total_nominal_ops() const {
-  return 2.0 * static_cast<double>(graph_->total_macs()) * design_.batch;
+  return 2.0 * static_cast<double>(graph_->total_macs());
 }
 
 double PerfModel::ops_per_sec(double latency_s) const {

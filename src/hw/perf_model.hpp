@@ -11,7 +11,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -22,22 +21,6 @@
 
 namespace lcmm::hw {
 
-/// Loop order of the outer (DRAM-streaming) loops. The [18] template is
-/// output stationary; the stationary variants trade a larger resident
-/// buffer for eliminating one reload factor:
-///   kOutputStationary: if re-fetched per m-tile, wt per spatial tile.
-///   kWeightStationary: one m-tile's FULL weights stay resident -> weights
-///                      stream exactly once (needs rows*C/g*K*K on chip).
-///   kInputStationary:  one spatial tile's FULL input depth stays resident
-///                      -> inputs stream once (needs C*tile halo on chip).
-enum class LoopOrder : std::uint8_t {
-  kOutputStationary,
-  kWeightStationary,
-  kInputStationary,
-};
-
-std::string to_string(LoopOrder order);
-
 /// A fully specified accelerator design point (the DSE's output).
 struct AcceleratorDesign {
   FpgaDevice device;
@@ -47,45 +30,7 @@ struct AcceleratorDesign {
   double freq_mhz = 0.0;
   mem::DdrModelOptions ddr_options;
 
-  /// Extra on-chip buffer (bytes, double-buffered total) available for the
-  /// stationary loop orders. 0 pins every layer to kOutputStationary (the
-  /// paper's baseline template); > 0 lets the model pick the fastest
-  /// FEASIBLE order per layer.
-  std::int64_t stationary_buffer_bytes = 0;
-
-  /// Images processed per accelerator invocation. Weights stream once per
-  /// batch per tile (the batch loop sits inside the weight reuse), so
-  /// larger batches dilute the weight bandwidth pressure; activations
-  /// scale linearly. The paper evaluates batch 1 (latency focus).
-  int batch = 1;
-
   double peak_ops_per_sec() const { return array.peak_ops_per_sec(freq_mhz); }
-};
-
-/// Per-layer timing and traffic under uniform (all-off-chip) management.
-struct LayerTiming {
-  double compute_s = 0.0;  // lat_c
-  double if_s = 0.0;       // main input-feature stream transfer time
-  double res_s = 0.0;      // fused residual stream (shares the if interface)
-  double wt_s = 0.0;       // weight stream
-  double of_s = 0.0;       // output-feature stream
-
-  double if_bytes = 0.0;
-  double res_bytes = 0.0;
-  double wt_bytes = 0.0;
-  double of_bytes = 0.0;
-
-  std::int64_t cycles = 0;          // compute cycles incl. padding waste
-  std::int64_t nominal_macs = 0;    // algorithmic MACs
-  /// Outer loop order this layer runs under (chosen per layer when the
-  /// design allows stationary buffers).
-  LoopOrder order = LoopOrder::kOutputStationary;
-
-  /// Eq. 1 with everything off-chip.
-  double umm_latency() const;
-  /// Largest off-chip transfer term.
-  double max_transfer() const;
-  bool memory_bound() const { return max_transfer() > compute_s; }
 };
 
 /// Stream bits of an on-chip mask: bit k set == stream k is on chip, in
@@ -112,30 +57,35 @@ inline double eq1_latency(double compute_s, double if_s, double res_s,
 /// Seconds per compute cycle at `freq_mhz`.
 inline double cycle_seconds(double freq_mhz) { return 1.0 / (freq_mhz * 1e6); }
 
-/// The clock-free part of a layer's timing: compute cycles, plus the bytes
-/// and DDR transfer seconds of every stream for each loop order the design
-/// can run. It depends on the layer's shape and the design's array, tile,
-/// precision, batch, DDR options and stationary buffer — never on its
-/// clock, so one cost serves every clock the DSE evaluates.
+/// The clock-free part of a layer's timing on the output-stationary
+/// template at batch 1: compute cycles, plus the bytes and DDR transfer
+/// seconds of each stream. It depends on the layer's shape and the
+/// design's array, tile, precision and DDR options — never on its clock,
+/// so one cost serves every clock the DSE evaluates.
 struct LayerCost {
-  /// Input/weight traffic of one feasible loop order.
-  struct Order {
-    LoopOrder order = LoopOrder::kOutputStationary;
-    double if_bytes = 0.0;
-    double if_s = 0.0;
-    double wt_bytes = 0.0;
-    double wt_s = 0.0;
-  };
+  std::int64_t cycles = 0;        // compute cycles incl. padding waste
+  std::int64_t nominal_macs = 0;  // algorithmic MACs
 
-  std::int64_t cycles = 0;
-  std::int64_t nominal_macs = 0;
+  double if_bytes = 0.0;
+  double if_s = 0.0;   // main input-feature stream transfer time
   double res_bytes = 0.0;
-  double res_s = 0.0;
+  double res_s = 0.0;  // fused residual stream (shares the if interface)
+  double wt_bytes = 0.0;
+  double wt_s = 0.0;   // weight stream
   double of_bytes = 0.0;
-  double of_s = 0.0;
-  /// Feasible loop orders, output-stationary first (always feasible).
-  std::array<Order, 3> orders{};
-  int num_orders = 0;
+  double of_s = 0.0;   // output-feature stream
+};
+
+/// Per-layer timing and traffic under uniform (all-off-chip) management:
+/// the layer's cost at the design's clock.
+struct LayerTiming : LayerCost {
+  double compute_s = 0.0;  // lat_c
+
+  /// Eq. 1 with everything off-chip.
+  double umm_latency() const;
+  /// Largest off-chip transfer term.
+  double max_transfer() const;
+  bool memory_bound() const { return max_transfer() > compute_s; }
 };
 
 /// Clock-free cost of layer `id` under `design` (its freq_mhz is unused),
@@ -161,33 +111,30 @@ std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
 /// closed form (full tiles plus the remainder tile).
 std::int64_t red_steps(const ShapeKey& shape, int tc, int simd);
 
-/// Compute cycles of a conv from its terms: n_m x px x red per image, plus
-/// pipeline fill and drain per tile invocation. Idle PE rows on the last
-/// output-channel tile are paid in full (output-stationary array). The
-/// batch loop sits inside the weight reuse: compute repeats per image
-/// while each weight tile stays resident. Linear in n_m x px x red and in
-/// total_tiles, which Dse::space uses to sum a candidate's layers at once.
+/// Compute cycles of a conv from its terms: n_m x px x red, plus pipeline
+/// fill and drain per tile invocation. Idle PE rows on the last
+/// output-channel tile are paid in full (output-stationary array). Linear
+/// in n_m x px x red and in total_tiles, which Dse::space uses to sum a
+/// candidate's layers at once.
 inline std::int64_t conv_cycles(std::int64_t n_m, std::int64_t px_steps,
-                                std::int64_t red_steps, int batch,
+                                std::int64_t red_steps,
                                 std::int64_t total_tiles,
                                 const SystolicArrayConfig& array) {
-  return n_m * px_steps * red_steps * batch +
+  return n_m * px_steps * red_steps +
          total_tiles * (array.rows + array.cols + array.simd);
 }
 
 /// Compute cycles of a pooling layer on the standalone pooling unit.
-std::int64_t pool_cycles(const ShapeKey& shape, int batch);
+std::int64_t pool_cycles(const ShapeKey& shape);
 
-/// Every field of layer_cost except `cycles`: the DDR streams of each
-/// feasible loop order. Of the array it reads only `rows`; of `geom` it
-/// reads every field but n_c. `geom` is layer_tile_geometry(shape,
-/// design.array, design.tile).
+/// Every field of layer_cost except `cycles`: the DDR streams. Of the
+/// array it reads only `rows`; of `geom` it reads every field but n_c.
+/// `geom` is layer_tile_geometry(shape, design.array, design.tile).
 LayerCost stream_cost(const ShapeKey& shape, const LayerTileGeometry& geom,
                       const AcceleratorDesign& design,
                       const mem::DdrModel& ddr);
 
-/// The clock step: compute time at `freq_mhz`, then the fastest feasible
-/// loop order under Eq. 1 (ties keep the earlier order).
+/// The clock step: the cost plus its compute time at `freq_mhz`.
 LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz);
 
 /// One design's per-layer timings on one graph, built in an obs span

@@ -1,10 +1,15 @@
 // Worker-count policy for the lcmm::par subsystem.
 //
-// The library stays serial unless somebody asks for workers: the process
-// default starts at 1 (or the LCMM_JOBS environment variable when set), and
-// the bench sweeps raise their batch workers to the machine width. Every
-// parallel entry point takes a `jobs` argument where 0 means
-// "use the process default", so call sites never hard-code a width.
+// The library stays serial unless somebody asks for workers. Every
+// parallel entry point takes a `jobs` argument where 0 means "use the
+// process default", which starts at 1 (or the LCMM_JOBS environment
+// variable when set). The bench sweeps (table1_main, stress_random_graphs)
+// pass jobs_from_env_or(hardware_jobs()) explicitly instead.
+//
+// Today default_jobs() and effective_jobs(0) select nothing: every caller
+// that passes 0 workers (lcmm_compile, bench::run_pair) compiles a
+// single job, which runs on one worker whatever the default says. The
+// default stays only because compilebench calls set_default_jobs.
 #pragma once
 
 namespace lcmm::par {

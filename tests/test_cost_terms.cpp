@@ -1,11 +1,13 @@
 // The cost-term helpers replace per-tile sums with exact closed forms. The
 // per-tile loops they replace stay here as references, and the closed
 // forms must match them exactly: exhaustively over a window-geometry grid,
-// and on every zoo layer under every tile of the DSE menu.
+// and on every zoo layer under every tile of the DSE menu. A layer's timing
+// is its layer_cost scaled to the clock, bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "hw/dse.hpp"
@@ -166,6 +168,35 @@ TEST_P(CostTermsZoo, ClosedFormsMatchTheTileLoopsOnTheMenu) {
                                                          in.width, pad))
             << layer.name << " " << t.to_string();
       }
+    }
+  }
+}
+
+TEST_P(CostTermsZoo, TimingIsLayerCostAtTheClock) {
+  // A layer's timing is its clock-free cost, field for field, plus the
+  // compute time of its cycles at the design's clock.
+  const graph::ComputationGraph g = models::build_by_name(GetParam());
+  for (Precision p : kAllPrecisions) {
+    const AcceleratorDesign design =
+        Dse(FpgaDevice::vu9p(), p).explore(g).design;
+    const PerfModel model(g, design);
+    for (const graph::Layer& layer : g.layers()) {
+      const LayerTiming& t = model.timing(layer.id);
+      const LayerCost c = layer_cost(g, layer.id, design, model.ddr());
+      const std::string where = layer.name + " " + to_string(p);
+      EXPECT_EQ(t.cycles, c.cycles) << where;
+      EXPECT_EQ(t.nominal_macs, c.nominal_macs) << where;
+      EXPECT_EQ(t.if_bytes, c.if_bytes) << where;
+      EXPECT_EQ(t.if_s, c.if_s) << where;
+      EXPECT_EQ(t.res_bytes, c.res_bytes) << where;
+      EXPECT_EQ(t.res_s, c.res_s) << where;
+      EXPECT_EQ(t.wt_bytes, c.wt_bytes) << where;
+      EXPECT_EQ(t.wt_s, c.wt_s) << where;
+      EXPECT_EQ(t.of_bytes, c.of_bytes) << where;
+      EXPECT_EQ(t.of_s, c.of_s) << where;
+      EXPECT_EQ(t.compute_s, static_cast<double>(c.cycles) *
+                                 cycle_seconds(design.freq_mhz))
+          << where;
     }
   }
 }

@@ -1,12 +1,11 @@
-// Tests for the extension features: DSP packing, streaming simulation and
-// the energy model.
+// Tests for the extension features: DSP packing, streaming simulation,
+// chrome traces, the U250 device and the random graph generator.
 #include <gtest/gtest.h>
 
 #include "core/lcmm.hpp"
 #include "hw/dse.hpp"
 #include "models/models.hpp"
 #include "sim/chrome_trace.hpp"
-#include "sim/energy.hpp"
 #include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
@@ -116,115 +115,6 @@ TEST(Stream, InvalidArgumentsThrow) {
   EXPECT_THROW(sim::simulate_stream(g, plan, 0), std::invalid_argument);
   auto other = models::build_googlenet();
   EXPECT_THROW(sim::simulate_stream(other, plan, 2), std::invalid_argument);
-}
-
-TEST(Energy, LcmmMovesFewerDramBytes) {
-  auto g = models::build_resnet(152);
-  core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
-  const auto umm = compiler.compile_umm(g);
-  const auto plan = compiler.compile(g);
-  const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::simulate(g, plan);
-  const auto eu = sim::estimate_energy(g, umm, usim);
-  const auto el = sim::estimate_energy(g, plan, lsim);
-  EXPECT_LT(el.dram_bytes, eu.dram_bytes);
-  EXPECT_LT(el.total_mj(), eu.total_mj());
-  EXPECT_GT(el.gops_per_joule(2.0 * g.total_macs()),
-            eu.gops_per_joule(2.0 * g.total_macs()));
-}
-
-TEST(Energy, ComponentsAreNonNegativeAndSum) {
-  auto g = models::build_squeezenet();
-  core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
-  auto plan = compiler.compile(g);
-  const auto sim_result = sim::simulate(g, plan);
-  const auto e = sim::estimate_energy(g, plan, sim_result);
-  EXPECT_GE(e.dram_mj, 0.0);
-  EXPECT_GE(e.sram_mj, 0.0);
-  EXPECT_GT(e.compute_mj, 0.0);
-  EXPECT_GT(e.static_mj, 0.0);
-  EXPECT_NEAR(e.total_mj(), e.dram_mj + e.sram_mj + e.compute_mj + e.static_mj,
-              1e-12);
-}
-
-TEST(Energy, UmmDramBytesMatchTimingTables) {
-  auto g = testing::chain3();
-  core::LcmmOptions opt;
-  opt.liveness.include_compute_bound = true;
-  core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt);
-  const auto umm = compiler.compile_umm(g);
-  const auto sim_result = sim::simulate(g, umm);
-  const auto e = sim::estimate_energy(g, umm, sim_result);
-  hw::PerfModel model(g, umm.design);
-  double expected = 0.0;
-  for (const auto& l : g.layers()) {
-    const auto& t = model.timing(l.id);
-    expected += t.if_bytes + t.res_bytes + t.wt_bytes + t.of_bytes;
-  }
-  EXPECT_NEAR(e.dram_bytes, expected, expected * 1e-12);
-}
-
-TEST(Energy, ResidentWeightsAvoidReload) {
-  auto g = models::build_resnet(152);
-  core::LcmmOptions with;
-  core::LcmmOptions without;
-  without.residency_promotion = false;
-  core::LcmmCompiler cw(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, with);
-  core::LcmmCompiler co(hw::FpgaDevice::vu9p(), hw::Precision::kInt16, without);
-  const auto pw = cw.compile(g);
-  const auto po = co.compile(g);
-  const auto sw = sim::simulate(g, pw);
-  const auto so = sim::simulate(g, po);
-  EXPECT_LT(sim::estimate_energy(g, pw, sw).dram_bytes,
-            sim::estimate_energy(g, po, so).dram_bytes);
-}
-
-TEST(Batch, ScalesActivationsNotWeights) {
-  auto g = testing::chain3();
-  hw::AcceleratorDesign b1 = testing::small_design();
-  hw::AcceleratorDesign b4 = b1;
-  b4.batch = 4;
-  hw::PerfModel m1(g, b1), m4(g, b4);
-  for (const auto& l : g.layers()) {
-    const auto& t1 = m1.timing(l.id);
-    const auto& t4 = m4.timing(l.id);
-    EXPECT_NEAR(t4.if_bytes, 4 * t1.if_bytes, 1e-6) << l.name;
-    EXPECT_NEAR(t4.of_bytes, 4 * t1.of_bytes, 1e-6) << l.name;
-    EXPECT_DOUBLE_EQ(t4.wt_bytes, t1.wt_bytes) << l.name;
-    EXPECT_EQ(t4.nominal_macs, 4 * t1.nominal_macs) << l.name;
-    // Compute scales by ~4 (fill overhead is per tile, not per image).
-    EXPECT_GE(t4.cycles, 3 * t1.cycles);
-    EXPECT_LE(t4.cycles, 4 * t1.cycles);
-  }
-  EXPECT_DOUBLE_EQ(m4.total_nominal_ops(), 4 * m1.total_nominal_ops());
-}
-
-TEST(Batch, InvalidBatchThrows) {
-  auto g = testing::chain3();
-  hw::AcceleratorDesign d = testing::small_design();
-  d.batch = 0;
-  EXPECT_THROW(hw::PerfModel(g, d), std::invalid_argument);
-}
-
-TEST(Batch, FeatureEntitiesGrowWithBatch) {
-  auto g = testing::chain3();
-  hw::AcceleratorDesign d = testing::small_design();
-  d.batch = 2;
-  hw::PerfModel m1(g, testing::small_design()), m2(g, d);
-  core::LivenessOptions opt;
-  opt.include_compute_bound = true;
-  const auto e1 = core::build_feature_entities(m1, opt);
-  const auto e2 = core::build_feature_entities(m2, opt);
-  ASSERT_EQ(e1.size(), e2.size());
-  for (std::size_t i = 0; i < e1.size(); ++i) {
-    EXPECT_EQ(e2[i].bytes, 2 * e1[i].bytes);
-  }
-}
-
-TEST(Energy, MacCostsOrdered) {
-  const sim::EnergyModelOptions opt;
-  EXPECT_LT(opt.mac_pj(hw::Precision::kInt8), opt.mac_pj(hw::Precision::kInt16));
-  EXPECT_LT(opt.mac_pj(hw::Precision::kInt16), opt.mac_pj(hw::Precision::kFp32));
 }
 
 TEST(ChromeTrace, ContainsTracksAndLayerEvents) {

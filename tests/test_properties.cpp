@@ -108,7 +108,7 @@ TEST_P(RandomGraphProperty, DnnkCloseToExactOnSmallInstances) {
   core::InterferenceGraph ig(core::build_feature_entities(model, opt));
   const auto buffers =
       core::build_virtual_buffers(ig, core::color_min_total_size(ig));
-  if (buffers.size() > 14) GTEST_SKIP() << "instance too large for oracle";
+  ASSERT_LE(buffers.size(), 14u) << "instance too large for oracle";
   const std::int64_t cap = core::total_buffer_bytes(buffers) / 2;
   const auto dp = core::dnnk_allocate(ig, buffers, tables, cap);
   const auto best = core::exact_allocate(ig, buffers, tables, cap, {}, 14);
