@@ -7,9 +7,17 @@
 // All 60 (graph, precision) jobs compile concurrently through
 // driver::compile_many; the stats below aggregate in seed order so the
 // output is identical for every worker count.
+//
+// Then three large graphs (random_graph(7) with 500, 1500 and 3500 blocks:
+// 884, 2587 and 6135 layers) compile one at a time for vu9p int16. Their
+// plan latency, coloring candidates tried and simulated steps are
+// deterministic and gated against bench/baselines/; a quadratic pass shows
+// in the wall time, which is recorded but not gated.
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "common.hpp"
@@ -85,6 +93,37 @@ int main(int argc, char** argv) {
             << "The no-benefit fallback guarantees min >= 1.00x (checked: a "
                "job below it fails the run); wins track how often generated "
                "graphs have exploitable bottlenecks.\n";
+
+  util::Table large({"layers", "latency (ms)", "colors tried",
+                     "simulated steps", "compile (ms)"});
+  for (const int blocks : {500, 1500, 3500}) {
+    const graph::ComputationGraph graph = models::random_graph(
+        7, {.min_layers = blocks, .max_layers = blocks});
+    obs::StatsSession session;
+    const auto start = std::chrono::steady_clock::now();
+    core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
+    const core::AllocationPlan plan = compiler.compile(graph);
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+    const std::int64_t tried =
+        session.stats().counter("coloring.candidates_tried");
+    const std::int64_t steps = session.stats().counter("simulate.layers");
+    const std::string layers = std::to_string(graph.num_layers());
+    large.add_row({layers, util::fmt_fixed(plan.est_latency_s * 1e3, 3),
+                   std::to_string(tried), std::to_string(steps),
+                   util::fmt_fixed(wall_s * 1e3, 1)});
+    const bench::Dims dims{{"layers", layers}};
+    harness.add("large_latency_ms", plan.est_latency_s * 1e3, "ms",
+                bench::Direction::kLowerIsBetter, dims);
+    harness.add("large_coloring_candidates", static_cast<double>(tried),
+                "count", bench::Direction::kLowerIsBetter, dims);
+    harness.add("large_simulated_steps", static_cast<double>(steps), "count",
+                bench::Direction::kLowerIsBetter, dims);
+    harness.run().add_wall("large_compile_s", wall_s, dims);
+  }
+  std::cout << "\nLarge random graphs: one vu9p int16 compile each\n"
+            << large;
   const int status = harness.finish();
   return below_floor > 0 ? 1 : status;
 }

@@ -314,9 +314,11 @@ void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
   }
 
   // Deadline feasibility for every weight the plan actually streams.
+  const std::vector<bool> resident =
+      ctx.plan.resident_weight_mask(ctx.graph.num_layers());
   for (const graph::Layer& layer : ctx.graph.layers()) {
     if (!ctx.plan.state.is_on({layer.id, TensorSource::kWeight})) continue;
-    if (ctx.plan.weight_is_resident(layer.id)) continue;
+    if (resident[static_cast<std::size_t>(layer.id)]) continue;
     const core::PrefetchEdge* edge = ctx.plan.prefetch.edge_for(layer.id);
     const double load = edge ? edge->load_seconds : 0.0;
     const double window = edge ? edge->window_seconds : 0.0;
@@ -360,6 +362,8 @@ void pass_race(const CheckContext& ctx, CheckReport& report) {
   };
   const int last_step = static_cast<int>(steps.size()) - 1;
   const auto clamp_step = [&](int s) { return std::clamp(s, 0, last_step); };
+  const std::vector<bool> resident =
+      ctx.plan.resident_weight_mask(ctx.graph.num_layers());
 
   struct Access {
     double lo = 0.0, hi = 0.0;
@@ -381,7 +385,7 @@ void pass_race(const CheckContext& ctx, CheckReport& report) {
       }
       if (entity.key.source == TensorSource::kWeight) {
         if (!ctx.plan.state.is_on(entity.key)) continue;  // demoted: no DMA
-        if (ctx.plan.weight_is_resident(entity.key.layer)) continue;
+        if (resident[static_cast<std::size_t>(entity.key.layer)]) continue;
         const int target = clamp_step(entity.key.layer);
         const core::PrefetchEdge* edge =
             ctx.plan.prefetch.edge_for(entity.key.layer);

@@ -1,6 +1,7 @@
 #include "core/coloring.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -39,8 +40,34 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     return graph.entities()[a].bytes > graph.entities()[b].bytes;
   });
 
-  std::vector<std::int64_t> color_size;           // current max per color
-  std::vector<std::vector<std::size_t>> members;  // entities per color
+  // A color's members never interfere, so their lifespans are disjoint and,
+  // sorted by def step, also sorted by last use.
+  struct Member {
+    int def_step = 0;
+    int last_use_step = 0;
+    std::size_t entity = 0;
+  };
+  std::vector<std::int64_t> color_size;      // current max per color
+  std::vector<std::vector<Member>> members;  // per color, by def step
+  const auto defined_after = [](auto& color, int step) {
+    return std::upper_bound(
+        color.begin(), color.end(), step,
+        [](int s, const Member& m) { return s < m.def_step; });
+  };
+
+  // Without a false edge, `e` can only overlap the last member defined at
+  // or before its last use; with one, every member is asked.
+  const auto fits = [&](const std::vector<Member>& color, std::size_t e) {
+    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
+    if (span.has_false_edge) {
+      return std::none_of(color.begin(), color.end(), [&](const Member& m) {
+        return graph.interferes(e, m.entity);
+      });
+    }
+    const auto after = defined_after(color, span.last_use_step);
+    return after == color.begin() ||
+           std::prev(after)->last_use_step < span.def_step;
+  };
 
   for (std::size_t e : order) {
     const std::int64_t bytes = graph.entities()[e].bytes;
@@ -49,10 +76,7 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     std::int64_t best_slack = std::numeric_limits<std::int64_t>::max();
     for (std::size_t c = 0; c < color_size.size(); ++c) {
       ++candidates_tried;
-      const bool compatible = std::none_of(
-          members[c].begin(), members[c].end(),
-          [&](std::size_t other) { return graph.interferes(e, other); });
-      if (!compatible) continue;
+      if (!fits(members[c], e)) continue;
       const std::int64_t growth = std::max<std::int64_t>(0, bytes - color_size[c]);
       const std::int64_t slack = std::max<std::int64_t>(0, color_size[c] - bytes);
       // Prefer zero growth with the tightest fit; otherwise minimal growth.
@@ -70,7 +94,10 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
       members.emplace_back();
     }
     result.color_of[e] = best_color;
-    members[static_cast<std::size_t>(best_color)].push_back(e);
+    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
+    std::vector<Member>& color = members[static_cast<std::size_t>(best_color)];
+    color.insert(defined_after(color, span.def_step),
+                 {span.def_step, span.last_use_step, e});
     auto& cs = color_size[static_cast<std::size_t>(best_color)];
     cs = std::max(cs, bytes);
   }

@@ -5,6 +5,12 @@
 // member tensor, so packing a small tensor into a large buffer is free.
 // color_min_total_size() is a best-fit-decreasing heuristic;
 // color_optimal_small() enumerates set partitions for test oracles.
+//
+// Cost: each color keeps its members' lifespans sorted by def step. They
+// are disjoint, so whether an entity without a false edge fits a color is
+// one binary search, and n entities over C colors take O(n * C * log n)
+// plus the sorted inserts. An entity with a false edge (splitting makes
+// few) asks every member of each color, as the quadratic version did.
 #pragma once
 
 #include <cstdint>

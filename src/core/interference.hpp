@@ -21,11 +21,26 @@ namespace lcmm::core {
 
 class InterferenceGraph {
  public:
+  /// The part of an entity a query reads, kept compact for coloring.
+  struct Lifespan {
+    int def_step = 0;
+    int last_use_step = 0;
+    bool has_false_edge = false;
+
+    /// Same test as TensorEntity::overlaps: touching intervals overlap.
+    bool overlaps(const Lifespan& other) const {
+      return std::max(def_step, other.def_step) <=
+             std::min(last_use_step, other.last_use_step);
+    }
+  };
+
   /// Interval-overlap interference for `entities`.
   explicit InterferenceGraph(std::vector<TensorEntity> entities);
 
   const std::vector<TensorEntity>& entities() const { return entities_; }
   std::size_t size() const { return entities_.size(); }
+  /// Entity `i`'s lifespan, and whether any false edge touches it.
+  const Lifespan& lifespan(std::size_t i) const { return lifespans_[i]; }
 
   /// Overlapping lifespans or a false edge; an entity interferes with
   /// itself. Throws std::out_of_range for an unknown entity.
@@ -45,20 +60,6 @@ class InterferenceGraph {
   }
 
  private:
-  /// The part of an entity a query reads, kept compact for coloring's
-  /// pair loop.
-  struct Lifespan {
-    int def_step = 0;
-    int last_use_step = 0;
-    bool has_false_edge = false;
-
-    /// Same test as TensorEntity::overlaps.
-    bool overlaps(const Lifespan& other) const {
-      return std::max(def_step, other.def_step) <=
-             std::min(last_use_step, other.last_use_step);
-    }
-  };
-
   void check_pair(std::size_t a, std::size_t b) const;
   bool listed(std::size_t a, std::size_t b) const;
 

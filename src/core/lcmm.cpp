@@ -76,9 +76,15 @@ AllocationPlan retry_transient_once(const char* what,
 
 }  // namespace
 
-bool AllocationPlan::weight_is_resident(graph::LayerId layer) const {
-  return std::find(resident_weights.begin(), resident_weights.end(), layer) !=
-         resident_weights.end();
+std::vector<bool> AllocationPlan::resident_weight_mask(
+    std::size_t num_layers) const {
+  std::vector<bool> mask(num_layers, false);
+  for (graph::LayerId id : resident_weights) {
+    if (id >= 0 && static_cast<std::size_t>(id) < num_layers) {
+      mask[static_cast<std::size_t>(id)] = true;
+    }
+  }
+  return mask;
 }
 
 double AllocationPlan::sram_utilization() const {

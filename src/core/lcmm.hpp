@@ -111,7 +111,9 @@ struct AllocationPlan {
   /// Memory-bound conv layers with at least one on-chip tensor (POL).
   int num_benefiting_conv = 0;
 
-  bool weight_is_resident(graph::LayerId layer) const;
+  /// Per-layer bitmap of resident_weights over `num_layers` layers; ids
+  /// outside [0, num_layers) are left out (the checker reports them).
+  std::vector<bool> resident_weight_mask(std::size_t num_layers) const;
 
   double pol() const {
     return num_memory_bound_conv > 0

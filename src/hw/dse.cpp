@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/scope.hpp"
@@ -236,12 +237,28 @@ class TileFilter {
   std::int64_t output_[kNumSpatial] = {};
 };
 
+/// Hashes the fields that tell most shape classes apart; equality on the
+/// whole key still decides.
+struct ShapeKeyHash {
+  std::size_t operator()(const ShapeKey& k) const {
+    std::size_t h = std::hash<std::int64_t>{}(k.macs);
+    for (const std::int64_t v :
+         {k.weight_elems, std::int64_t{k.in_channels},
+          std::int64_t{k.out_channels}, std::int64_t{k.out_height},
+          std::int64_t{k.out_width}}) {
+      h ^= std::hash<std::int64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+           (h >> 2);
+    }
+    return h;
+  }
+};
+
 }  // namespace
 
 ShapeClasses shape_classes(const graph::ComputationGraph& graph) {
   ShapeClasses out;
   out.layer_class.reserve(graph.num_layers());
-  std::map<ShapeKey, int> ids;
+  std::unordered_map<ShapeKey, int, ShapeKeyHash> ids;
   for (const graph::Layer& layer : graph.layers()) {
     const ShapeKey key = shape_key(graph, layer.id);
     const auto [it, added] = ids.try_emplace(key, static_cast<int>(out.size()));

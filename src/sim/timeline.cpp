@@ -1,6 +1,7 @@
 #include "sim/timeline.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/latency_tables.hpp"
@@ -11,7 +12,6 @@ namespace lcmm::sim {
 namespace {
 
 struct PrefetchRequest {
-  graph::LayerId target = graph::kInvalidLayer;
   std::int64_t target_abs = 0;  // absolute step across the image stream
   std::int64_t start_abs = 0;   // earliest absolute step the load may begin
   double remaining_s = 0.0;
@@ -33,21 +33,24 @@ struct TimelineOutput {
 /// are granted the leftover weight-stream bandwidth of the layers inside
 /// their window, earliest target first; for image k > 0 a window that the
 /// paper's backtrace could not fit (start == kBeforeExecution) extends
-/// into image k-1.
+/// into image k-1. A cursor over the target-sorted requests charges the
+/// stalls, and the requests whose window is open wait in target order in
+/// an active list, so each step costs only the requests it touches.
 TimelineOutput run_timeline(const core::AllocationPlan& plan,
                             const hw::PerfModel& model, int images) {
   const graph::ComputationGraph& graph = model.graph();
   const std::int64_t steps = static_cast<std::int64_t>(graph.num_layers());
+  // Resident weights are persistent: loaded once before the stream.
+  const std::vector<bool> resident =
+      plan.resident_weight_mask(graph.num_layers());
 
   std::vector<PrefetchRequest> requests;
   for (int img = 0; img < images; ++img) {
     const std::int64_t base = static_cast<std::int64_t>(img) * steps;
     for (const graph::Layer& layer : graph.layers()) {
       if (!plan.state.is_on({layer.id, core::TensorSource::kWeight})) continue;
-      // Resident weights are persistent: loaded once before the stream.
-      if (plan.weight_is_resident(layer.id)) continue;
+      if (resident[static_cast<std::size_t>(layer.id)]) continue;
       PrefetchRequest r;
-      r.target = layer.id;
       r.target_abs = base + layer.id;
       double load = 0.0;
       int start_step = core::kBeforeExecution;
@@ -71,10 +74,22 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
       requests.push_back(r);
     }
   }
+  // Targets are distinct, so a request's index is its rank in target order.
   std::sort(requests.begin(), requests.end(),
             [](const PrefetchRequest& a, const PrefetchRequest& b) {
               return a.target_abs < b.target_abs;
             });
+  std::vector<std::size_t> by_start(requests.size());
+  std::iota(by_start.begin(), by_start.end(), std::size_t{0});
+  std::stable_sort(by_start.begin(), by_start.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return requests[a].start_abs < requests[b].start_abs;
+                   });
+  std::size_t next_start = 0;   // into by_start
+  std::size_t next_target = 0;  // into requests
+  // In-window requests with load left, by index (= target order).
+  std::vector<std::size_t> active;
+  active.reserve(requests.size());
 
   TimelineOutput out;
   out.image_end_s.resize(static_cast<std::size_t>(images), 0.0);
@@ -97,10 +112,12 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
     const double base =
         std::max({exec.compute_s, exec.if_s, exec.wt_s, exec.of_s});
 
-    // Prefetches targeting this step must have completed; the remainder
+    // A prefetch targeting this step must have completed; the remainder
     // stalls the layer while the weight stream finishes the load.
-    for (PrefetchRequest& r : requests) {
-      if (r.target_abs == abs && r.remaining_s > 0.0) {
+    if (next_target < requests.size() &&
+        requests[next_target].target_abs == abs) {
+      PrefetchRequest& r = requests[next_target++];
+      if (r.remaining_s > 0.0) {
         exec.stall_s += r.remaining_s;
         r.remaining_s = 0.0;
       }
@@ -110,20 +127,40 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
     exec.end_s = exec.start_s + base;
     out.total_stall_s += exec.stall_s;
 
+    // Open the windows that start here; a request already at or past its
+    // target, or with nothing to load, is never granted.
+    for (; next_start < by_start.size() &&
+           requests[by_start[next_start]].start_abs <= abs;
+         ++next_start) {
+      const std::size_t i = by_start[next_start];
+      if (requests[i].target_abs <= abs || requests[i].remaining_s <= 0.0) {
+        continue;
+      }
+      active.insert(std::lower_bound(active.begin(), active.end(), i), i);
+    }
+    // This step's own request, if active, heads the list and is now spent.
+    if (!active.empty() && requests[active.front()].target_abs <= abs) {
+      active.erase(active.begin());
+    }
+
     // Grant this layer's leftover weight-stream time to in-window
     // prefetches, earliest target first. (Stall time is excluded: the
-    // stream spends it finishing this layer's own late load.)
+    // stream spends it finishing this layer's own late load.) Only the
+    // last request granted can keep load left, so the finished ones are a
+    // prefix of the list.
     double free_wt = std::max(0.0, base - exec.wt_s);
-    for (PrefetchRequest& r : requests) {
+    std::size_t finished = 0;
+    for (std::size_t i : active) {
       if (free_wt <= 0.0) break;
-      if (r.remaining_s <= 0.0) continue;
-      if (r.target_abs <= abs) continue;
-      if (r.start_abs > abs) continue;
+      PrefetchRequest& r = requests[i];
       const double granted = std::min(free_wt, r.remaining_s);
       r.remaining_s -= granted;
       free_wt -= granted;
       out.hidden_prefetch_s += granted;
+      finished += r.remaining_s <= 0.0;
     }
+    active.erase(active.begin(),
+                 active.begin() + static_cast<std::ptrdiff_t>(finished));
 
     t = exec.end_s;
     if ((abs + 1) % steps == 0) {

@@ -7,6 +7,11 @@
 // has not arrived when the target layer starts becomes a stall. This is
 // where the paper's "weight loading could be hidden by the execution of
 // the nodes before Ck" is actually tested rather than assumed.
+//
+// Cost: a cursor over the target-sorted requests charges the stalls, and
+// the requests whose window is open wait in a target-ordered active list,
+// so S steps and R requests take O(S + R log R) plus the active-list
+// inserts, not the O(S * R) of scanning every request at every step.
 #pragma once
 
 #include <vector>

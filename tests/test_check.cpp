@@ -216,10 +216,11 @@ TEST(CheckPrefetch, MissedDeadlineIsAWarningNotAnError) {
   // Inflate the load time of a streamed on-chip weight past its window:
   // the load can no longer be hidden, so the remainder must stall.
   std::vector<core::PrefetchEdge> edges = plan.prefetch.edges();
+  const std::vector<bool> resident = plan.resident_weight_mask(g.num_layers());
   bool found = false;
   for (core::PrefetchEdge& e : edges) {
     if (!plan.state.is_on({e.target, TensorSource::kWeight})) continue;
-    if (plan.weight_is_resident(e.target)) continue;
+    if (resident[static_cast<std::size_t>(e.target)]) continue;
     if (!e.fully_hidden()) continue;
     e.load_seconds = e.window_seconds * 2.0 + 1e-6;
     found = true;
@@ -249,6 +250,7 @@ TEST(CheckRace, EarlyPrefetchIntoSharedBufferRaces) {
   auto g = models::build_by_name("resnet50");
   AllocationPlan plan = compiled_plan(g);
   const hw::PerfModel model(g, plan.design);
+  const std::vector<bool> resident = plan.resident_weight_mask(g.num_layers());
 
   // Find an on-chip buffer time-multiplexing two streamed weights, and
   // start the later load inside the earlier weight's occupancy. The
@@ -262,7 +264,7 @@ TEST(CheckRace, EarlyPrefetchIntoSharedBufferRaces) {
       const core::TensorEntity& ent = plan.entities[e];
       if (ent.key.source != TensorSource::kWeight) continue;
       if (!plan.state.is_on(ent.key)) continue;
-      if (plan.weight_is_resident(ent.key.layer)) continue;
+      if (resident[static_cast<std::size_t>(ent.key.layer)]) continue;
       if (plan.prefetch.edge_for(ent.key.layer) == nullptr) continue;
       weights.push_back(e);
     }

@@ -1,0 +1,171 @@
+// Differential tests: the interval coloring and the cursor timeline
+// against the quadratic references in oracle/scan.hpp, which they
+// replaced. Every color, every candidate count and every double must be
+// bit-equal.
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <string>
+
+#include "core/lcmm.hpp"
+#include "models/models.hpp"
+#include "obs/stats.hpp"
+#include "oracle/scan.hpp"
+#include "util/rng.hpp"
+
+namespace lcmm {
+namespace {
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+void expect_same_coloring(const core::InterferenceGraph& graph,
+                          const std::string& label) {
+  obs::StatsSession session;
+  const core::ColoringResult fast = core::color_min_total_size(graph);
+  const oracle::ScanColoring scan = oracle::scan_color_min_total_size(graph);
+  EXPECT_EQ(fast.color_of, scan.result.color_of) << label;
+  EXPECT_EQ(fast.num_colors, scan.result.num_colors) << label;
+  EXPECT_EQ(fast.total_bytes, scan.result.total_bytes) << label;
+  EXPECT_EQ(session.stats().counter("coloring.candidates_tried"),
+            scan.candidates_tried)
+      << label;
+  EXPECT_TRUE(core::coloring_is_valid(graph, fast)) << label;
+}
+
+void expect_same_sim(const hw::PerfModel& model,
+                     const core::AllocationPlan& plan,
+                     const std::string& label) {
+  const sim::SimResult fast = sim::simulate(model, plan);
+  const sim::SimResult scan = oracle::scan_simulate(model, plan);
+  EXPECT_EQ(bits(fast.total_s), bits(scan.total_s)) << label;
+  EXPECT_EQ(bits(fast.total_stall_s), bits(scan.total_stall_s)) << label;
+  EXPECT_EQ(bits(fast.hidden_prefetch_s), bits(scan.hidden_prefetch_s))
+      << label;
+  ASSERT_EQ(fast.layers.size(), scan.layers.size()) << label;
+  for (std::size_t i = 0; i < fast.layers.size(); ++i) {
+    const sim::LayerExecution& a = fast.layers[i];
+    const sim::LayerExecution& b = scan.layers[i];
+    EXPECT_EQ(a.layer, b.layer) << label << " step " << i;
+    for (const auto field :
+         {&sim::LayerExecution::start_s, &sim::LayerExecution::end_s,
+          &sim::LayerExecution::compute_s, &sim::LayerExecution::if_s,
+          &sim::LayerExecution::wt_s, &sim::LayerExecution::of_s,
+          &sim::LayerExecution::stall_s}) {
+      EXPECT_EQ(bits(a.*field), bits(b.*field)) << label << " step " << i;
+    }
+  }
+  for (int images = 1; images <= 3; ++images) {
+    const sim::StreamResult s = sim::simulate_stream(model.graph(), plan, images);
+    const sim::StreamResult r =
+        oracle::scan_simulate_stream(model.graph(), plan, images);
+    const std::string at = label + " images=" + std::to_string(images);
+    EXPECT_EQ(s.images, r.images) << at;
+    EXPECT_EQ(bits(s.total_s), bits(r.total_s)) << at;
+    EXPECT_EQ(bits(s.first_image_s), bits(r.first_image_s)) << at;
+    EXPECT_EQ(bits(s.steady_image_s), bits(r.steady_image_s)) << at;
+    EXPECT_EQ(bits(s.total_stall_s), bits(r.total_stall_s)) << at;
+  }
+}
+
+// Every zoo net x precision x device: the plan's entities colored both
+// ways, and the shipped plan simulated both ways.
+class DifferentialZoo : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DifferentialZoo, ColoringAndTimelineMatchTheScans) {
+  const graph::ComputationGraph g = models::build_by_name(GetParam());
+  for (const hw::FpgaDevice& device :
+       {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg(), hw::FpgaDevice::u250()}) {
+    for (hw::Precision p : hw::kAllPrecisions) {
+      const std::string label =
+          GetParam() + " " + hw::to_string(p) + " " + device.name;
+      core::LcmmCompiler compiler(device, p);
+      const core::AllocationPlan plan = compiler.compile(g);
+      expect_same_coloring(core::InterferenceGraph(plan.entities), label);
+      expect_same_sim(hw::PerfModel(g, plan.design), plan, label);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, DifferentialZoo, ::testing::ValuesIn(models::model_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
+// Seeded entity sets on a short step range, so touching and nested
+// lifespans, single-step and zero-byte entities and equal sizes are
+// common; about half the sets carry false edges.
+TEST(DifferentialColoring, RandomEntitySetsMatchTheScan) {
+  for (std::uint64_t seed = 1; seed <= 240; ++seed) {
+    util::Rng rng(seed);
+    const int n = static_cast<int>(rng.next_int(1, 60));
+    const int steps = static_cast<int>(rng.next_int(1, 24));
+    std::vector<core::TensorEntity> entities;
+    for (int i = 0; i < n; ++i) {
+      core::TensorEntity e;
+      e.key = {i, core::TensorSource::kInput};
+      e.name = "t" + std::to_string(i);
+      e.bytes = rng.next_bool(0.1) ? 0 : 64 * rng.next_int(1, 8);
+      e.def_step = static_cast<int>(rng.next_int(0, steps - 1));
+      e.last_use_step = rng.next_bool(0.25)
+                            ? e.def_step
+                            : static_cast<int>(rng.next_int(e.def_step, steps - 1));
+      entities.push_back(e);
+    }
+    core::InterferenceGraph graph(std::move(entities));
+    if (rng.next_bool()) {
+      const int false_edges = static_cast<int>(rng.next_int(1, n));
+      for (int k = 0; k < false_edges && n >= 2; ++k) {
+        const auto a = static_cast<std::size_t>(rng.next_below(n));
+        const auto b = static_cast<std::size_t>(rng.next_below(n));
+        if (a != b) graph.add_false_edge(a, b);
+      }
+    }
+    expect_same_coloring(graph, "seed " + std::to_string(seed));
+  }
+}
+
+// Seeded random DAGs whose compiled prefetch edges are perturbed: loads
+// zeroed or inflated, windows moved to kBeforeExecution, past the target
+// or anywhere before it, and weights made resident, so windows reach into
+// the previous image and requests open, stall and finish in every order.
+TEST(DifferentialTimeline, PerturbedRandomPlansMatchTheScan) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const graph::ComputationGraph g = models::random_graph(seed);
+    core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(),
+                                seed % 2 ? hw::Precision::kInt8
+                                         : hw::Precision::kInt16);
+    core::AllocationPlan plan = compiler.compile(g);
+    util::Rng rng(seed ^ 0x5CA9);
+    const auto layers = static_cast<std::int64_t>(g.num_layers());
+    std::vector<core::PrefetchEdge> edges;
+    for (const graph::Layer& layer : g.layers()) {
+      if (!layer.is_conv()) continue;
+      if (rng.next_bool(0.7)) {
+        plan.state.set({layer.id, core::TensorSource::kWeight}, true);
+      }
+      if (rng.next_bool(0.15)) {
+        plan.resident_weights.push_back(layer.id);
+        continue;
+      }
+      if (rng.next_bool(0.2)) continue;  // no edge: the whole load stalls
+      core::PrefetchEdge e;
+      e.target = layer.id;
+      const double kind = rng.next_double();
+      e.start_step = kind < 0.25   ? core::kBeforeExecution
+                     : kind < 0.35 ? static_cast<int>(rng.next_int(
+                                         layer.id, layers - 1))
+                                   : static_cast<int>(rng.next_int(
+                                         0, std::max(0, layer.id - 1)));
+      e.load_seconds = rng.next_bool(0.15) ? 0.0 : rng.next_double() * 4e-4;
+      edges.push_back(e);
+    }
+    plan.prefetch = core::PrefetchResult(std::move(edges));
+    expect_same_sim(hw::PerfModel(g, plan.design), plan,
+                    "seed " + std::to_string(seed));
+  }
+}
+
+}  // namespace
+}  // namespace lcmm

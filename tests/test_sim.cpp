@@ -121,10 +121,11 @@ TEST(Simulator, StallsOnlyOnUnhiddenPrefetches) {
   LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
   auto plan = compiler.compile(g);
   const SimResult sim = simulate(g, plan);
+  const std::vector<bool> resident = plan.resident_weight_mask(g.num_layers());
   for (const LayerExecution& e : sim.layers) {
     if (e.stall_s > 0) {
       EXPECT_TRUE(plan.state.is_on({e.layer, TensorSource::kWeight}));
-      EXPECT_FALSE(plan.weight_is_resident(e.layer));
+      EXPECT_FALSE(resident[static_cast<std::size_t>(e.layer)]);
     }
   }
 }
