@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
             << "peak " << util::fmt_fixed(summary.peak_ops_per_sec / 1e12, 2)
             << " Tops, per-stream bandwidth "
             << util::fmt_fixed(summary.stream_bw_peak / 1e9, 1)
-            << " GB/s theoretical (" << model.ddr().options().max_efficiency
+            << " GB/s theoretical (" << mem::kDdrMaxEfficiency
             << " max efficiency)\n\n";
 
   // The scatter, as a CSV series (one point per conv layer).

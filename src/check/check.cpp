@@ -18,6 +18,9 @@ using core::AllocationPlan;
 using core::TensorEntity;
 using core::TensorSource;
 
+/// Relative tolerance for floating-point latency comparisons.
+constexpr double kLatencyRelTol = 1e-6;
+
 std::string entity_label(const TensorEntity& e) {
   return e.name + " (layer " + std::to_string(e.key.layer) + " " +
          core::to_string(e.key.source) + ")";
@@ -300,8 +303,7 @@ void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
       window += ctx.model.timing(s).umm_latency();
     }
     const double tol =
-        ctx.options.latency_rel_tol * std::max(window, edge.window_seconds) +
-        1e-15;
+        kLatencyRelTol * std::max(window, edge.window_seconds) + 1e-15;
     if (std::abs(window - edge.window_seconds) > tol) {
       report.add(Code::kPrefetchWindowMismatch,
                  "prefetch edge for '" + ctx.graph.layer(edge.target).name +
@@ -546,7 +548,7 @@ void pass_dnnk(const CheckContext& ctx, CheckReport& report) {
   const AllocationPlan& plan = ctx.plan;
   const double umm = ctx.model.umm_total_latency();
   const double tol_umm =
-      ctx.options.latency_rel_tol * std::max(umm, plan.umm_latency_s) + 1e-15;
+      kLatencyRelTol * std::max(umm, plan.umm_latency_s) + 1e-15;
   if (std::abs(plan.umm_latency_s - umm) > tol_umm) {
     report.add(Code::kBaselineLatencyMismatch,
                "plan records a UMM baseline of " +
@@ -556,7 +558,7 @@ void pass_dnnk(const CheckContext& ctx, CheckReport& report) {
   }
 
   const double bound = ctx.tables.total_latency(plan.state);
-  if (plan.est_latency_s < bound * (1.0 - ctx.options.latency_rel_tol)) {
+  if (plan.est_latency_s < bound * (1.0 - kLatencyRelTol)) {
     report.add(Code::kLatencyBelowBound,
                "plan estimates " + std::to_string(plan.est_latency_s * 1e3) +
                    " ms, below the Eq. 1 bound " + std::to_string(bound * 1e3) +

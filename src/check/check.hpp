@@ -39,8 +39,6 @@ struct CheckOptions {
   double sram_capacity_fraction = 0.90;
   /// DP quantization the capacity accounting replays (LcmmOptions::alloc).
   core::AllocatorOptions alloc;
-  /// Relative tolerance for floating-point latency comparisons.
-  double latency_rel_tol = 1e-6;
 
   /// From LcmmOptions, so the checker knows which plan to expect.
   static CheckOptions from(const core::LcmmOptions& lcmm, bool strict = false) {

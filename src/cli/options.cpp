@@ -23,17 +23,6 @@ bool consume_value(const std::vector<std::string>& args, std::size_t& i,
   return false;
 }
 
-int to_int(const std::string& flag, const std::string& value) {
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(value, &pos);
-    if (pos != value.size()) throw std::invalid_argument(value);
-    return v;
-  } catch (const std::exception&) {
-    throw CliError(flag + ": expected an integer, got '" + value + "'");
-  }
-}
-
 double to_double(const std::string& flag, const std::string& value) {
   try {
     std::size_t pos = 0;
@@ -100,8 +89,6 @@ Options parse_cli(const std::vector<std::string>& args) {
       } else {
         throw CliError("--format must be text, json or csv");
       }
-    } else if (consume_value(args, i, "--dse-passes", value)) {
-      opt.lcmm.dse_passes = to_int("--dse-passes", value);
     } else if (consume_value(args, i, "--capacity-fraction", value)) {
       opt.lcmm.sram_capacity_fraction = to_double("--capacity-fraction", value);
     } else if (arg == "--no-feature-reuse") {
@@ -173,7 +160,6 @@ std::string usage() {
         "  --device vu9p|zu9eg|u250  FPGA device (default vu9p)\n"
         "\ncompilation:\n"
         "  --design umm|lcmm|both  which designs to compile (default both)\n"
-        "  --dse-passes N        DSE refinement passes (default 2)\n"
         "  --capacity-fraction F fraction of free SRAM handed to DNNK\n"
         "  --no-feature-reuse --no-prefetch --no-splitting --no-promotion\n"
         "  --no-fallback         keep the LCMM design even if UMM is faster\n"

@@ -108,10 +108,6 @@ LcmmCompiler::LcmmCompiler(hw::FpgaDevice device, hw::Precision precision,
     throw resil::OptionError(resil::Code::kBadOptions, "core.options",
                              "LcmmOptions: alloc.granularity_bytes must be > 0");
   }
-  if (options_.dse_passes < 1 || options_.dse_passes > 4) {
-    throw resil::OptionError(resil::Code::kBadOptions, "core.options",
-                             "LcmmOptions: dse_passes must be in [1,4]");
-  }
 }
 
 void LcmmCompiler::place_physical(AllocationPlan& plan,
@@ -372,31 +368,27 @@ AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
                                           const hw::DesignSpace& space,
                                           sim::SimResult& refined_sim) const {
   // LCMM designs lean on URAM, so every LCMM objective runs at the
-  // heavy-URAM clock. Pass 1: best design assuming uniform management.
+  // heavy-URAM clock. Seed: best design assuming uniform management.
   const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/true);
   LCMM_COUNT("dse_rounds", 1);
   hw::PerfModel model(graph, seed.design);
   AllocationPlan plan = allocate(model);
 
-  // Pass 2+: re-optimize the design under the allocation's on-chip state;
-  // keep whichever (design, allocation) pair estimates fastest.
-  for (int pass = 1; pass < options_.dse_passes; ++pass) {
-    const hw::DseResult refined =
-        space.argmin(/*heavy_uram_use=*/true, plan.state.masks());
-    LCMM_COUNT("dse_rounds", 1);
-    if (refined.design.tile == plan.design.tile &&
-        refined.design.array == plan.design.array) {
-      LCMM_COUNT("dse_converged", 1);
-      break;  // converged
-    }
+  // Refine step: re-optimize the design under the allocation's on-chip
+  // state; keep whichever (design, allocation) pair estimates faster.
+  const hw::DseResult refined =
+      space.argmin(/*heavy_uram_use=*/true, plan.state.masks());
+  LCMM_COUNT("dse_rounds", 1);
+  if (refined.design.tile == plan.design.tile &&
+      refined.design.array == plan.design.array) {
+    LCMM_COUNT("dse_converged", 1);
+  } else {
     hw::PerfModel refined_model(graph, refined.design);
     AllocationPlan refined_plan = allocate(refined_model);
     if (refined_plan.est_latency_s < plan.est_latency_s) {
       LCMM_COUNT("dse_refinements_kept", 1);
       plan = std::move(refined_plan);
       model = std::move(refined_model);
-    } else {
-      break;
     }
   }
   // Demote the weights whose prefetch stalls cost more than they save;
@@ -415,23 +407,20 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
   LCMM_SPAN("umm_baseline");
   resil::fault::Scope fault_scope;
   return retry_transient_once("UMM", graph, options_.strict, [&] {
-    if (space != nullptr) return umm_under(graph, *space, sim);
-    return umm_under(
-        graph, hw::Dse(device_, precision_, options_.dse).space(graph), sim);
+    std::optional<hw::DesignSpace> own;
+    if (space == nullptr) {
+      own.emplace(hw::Dse(device_, precision_, options_.dse).space(graph));
+    }
+    const hw::DseResult seed =
+        (own ? *own : *space).argmin(/*heavy_uram_use=*/false);
+    const hw::PerfModel model(graph, seed.design);
+    AllocationPlan plan = uniform_plan(model, precision_);
+    plan.is_umm = true;
+    plan.rung = resil::Rung::kUmm;
+    place_physical(plan, graph);
+    if (sim) *sim = sim::simulate(model, plan);
+    return plan;
   });
-}
-
-AllocationPlan LcmmCompiler::umm_under(const graph::ComputationGraph& graph,
-                                       const hw::DesignSpace& space,
-                                       sim::SimResult* sim) const {
-  const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/false);
-  const hw::PerfModel model(graph, seed.design);
-  AllocationPlan plan = uniform_plan(model, precision_);
-  plan.is_umm = true;
-  plan.rung = resil::Rung::kUmm;
-  place_physical(plan, graph);
-  if (sim) *sim = sim::simulate(model, plan);
-  return plan;
 }
 
 }  // namespace lcmm::core

@@ -6,9 +6,11 @@
 //   3. Weight buffer prefetch: PDG backtrace -> weight entities     (§3.2).
 //   4. DNNK knapsack allocation over the virtual buffers            (§3.3).
 //   5. Buffer splitting when shared buffers misspill                (§3.4).
-//   6. A second DSE pass re-optimizes tiles under the allocation —
-//      with the bandwidth bottleneck gone, smaller tiles win back the
-//      compute padding waste (§4.1's "reduction of actual operations").
+//   6. One refine DSE step re-optimizes tiles under the allocation's
+//      on-chip state, and its design and allocation are kept only if they
+//      estimate faster — with the bandwidth bottleneck gone, smaller tiles
+//      win back the compute padding waste (§4.1's "reduction of actual
+//      operations").
 //   7. Physical placement into BRAM/URAM pools.
 //   8. Stall refinement (sim::refine_against_stalls): demote the weights
 //      whose unhidden prefetch makes their layer slower than under UMM.
@@ -52,11 +54,14 @@ struct LcmmOptions {
   /// Fail hard: a typed compile failure propagates instead of being retried
   /// or shipping the UMM floor (the pre-resil throwing behavior; --strict).
   bool strict = false;
-  /// 1 = keep the UMM-optimal design; 2 = re-run DSE under the allocation.
-  int dse_passes = 2;
   /// Fraction of post-tile-buffer SRAM handed to DNNK as R_sram (the rest
   /// is routing/control margin).
   double sram_capacity_fraction = 0.90;
+  /// The design space's candidates. A compile reads only
+  /// `allow_int8_packing`: it picks the clock per objective itself (the
+  /// heavy-URAM clock for LCMM designs, the uniform one for the UMM
+  /// baseline) and never reads `heavy_uram_use`, which only a standalone
+  /// Dse::explore(graph) honours.
   hw::DseOptions dse;
   LivenessOptions liveness;
   AllocatorOptions alloc;
@@ -163,16 +168,13 @@ class LcmmCompiler {
   AllocationPlan compile_lcmm(const graph::ComputationGraph& graph,
                               const hw::DesignSpace& space,
                               sim::SimResult& refined_sim) const;
-  /// compile_umm on `space` when given (it must be this compiler's design
-  /// space); otherwise each attempt builds its own. Simulates into `sim`
+  /// The UMM plan of the design the uniform clock's argmin picks over
+  /// `space` when given (it must be this compiler's design space);
+  /// otherwise each attempt builds its own space. Simulates into `sim`
   /// when given.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph,
                              const hw::DesignSpace* space,
                              sim::SimResult* sim) const;
-  /// The UMM plan of the design `space` picks at the uniform clock.
-  AllocationPlan umm_under(const graph::ComputationGraph& graph,
-                           const hw::DesignSpace& space,
-                           sim::SimResult* sim) const;
   /// Passes 2-5 and 7 under `model`'s design.
   AllocationPlan allocate(const hw::PerfModel& model) const;
   void place_physical(AllocationPlan& plan,

@@ -35,10 +35,6 @@ std::vector<TensorEntity> build_feature_entities(const hw::PerfModel& model,
       LCMM_COUNT("skipped_compute_bound", 1);
       continue;
     }
-    if (!options.include_pools && !layer.is_conv()) {
-      LCMM_COUNT("skipped_non_conv", 1);
-      continue;
-    }
     const int step = layer.id;
 
     // t_if(i): the consumed value, live from its production to this read.

@@ -21,8 +21,6 @@ struct LivenessOptions {
   /// paper's Fig. 5 excludes computation-bounded tensors). Setting this to
   /// true admits every layer's tensors (useful for stress tests).
   bool include_compute_bound = false;
-  /// Whether pooling layers' feature streams participate.
-  bool include_pools = true;
 };
 
 /// Builds the feature tensor entities (if / res / of) that are candidates

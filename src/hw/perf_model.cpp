@@ -28,7 +28,7 @@ double LayerTiming::umm_latency() const {
 PerfModel::PerfModel(const graph::ComputationGraph& graph,
                      AcceleratorDesign design)
     : graph_(&graph), design_(std::move(design)),
-      ddr_(design_.device, design_.ddr_options) {
+      ddr_(design_.device) {
   LCMM_SPAN("perf_model");
   if (!design_.array.valid() || !design_.tile.valid() || design_.freq_mhz <= 0) {
     throw resil::OptionError(resil::Code::kBadArgument, "hw.perf_model",

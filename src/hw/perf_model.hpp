@@ -28,7 +28,6 @@ struct AcceleratorDesign {
   SystolicArrayConfig array;
   TileConfig tile;
   double freq_mhz = 0.0;
-  mem::DdrModelOptions ddr_options;
 
   double peak_ops_per_sec() const { return array.peak_ops_per_sec(freq_mhz); }
 };
@@ -44,7 +43,8 @@ inline constexpr std::uint8_t kOnChipOutput = 1u << 3;
 /// chip (their transfer terms leave the max). The input-feature interface
 /// carries both the main input and the fused residual stream, so their
 /// off-chip times add. Mask 0 is the UMM latency. The one formula behind
-/// LayerTiming::umm_latency, core::LatencyTables and the DSE objectives.
+/// LayerTiming::umm_latency, core::LatencyTables, the DSE objectives and
+/// the timeline simulator's base latency per layer.
 inline double eq1_latency(double compute_s, double if_s, double res_s,
                           double wt_s, double of_s, std::uint8_t on_chip_mask) {
   const double if_term = ((on_chip_mask & kOnChipInput) ? 0.0 : if_s) +

@@ -18,30 +18,27 @@
 
 namespace lcmm::mem {
 
-struct DdrModelOptions {
-  /// Fixed per-burst overhead expressed in equivalent data bytes
-  /// (row activation/precharge, address phases, read-write turnaround).
-  double burst_overhead_bytes = 512.0;
-  /// Upper bound on efficiency (refresh, turnaround, controller overhead).
-  /// Tiled accelerator access patterns on DDR4 typically sustain 60-70% of
-  /// the pin bandwidth; the paper's motivation (§2.2) depends on streams
-  /// falling well short of their 25.6 GB/s theoretical share.
-  double max_efficiency = 0.55;
-  /// Number of concurrent tensor streams sharing the banks (if/wt/of).
-  int streams = 3;
-};
+/// Fixed per-burst overhead expressed in equivalent data bytes (row
+/// activation/precharge, address phases, read-write turnaround).
+inline constexpr double kDdrBurstOverheadBytes = 512.0;
+/// Upper bound on efficiency (refresh, turnaround, controller overhead).
+/// Tiled accelerator access patterns on DDR4 typically sustain 60-70% of
+/// the pin bandwidth; the paper's motivation (§2.2) depends on streams
+/// falling well short of their 25.6 GB/s theoretical share.
+inline constexpr double kDdrMaxEfficiency = 0.55;
+/// Number of concurrent tensor streams sharing the banks (if/wt/of).
+inline constexpr int kDdrStreams = 3;
 
 class DdrModel {
  public:
-  DdrModel(const hw::FpgaDevice& device, DdrModelOptions options = {});
+  explicit DdrModel(const hw::FpgaDevice& device);
 
-  /// Burst efficiency in (0, max_efficiency] for the given contiguous
+  /// Burst efficiency in (0, kDdrMaxEfficiency] for the given contiguous
   /// burst length in bytes.
-  double efficiency(double burst_bytes) const {
+  static double efficiency(double burst_bytes) {
     if (burst_bytes <= 0.0) return 0.0;
-    const double raw =
-        burst_bytes / (burst_bytes + options_.burst_overhead_bytes);
-    return raw < options_.max_efficiency ? raw : options_.max_efficiency;
+    const double raw = burst_bytes / (burst_bytes + kDdrBurstOverheadBytes);
+    return raw < kDdrMaxEfficiency ? raw : kDdrMaxEfficiency;
   }
 
   /// Theoretical per-stream bandwidth in bytes/second (the paper's
@@ -63,12 +60,8 @@ class DdrModel {
     return bytes / bw;
   }
 
-  const DdrModelOptions& options() const { return options_; }
-
  private:
-  double total_peak_bytes_per_sec_;
   double stream_peak_bytes_per_sec_ = 0.0;
-  DdrModelOptions options_;
 };
 
 }  // namespace lcmm::mem

@@ -109,8 +109,9 @@ TimelineOutput run_timeline(const core::AllocationPlan& plan,
                 (bit(mask, core::TensorSource::kResidual) ? 0.0 : timing.res_s);
     exec.wt_s = bit(mask, core::TensorSource::kWeight) ? 0.0 : timing.wt_s;
     exec.of_s = bit(mask, core::TensorSource::kOutput) ? 0.0 : timing.of_s;
-    const double base =
-        std::max({exec.compute_s, exec.if_s, exec.wt_s, exec.of_s});
+    const double base = hw::eq1_latency(timing.compute_s, timing.if_s,
+                                        timing.res_s, timing.wt_s,
+                                        timing.of_s, mask);
 
     // A prefetch targeting this step must have completed; the remainder
     // stalls the layer while the weight stream finishes the load.

@@ -46,11 +46,8 @@ TEST(Cli, PassToggles) {
 }
 
 TEST(Cli, NumericOptions) {
-  const Options opt = parse_cli(
-      {"--model", "m", "--dse-passes", "1", "--capacity-fraction", "0.5"});
-  EXPECT_EQ(opt.lcmm.dse_passes, 1);
+  const Options opt = parse_cli({"--model", "m", "--capacity-fraction", "0.5"});
   EXPECT_DOUBLE_EQ(opt.lcmm.sram_capacity_fraction, 0.5);
-  EXPECT_THROW(parse_cli({"--model", "m", "--dse-passes", "two"}), CliError);
   EXPECT_THROW(parse_cli({"--model", "m", "--capacity-fraction", "0.5x"}),
                CliError);
 }

@@ -142,10 +142,6 @@ TEST(Lcmm, BadOptionsThrow) {
   opt.sram_capacity_fraction = 0.0;
   EXPECT_THROW(LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt),
                std::invalid_argument);
-  opt = LcmmOptions{};
-  opt.dse_passes = 0;
-  EXPECT_THROW(LcmmCompiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt),
-               std::invalid_argument);
 }
 
 TEST(Lcmm, LinearModelsStillCompile) {

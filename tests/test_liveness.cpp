@@ -112,16 +112,6 @@ TEST(Liveness, MemoryBoundFilterShrinksSet) {
   }
 }
 
-TEST(Liveness, PoolExclusionFilter) {
-  auto g = models::build_googlenet();
-  hw::PerfModel model(g, small_design());
-  LivenessOptions opt = all_layers();
-  opt.include_pools = false;
-  for (const auto& e : build_feature_entities(model, opt)) {
-    EXPECT_TRUE(g.layer(e.key.layer).is_conv());
-  }
-}
-
 TEST(Liveness, StreamLatenciesComeFromTimingTables) {
   auto g = lcmm::testing::chain3();
   hw::PerfModel model(g, small_design());

@@ -14,7 +14,7 @@ TEST(Ddr, EfficiencyMonotoneInBurst) {
   for (double burst : {16.0, 64.0, 256.0, 1024.0, 4096.0, 65536.0}) {
     const double eff = ddr.efficiency(burst);
     EXPECT_GE(eff, prev);
-    EXPECT_LE(eff, ddr.options().max_efficiency + 1e-12);
+    EXPECT_LE(eff, kDdrMaxEfficiency + 1e-12);
     prev = eff;
   }
   EXPECT_DOUBLE_EQ(ddr.efficiency(0.0), 0.0);
@@ -22,7 +22,7 @@ TEST(Ddr, EfficiencyMonotoneInBurst) {
 
 TEST(Ddr, SaturatesAtCap) {
   DdrModel ddr(vu9p());
-  EXPECT_NEAR(ddr.efficiency(1e9), ddr.options().max_efficiency, 1e-9);
+  EXPECT_NEAR(ddr.efficiency(1e9), kDdrMaxEfficiency, 1e-9);
 }
 
 TEST(Ddr, StreamSplitMatchesPaper) {
@@ -42,15 +42,6 @@ TEST(Ddr, TransferSecondsScalesLinearly) {
 TEST(Ddr, ShorterBurstsAreSlower) {
   DdrModel ddr(vu9p());
   EXPECT_GT(ddr.transfer_seconds(1e6, 64.0), ddr.transfer_seconds(1e6, 4096.0));
-}
-
-TEST(Ddr, BadOptionsThrow) {
-  DdrModelOptions opt;
-  opt.streams = 0;
-  EXPECT_THROW(DdrModel(vu9p(), opt), std::invalid_argument);
-  opt = DdrModelOptions{};
-  opt.max_efficiency = 1.5;
-  EXPECT_THROW(DdrModel(vu9p(), opt), std::invalid_argument);
 }
 
 TEST(Sram, BlockArithmetic) {

@@ -40,6 +40,35 @@ INSTANTIATE_TEST_SUITE_P(Models, PlanValidation,
                                            "squeezenet"),
                          [](const auto& info) { return std::string(info.param); });
 
+// The seed-only path of bench/ablation_passes' single-dse row: the
+// stall-refined plan under the seed design (the UMM-optimal design at the
+// heavy-URAM clock, no refine DSE step) ships that design and checks clean.
+class SeedDesignValidation : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SeedDesignValidation, SeedOnlyPlanIsSound) {
+  auto g = models::build_by_name(GetParam());
+  const hw::Precision p = hw::Precision::kInt16;
+  for (const hw::FpgaDevice& device :
+       {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg()}) {
+    const hw::AcceleratorDesign seed =
+        hw::Dse(device, p, {.heavy_uram_use = true}).explore(g).design;
+    const AllocationPlan plan =
+        LcmmCompiler(device, p).compile_with_design(g, seed);
+    EXPECT_EQ(plan.design.array, seed.array) << device.name;
+    EXPECT_EQ(plan.design.tile, seed.tile) << device.name;
+    EXPECT_EQ(plan.design.freq_mhz, seed.freq_mhz) << device.name;
+    const check::CheckReport report = check_plan(g, plan);
+    EXPECT_EQ(report.num_errors(), 0) << device.name << "\n"
+                                      << check::to_text(report);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Zoo, SeedDesignValidation, ::testing::ValuesIn(models::model_names()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      return info.param;
+    });
+
 TEST(PlanValidation, RandomGraphsAreSound) {
   for (std::uint64_t seed = 20; seed < 30; ++seed) {
     auto g = models::random_graph(seed);
