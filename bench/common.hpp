@@ -18,15 +18,10 @@
 
 namespace lcmm::bench {
 
-/// Compiles and simulates one (network, precision) pair on VU9P through
-/// the batch driver, exactly as lcmm_compile ships it. A failed job prints
-/// its code and pass and exits non-zero, so a bench never reports numbers
-/// from an empty plan.
-inline driver::BatchOutcome run_pair(const graph::ComputationGraph& graph,
-                                     hw::Precision precision,
-                                     const core::LcmmOptions& options = {}) {
-  const driver::BatchJob job{
-      .graph = graph, .precision = precision, .options = options};
+/// Compiles and simulates one job through the batch driver, exactly as
+/// lcmm_compile ships it. A failed job prints its code and pass and exits
+/// non-zero, so a bench never reports numbers from an empty plan.
+inline driver::BatchOutcome run_job(const driver::BatchJob& job) {
   driver::BatchOutcome out = std::move(driver::compile_many({job}).front());
   if (!out.ok()) {
     std::fprintf(stderr, "bench compile of %s failed: %s in %s: %s\n",
@@ -36,6 +31,13 @@ inline driver::BatchOutcome run_pair(const graph::ComputationGraph& graph,
     std::exit(1);
   }
   return out;
+}
+
+/// Both designs of one (network, precision) pair on VU9P.
+inline driver::BatchOutcome run_pair(const graph::ComputationGraph& graph,
+                                     hw::Precision precision,
+                                     const core::LcmmOptions& options = {}) {
+  return run_job({.graph = graph, .precision = precision, .options = options});
 }
 
 /// Hard bench assertion on a compiler counter ("dnnk.dp_cells" or a bare

@@ -128,7 +128,7 @@ double MetricDelta::rel_change() const {
 }
 
 DiffResult diff_runs(const BenchRun& baseline, const BenchRun& current,
-                     const ToleranceSpec& spec, const DiffOptions& options) {
+                     const ToleranceSpec& spec) {
   if (baseline.suite() != current.suite()) {
     throw std::runtime_error("bench diff: suite mismatch ('" +
                              baseline.suite() + "' vs '" + current.suite() +
@@ -146,12 +146,12 @@ DiffResult diff_runs(const BenchRun& baseline, const BenchRun& current,
     d.has_base = true;
     d.base = base.value;
     d.tolerance = spec.lookup(result.suite, base);
-    d.gates = base.kind == Kind::kModel || options.include_wall;
+    d.gates = base.kind == Kind::kModel;
 
     const Metric* cur = current.find(d.key);
     if (cur == nullptr) {
       d.verdict = Verdict::kMissing;
-      if (d.gates && options.fail_on_missing) {
+      if (d.gates) {
         ++result.missing;
         result.gate_failed = true;
       }

@@ -78,19 +78,14 @@ struct MetricDelta {
   double base = 0.0, current = 0.0;
   Tolerance tolerance;
   Verdict verdict = Verdict::kWithinTolerance;
-  /// Whether this delta participates in the exit-code gate (model kind,
-  /// or wall kind when DiffOptions::include_wall).
+  /// Whether this delta participates in the exit-code gate (model kind
+  /// only: wall-clock metrics never gate).
   bool gates = false;
 
   double delta() const { return current - base; }
   /// Relative change vs the baseline; 0 when the baseline is 0 and the
   /// value did not move, otherwise infinity for a from-zero change.
   double rel_change() const;
-};
-
-struct DiffOptions {
-  bool include_wall = false;    ///< Gate wall-clock metrics too.
-  bool fail_on_missing = true;  ///< kMissing fails the gate.
 };
 
 struct DiffResult {
@@ -103,10 +98,11 @@ struct DiffResult {
   bool gate_failed = false;
 };
 
-/// Compares `current` against `baseline`. Throws std::runtime_error when
-/// the two runs come from different suites.
+/// Compares `current` against `baseline`; a gating baseline metric that
+/// is missing from `current` fails the gate. Throws std::runtime_error
+/// when the two runs come from different suites.
 DiffResult diff_runs(const BenchRun& baseline, const BenchRun& current,
-                     const ToleranceSpec& spec, const DiffOptions& options = {});
+                     const ToleranceSpec& spec);
 
 /// Renderers for the delta table. Text goes to terminals/CI logs;
 /// Markdown goes to PR summaries ($GITHUB_STEP_SUMMARY) and artifacts.

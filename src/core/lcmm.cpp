@@ -292,13 +292,15 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
   // The request's design space and simulated UMM baseline: built on first
   // use, then shared by the seed and refine DSE, the no-benefit fallback,
   // the floor and the caller. They live outside the retry, so an attempt
-  // that fails after building them leaves them to the next.
+  // that fails after building them leaves them to the next. The baseline
+  // is built only for one of its three consumers: the fallback, the floor
+  // or the caller.
   std::optional<hw::DesignSpace> space;
   std::optional<AllocationPlan> baseline;
   sim::SimResult base_sim;
   const auto job_space = [&]() -> const hw::DesignSpace& {
     if (!space) {
-      space.emplace(hw::Dse(device_, precision_, options_.dse).space(graph));
+      space.emplace(hw::Dse(device_, precision_).space(graph));
     }
     return *space;
   };
@@ -306,9 +308,16 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
     if (!baseline) baseline.emplace(compile_umm(graph, &job_space(), &base_sim));
     return *baseline;
   };
+  const bool caller_wants_umm = umm_baseline != nullptr || umm_sim != nullptr;
   sim::SimResult shipped_sim;
   const auto full_lcmm = [&] {
     AllocationPlan plan = compile_lcmm(graph, job_space(), shipped_sim);
+    if (!options_.allow_fallback_to_umm && !caller_wants_umm) {
+      LCMM_INFO() << "LCMM(" << graph.name() << "): "
+                  << plan.est_latency_s * 1e3 << " ms, POL "
+                  << plan.pol() * 100 << "%";
+      return plan;
+    }
     // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
     // use. If the allocation gains do not cover it (compute-bound
     // network), ship the uniform design unchanged — a real toolflow would
@@ -409,7 +418,7 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
   return retry_transient_once("UMM", graph, options_.strict, [&] {
     std::optional<hw::DesignSpace> own;
     if (space == nullptr) {
-      own.emplace(hw::Dse(device_, precision_, options_.dse).space(graph));
+      own.emplace(hw::Dse(device_, precision_).space(graph));
     }
     const hw::DseResult seed =
         (own ? *own : *space).argmin(/*heavy_uram_use=*/false);

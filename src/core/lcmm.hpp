@@ -57,11 +57,10 @@ struct LcmmOptions {
   /// Fraction of post-tile-buffer SRAM handed to DNNK as R_sram (the rest
   /// is routing/control margin).
   double sram_capacity_fraction = 0.90;
-  /// The design space's candidates. A compile reads only
-  /// `allow_int8_packing`: it picks the clock per objective itself (the
-  /// heavy-URAM clock for LCMM designs, the uniform one for the UMM
-  /// baseline) and never reads `heavy_uram_use`, which only a standalone
-  /// Dse::explore(graph) honours.
+  /// The design-space options. A compile reads nothing from them: it picks
+  /// the clock per objective itself (the heavy-URAM clock for LCMM
+  /// designs, the uniform one for the UMM baseline), and `heavy_uram_use`
+  /// only steers a standalone Dse::explore(graph).
   hw::DseOptions dse;
   LivenessOptions liveness;
   AllocatorOptions alloc;
@@ -143,8 +142,9 @@ class LcmmCompiler {
   /// Full LCMM compilation, stall refinement and fallback included: the
   /// result is the plan that ships. A transient failure is retried once on
   /// the same inputs unless `strict`; any other failure ships the UMM floor
-  /// (under `strict` it propagates). The UMM baseline it compiles for the
-  /// no-benefit fallback and the floor is copied to `umm_baseline` when
+  /// (under `strict` it propagates). The UMM baseline is compiled only for
+  /// the no-benefit fallback, the floor, or a caller that passes
+  /// `umm_baseline` or `umm_sim`: it is copied to `umm_baseline` when
   /// given — equal to compile_umm(graph), without a second design-space
   /// evaluation — and its simulation to `umm_sim`; the returned plan's
   /// simulation goes to `plan_sim`. Both equal sim::simulate bit for bit.

@@ -35,7 +35,6 @@ constexpr int kCols[] = {8, 11, 14, 16, 22, 32};
 constexpr int kSimd[] = {4, 8, 16, 32};
 constexpr int kTc[] = {16, 32, 64, 128};
 constexpr int kSpatial[] = {4, 7, 8, 14, 16, 17, 28};
-constexpr int kMaxPixelPack = 2;
 
 /// Position of `value` on a menu axis.
 template <std::size_t N>
@@ -45,8 +44,8 @@ std::size_t axis_index(const int (&axis)[N], int value) {
 
 /// The lexicographic minimum of (latency, DSP cost, menu index) over the
 /// finite latencies offered. Neither the winner nor the tie count depends
-/// on the order of the offers, so the exhaustive and the pruned scans pick
-/// the same design bit for bit.
+/// on the order of the offers, so the pruned scan picks the design an
+/// exhaustive one would, bit for bit.
 class Incumbent {
  public:
   Incumbent(const std::vector<DseCandidate>& menu, Precision precision)
@@ -125,8 +124,7 @@ class Incumbent {
 class KeyIds {
  public:
   // The menu axes give fewer keys than an 8-bit id can number.
-  static_assert(std::size(kCols) * kMaxPixelPack * std::size(kSpatial) <
-                0xff);
+  static_assert(std::size(kCols) * std::size(kSpatial) < 0xff);
 
   explicit KeyIds(std::size_t slots) : ids_(slots, kNone) {}
 
@@ -435,27 +433,18 @@ std::int64_t Dse::tile_bram_budget() const {
 
 std::vector<SystolicArrayConfig> Dse::array_candidates() const {
   const int budget = dsp_budget();
-  std::vector<int> packs = {1};
-  if (options_.allow_int8_packing && precision_ == Precision::kInt8) {
-    packs.push_back(kMaxPixelPack);
-  }
-  // One generator builds both menus: the fallback used to rebuild configs
-  // from scratch without the pack dimension, silently costing int8 on
-  // small devices its dual-packed candidates.
   const auto enumerate = [&](bool prune_dominated) {
     std::vector<SystolicArrayConfig> out;
-    for (int pack : packs) {
-      for (int r : kRows) {
-        for (int c : kCols) {
-          for (int s : kSimd) {
-            const SystolicArrayConfig cfg{r, c, s, pack};
-            const int cost = cfg.dsp_cost(precision_);
-            if (cost > budget) continue;
-            // Discard configs below half budget: they are strictly dominated
-            // by a larger legal sibling and only slow the search down.
-            if (prune_dominated && cost * 2 <= budget) continue;
-            out.push_back(cfg);
-          }
+    for (int r : kRows) {
+      for (int c : kCols) {
+        for (int s : kSimd) {
+          const SystolicArrayConfig cfg{r, c, s};
+          const int cost = cfg.dsp_cost(precision_);
+          if (cost > budget) continue;
+          // Discard configs below half budget: they are strictly dominated
+          // by a larger legal sibling and only slow the search down.
+          if (prune_dominated && cost * 2 <= budget) continue;
+          out.push_back(cfg);
         }
       }
     }
@@ -463,7 +452,9 @@ std::vector<SystolicArrayConfig> Dse::array_candidates() const {
   };
   std::vector<SystolicArrayConfig> out = enumerate(/*prune_dominated=*/true);
   if (out.empty()) {
-    // Tiny devices / fp32: accept anything that fits.
+    // Consecutive config costs differ by less than 2x, so the prune empties
+    // the menu only when the budget is at least twice the costliest config:
+    // then accept anything that fits.
     out = enumerate(/*prune_dominated=*/false);
   }
   return out;
@@ -520,11 +511,11 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   const std::size_t num_classes = shapes.size();
 
   // Place each candidate on the menu axes. The tile counts read one axis
-  // each (rows, tc, spatial), the pixel steps (effective cols, spatial)
-  // and the reduction steps (simd, tc); each term is computed once per
+  // each (rows, tc, spatial), the pixel steps (cols, spatial) and the
+  // reduction steps (simd, tc); each term is computed once per
   // axis value or key that some candidate uses, on its first such
   // candidate. Menu tiles are square.
-  KeyIds px_ids((kMaxPixelPack * std::ranges::max(kCols) + 1) * kNumSpatial);
+  KeyIds px_ids(std::size(kCols) * kNumSpatial);
   KeyIds red_ids(std::size(kSimd) * kNumTc);
   std::size_t rows_first[kNumRows], tc_first[kNumTc], spatial_first[kNumSpatial];
   std::fill(std::begin(rows_first), std::end(rows_first), menu.size());
@@ -537,8 +528,7 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
     a.rows = static_cast<std::uint8_t>(axis_index(kRows, array.rows));
     a.tc = static_cast<std::uint8_t>(axis_index(kTc, tile.tc));
     a.spatial = static_cast<std::uint8_t>(axis_index(kSpatial, tile.th));
-    a.px = px_ids.id(static_cast<std::size_t>(array.effective_cols()) *
-                             kNumSpatial + a.spatial, i);
+    a.px = px_ids.id(axis_index(kCols, array.cols) * kNumSpatial + a.spatial, i);
     a.red = red_ids.id(axis_index(kSimd, array.simd) * kNumTc + a.tc, i);
     rows_first[a.rows] = std::min(rows_first[a.rows], i);
     tc_first[a.tc] = std::min(tc_first[a.tc], i);
@@ -598,7 +588,7 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
       px_ids.first,
       [](const ShapeKey& s) { return std::tuple{s.out_height, s.out_width}; },
       [](const ShapeKey& shape, const DseCandidate& c) {
-        return px_steps(shape, c.tile.th, c.tile.tw, c.array.effective_cols());
+        return px_steps(shape, c.tile.th, c.tile.tw, c.array.cols);
       });
   out.red_ = conv_terms(
       red_ids.first,
@@ -666,28 +656,8 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   return out;
 }
 
-DseResult Dse::explore(const graph::ComputationGraph& graph,
-                       const Objective& objective) const {
-  if (!objective) return space(graph).argmin(options_.heavy_uram_use);
-
-  LCMM_SPAN("dse");
-  resil::fault::hit("dse.explore");
-  LCMM_COUNT("argmins", 1);
-  const std::vector<DseCandidate> candidates = menu(graph, shape_classes(graph));
-  const double freq = device_.clock_mhz(precision_, options_.heavy_uram_use);
-  AcceleratorDesign design;
-  design.device = device_;
-  design.precision = precision_;
-  design.freq_mhz = freq;
-  Incumbent best(candidates, precision_);
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    design.array = candidates[i].array;
-    design.tile = candidates[i].tile;
-    best.offer(i, objective(design));
-  }
-  LCMM_COUNT("candidates_evaluated",
-             static_cast<std::int64_t>(candidates.size()));
-  return best.result(device_, freq, graph.name());
+DseResult Dse::explore(const graph::ComputationGraph& graph) const {
+  return space(graph).argmin(options_.heavy_uram_use);
 }
 
 }  // namespace lcmm::hw

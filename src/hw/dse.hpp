@@ -4,7 +4,8 @@
 //
 // The DSE enumerates array/tile candidates under a DSP budget (83% of the
 // device) and a BRAM budget (15%) for the double-buffered tile buffers,
-// and minimizes a latency objective. The default objective is the UMM
+// and minimizes a latency objective. Arrays run one MAC per DSP (five at
+// fp32), as the template of [18] does. The first objective is the UMM
 // latency (every tensor off-chip); the LCMM driver re-runs the DSE with an
 // allocation-aware objective, which is how "smaller tile sizes improve
 // computation efficiency once the bandwidth bottleneck is gone" (§4.1)
@@ -33,7 +34,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,10 +45,6 @@ namespace lcmm::hw {
 struct DseOptions {
   /// Whether the design will rely on URAM tensor buffers (costs clock).
   bool heavy_uram_use = false;
-  /// Allow int8 DSP pixel packing (2 MACs/DSP) in the candidate space.
-  /// Off by default: the paper's baseline [18] does not pack (its quoted
-  /// 2.7 Tops peak is one MAC per DSP).
-  bool allow_int8_packing = false;
 };
 
 struct DseResult {
@@ -112,8 +108,9 @@ class DesignSpace {
   /// that `heavy_uram_use` implies, with layer l's streams in
   /// `on_chip_masks[l]` on chip (hw::kOnChip* bits; empty = nothing on
   /// chip, the UMM objective). Sums run in layer order and ties break on
-  /// (DSP cost, menu index), exactly as Dse::explore with the matching
-  /// PerfModel / LatencyTables objective. Evaluates candidates in
+  /// (DSP cost, menu index), exactly as an exhaustive scan of the menu
+  /// under the matching PerfModel / LatencyTables objective (the test
+  /// oracle in tests/oracle/dse.hpp). Evaluates candidates in
   /// (C_i, menu index) order until latency_bound exceeds the best latency;
   /// every candidate that ties with the winner or beats it is evaluated,
   /// so the pruning never changes the result.
@@ -133,7 +130,7 @@ class DesignSpace {
   };
 
   /// Where a candidate reads its terms: its rows, tc and spatial values as
-  /// menu axis positions, and its pixel-step ((effective cols, spatial))
+  /// menu axis positions, and its pixel-step ((cols, spatial))
   /// and reduction-step ((simd, tc)) term rows.
   struct Axes {
     std::uint8_t rows = 0;
@@ -204,23 +201,16 @@ class Dse {
  public:
   Dse(FpgaDevice device, Precision precision, DseOptions options = {});
 
-  /// Latency objective: maps a complete design to estimated seconds.
-  using Objective = std::function<double(const AcceleratorDesign&)>;
-
   /// Builds `graph`'s design space: the menu, the shape classes, the
   /// compute cycles and the scan order. The stream rows are filled later,
   /// one at a time, by the argmin walks that need them. The space borrows
   /// `graph`. Throws CompileError(kNoFeasibleDesign) if no candidate fits.
   DesignSpace space(const graph::ComputationGraph& graph) const;
 
-  /// Explores the candidate space for `graph`. With no objective, minimizes
-  /// the UMM total latency at the options' clock (space(graph).argmin()).
-  /// Throws CompileError(kNoFeasibleDesign) if no candidate fits.
-  /// An objective is evaluated on every candidate in menu order; latency
-  /// ties break on DSP cost, then menu index, exactly as in
-  /// DesignSpace::argmin, whose exhaustive reference this is.
-  DseResult explore(const graph::ComputationGraph& graph,
-                    const Objective& objective = nullptr) const;
+  /// The design minimizing `graph`'s UMM total latency at the options'
+  /// clock: space(graph).argmin(heavy_uram_use). Throws
+  /// CompileError(kNoFeasibleDesign) if no candidate fits.
+  DseResult explore(const graph::ComputationGraph& graph) const;
 
   /// PE-array shapes within the DSP budget.
   std::vector<SystolicArrayConfig> array_candidates() const;
@@ -228,7 +218,6 @@ class Dse {
   std::vector<TileConfig> tile_candidates(const graph::ComputationGraph& graph,
                                           const SystolicArrayConfig& array) const;
 
-  const DseOptions& options() const { return options_; }
   int dsp_budget() const;
   /// Bytes of BRAM the double-buffered tile buffers may take: a tile is
   /// legal when tile_buffer_bytes(graph, array, tile, p).total() is at

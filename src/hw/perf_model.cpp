@@ -34,11 +34,6 @@ PerfModel::PerfModel(const graph::ComputationGraph& graph,
     throw resil::OptionError(resil::Code::kBadArgument, "hw.perf_model",
                              "PerfModel: incomplete accelerator design");
   }
-  if (design_.array.pixel_pack > 1 && design_.precision != Precision::kInt8) {
-    throw resil::OptionError(
-        resil::Code::kBadArgument, "hw.perf_model",
-        "PerfModel: DSP pixel packing requires 8-bit precision");
-  }
   timings_.reserve(graph.num_layers());
   for (const graph::Layer& layer : graph.layers()) {
     timings_.push_back(scale_to_clock(layer_cost(graph, layer.id, design_, ddr_),
@@ -53,14 +48,13 @@ const LayerTiming& PerfModel::timing(graph::LayerId id) const {
   return timings_[static_cast<std::size_t>(id)];
 }
 
-std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
-                      int effective_cols) {
+std::int64_t px_steps(const ShapeKey& shape, int th, int tw, int cols) {
   const std::int64_t full_h = shape.out_height / th;
   const std::int64_t edge_h = shape.out_height % th;
   const std::int64_t full_w = shape.out_width / tw;
   const std::int64_t edge_w = shape.out_width % tw;
   const auto steps = [&](std::int64_t h, std::int64_t w) {
-    return ceil_div(h * w, effective_cols);
+    return ceil_div(h * w, cols);
   };
   std::int64_t total = full_h * full_w * steps(th, tw);
   if (edge_w > 0) total += full_h * steps(th, edge_w);
@@ -98,8 +92,7 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
   LayerCost c = stream_cost(shape, geom, design, ddr);
   c.cycles = shape.is_conv()
                  ? conv_cycles(geom.n_m,
-                               px_steps(shape, tile.th, tile.tw,
-                                        array.effective_cols()),
+                               px_steps(shape, tile.th, tile.tw, array.cols),
                                red_steps(shape, tile.tc, array.simd),
                                geom.total_tiles(), array)
                  : pool_cycles(shape);

@@ -100,11 +100,10 @@ LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
 // arithmetic on it.
 
 /// Pixel steps of one m-tile of a conv: Σ over its th x tw output tiles
-/// of ceil(tile pixels / effective_cols). Boundary tiles process their true
-/// extents; only the pixel-group granularity rounds up. Exact closed form:
-/// full tiles x one full tile, plus the h-edge, w-edge and corner tiles.
-std::int64_t px_steps(const ShapeKey& shape, int th, int tw,
-                      int effective_cols);
+/// of ceil(tile pixels / cols). Boundary tiles process their true extents;
+/// only the pixel-group granularity rounds up. Exact closed form: full
+/// tiles x one full tile, plus the h-edge, w-edge and corner tiles.
+std::int64_t px_steps(const ShapeKey& shape, int th, int tw, int cols);
 
 /// Reduction steps of a conv: Σ over its tc-channel tiles of the
 /// per-group input channels of ceil(channels x kernel area / simd), in

@@ -20,32 +20,21 @@ struct SystolicArrayConfig {
   int rows = 0;
   int cols = 0;
   int simd = 0;
-  /// DSP packing factor: a DSP48E2 can perform two int8 MACs that share a
-  /// weight (two adjacent output pixels), doubling pixel throughput at the
-  /// same DSP cost. Only valid at 8-bit; 1 everywhere else.
-  int pixel_pack = 1;
 
   std::int64_t macs_per_cycle() const {
-    return static_cast<std::int64_t>(rows) * cols * simd * pixel_pack;
+    return static_cast<std::int64_t>(rows) * cols * simd;
   }
-  /// Output pixels consumed per cycle (the pixel-loop unroll width).
-  int effective_cols() const { return cols * pixel_pack; }
   int dsp_cost(Precision p) const {
-    // Packed MACs share DSPs, so the cost ignores pixel_pack.
-    return static_cast<int>(static_cast<std::int64_t>(rows) * cols * simd *
-                            dsps_per_mac(p));
+    return static_cast<int>(macs_per_cycle() * dsps_per_mac(p));
   }
   /// Peak arithmetic throughput in ops/s (2 ops per MAC).
   double peak_ops_per_sec(double freq_mhz) const {
     return 2.0 * static_cast<double>(macs_per_cycle()) * freq_mhz * 1e6;
   }
-  bool valid() const {
-    return rows > 0 && cols > 0 && simd > 0 &&
-           (pixel_pack == 1 || pixel_pack == 2);
-  }
+  bool valid() const { return rows > 0 && cols > 0 && simd > 0; }
   std::string to_string() const {
     return std::to_string(rows) + "x" + std::to_string(cols) + "x" +
-           std::to_string(simd) + (pixel_pack > 1 ? "p2" : "");
+           std::to_string(simd);
   }
   bool operator==(const SystolicArrayConfig&) const = default;
 };

@@ -136,8 +136,7 @@ TileSimResult simulate_layer_tiles(const hw::PerfModel& model,
                                                      layer.conv.kernel_w - 1);
         const int in_cols = std::max(0, in_c1 - in_c0 + 1);
         const std::int64_t px_steps =
-            ceil_div(static_cast<std::int64_t>(th_t) * tw_t,
-                     array.effective_cols());
+            ceil_div(static_cast<std::int64_t>(th_t) * tw_t, array.cols);
         for (int c0 = 0; c0 < geom.group_channels; c0 += tile.tc) {
           const int c_t = std::min(tile.tc, geom.group_channels - c0);
           const bool last_c = c0 + tile.tc >= geom.group_channels;

@@ -1,4 +1,5 @@
-// Timeline simulator: executes an AllocationPlan layer by layer.
+// Timeline simulator: executes one inference of an AllocationPlan layer
+// by layer.
 //
 // Per layer, compute and the three DRAM streams overlap via double
 // buffering (Eq. 1); on-chip tensors drop their stream terms. Weight
@@ -6,7 +7,9 @@
 // of the layers inside their prefetch window, in target order; whatever
 // has not arrived when the target layer starts becomes a stall. This is
 // where the paper's "weight loading could be hidden by the execution of
-// the nodes before Ck" is actually tested rather than assumed.
+// the nodes before Ck" is actually tested rather than assumed. A window
+// the backtrace could not fit (kBeforeExecution) opens at the first step;
+// resident weights are loaded before execution and never requested.
 //
 // Cost: a cursor over the target-sorted requests charges the stalls, and
 // the requests whose window is open wait in a target-ordered active list,
@@ -49,26 +52,6 @@ struct SimResult {
 SimResult simulate(const hw::PerfModel& model, const core::AllocationPlan& plan);
 SimResult simulate(const graph::ComputationGraph& graph,
                    const core::AllocationPlan& plan);
-
-/// Steady-state streaming execution of `images` back-to-back inferences.
-/// Prefetches for image k may start during image k-1 (weights are the same
-/// every inference), so stalls that hit the first image's early layers
-/// disappear in steady state — the paper's "weights could be reused for
-/// multiple instances of inference".
-struct StreamResult {
-  int images = 0;
-  double total_s = 0.0;
-  double first_image_s = 0.0;
-  /// Per-image latency once the pipeline has warmed up (last image).
-  double steady_image_s = 0.0;
-  double total_stall_s = 0.0;
-  double throughput_images_per_s() const {
-    return total_s > 0 ? images / total_s : 0.0;
-  }
-};
-
-StreamResult simulate_stream(const graph::ComputationGraph& graph,
-                             const core::AllocationPlan& plan, int images);
 
 /// Demotes on-chip weight tensors whose prefetch stalls make the layer
 /// slower than its UMM latency (rare; early layers with no window),

@@ -59,8 +59,8 @@ ScanColoring scan_color_min_total_size(const core::InterferenceGraph& graph) {
 namespace {
 
 struct PrefetchRequest {
-  std::int64_t target_abs = 0;
-  std::int64_t start_abs = 0;
+  std::int64_t target = 0;
+  std::int64_t start = 0;
   double remaining_s = 0.0;
 };
 
@@ -68,58 +68,46 @@ bool bit(std::uint8_t mask, core::TensorSource s) {
   return (mask >> static_cast<int>(s)) & 1u;
 }
 
-struct TimelineOutput {
-  std::vector<sim::LayerExecution> layers;
-  double total_s = 0.0;
-  double total_stall_s = 0.0;
-  double hidden_prefetch_s = 0.0;
-  std::vector<double> image_end_s;
-};
+}  // namespace
 
-TimelineOutput scan_timeline(const core::AllocationPlan& plan,
-                             const hw::PerfModel& model, int images) {
+sim::SimResult scan_simulate(const hw::PerfModel& model,
+                             const core::AllocationPlan& plan) {
   const graph::ComputationGraph& graph = model.graph();
   const std::int64_t steps = static_cast<std::int64_t>(graph.num_layers());
 
   std::vector<PrefetchRequest> requests;
-  for (int img = 0; img < images; ++img) {
-    const std::int64_t base = static_cast<std::int64_t>(img) * steps;
-    for (const graph::Layer& layer : graph.layers()) {
-      if (!plan.state.is_on({layer.id, core::TensorSource::kWeight})) continue;
-      if (std::find(plan.resident_weights.begin(), plan.resident_weights.end(),
-                    layer.id) != plan.resident_weights.end()) {
-        continue;
-      }
-      PrefetchRequest r;
-      r.target_abs = base + layer.id;
-      double load = 0.0;
-      int start_step = core::kBeforeExecution;
-      if (const core::PrefetchEdge* edge = plan.prefetch.edge_for(layer.id)) {
-        start_step = edge->start_step;
-        load = edge->load_seconds;
-      } else {
-        load = model.ddr().transfer_seconds(
-            static_cast<double>(graph.layer_weight_elems(layer.id)) *
-                hw::bytes_per_elem(plan.design.precision),
-            4096.0);
-      }
-      r.start_abs = start_step == core::kBeforeExecution
-                        ? std::max<std::int64_t>(0, base - steps)
-                        : base + start_step;
-      r.remaining_s = load;
-      requests.push_back(r);
+  for (const graph::Layer& layer : graph.layers()) {
+    if (!plan.state.is_on({layer.id, core::TensorSource::kWeight})) continue;
+    if (std::find(plan.resident_weights.begin(), plan.resident_weights.end(),
+                  layer.id) != plan.resident_weights.end()) {
+      continue;
     }
+    PrefetchRequest r;
+    r.target = layer.id;
+    double load = 0.0;
+    int start_step = core::kBeforeExecution;
+    if (const core::PrefetchEdge* edge = plan.prefetch.edge_for(layer.id)) {
+      start_step = edge->start_step;
+      load = edge->load_seconds;
+    } else {
+      load = model.ddr().transfer_seconds(
+          static_cast<double>(graph.layer_weight_elems(layer.id)) *
+              hw::bytes_per_elem(plan.design.precision),
+          4096.0);
+    }
+    r.start = start_step == core::kBeforeExecution ? 0 : start_step;
+    r.remaining_s = load;
+    requests.push_back(r);
   }
   std::sort(requests.begin(), requests.end(),
             [](const PrefetchRequest& a, const PrefetchRequest& b) {
-              return a.target_abs < b.target_abs;
+              return a.target < b.target;
             });
 
-  TimelineOutput out;
-  out.image_end_s.resize(static_cast<std::size_t>(images), 0.0);
+  sim::SimResult out;
   double t = 0.0;
-  for (std::int64_t abs = 0; abs < steps * images; ++abs) {
-    const auto id = static_cast<graph::LayerId>(abs % steps);
+  for (std::int64_t step = 0; step < steps; ++step) {
+    const auto id = static_cast<graph::LayerId>(step);
     const hw::LayerTiming& timing = model.timing(id);
     const std::uint8_t mask = plan.state.layer_mask(id);
 
@@ -134,7 +122,7 @@ TimelineOutput scan_timeline(const core::AllocationPlan& plan,
         std::max({exec.compute_s, exec.if_s, exec.wt_s, exec.of_s});
 
     for (PrefetchRequest& r : requests) {
-      if (r.target_abs == abs && r.remaining_s > 0.0) {
+      if (r.target == step && r.remaining_s > 0.0) {
         exec.stall_s += r.remaining_s;
         r.remaining_s = 0.0;
       }
@@ -148,8 +136,8 @@ TimelineOutput scan_timeline(const core::AllocationPlan& plan,
     for (PrefetchRequest& r : requests) {
       if (free_wt <= 0.0) break;
       if (r.remaining_s <= 0.0) continue;
-      if (r.target_abs <= abs) continue;
-      if (r.start_abs > abs) continue;
+      if (r.target <= step) continue;
+      if (r.start > step) continue;
       const double granted = std::min(free_wt, r.remaining_s);
       r.remaining_s -= granted;
       free_wt -= granted;
@@ -157,43 +145,10 @@ TimelineOutput scan_timeline(const core::AllocationPlan& plan,
     }
 
     t = exec.end_s;
-    if ((abs + 1) % steps == 0) {
-      out.image_end_s[static_cast<std::size_t>(abs / steps)] = t;
-    }
     out.layers.push_back(exec);
   }
   out.total_s = t;
   return out;
-}
-
-}  // namespace
-
-sim::SimResult scan_simulate(const hw::PerfModel& model,
-                             const core::AllocationPlan& plan) {
-  TimelineOutput out = scan_timeline(plan, model, 1);
-  sim::SimResult result;
-  result.total_s = out.total_s;
-  result.total_stall_s = out.total_stall_s;
-  result.hidden_prefetch_s = out.hidden_prefetch_s;
-  result.layers = std::move(out.layers);
-  return result;
-}
-
-sim::StreamResult scan_simulate_stream(const graph::ComputationGraph& graph,
-                                       const core::AllocationPlan& plan,
-                                       int images) {
-  const TimelineOutput out =
-      scan_timeline(plan, hw::PerfModel(graph, plan.design), images);
-  sim::StreamResult result;
-  result.images = images;
-  result.total_s = out.total_s;
-  result.total_stall_s = out.total_stall_s;
-  result.first_image_s = out.image_end_s.front();
-  result.steady_image_s =
-      images == 1 ? out.image_end_s.front()
-                  : out.image_end_s[static_cast<std::size_t>(images - 1)] -
-                        out.image_end_s[static_cast<std::size_t>(images - 2)];
-  return result;
 }
 
 }  // namespace lcmm::oracle

@@ -1,8 +1,9 @@
 // Test-only references: the member-scan coloring and the two-scan
 // timeline that core::color_min_total_size and the simulator replaced.
-// Both are quadratic and kept exactly as they were, so the differential
-// tests (test_differential.cpp) can hold the fast versions to them bit for
-// bit: same colors, same candidate count, same doubles.
+// Both are quadratic and kept as they were (the timeline for one
+// inference), so the differential tests (test_differential.cpp) can hold
+// the fast versions to them bit for bit: same colors, same candidate
+// count, same doubles.
 #pragma once
 
 #include <cstdint>
@@ -23,12 +24,9 @@ struct ScanColoring {
 /// every candidate color.
 ScanColoring scan_color_min_total_size(const core::InterferenceGraph& graph);
 
-/// The timeline that walks every prefetch request twice per step, as
-/// sim::simulate and sim::simulate_stream.
+/// The single-inference timeline that walks every prefetch request twice
+/// per step, as sim::simulate did.
 sim::SimResult scan_simulate(const hw::PerfModel& model,
                              const core::AllocationPlan& plan);
-sim::StreamResult scan_simulate_stream(const graph::ComputationGraph& graph,
-                                       const core::AllocationPlan& plan,
-                                       int images);
 
 }  // namespace lcmm::oracle

@@ -175,14 +175,20 @@ TEST(Diff, WithinToleranceDoesNotGate) {
   EXPECT_EQ(r.deltas[0].verdict, Verdict::kWithinTolerance);
 }
 
-TEST(Diff, MissingModelMetricGatesUnlessAllowed) {
+TEST(Diff, MissingModelMetricGates) {
   BenchRun base("unit_suite");
   base.add("speedup", 2.0, "x", Direction::kHigherIsBetter);
   const BenchRun cur("unit_suite");
-  EXPECT_TRUE(diff_runs(base, cur, ToleranceSpec{}).gate_failed);
-  DiffOptions allow;
-  allow.fail_on_missing = false;
-  EXPECT_FALSE(diff_runs(base, cur, ToleranceSpec{}, allow).gate_failed);
+  const DiffResult r = diff_runs(base, cur, ToleranceSpec{});
+  EXPECT_TRUE(r.gate_failed);
+  EXPECT_EQ(r.missing, 1);
+  // A missing wall-clock metric is reported but never gates.
+  BenchRun wall_base("unit_suite");
+  wall_base.add_wall("compile_wall_s", 1.0);
+  const DiffResult w = diff_runs(wall_base, cur, ToleranceSpec{});
+  EXPECT_FALSE(w.gate_failed);
+  EXPECT_EQ(w.missing, 0);
+  EXPECT_EQ(w.deltas.at(0).verdict, Verdict::kMissing);
 }
 
 TEST(Diff, SuiteMismatchThrows) {

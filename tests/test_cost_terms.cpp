@@ -36,13 +36,13 @@ std::int64_t fetched_extent_loop(int out_extent, int tile, int kernel,
 
 /// Reference: pixel steps summed over every th x tw output tile.
 std::int64_t px_steps_loop(const graph::FeatureShape& out, int th, int tw,
-                           int effective_cols) {
+                           int cols) {
   std::int64_t total = 0;
   for (int h0 = 0; h0 < out.height; h0 += th) {
     const std::int64_t th_t = std::min(th, out.height - h0);
     for (int w0 = 0; w0 < out.width; w0 += tw) {
       const std::int64_t tw_t = std::min(tw, out.width - w0);
-      total += ceil_div(th_t * tw_t, effective_cols);
+      total += ceil_div(th_t * tw_t, cols);
     }
   }
   return total;
@@ -87,25 +87,22 @@ TEST(CostTerms, FetchedExtentMatchesTheTileLoopExhaustively) {
   EXPECT_GT(cases, 700000);
 }
 
-/// Every tile, effective column count and SIMD width on the DSE menus of
-/// every device and precision (int8 with packing adds the packed column
-/// counts).
+/// Every tile, column count and SIMD width on the DSE menus of every
+/// device and precision.
 struct MenuDims {
   std::vector<TileConfig> tiles;
-  std::set<int> effective_cols;
+  std::set<int> cols;
   std::set<int> simd;
 };
 
 MenuDims menu_dims(const graph::ComputationGraph& g) {
   MenuDims dims;
-  DseOptions options;
-  options.allow_int8_packing = true;
   for (const FpgaDevice& device :
        {FpgaDevice::vu9p(), FpgaDevice::zu9eg(), FpgaDevice::u250()}) {
     for (Precision p : kAllPrecisions) {
-      const Dse dse(device, p, options);
+      const Dse dse(device, p);
       for (const SystolicArrayConfig& a : dse.array_candidates()) {
-        dims.effective_cols.insert(a.effective_cols());
+        dims.cols.insert(a.cols);
         dims.simd.insert(a.simd);
         for (const TileConfig& t : dse.tile_candidates(g, a)) {
           if (std::find(dims.tiles.begin(), dims.tiles.end(), t) ==
@@ -142,7 +139,7 @@ TEST_P(CostTermsZoo, ClosedFormsMatchTheTileLoopsOnTheMenu) {
                   fetched_extent_loop(out.width, t.tw, c.kernel_w, c.stride,
                                       in.width, c.pad_w))
             << layer.name << " " << t.to_string();
-        for (int cols : dims.effective_cols) {
+        for (int cols : dims.cols) {
           EXPECT_EQ(px_steps(shape, t.th, t.tw, cols),
                     px_steps_loop(out, t.th, t.tw, cols))
               << layer.name << " " << t.to_string() << " cols " << cols;

@@ -18,6 +18,7 @@
 #include "hw/dse.hpp"
 #include "models/models.hpp"
 #include "obs/stats.hpp"
+#include "oracle/dse.hpp"
 #include "resil/error.hpp"
 #include "test_graphs.hpp"
 
@@ -41,16 +42,14 @@ void expect_same(const DseResult& table, const DseResult& reference,
 void expect_umm_equivalence(const graph::ComputationGraph& g,
                             const FpgaDevice& device, Precision p) {
   for (bool heavy : {false, true}) {
-    DseOptions options;
-    options.heavy_uram_use = heavy;
-    const Dse dse(device, p, options);
+    const Dse dse(device, p, {.heavy_uram_use = heavy});
     const std::string what = g.name() + " " + device.name + " " + to_string(p) +
                              (heavy ? " heavy-uram" : " uniform");
     expect_same(dse.explore(g),
-                dse.explore(g,
-                            [&](const AcceleratorDesign& d) {
-                              return PerfModel(g, d).umm_total_latency();
-                            }),
+                oracle::explore(g, device, p, heavy,
+                                [&](const AcceleratorDesign& d) {
+                                  return PerfModel(g, d).umm_total_latency();
+                                }),
                 what);
   }
 }
@@ -60,17 +59,14 @@ void expect_umm_equivalence(const graph::ComputationGraph& g,
 void expect_refine_equivalence(const graph::ComputationGraph& g,
                                const FpgaDevice& device, Precision p) {
   const core::AllocationPlan plan = core::LcmmCompiler(device, p).compile(g);
-  DseOptions options;
-  options.heavy_uram_use = true;
-  const Dse dse(device, p, options);
-  const DesignSpace space = dse.space(g);
+  const DesignSpace space = Dse(device, p).space(g);
   expect_same(space.argmin(/*heavy_uram_use=*/true, plan.state.masks()),
-              dse.explore(g,
-                          [&](const AcceleratorDesign& d) {
-                            const PerfModel model(g, d);
-                            return core::LatencyTables(model).total_latency(
-                                plan.state);
-                          }),
+              oracle::explore(g, device, p, /*heavy_uram_use=*/true,
+                              [&](const AcceleratorDesign& d) {
+                                const PerfModel model(g, d);
+                                return core::LatencyTables(model).total_latency(
+                                    plan.state);
+                              }),
               g.name() + " " + device.name + " " + to_string(p) + " refine");
 }
 
@@ -201,45 +197,40 @@ TEST(DseTable, MenuMatchesTileBufferBytes) {
   for (const graph::ComputationGraph& g : zoo_and_random_graphs()) {
     for (const FpgaDevice& device : kDevices) {
       for (Precision p : kAllPrecisions) {
-        for (bool packing : {false, true}) {
-          DseOptions options;
-          options.allow_int8_packing = packing;
-          const Dse dse(device, p, options);
-          const std::string what = g.name() + " " + device.name + " " +
-                                   to_string(p) +
-                                   (packing ? " packing" : " no packing");
-          // tile_buffer_bytes reads the array only through its row count.
-          std::map<int, std::vector<TileConfig>> fitting;
-          std::vector<DseCandidate> want;
-          for (const SystolicArrayConfig& array : dse.array_candidates()) {
-            auto [it, added] = fitting.try_emplace(array.rows);
-            for (int tc : kTc) {
-              for (int s : kSpatial) {
-                const TileConfig tile{tc, s, s};
-                if (added && tile_buffer_bytes(g, array, tile, p).total() <=
-                                 dse.tile_bram_budget()) {
-                  it->second.push_back(tile);
-                }
+        const Dse dse(device, p);
+        const std::string what =
+            g.name() + " " + device.name + " " + to_string(p);
+        // tile_buffer_bytes reads the array only through its row count.
+        std::map<int, std::vector<TileConfig>> fitting;
+        std::vector<DseCandidate> want;
+        for (const SystolicArrayConfig& array : dse.array_candidates()) {
+          auto [it, added] = fitting.try_emplace(array.rows);
+          for (int tc : kTc) {
+            for (int s : kSpatial) {
+              const TileConfig tile{tc, s, s};
+              if (added && tile_buffer_bytes(g, array, tile, p).total() <=
+                               dse.tile_bram_budget()) {
+                it->second.push_back(tile);
               }
             }
-            std::vector<TileConfig> tiles;
-            for (const TileConfig& tile : it->second) {
-              if (tile.tc >= array.simd) tiles.push_back(tile);
-            }
-            ASSERT_EQ(dse.tile_candidates(g, array), tiles)
-                << what << " array " << array.to_string();
-            for (const TileConfig& tile : tiles) want.push_back({array, tile});
           }
-          if (want.empty()) {
-            EXPECT_THROW(dse.space(g), resil::CompileError) << what;
-            continue;
+          std::vector<TileConfig> tiles;
+          for (const TileConfig& tile : it->second) {
+            if (tile.tc >= array.simd) tiles.push_back(tile);
           }
-          const std::vector<DseCandidate> menu = dse.space(g).menu();
-          ASSERT_EQ(menu.size(), want.size()) << what;
-          for (std::size_t i = 0; i < menu.size(); ++i) {
-            ASSERT_EQ(menu[i].array, want[i].array) << what << " #" << i;
-            ASSERT_EQ(menu[i].tile, want[i].tile) << what << " #" << i;
-          }
+          ASSERT_EQ(dse.tile_candidates(g, array), tiles)
+              << what << " array " << array.to_string();
+          for (const TileConfig& tile : tiles) want.push_back({array, tile});
+        }
+        if (want.empty()) {
+          EXPECT_THROW(dse.space(g), resil::CompileError) << what;
+          continue;
+        }
+        const std::vector<DseCandidate> menu = dse.space(g).menu();
+        ASSERT_EQ(menu.size(), want.size()) << what;
+        for (std::size_t i = 0; i < menu.size(); ++i) {
+          ASSERT_EQ(menu[i].array, want[i].array) << what << " #" << i;
+          ASSERT_EQ(menu[i].tile, want[i].tile) << what << " #" << i;
         }
       }
     }
@@ -316,18 +307,28 @@ TEST(DseTable, TransferBoundTiesBreakOnDspCostThenMenuIndex) {
 
 TEST(DseTable, AllNonFiniteObjectivesThrowATypedError) {
   // Regression: with every latency NaN the argmin used to return
-  // candidate #0 with a NaN objective.
+  // candidate #0 with a NaN objective. A DDR bandwidth this small makes
+  // every stream term, and so every candidate's latency, infinite.
   const auto g = lcmm::testing::chain3();
-  const Dse dse(FpgaDevice::vu9p(), Precision::kInt8);
-  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
-                     std::numeric_limits<double>::infinity()}) {
+  FpgaDevice device = FpgaDevice::vu9p();
+  device.ddr_peak_gbps_per_bank = std::numeric_limits<double>::denorm_min();
+  const DesignSpace space = Dse(device, Precision::kInt8).space(g);
+  for (bool heavy : {false, true}) {
     try {
-      dse.explore(g, [bad](const AcceleratorDesign&) { return bad; });
-      ADD_FAILURE() << "explore returned a design for objective " << bad;
+      space.argmin(heavy);
+      ADD_FAILURE() << "argmin returned a design with no finite latency";
     } catch (const resil::CompileError& e) {
       EXPECT_EQ(e.code(), resil::Code::kNoFeasibleDesign);
       EXPECT_EQ(e.pass(), "dse.explore");
     }
+  }
+  // The exhaustive reference rejects NaN and infinite objectives alike.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(oracle::explore(g, FpgaDevice::vu9p(), Precision::kInt8, false,
+                                 [bad](const AcceleratorDesign&) { return bad; }),
+                 resil::CompileError)
+        << bad;
   }
 }
 

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "hw/device.hpp"
 #include "hw/dse.hpp"
 #include "hw/systolic.hpp"
 #include "hw/tiling.hpp"
+#include "oracle/dse.hpp"
 #include "test_graphs.hpp"
 
 namespace lcmm::hw {
@@ -156,35 +160,40 @@ TEST(Dse, ExploreFindsFeasibleDesign) {
 }
 
 TEST(Dse, ObjectiveOverridesDefault) {
-  const Dse dse(FpgaDevice::vu9p(), Precision::kInt8, {});
   auto g = lcmm::testing::chain3();
-  // A constant objective makes every candidate equal; explore must still
-  // return a valid design.
+  // A constant objective makes every candidate equal; the exhaustive
+  // reference must still return a valid design.
   const DseResult r =
-      dse.explore(g, [](const AcceleratorDesign&) { return 1.0; });
+      oracle::explore(g, FpgaDevice::vu9p(), Precision::kInt8, false,
+                      [](const AcceleratorDesign&) { return 1.0; });
   EXPECT_TRUE(r.design.array.valid());
   EXPECT_DOUBLE_EQ(r.objective_latency_s, 1.0);
 }
 
-TEST(Dse, FallbackMenuKeepsInt8Packing) {
-  // Regression: when the DSP budget dwarfs every config (> 2x the largest
-  // cost), the dominance prune empties the primary menu and the DSE falls
-  // back to "accept anything that fits". The fallback used to re-enumerate
-  // without the pack dimension, silently dropping int8 pack=2 candidates.
+TEST(Dse, FallbackMenuAcceptsEveryArrayThatFits) {
+  // When the DSP budget dwarfs every config (> 2x the largest cost), the
+  // dominance prune empties the primary menu and the DSE falls back to
+  // "accept anything that fits": every (rows, cols, simd) of the menu
+  // axes, rows outer, in the primary menu's order.
   FpgaDevice huge = FpgaDevice::vu9p();
   huge.dsp_total = 100000;  // budget 83000 > 2 * 32768 (the costliest config)
-  DseOptions opt;
-  opt.allow_int8_packing = true;
-  const Dse dse(huge, Precision::kInt8, opt);
-  const auto arrays = dse.array_candidates();
-  ASSERT_FALSE(arrays.empty());
+  const Dse dse(huge, Precision::kInt8);
+  const std::vector<SystolicArrayConfig> arrays = dse.array_candidates();
+  std::vector<SystolicArrayConfig> want;
+  for (int r : {8, 16, 32}) {
+    for (int c : {8, 11, 14, 16, 22, 32}) {
+      for (int s : {4, 8, 16, 32}) want.push_back({r, c, s});
+    }
+  }
+  EXPECT_EQ(arrays, want);
   // Every config fits below half budget, so this menu is the fallback one.
   for (const auto& a : arrays) {
     EXPECT_LE(2 * a.dsp_cost(Precision::kInt8), dse.dsp_budget());
   }
-  bool has_packed = false;
-  for (const auto& a : arrays) has_packed |= a.pixel_pack == 2;
-  EXPECT_TRUE(has_packed) << "fallback menu lost the pack=2 candidates";
+  // The fallback menu reaches the argmin like the primary one.
+  const DseResult r = dse.explore(lcmm::testing::chain3());
+  EXPECT_NE(std::find(arrays.begin(), arrays.end(), r.design.array),
+            arrays.end());
 }
 
 TEST(Dse, LatencyTiesBreakOnDspCostNotMenuOrder) {
@@ -202,7 +211,8 @@ TEST(Dse, LatencyTiesBreakOnDspCostNotMenuOrder) {
   }
   ASSERT_FALSE(first) << "no feasible candidate";
   const DseResult r =
-      dse.explore(g, [](const AcceleratorDesign&) { return 1.0; });
+      oracle::explore(g, FpgaDevice::vu9p(), Precision::kInt8, false,
+                      [](const AcceleratorDesign&) { return 1.0; });
   EXPECT_EQ(r.design.array.dsp_cost(Precision::kInt8), expected_min_cost);
 }
 

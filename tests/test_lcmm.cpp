@@ -4,6 +4,7 @@
 
 #include "core/lcmm.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
 #include "sim/timeline.hpp"
 #include "test_graphs.hpp"
 
@@ -135,6 +136,32 @@ TEST(Lcmm, CompileWithDesignSkipsDse) {
   const auto plan = compiler.compile_with_design(g, design);
   EXPECT_EQ(plan.design.array, design.array);
   EXPECT_EQ(plan.design.tile, design.tile);
+}
+
+TEST(Lcmm, UmmBaselineIsCompiledOnlyWhereItIsUsed) {
+  // The baseline's consumers are the no-benefit fallback, the floor and
+  // the caller. With the fallback off and no caller asking, a compile
+  // leaves it uncompiled and ships the same plan.
+  const graph::ComputationGraph g = models::build_googlenet();
+  const hw::FpgaDevice device = hw::FpgaDevice::vu9p();
+  LcmmOptions no_fallback;
+  no_fallback.allow_fallback_to_umm = false;
+  const LcmmCompiler compiler(device, hw::Precision::kInt16, no_fallback);
+  const auto baselines = [](const auto& compile) {
+    obs::StatsSession session;
+    compile();
+    return session.stats().span_count("umm_baseline");
+  };
+  AllocationPlan alone, asked, umm;
+  EXPECT_EQ(baselines([&] { alone = compiler.compile(g); }), 0);
+  EXPECT_EQ(baselines([&] { asked = compiler.compile(g, &umm); }), 1);
+  EXPECT_EQ(alone.est_latency_s, asked.est_latency_s);
+  EXPECT_EQ(alone.state.masks(), asked.state.masks());
+  EXPECT_EQ(umm.est_latency_s, compiler.compile_umm(g).est_latency_s);
+  EXPECT_EQ(baselines([&] {
+              LcmmCompiler(device, hw::Precision::kInt16).compile(g);
+            }),
+            1);
 }
 
 TEST(Lcmm, BadOptionsThrow) {

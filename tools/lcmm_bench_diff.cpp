@@ -10,8 +10,8 @@
 // Exit codes: 0 gate passed (improvements and within-tolerance deltas
 // only), 1 gate failed (a regression, or a baseline metric that
 // disappeared), 2 usage or I/O error. Wall-clock metrics are reported
-// but never gate unless --include-wall (shared CI runners make wall
-// time untrustworthy; see docs/benchmarking.md).
+// but never gate (shared CI runners make wall time untrustworthy; see
+// docs/benchmarking.md).
 #include <exception>
 #include <fstream>
 #include <iostream>
@@ -33,7 +33,6 @@ struct CliOptions {
   std::string tolerance_path;
   std::string output_path;
   Format format = Format::kText;
-  bench::DiffOptions diff;
   bool show_help = false;
 };
 
@@ -45,10 +44,6 @@ std::string usage() {
          "                      default: 2% relative on every metric\n"
          "  --format text|markdown\n"
          "  --output FILE       write the table to FILE instead of stdout\n"
-         "  --include-wall      gate wall-clock metrics too (local tuning\n"
-         "                      only; never in CI)\n"
-         "  --allow-missing     a baseline metric absent from the current\n"
-         "                      run does not fail the gate\n"
          "  --help\n\n"
          "exit: 0 gate passed, 1 regression/missing metric, 2 usage or I/O\n";
 }
@@ -80,10 +75,6 @@ bool parse_args(int argc, char** argv, CliOptions& opt, std::string& error) {
       } else if (error.empty()) {
         error = "unknown format '" + v + "' (want text|markdown)";
       }
-    } else if (arg == "--include-wall") {
-      opt.diff.include_wall = true;
-    } else if (arg == "--allow-missing") {
-      opt.diff.fail_on_missing = false;
     } else if (!arg.empty() && arg[0] == '-') {
       error = "unknown option '" + arg + "'";
     } else {
@@ -124,7 +115,7 @@ int main(int argc, char** argv) {
             : bench::ToleranceSpec::load(opt.tolerance_path);
 
     const bench::DiffResult result =
-        bench::diff_runs(baseline, current, spec, opt.diff);
+        bench::diff_runs(baseline, current, spec);
     const std::string rendered = opt.format == Format::kMarkdown
                                      ? bench::render_markdown(result)
                                      : bench::render_text(result);
