@@ -116,23 +116,16 @@ AllocatorResult evaluate_selection(const InterferenceGraph& graph,
   return result;
 }
 
-AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
-                              const std::vector<VirtualBuffer>& buffers,
-                              const LatencyTables& tables,
-                              std::int64_t capacity_bytes,
-                              const AllocatorOptions& options) {
-  LCMM_SPAN("dnnk");
-  require_positive_granularity(options);
+namespace {
+
+/// Alg. 1's DP over `w_cap + 1` capacity columns and its backtrace: the
+/// buffers selected at capacity `w_cap`.
+std::vector<bool> knapsack_select(const InterferenceGraph& graph,
+                                  const std::vector<VirtualBuffer>& buffers,
+                                  const LatencyTables& tables, std::int64_t w_cap,
+                                  const AllocatorOptions& options) {
   const std::size_t n = buffers.size();
-  const std::int64_t w_cap = capacity_bytes / options.granularity_bytes;
-  if (w_cap < 0) {
-    throw resil::OptionError(resil::Code::kBadArgument, "pass.dnnk",
-                             "dnnk_allocate: negative capacity");
-  }
   const std::size_t width = static_cast<std::size_t>(w_cap) + 1;
-  LCMM_COUNT("buffers", static_cast<std::int64_t>(n));
-  LCMM_COUNT("dp_cells", static_cast<std::int64_t>(n * width));
-  LCMM_GAUGE("capacity_bytes", static_cast<double>(capacity_bytes));
 
   // Lookup: (layer, source) -> owning buffer index, for the compensation
   // reads from pbuf_table.
@@ -257,10 +250,46 @@ AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
       j -= quantized_units(buffers[i].bytes, options);
     }
   }
+  return selection;
+}
+
+}  // namespace
+
+AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
+                              const std::vector<VirtualBuffer>& buffers,
+                              const LatencyTables& tables,
+                              std::int64_t capacity_bytes,
+                              const AllocatorOptions& options) {
+  LCMM_SPAN("dnnk");
+  require_positive_granularity(options);
+  const std::size_t n = buffers.size();
+  const std::int64_t w_cap = capacity_bytes / options.granularity_bytes;
+  if (w_cap < 0) {
+    throw resil::OptionError(resil::Code::kBadArgument, "pass.dnnk",
+                             "dnnk_allocate: negative capacity");
+  }
+  LCMM_COUNT("buffers", static_cast<std::int64_t>(n));
+  LCMM_GAUGE("capacity_bytes", static_cast<double>(capacity_bytes));
+
+  // When every buffer fits, the DP selects every buffer (see the header),
+  // so it does not run. The sum stops once it passes w_cap, so it cannot
+  // overflow.
+  std::int64_t units = 0;
+  for (std::size_t b = 0; b < n && units <= w_cap; ++b) {
+    units += quantized_units(buffers[b].bytes, options);
+  }
+  const bool fits_all = units <= w_cap;
+  LCMM_COUNT("fits_all", fits_all ? 1 : 0);
+  LCMM_COUNT("dp_cells",
+             fits_all ? 0 : static_cast<std::int64_t>(n) * (w_cap + 1));
+  const std::vector<bool> selection =
+      fits_all ? std::vector<bool>(n, true)
+               : knapsack_select(graph, buffers, tables, w_cap, options);
   if (obs::current()) {
     for (std::size_t b = 0; b < n; ++b) {
       const char* reason =
-          selection[b] ? "knapsack-selected"
+          fits_all       ? "fits-capacity"
+          : selection[b] ? "knapsack-selected"
           : quantized_units(buffers[b].bytes, options) > w_cap
               ? "exceeds-capacity"
               : "knapsack-spill";

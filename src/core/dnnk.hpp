@@ -15,6 +15,26 @@
 // cell still adds its members' gains one by one in member order, so the
 // values are bit-identical to composing every mask inside every cell.
 //
+// When every buffer fits, the DP does not run. Let s_i be buffer i's
+// quantized size, S_i = s_0 + ... + s_i, and w_cap = capacity_bytes /
+// granularity_bytes, the last DP column. If S_{n-1} <= w_cap, dnnk_allocate
+// selects every buffer and returns evaluate_selection of that selection:
+// the same selection, bytes_used, state and gain_s that the DP returns,
+// because the DP selects every buffer there:
+//   - Every member gain is an Eq. 1 marginal reduction, so it is >= 0: a
+//     max over fewer terms is never larger.
+//   - A cell takes on a tie: it skips only when prev[j] > take strictly.
+//   - By induction on rows (before row 0, prev is 0 in every column), row i
+//     takes at every column j >= S_i, and its value there is one constant. At such j every owner bit it reads is 1
+//     (row k < i took at j >= S_k), so its masks and gains are the same in
+//     every such column; prev[j - s_i] is row i-1's constant, since
+//     j - s_i >= S_{i-1}; adding gains >= 0 never rounds below that
+//     constant, which is also prev[j], so the cell takes.
+//   - So the backtrace from w_cap >= S_{n-1} stays at j >= S_i in every row
+//     i and selects every buffer.
+//   - NaN gains give the same result: the comparison is false, so the cell
+//     takes.
+//
 // Two reference allocators share the result type: a value-density greedy
 // (ablation baseline) and an exhaustive search (test oracle).
 #pragma once

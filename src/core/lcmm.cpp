@@ -100,6 +100,7 @@ LcmmCompiler::LcmmCompiler(hw::FpgaDevice device, hw::Precision precision,
                            LcmmOptions options)
     : device_(std::move(device)), precision_(precision),
       options_(std::move(options)) {
+  device_.validate();
   if (options_.sram_capacity_fraction <= 0 || options_.sram_capacity_fraction > 1) {
     throw resil::OptionError(resil::Code::kBadOptions, "core.options",
                              "LcmmOptions: bad sram_capacity_fraction");

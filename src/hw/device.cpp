@@ -1,5 +1,9 @@
 #include "hw/device.hpp"
 
+#include <cmath>
+
+#include "resil/error.hpp"
+
 namespace lcmm::hw {
 
 double FpgaDevice::clock_mhz(Precision p, bool heavy_uram_use) const {
@@ -7,6 +11,20 @@ double FpgaDevice::clock_mhz(Precision p, bool heavy_uram_use) const {
   if (p == Precision::kFp32) base = 170.0;
   if (heavy_uram_use) base -= 10.0;
   return base;
+}
+
+void FpgaDevice::validate() const {
+  const auto reject = [&](const char* what) {
+    throw resil::OptionError(resil::Code::kBadOptions, "hw.device",
+                             "FpgaDevice " + name + ": " + what);
+  };
+  if (dsp_total < 0 || bram36_total < 0 || uram_total < 0 ||
+      logic_luts_total < 0 || ddr_banks < 0) {
+    reject("negative resource count");
+  }
+  if (!std::isfinite(ddr_peak_gbps_per_bank) || ddr_peak_gbps_per_bank < 0.0) {
+    reject("DDR bandwidth must be finite and >= 0");
+  }
 }
 
 FpgaDevice FpgaDevice::vu9p() {

@@ -38,6 +38,12 @@ struct FpgaDevice {
   /// designs) costs ~10 MHz of routing slack.
   double clock_mhz(Precision p, bool heavy_uram_use) const;
 
+  /// Throws resil::OptionError (kBadOptions) when a resource count is
+  /// negative or the DDR bandwidth is not a finite value >= 0. Zero values
+  /// pass: a device without DSPs finds no design (LCMM-E611), and one
+  /// without DDR bandwidth is rejected by mem::DdrModel.
+  void validate() const;
+
   /// Xilinx Virtex UltraScale+ VU9P (the paper's platform).
   static FpgaDevice vu9p();
   /// Xilinx Zynq UltraScale+ ZU9EG (small device for stress tests).

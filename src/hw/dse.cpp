@@ -420,7 +420,9 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
 }
 
 Dse::Dse(FpgaDevice device, Precision precision, DseOptions options)
-    : device_(std::move(device)), precision_(precision), options_(options) {}
+    : device_(std::move(device)), precision_(precision), options_(options) {
+  device_.validate();
+}
 
 int Dse::dsp_budget() const {
   return static_cast<int>(device_.dsp_total * kDspBudgetFraction);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
+#include <random>
 
 #include "core/coloring.hpp"
 #include "core/dnnk.hpp"
@@ -282,41 +284,119 @@ void expect_matches_per_cell_reference(const InterferenceGraph& ig,
   const AllocatorResult want =
       per_cell_reference(ig, buffers, tables, capacity, options);
   EXPECT_EQ(got.buffer_on_chip, want.buffer_on_chip) << label;
-  EXPECT_EQ(got.gain_s, want.gain_s) << label;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.gain_s),
+            std::bit_cast<std::uint64_t>(want.gain_s))
+      << label << ": " << got.gain_s << " vs " << want.gain_s;
   EXPECT_EQ(got.bytes_used, want.bytes_used) << label;
+  ASSERT_EQ(got.state.num_layers(), want.state.num_layers()) << label;
+  for (std::size_t l = 0; l < got.state.num_layers(); ++l) {
+    const auto layer = static_cast<graph::LayerId>(l);
+    EXPECT_EQ(got.state.layer_mask(layer), want.state.layer_mask(layer))
+        << label << " layer " << l;
+  }
 }
 
 /// Colored buffers over the compile path's entities (features + prefetched
-/// weights) of `graph` under a fixed design; checks dnnk_allocate against
-/// the per-cell reference at three fractions of the total buffer size.
-/// Returns the number of multi-member buffers exercised.
+/// weights) of `graph` under a fixed design on `device`.
+Instance colored_instance(const graph::ComputationGraph& graph,
+                          const hw::FpgaDevice& device, hw::Precision precision) {
+  auto g = std::make_unique<graph::ComputationGraph>(graph);
+  hw::AcceleratorDesign design = small_design(precision);
+  design.device = device;
+  auto model = std::make_unique<hw::PerfModel>(*g, design);
+  auto tables = std::make_unique<LatencyTables>(*model);
+  LivenessOptions liveness;
+  liveness.include_compute_bound = true;
+  std::vector<TensorEntity> entities = build_feature_entities(*model, liveness);
+  for (TensorEntity& e : build_weight_entities(
+           *model, build_prefetch_schedule(*model, liveness))) {
+    entities.push_back(std::move(e));
+  }
+  auto ig = std::make_unique<InterferenceGraph>(std::move(entities));
+  std::vector<VirtualBuffer> buffers =
+      build_virtual_buffers(*ig, color_min_total_size(*ig));
+  return Instance{std::move(g), std::move(model), std::move(tables),
+                  std::move(ig), std::move(buffers)};
+}
+
+/// Sum of the buffers' quantized sizes, in DP units.
+std::int64_t total_units(const std::vector<VirtualBuffer>& buffers,
+                         const AllocatorOptions& options) {
+  std::int64_t units = 0;
+  for (const VirtualBuffer& b : buffers) units += quantized_units(b.bytes, options);
+  return units;
+}
+
+/// Checks dnnk_allocate against the per-cell reference at the all-fit
+/// boundary (one unit below, at and one unit above the buffers' total
+/// size) and at `extra_capacity`, and that it skips the DP exactly when
+/// every buffer fits.
+void check_all_fit_boundary(const Instance& inst, std::int64_t extra_capacity,
+                            const std::string& label,
+                            const AllocatorOptions& options = {}) {
+  const std::int64_t units = total_units(inst.buffers, options);
+  const std::int64_t unit = options.granularity_bytes;
+  for (std::int64_t capacity :
+       {(units - 1) * unit, units * unit, (units + 1) * unit, extra_capacity}) {
+    if (capacity < 0) continue;
+    const std::string at = label + " capacity " + std::to_string(capacity);
+    obs::StatsSession session;
+    expect_matches_per_cell_reference(inst.ig, inst.buffers, inst.tables,
+                                      capacity, at, options);
+    const bool fits = units <= capacity / unit;
+    const obs::CompileStats& stats = session.stats();
+    EXPECT_EQ(stats.counter("dnnk.fits_all"), fits ? 1 : 0) << at;
+    EXPECT_EQ(stats.counter("dnnk.dp_cells"),
+              fits ? 0
+                   : static_cast<std::int64_t>(inst.buffers.size()) *
+                         (capacity / unit + 1))
+        << at;
+  }
+}
+
+/// Checks dnnk_allocate against the per-cell reference on the colored
+/// buffers of `graph` at three fractions of the total buffer size, at the
+/// all-fit boundary and at the device's SRAM size. Returns the number of
+/// multi-member buffers exercised.
 int check_colored_buffers(const graph::ComputationGraph& graph,
                           const hw::FpgaDevice& device, hw::Precision precision,
                           const std::string& label,
                           const AllocatorOptions& options = {}) {
-  hw::AcceleratorDesign design = small_design(precision);
-  design.device = device;
-  const hw::PerfModel model(graph, design);
-  const LatencyTables tables(model);
-  LivenessOptions liveness;
-  liveness.include_compute_bound = true;
-  std::vector<TensorEntity> entities = build_feature_entities(model, liveness);
-  for (TensorEntity& e : build_weight_entities(
-           model, build_prefetch_schedule(model, liveness))) {
-    entities.push_back(std::move(e));
-  }
-  const InterferenceGraph ig(std::move(entities));
-  const std::vector<VirtualBuffer> buffers =
-      build_virtual_buffers(ig, color_min_total_size(ig));
-  const std::int64_t total = total_buffer_bytes(buffers);
+  const Instance inst = colored_instance(graph, device, precision);
+  const std::int64_t total = total_buffer_bytes(inst.buffers);
   for (std::int64_t capacity : {total / 10, total / 3, total * 2 / 3}) {
     expect_matches_per_cell_reference(
-        ig, buffers, tables, capacity,
+        inst.ig, inst.buffers, inst.tables, capacity,
         label + " capacity " + std::to_string(capacity), options);
   }
+  check_all_fit_boundary(inst, device.sram_bytes_total(), label, options);
   return static_cast<int>(std::count_if(
-      buffers.begin(), buffers.end(),
+      inst.buffers.begin(), inst.buffers.end(),
       [](const VirtualBuffer& b) { return b.members.size() > 1; }));
+}
+
+TEST(Dnnk, AllFitBoundaryWithZeroByteBuffersMatchesPerCellReference) {
+  // Colored buffers of small random graphs with about a quarter of the
+  // buffers emptied to zero bytes (zero DP units): a zero-size row takes
+  // at every column, and the shortcut must agree with the DP on them too.
+  AllocatorOptions fine;
+  fine.granularity_bytes = 4096;
+  int zero = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Instance inst = colored_instance(models::random_graph(seed),
+                                     hw::FpgaDevice::vu9p(), hw::Precision::kInt8);
+    std::mt19937_64 rng(seed);
+    for (VirtualBuffer& b : inst.buffers) {
+      if (rng() % 4 == 0) {
+        b.bytes = 0;
+        ++zero;
+      }
+    }
+    const std::int64_t half = total_buffer_bytes(inst.buffers) / 2;
+    check_all_fit_boundary(inst, half, "random_graph seed " + std::to_string(seed),
+                           fine);
+  }
+  EXPECT_GT(zero, 0);
 }
 
 class DnnkRowPrecompute : public ::testing::TestWithParam<std::string> {};
@@ -522,9 +602,11 @@ TEST(Dnnk, OwnerBitsFlippingAtAdjacentColumnsGiveRunsOfOne) {
     expect_matches_per_cell_reference(ig, buffers, tables, capacity,
                                       "capacity " + std::to_string(capacity), fine);
   }
-  // At 2m + 2 units: one run per X row and for O, and 2m + 1 runs over D's
-  // 2m + 2 columns (only the last two columns share O's bit).
-  EXPECT_EQ(gain_runs_of(ig, buffers, tables, (2 * kM + 2) * kUnit, fine),
+  // At 2m + 2 units every buffer fits and the DP does not run. At 2m + 1
+  // units: one run per X row and for O, and 2m + 1 runs over D's 2m + 1
+  // columns 1..2m + 1, where O's bit alternates at every column.
+  EXPECT_EQ(total_units(buffers, fine), 2 * kM + 2);
+  EXPECT_EQ(gain_runs_of(ig, buffers, tables, (2 * kM + 1) * kUnit, fine),
             kM + 1 + (2 * kM + 1));
 }
 

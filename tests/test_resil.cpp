@@ -9,11 +9,13 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
 #include "core/lcmm.hpp"
 #include "driver/batch.hpp"
+#include "hw/dse.hpp"
 #include "models/models.hpp"
 #include "obs/stats.hpp"
 #include "resil/resil.hpp"
@@ -97,6 +99,46 @@ TEST(ResilError, NonPositiveGranularityIsRejectedAtConstruction) {
       EXPECT_EQ(e.code(), Code::kBadOptions);
       EXPECT_EQ(e.pass(), "core.options");
     }
+  }
+}
+
+TEST(ResilError, InvalidDeviceIsRejectedAtConstruction) {
+  // A NaN or infinite DDR bandwidth makes every stream term NaN or
+  // infinite, so the compile would ship compute-only latencies; a negative
+  // resource count would surface as "no feasible design". Both
+  // constructors, and so a batch job, refuse such a device as bad options.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<std::pair<std::string, hw::FpgaDevice>> bad;
+  for (double bandwidth : {std::numeric_limits<double>::quiet_NaN(), kInf, -kInf}) {
+    hw::FpgaDevice device = hw::FpgaDevice::vu9p();
+    device.ddr_peak_gbps_per_bank = bandwidth;
+    bad.emplace_back("bandwidth " + std::to_string(bandwidth), device);
+  }
+  hw::FpgaDevice negative = hw::FpgaDevice::vu9p();
+  negative.dsp_total = -1;
+  bad.emplace_back("dsp_total -1", negative);
+
+  const auto expect_bad_options = [](const auto& construct, const std::string& what) {
+    try {
+      construct();
+      ADD_FAILURE() << what << " accepted";
+    } catch (const OptionError& e) {
+      EXPECT_EQ(e.code(), Code::kBadOptions) << what;
+      EXPECT_EQ(e.pass(), "hw.device") << what;
+    }
+  };
+  const auto g = models::build_by_name("googlenet");
+  for (const auto& [label, device] : bad) {
+    expect_bad_options(
+        [&] { const LcmmCompiler compiler(device, hw::Precision::kInt16); },
+        "LcmmCompiler, " + label);
+    expect_bad_options([&] { const hw::Dse dse(device, hw::Precision::kInt16); },
+                       "Dse, " + label);
+    const auto outcomes = driver::compile_many(
+        {{.graph = g, .device = device, .precision = hw::Precision::kInt16}}, 1);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_FALSE(outcomes[0].ok()) << label;
+    EXPECT_EQ(outcomes[0].error_info.code, Code::kBadOptions) << label;
   }
 }
 
