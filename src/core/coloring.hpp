@@ -3,8 +3,7 @@
 // Unlike register allocation, the objective is not the number of colors but
 // the TOTAL SIZE of the resulting buffers: a color's size is the largest
 // member tensor, so packing a small tensor into a large buffer is free.
-// color_min_total_size() is a best-fit-decreasing heuristic;
-// color_optimal_small() enumerates set partitions for test oracles.
+// color_min_total_size() is a best-fit-decreasing heuristic.
 //
 // Cost: each color keeps its members' lifespans sorted by def step. They
 // are disjoint, so whether an entity without a false edge fits a color is
@@ -32,13 +31,5 @@ struct ColoringResult {
 /// into the compatible color whose current size fits them best (free slots
 /// preferred, then minimal growth).
 ColoringResult color_min_total_size(const InterferenceGraph& graph);
-
-/// Exhaustive minimum-total-size coloring via set-partition enumeration.
-/// Only for small graphs (throws std::invalid_argument above `max_entities`).
-ColoringResult color_optimal_small(const InterferenceGraph& graph,
-                                   std::size_t max_entities = 12);
-
-/// True iff no two entities sharing a color interfere.
-bool coloring_is_valid(const InterferenceGraph& graph, const ColoringResult& result);
 
 }  // namespace lcmm::core

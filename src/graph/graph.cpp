@@ -91,9 +91,10 @@ ValueId ComputationGraph::add_conv(std::string name, ValueId input,
                                 value(residual).shape.to_string() +
                                 " != output shape " + out.to_string());
   }
-  layer.output = new_value(layer.name + ".out", out);
-  append_layer(layer, out);
-  return layer.output;
+  const ValueId output = new_value(layer.name + ".out", out);
+  layer.output = output;
+  append_layer(std::move(layer), out);
+  return output;
 }
 
 ValueId ComputationGraph::add_pool(std::string name, ValueId input,
@@ -104,9 +105,10 @@ ValueId ComputationGraph::add_pool(std::string name, ValueId input,
   layer.input = input;
   layer.pool = params;
   const FeatureShape out = infer_output_shape(layer, value(input).shape);
-  layer.output = new_value(layer.name + ".out", out);
-  append_layer(layer, out);
-  return layer.output;
+  const ValueId output = new_value(layer.name + ".out", out);
+  layer.output = output;
+  append_layer(std::move(layer), out);
+  return output;
 }
 
 ValueId ComputationGraph::add_fc(std::string name, ValueId input, int out_features) {

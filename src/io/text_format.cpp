@@ -4,32 +4,39 @@
 #include <fstream>
 #include <map>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <unordered_map>
 #include <vector>
 
+#include "obs/scope.hpp"
 #include "resil/fault.hpp"
 
 namespace lcmm::io {
 
 namespace {
 
-std::vector<std::string> tokenize(std::string_view line) {
-  std::vector<std::string> tokens;
-  std::string current;
-  for (char c : line) {
-    if (c == '#') break;
-    if (c == ' ' || c == '\t' || c == '\r') {
-      if (!current.empty()) tokens.push_back(std::move(current));
-      current.clear();
-    } else {
-      current += c;
+bool is_separator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+/// Splits `line` at separators, up to the first '#', into views of it.
+void tokenize(std::string_view line, std::vector<std::string_view>& tokens) {
+  tokens.clear();
+  const std::size_t end = std::min(line.find('#'), line.size());
+  std::size_t i = 0;
+  while (i < end) {
+    if (is_separator(line[i])) {
+      ++i;
+      continue;
     }
+    const std::size_t start = i;
+    while (i < end && !is_separator(line[i])) ++i;
+    tokens.push_back(line.substr(start, i - start));
   }
-  if (!current.empty()) tokens.push_back(std::move(current));
-  return tokens;
 }
 
-int parse_int(const std::string& s, int line) {
+/// The std::stoi path: every form it accepts ("+8", a leading '\v') reads
+/// as it does, and every form it rejects gets the same message.
+int parse_int_stoi(const std::string& s, int line) {
   try {
     std::size_t pos = 0;
     const int v = std::stoi(s, &pos);
@@ -40,21 +47,38 @@ int parse_int(const std::string& s, int line) {
   }
 }
 
+int parse_int(std::string_view s, int line) {
+  // -?[0-9]{1,9} cannot overflow, and std::stoi reads it to the same value.
+  const std::size_t sign = !s.empty() && s[0] == '-' ? 1 : 0;
+  const std::size_t digits = s.size() - sign;
+  if (digits >= 1 && digits <= 9) {
+    int v = 0;
+    std::size_t i = sign;
+    for (; i < s.size(); ++i) {
+      const unsigned d = static_cast<unsigned char>(s[i]) - unsigned{'0'};
+      if (d > 9) break;
+      v = v * 10 + static_cast<int>(d);
+    }
+    if (i == s.size()) return sign ? -v : v;
+  }
+  return parse_int_stoi(std::string(s), line);
+}
+
 /// Parses "AxB" (or a single "A" meaning "AxA").
-std::pair<int, int> parse_pair(const std::string& s, int line) {
+std::pair<int, int> parse_pair(std::string_view s, int line) {
   const std::size_t x = s.find('x');
-  if (x == std::string::npos) {
+  if (x == std::string_view::npos) {
     const int v = parse_int(s, line);
     return {v, v};
   }
   return {parse_int(s.substr(0, x), line), parse_int(s.substr(x + 1), line)};
 }
 
-graph::FeatureShape parse_shape(const std::string& s, int line) {
+graph::FeatureShape parse_shape(std::string_view s, int line) {
   const std::size_t a = s.find('x');
-  const std::size_t b = a == std::string::npos ? a : s.find('x', a + 1);
-  if (a == std::string::npos || b == std::string::npos) {
-    throw ParseError(line, "expected CxHxW shape, got '" + s + "'");
+  const std::size_t b = a == std::string_view::npos ? a : s.find('x', a + 1);
+  if (a == std::string_view::npos || b == std::string_view::npos) {
+    throw ParseError(line, "expected CxHxW shape, got '" + std::string(s) + "'");
   }
   const graph::FeatureShape shape{parse_int(s.substr(0, a), line),
                                   parse_int(s.substr(a + 1, b - a - 1), line),
@@ -66,67 +90,74 @@ graph::FeatureShape parse_shape(const std::string& s, int line) {
   return shape;
 }
 
-/// key=value arguments plus bare flags.
+/// key=value arguments plus bare flags of one statement, as views of its
+/// tokens. A repeated key keeps its last value.
 struct Args {
-  std::map<std::string, std::string> kv;
-  std::vector<std::string> flags;
-  int line;
+  std::vector<std::pair<std::string_view, std::string_view>> kv;
+  std::vector<std::string_view> flags;
+  int line = 0;
 
-  bool has(const std::string& key) const { return kv.count(key) != 0; }
-  bool flag(const std::string& name) const {
+  void parse(std::span<const std::string_view> tokens, int at_line) {
+    kv.clear();
+    flags.clear();
+    line = at_line;
+    for (std::string_view token : tokens) {
+      const std::size_t eq = token.find('=');
+      if (eq == std::string_view::npos) {
+        flags.push_back(token);
+      } else {
+        kv.emplace_back(token.substr(0, eq), token.substr(eq + 1));
+      }
+    }
+  }
+  const std::string_view* find(std::string_view key) const {
+    for (auto it = kv.rbegin(); it != kv.rend(); ++it) {
+      if (it->first == key) return &it->second;
+    }
+    return nullptr;
+  }
+  bool flag(std::string_view name) const {
     return std::find(flags.begin(), flags.end(), name) != flags.end();
   }
-  std::string get(const std::string& key) const {
-    const auto it = kv.find(key);
-    if (it == kv.end()) {
-      throw ParseError(line, "missing required argument '" + key + "='");
-    }
-    return it->second;
+  std::string_view get(std::string_view key) const {
+    if (const std::string_view* value = find(key)) return *value;
+    throw ParseError(line,
+                     "missing required argument '" + std::string(key) + "='");
   }
-  std::string get_or(const std::string& key, const std::string& fallback) const {
-    const auto it = kv.find(key);
-    return it == kv.end() ? fallback : it->second;
+  std::string_view get_or(std::string_view key, std::string_view fallback) const {
+    const std::string_view* value = find(key);
+    return value ? *value : fallback;
   }
 };
 
-Args parse_args(const std::vector<std::string>& tokens, std::size_t from,
-                int line) {
-  Args args;
-  args.line = line;
-  for (std::size_t i = from; i < tokens.size(); ++i) {
-    const std::size_t eq = tokens[i].find('=');
-    if (eq == std::string::npos) {
-      args.flags.push_back(tokens[i]);
-    } else {
-      args.kv[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
-    }
-  }
-  return args;
-}
-
+/// Reads the text through views of it: lines, tokens, arguments and the
+/// name table all point into `text`, which outlives the parse.
 class Parser {
  public:
   graph::ComputationGraph run(std::string_view text) {
     std::optional<graph::ComputationGraph> g;
-    std::istringstream stream{std::string(text)};
-    std::string raw;
     int line = 0;
-    while (std::getline(stream, raw)) {
+    // Lines as std::getline splits them: a last line without '\n' counts,
+    // a trailing '\n' adds none.
+    for (std::size_t pos = 0; pos < text.size();) {
+      const std::size_t nl = std::min(text.find('\n', pos), text.size());
+      const std::string_view raw = text.substr(pos, nl - pos);
+      pos = nl + 1;
       ++line;
-      const std::vector<std::string> tokens = tokenize(raw);
-      if (tokens.empty()) continue;
-      const std::string& op = tokens[0];
+      tokenize(raw, tokens_);
+      if (tokens_.empty()) continue;
+      const std::string_view op = tokens_[0];
       if (op == "graph") {
         if (g.has_value()) throw ParseError(line, "duplicate 'graph' line");
-        if (tokens.size() != 2) throw ParseError(line, "usage: graph <name>");
-        g.emplace(tokens[1]);
+        if (tokens_.size() != 2) throw ParseError(line, "usage: graph <name>");
+        g.emplace(std::string(tokens_[1]));
         continue;
       }
       if (!g.has_value()) {
         throw ParseError(line, "file must start with 'graph <name>'");
       }
       try {
-        dispatch(*g, op, tokens, line);
+        dispatch(*g, op, line);
       } catch (const ParseError&) {
         throw;
       } catch (const resil::CompileError& e) {
@@ -139,54 +170,64 @@ class Parser {
     if (!g.has_value()) throw ParseError(line, "empty file");
     g->validate();
     g->shrink_to_fit();
+    LCMM_COUNT("lines", line);
+    LCMM_COUNT("layers", static_cast<std::int64_t>(g->num_layers()));
+    LCMM_COUNT("bytes", static_cast<std::int64_t>(text.size()));
     return std::move(*g);
   }
 
  private:
-  void dispatch(graph::ComputationGraph& g, const std::string& op,
-                const std::vector<std::string>& tokens, int line) {
+  void dispatch(graph::ComputationGraph& g, std::string_view op, int line) {
+    const std::vector<std::string_view>& tokens = tokens_;
     if (op == "stage") {
       if (tokens.size() != 2) throw ParseError(line, "usage: stage <label>");
-      g.set_stage(tokens[1]);
+      g.set_stage(std::string(tokens[1]));
       return;
     }
     if (op == "input") {
       if (tokens.size() != 3) {
         throw ParseError(line, "usage: input <name> CxHxW");
       }
-      define(tokens[1], g.add_input(tokens[1], parse_shape(tokens[2], line)),
+      define(tokens[1],
+             g.add_input(std::string(tokens[1]), parse_shape(tokens[2], line)),
              line);
       return;
     }
     if (tokens.size() < 3) {
-      throw ParseError(line, "usage: " + op + " <name> <input> ...");
+      throw ParseError(line, "usage: " + std::string(op) + " <name> <input> ...");
     }
-    const std::string& name = tokens[1];
+    const std::string_view name = tokens[1];
+    const std::span<const std::string_view> rest =
+        std::span(tokens).subspan(3);
     if (op == "conv") {
-      const Args args = parse_args(tokens, 3, line);
+      args_.parse(rest, line);
       graph::ConvParams p;
-      p.out_channels = parse_int(args.get("out"), line);
-      std::tie(p.kernel_h, p.kernel_w) = parse_pair(args.get("kernel"), line);
-      p.stride = parse_int(args.get_or("stride", "1"), line);
-      std::tie(p.pad_h, p.pad_w) = parse_pair(args.get_or("pad", "0x0"), line);
-      p.groups = parse_int(args.get_or("groups", "1"), line);
+      p.out_channels = parse_int(args_.get("out"), line);
+      std::tie(p.kernel_h, p.kernel_w) = parse_pair(args_.get("kernel"), line);
+      p.stride = parse_int(args_.get_or("stride", "1"), line);
+      std::tie(p.pad_h, p.pad_w) = parse_pair(args_.get_or("pad", "0x0"), line);
+      p.groups = parse_int(args_.get_or("groups", "1"), line);
       graph::ValueId residual = graph::kInvalidValue;
-      if (args.has("residual")) residual = lookup(args.get("residual"), line);
-      define(name, g.add_conv(name, lookup(tokens[2], line), p, residual), line);
+      if (const std::string_view* ref = args_.find("residual")) {
+        residual = lookup(*ref, line);
+      }
+      define(name,
+             g.add_conv(std::string(name), lookup(tokens[2], line), p, residual),
+             line);
       return;
     }
     if (op == "fc") {
-      const Args args = parse_args(tokens, 3, line);
+      args_.parse(rest, line);
       define(name,
-             g.add_fc(name, lookup(tokens[2], line),
-                      parse_int(args.get("out"), line)),
+             g.add_fc(std::string(name), lookup(tokens[2], line),
+                      parse_int(args_.get("out"), line)),
              line);
       return;
     }
     if (op == "pool" || op == "gpool") {
-      const Args args = parse_args(tokens, 3, line);
+      args_.parse(rest, line);
       graph::PoolParams p;
-      const std::string type = args.get_or("type", "max");
+      const std::string_view type = args_.get_or("type", "max");
       if (type == "max") {
         p.type = graph::PoolType::kMax;
       } else if (type == "avg") {
@@ -197,40 +238,44 @@ class Parser {
       if (op == "gpool") {
         p.global = true;
       } else {
-        p.kernel = parse_int(args.get("kernel"), line);
-        p.stride = parse_int(args.get_or("stride", "1"), line);
-        p.pad = parse_int(args.get_or("pad", "0"), line);
-        p.ceil_mode = args.flag("ceil");
+        p.kernel = parse_int(args_.get("kernel"), line);
+        p.stride = parse_int(args_.get_or("stride", "1"), line);
+        p.pad = parse_int(args_.get_or("pad", "0"), line);
+        p.ceil_mode = args_.flag("ceil");
       }
-      define(name, g.add_pool(name, lookup(tokens[2], line), p), line);
+      define(name, g.add_pool(std::string(name), lookup(tokens[2], line), p),
+             line);
       return;
     }
     if (op == "concat") {
-      std::vector<graph::ValueId> parts;
+      parts_.clear();
       for (std::size_t i = 2; i < tokens.size(); ++i) {
-        parts.push_back(lookup(tokens[i], line));
+        parts_.push_back(lookup(tokens[i], line));
       }
-      define(name, g.add_concat(name, parts), line);
+      define(name, g.add_concat(std::string(name), parts_), line);
       return;
     }
-    throw ParseError(line, "unknown statement '" + op + "'");
+    throw ParseError(line, "unknown statement '" + std::string(op) + "'");
   }
 
-  void define(const std::string& name, graph::ValueId value, int line) {
+  void define(std::string_view name, graph::ValueId value, int line) {
     if (!values_.emplace(name, value).second) {
-      throw ParseError(line, "duplicate name '" + name + "'");
+      throw ParseError(line, "duplicate name '" + std::string(name) + "'");
     }
   }
 
-  graph::ValueId lookup(const std::string& name, int line) const {
+  graph::ValueId lookup(std::string_view name, int line) const {
     const auto it = values_.find(name);
     if (it == values_.end()) {
-      throw ParseError(line, "unknown value '" + name + "'");
+      throw ParseError(line, "unknown value '" + std::string(name) + "'");
     }
     return it->second;
   }
 
-  std::map<std::string, graph::ValueId> values_;
+  std::vector<std::string_view> tokens_;
+  Args args_;
+  std::vector<graph::ValueId> parts_;
+  std::unordered_map<std::string_view, graph::ValueId> values_;
 };
 
 std::string pair_str(int a, int b) {
@@ -241,6 +286,7 @@ std::string pair_str(int a, int b) {
 }  // namespace
 
 graph::ComputationGraph parse_graph(std::string_view text) {
+  LCMM_SPAN("parse");
   resil::fault::Scope fault_scope;
   try {
     resil::fault::hit("io.parse");

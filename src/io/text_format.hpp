@@ -47,8 +47,10 @@ class ParseError : public resil::CompileError {
   int line_;
 };
 
-/// Parses the text format. Throws ParseError on malformed input and
-/// std::invalid_argument for semantically invalid graphs.
+/// Parses the text format. Throws ParseError on malformed input; a graph
+/// the builder rejects (a shape mismatch, bad grouping) is a ParseError at
+/// its line too. Records an obs span "parse" with counters lines, layers
+/// and bytes.
 graph::ComputationGraph parse_graph(std::string_view text);
 
 /// Renders `graph` in the text format (stable, parse-compatible).

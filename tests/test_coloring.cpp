@@ -2,6 +2,7 @@
 
 #include "core/coloring.hpp"
 #include "core/virtual_buffer.hpp"
+#include "oracle/coloring.hpp"
 #include "util/rng.hpp"
 
 namespace lcmm::core {
@@ -21,7 +22,7 @@ TEST(Coloring, DisjointIntervalsShareOneBuffer) {
   InterferenceGraph g({make_entity(0, 100, 0, 1), make_entity(1, 80, 2, 3),
                        make_entity(2, 60, 4, 5)});
   const ColoringResult r = color_min_total_size(g);
-  EXPECT_TRUE(coloring_is_valid(g, r));
+  EXPECT_TRUE(oracle::coloring_is_valid(g, r));
   EXPECT_EQ(r.num_colors, 1);
   EXPECT_EQ(r.total_bytes, 100);  // buffer sized by the largest member
 }
@@ -30,7 +31,7 @@ TEST(Coloring, FullyOverlappingNeedsOneColorEach) {
   InterferenceGraph g({make_entity(0, 100, 0, 9), make_entity(1, 80, 0, 9),
                        make_entity(2, 60, 0, 9)});
   const ColoringResult r = color_min_total_size(g);
-  EXPECT_TRUE(coloring_is_valid(g, r));
+  EXPECT_TRUE(oracle::coloring_is_valid(g, r));
   EXPECT_EQ(r.num_colors, 3);
   EXPECT_EQ(r.total_bytes, 240);
 }
@@ -48,7 +49,7 @@ TEST(Coloring, PaperExampleSixTensorsFourBuffers) {
   };
   InterferenceGraph g(std::move(v));
   const ColoringResult r = color_min_total_size(g);
-  EXPECT_TRUE(coloring_is_valid(g, r));
+  EXPECT_TRUE(oracle::coloring_is_valid(g, r));
   // f2 and f6 share: at most 5 buffers; f8 also only conflicts with f1/f4/f7.
   EXPECT_LE(r.num_colors, 5);
   EXPECT_EQ(r.color_of[1], r.color_of[3]);  // f2 with f6
@@ -59,11 +60,11 @@ TEST(Coloring, ValidityCheckerCatchesConflicts) {
   ColoringResult bad;
   bad.color_of = {0, 0};
   bad.num_colors = 1;
-  EXPECT_FALSE(coloring_is_valid(g, bad));
+  EXPECT_FALSE(oracle::coloring_is_valid(g, bad));
   bad.color_of = {0, 7};
-  EXPECT_FALSE(coloring_is_valid(g, bad));  // out-of-range color
+  EXPECT_FALSE(oracle::coloring_is_valid(g, bad));  // out-of-range color
   bad.color_of = {0};
-  EXPECT_FALSE(coloring_is_valid(g, bad));  // size mismatch
+  EXPECT_FALSE(oracle::coloring_is_valid(g, bad));  // size mismatch
 }
 
 TEST(Coloring, EmptyGraphYieldsNoColors) {
@@ -76,7 +77,7 @@ TEST(Coloring, EmptyGraphYieldsNoColors) {
 TEST(Coloring, OptimalMatchesGreedyOnEasyCases) {
   InterferenceGraph g({make_entity(0, 100, 0, 1), make_entity(1, 80, 2, 3)});
   const ColoringResult greedy = color_min_total_size(g);
-  const ColoringResult opt = color_optimal_small(g);
+  const ColoringResult opt = oracle::color_optimal_small(g);
   EXPECT_EQ(greedy.total_bytes, opt.total_bytes);
 }
 
@@ -95,9 +96,9 @@ TEST(Coloring, GreedyNeverBeatenByMoreThanOptimal) {
     }
     InterferenceGraph g(std::move(v));
     const ColoringResult greedy = color_min_total_size(g);
-    const ColoringResult opt = color_optimal_small(g);
-    EXPECT_TRUE(coloring_is_valid(g, greedy));
-    EXPECT_TRUE(coloring_is_valid(g, opt));
+    const ColoringResult opt = oracle::color_optimal_small(g);
+    EXPECT_TRUE(oracle::coloring_is_valid(g, greedy));
+    EXPECT_TRUE(oracle::coloring_is_valid(g, opt));
     EXPECT_GE(greedy.total_bytes, opt.total_bytes);
     // Greedy heuristic stays within 2x of optimal on these tiny cases.
     EXPECT_LE(greedy.total_bytes, 2 * opt.total_bytes);
@@ -108,7 +109,7 @@ TEST(Coloring, OptimalRejectsLargeGraphs) {
   std::vector<TensorEntity> v;
   for (int i = 0; i < 20; ++i) v.push_back(make_entity(i, 10, 0, 1));
   InterferenceGraph g(std::move(v));
-  EXPECT_THROW(color_optimal_small(g, 12), std::invalid_argument);
+  EXPECT_THROW(oracle::color_optimal_small(g, 12), std::invalid_argument);
 }
 
 TEST(VirtualBuffers, GroupByColorWithMaxSize) {

@@ -11,6 +11,7 @@
 #include "core/lcmm.hpp"
 #include "models/models.hpp"
 #include "obs/stats.hpp"
+#include "oracle/coloring.hpp"
 #include "oracle/scan.hpp"
 #include "util/rng.hpp"
 
@@ -30,7 +31,7 @@ void expect_same_coloring(const core::InterferenceGraph& graph,
   EXPECT_EQ(session.stats().counter("coloring.candidates_tried"),
             scan.candidates_tried)
       << label;
-  EXPECT_TRUE(core::coloring_is_valid(graph, fast)) << label;
+  EXPECT_TRUE(oracle::coloring_is_valid(graph, fast)) << label;
 }
 
 void expect_same_sim(const hw::PerfModel& model,

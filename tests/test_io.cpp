@@ -2,13 +2,19 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "io/text_format.hpp"
 #include "models/models.hpp"
+#include "obs/stats.hpp"
+#include "oracle/parse.hpp"
 #include "resil/resil.hpp"
 #include "test_graphs.hpp"
+#include "util/rng.hpp"
 
 namespace lcmm::io {
 namespace {
@@ -189,28 +195,30 @@ TEST(RoundTrip, RandomGraphsSurviveSerializeParse) {
   }
 }
 
+// Malformed inputs; the differential tests below run them too.
+const std::vector<std::pair<const char*, const char*>> kMalformed = {
+    {"empty input", ""},
+    {"comments only", "# nothing\n# here\n"},
+    {"header only twice", "graph a\ngraph b\n"},
+    {"missing header", "input a 3x8x8\n"},
+    {"truncated shape", "graph g\ninput a 3x\n"},
+    {"non-numeric dim", "graph g\ninput a 3x8xqq\n"},
+    {"int32-overflow dim", "graph g\ninput a 99999999999999999999x1x1\n"},
+    {"int64-overflow product",
+     "graph g\ninput a 2000000000x2000000000x2000000000\n"
+     "conv c a out=8 kernel=1\n"},
+    {"unknown op", "graph g\ninput a 3x8x8\nwarp w a out=8\n"},
+    {"unknown value ref", "graph g\nconv c nowhere out=8 kernel=1\n"},
+    {"duplicate layer name", "graph g\ninput a 3x8x8\ninput a 3x8x8\n"},
+    {"missing conv attrs", "graph g\ninput a 3x8x8\nconv c a\n"},
+    {"binary junk", "\x01\x02\xff\xfe graph \x00"},
+};
+
 TEST(Malformed, CorpusAlwaysRaisesParseErrorNeverCrashes) {
   // Adversarial inputs must surface as typed ParseErrors — never a crash,
   // never a foreign exception type, and overflowing dimension products must
   // not wrap into a plausible-looking graph (resil::checked_mul).
-  const std::vector<std::pair<const char*, const char*>> corpus = {
-      {"empty input", ""},
-      {"comments only", "# nothing\n# here\n"},
-      {"header only twice", "graph a\ngraph b\n"},
-      {"missing header", "input a 3x8x8\n"},
-      {"truncated shape", "graph g\ninput a 3x\n"},
-      {"non-numeric dim", "graph g\ninput a 3x8xqq\n"},
-      {"int32-overflow dim", "graph g\ninput a 99999999999999999999x1x1\n"},
-      {"int64-overflow product",
-       "graph g\ninput a 2000000000x2000000000x2000000000\n"
-       "conv c a out=8 kernel=1\n"},
-      {"unknown op", "graph g\ninput a 3x8x8\nwarp w a out=8\n"},
-      {"unknown value ref", "graph g\nconv c nowhere out=8 kernel=1\n"},
-      {"duplicate layer name", "graph g\ninput a 3x8x8\ninput a 3x8x8\n"},
-      {"missing conv attrs", "graph g\ninput a 3x8x8\nconv c a\n"},
-      {"binary junk", "\x01\x02\xff\xfe graph \x00"},
-  };
-  for (const auto& [label, text] : corpus) {
+  for (const auto& [label, text] : kMalformed) {
     SCOPED_TRACE(label);
     EXPECT_THROW(parse_graph(text), ParseError);
   }
@@ -255,6 +263,188 @@ TEST(Files, SaveAndLoad) {
   EXPECT_EQ(loaded.num_layers(), g.num_layers());
   std::remove(path.c_str());
   EXPECT_THROW(load_graph_file("/nonexistent/x.lcmm"), std::runtime_error);
+}
+
+TEST(Parse, RepeatedKeyKeepsItsLastValue) {
+  const auto g = parse_graph(
+      "graph g\ninput a 3x8x8\nconv c a out=8 out=16 kernel=1 kernel=3 pad=1\n");
+  EXPECT_EQ(g.own_output_shape(0).channels, 16);
+  EXPECT_EQ(g.layers()[0].conv.kernel_h, 3);
+}
+
+TEST(Parse, LinesCountAsGetlineCountsThem) {
+  // An unterminated last line is a line; a trailing newline adds none.
+  auto line_of = [](const std::string& text) {
+    try {
+      parse_graph(text);
+    } catch (const ParseError& e) {
+      return e.line();
+    }
+    return -1;
+  };
+  EXPECT_EQ(line_of("graph g\nwarp"), 2);
+  EXPECT_EQ(line_of("graph g\nwarp\n"), 2);
+  EXPECT_EQ(line_of("# one\n# two"), 2);
+  EXPECT_EQ(line_of("# one\n# two\n"), 2);
+  EXPECT_EQ(line_of("# one\n\n"), 2);
+  EXPECT_EQ(line_of(""), 0);
+  EXPECT_EQ(line_of("\n"), 1);
+}
+
+TEST(Parse, SpanCountsLinesLayersAndBytes) {
+  obs::StatsSession session;
+  parse_graph(kTiny);
+  const obs::CompileStats& stats = session.stats();
+  EXPECT_EQ(stats.span_count("parse"), 1);
+  EXPECT_EQ(stats.counter("parse.lines"), 13);
+  EXPECT_EQ(stats.counter("parse.layers"), 7);
+  EXPECT_EQ(stats.counter("parse.bytes"),
+            static_cast<std::int64_t>(std::string_view(kTiny).size()));
+}
+
+// ---- differential: the view-based parser against the string-copying one
+// it replaced (oracle/parse.hpp) ------------------------------------------
+
+/// What a parse gives: the serialized graph, or the error's type, code,
+/// line and message.
+template <typename Parse>
+std::string outcome(Parse parse, std::string_view text) {
+  try {
+    return "graph:\n" + serialize_graph(parse(text));
+  } catch (const ParseError& e) {
+    return "ParseError code " + std::to_string(static_cast<int>(e.code())) +
+           " line " + std::to_string(e.line()) + ": " + e.what();
+  } catch (const std::exception& e) {
+    return std::string(typeid(e).name()) + ": " + e.what();
+  }
+}
+
+void expect_same_parse(std::string_view text, const std::string& label) {
+  EXPECT_EQ(outcome(parse_graph, text),
+            outcome(oracle::string_parse_graph, text))
+      << label;
+}
+
+std::vector<std::string> zoo_texts() {
+  std::vector<std::string> texts;
+  for (const std::string& name : models::model_names()) {
+    texts.push_back(serialize_graph(models::build_by_name(name)));
+  }
+  return texts;
+}
+
+TEST(ParseDifferential, ZooRandomAndExampleGraphs) {
+  for (const std::string& text : zoo_texts()) expect_same_parse(text, text);
+  for (std::uint64_t seed = 0; seed < 50; ++seed) {
+    expect_same_parse(serialize_graph(models::random_graph(seed)),
+                      "random seed " + std::to_string(seed));
+  }
+  int files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(LCMM_SOURCE_DIR) / "examples" / "graphs")) {
+    if (entry.path().extension() != ".lcmm") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    expect_same_parse(text.str(), entry.path().string());
+    ++files;
+  }
+  EXPECT_GE(files, 2);
+}
+
+TEST(ParseDifferential, MalformedCorpus) {
+  for (const auto& [label, text] : kMalformed) expect_same_parse(text, label);
+}
+
+TEST(ParseDifferential, EdgeTokens) {
+  using namespace std::string_literals;
+  const std::vector<std::string> tokens = {
+      "8",   "+8",          "08",         "-0",          "-8",
+      "2147483647",         "2147483648", "-2147483648", "-2147483649",
+      "999999999",          "99999999999", "8\v",        "\v8",
+      "\f8", "1e3",        "0x10",       "",            "-",
+      "+",   "8x",          "x8",         "8x8x8",       "--8",
+      " 8"};
+  for (const std::string& t : tokens) {
+    const std::string label = "token '" + t + "'";
+    expect_same_parse("graph g\ninput a 3x8x8\nconv c a out=" + t +
+                          " kernel=1\n",
+                      label + " as out=");
+    expect_same_parse("graph g\ninput a 3x8x8\nconv c a out=8 kernel=" + t +
+                          "\n",
+                      label + " as kernel=");
+    expect_same_parse("graph g\ninput a " + t + "x8x8\n", label + " as a dim");
+    expect_same_parse("graph g\ninput a 3x8x8\npool p a kernel=" + t + "\n",
+                      label + " as a pool kernel");
+  }
+  const std::string base = "graph g\ninput a 3x8x8\n";
+  const std::vector<std::pair<std::string, std::string>> texts = {
+      {"empty value", base + "conv c a out= kernel=1\n"},
+      {"repeated key", base + "conv c a out=8 out=16 kernel=1\n"},
+      {"repeated residual", base + "conv c a out=3 kernel=1 residual=zz "
+                                   "residual=a\n"},
+      {"empty key", base + "conv c a =8 out=8 kernel=1\n"},
+      {"CRLF", "graph g\r\ninput a 3x8x8\r\nconv c a out=8 kernel=1\r\n"},
+      {"CRLF error", "graph g\r\ninput a 3x8x8\r\nwarp\r\n"},
+      {"unterminated last line", base + "conv c a out=8 kernel=1"},
+      {"unterminated error", base + "conv c a out=8"},
+      {"blank lines then error", base + "\n\n  \t\n warp"},
+      {"hash inside a token", base + "conv c a out=8#9 kernel=1\n"},
+      {"hash ends a name", base + "conv c#x a out=8 kernel=1\n"},
+      {"NUL in a token", base + "conv c a out=8\0 kernel=1\n"s},
+      {"NUL line", base + "\0\n"s},
+      {"tabs", "graph\tg\ninput\ta\t3x8x8\n"},
+      {"flags", base + "pool p a kernel=2 ceil ceil stride=2\n"},
+      {"fc on a map", base + "fc f a out=10\n"},
+      {"fc unknown input no out", base + "fc f zz\n"},
+      {"bad pool type", base + "pool p a type=min kernel=2\n"},
+      {"gpool", base + "gpool p a\n"},
+      {"short statement", base + "conv c\n"},
+      {"stage usage", base + "stage\n"},
+      {"graph usage", "graph\n"},
+      {"graph twice", "graph g\ngraph h\n"},
+      {"statement before graph", "\n\ninput a 3x8x8\n"},
+      {"concat one part", base + "conv b a out=8 kernel=1\nconcat m b\n"},
+  };
+  for (const auto& [label, text] : texts) expect_same_parse(text, label);
+}
+
+TEST(ParseDifferential, SeededCharacterMutationsOfZooTexts) {
+  // Delete, duplicate or replace one character of a zoo text.
+  constexpr char kAlphabet[] = " \t\r\n#=x-+09a\v\f\0";
+  util::Rng rng(32);
+  for (const std::string& text : zoo_texts()) {
+    for (int i = 0; i < 60; ++i) {
+      std::string mutated = text;
+      const std::size_t at = rng.next_below(mutated.size());
+      switch (rng.next_below(3)) {
+        case 0:
+          mutated.erase(at, 1);
+          break;
+        case 1:
+          mutated.insert(at, 1, mutated[at]);
+          break;
+        default:
+          mutated[at] = kAlphabet[rng.next_below(sizeof(kAlphabet) - 1)];
+          break;
+      }
+      expect_same_parse(mutated, "mutation " + std::to_string(i) + " at " +
+                                     std::to_string(at) + " of " +
+                                     text.substr(0, text.find('\n')));
+    }
+  }
+}
+
+TEST(ParseDifferential, ZooTextsTruncatedAtEveryLine) {
+  // Each prefix ends either just before a '\n' (an unterminated last line)
+  // or just after it.
+  for (const std::string& text : zoo_texts()) {
+    for (std::size_t nl = text.find('\n'); nl != std::string::npos;
+         nl = text.find('\n', nl + 1)) {
+      expect_same_parse(std::string_view(text).substr(0, nl), "before");
+      expect_same_parse(std::string_view(text).substr(0, nl + 1), "after");
+    }
+  }
 }
 
 }  // namespace

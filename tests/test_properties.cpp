@@ -4,6 +4,7 @@
 
 #include "core/lcmm.hpp"
 #include "models/models.hpp"
+#include "oracle/coloring.hpp"
 #include "sim/memory_trace.hpp"
 #include "sim/timeline.hpp"
 #include "test_graphs.hpp"
@@ -27,7 +28,7 @@ TEST_P(RandomGraphProperty, ColoringIsAlwaysValid) {
   opt.include_compute_bound = true;
   core::InterferenceGraph ig(core::build_feature_entities(model, opt));
   const auto coloring = core::color_min_total_size(ig);
-  EXPECT_TRUE(core::coloring_is_valid(ig, coloring));
+  EXPECT_TRUE(oracle::coloring_is_valid(ig, coloring));
   // Buffer sizes: max of members; total matches.
   const auto buffers = core::build_virtual_buffers(ig, coloring);
   EXPECT_EQ(core::total_buffer_bytes(buffers), coloring.total_bytes);
