@@ -12,27 +12,12 @@ namespace lcmm::core {
 
 namespace {
 
-/// Members of a buffer ordered by descending stream latency, so that the
-/// incremental composition of marginal gains is deterministic and matches
-/// the paper's largest-term-first accounting.
-std::vector<std::size_t> ordered_members(const InterferenceGraph& graph,
-                                         const VirtualBuffer& buffer) {
-  std::vector<std::size_t> members = buffer.members;
-  std::stable_sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
-    return graph.entities()[a].stream_latency_s >
-           graph.entities()[b].stream_latency_s;
-  });
-  return members;
-}
-
 /// One member of the buffer in the current DP row, with every part of its
 /// compensated gain that does not depend on the capacity column j.
 struct MemberTerm {
   /// Marginal gain by layer on-chip mask. Only the masks a cell can reach
-  /// (fixed_mask plus any subset of the owner sources) are filled.
+  /// (the subsets of the owner sources) are filled.
   std::array<double, 1u << kNumSources> gain{};
-  /// Sources of the layer held by earlier members of this same buffer.
-  std::uint8_t fixed_mask = 0;
   /// Earlier buffers holding sources of the layer: their pbuf_table row
   /// offset and the source whose bit a taken cell sets.
   int num_owners = 0;
@@ -50,7 +35,6 @@ void build_member_terms(const InterferenceGraph& graph,
   for (std::size_t m = 0; m < members.size(); ++m) {
     const TensorKey key = graph.entities()[members[m]].key;
     MemberTerm& term = terms[m];
-    term.fixed_mask = 0;
     term.num_owners = 0;
     std::uint8_t owner_bits = 0;
     for (int s = 0; s < kNumSources; ++s) {
@@ -61,17 +45,9 @@ void build_member_terms(const InterferenceGraph& graph,
       ++term.num_owners;
       owner_bits = static_cast<std::uint8_t>(owner_bits | (1u << s));
     }
-    for (std::size_t q = 0; q < m; ++q) {
-      const TensorKey other = graph.entities()[members[q]].key;
-      if (other.layer == key.layer) {
-        term.fixed_mask = static_cast<std::uint8_t>(
-            term.fixed_mask | (1u << static_cast<int>(other.source)));
-      }
-    }
     for (std::uint8_t sub = owner_bits;;
          sub = static_cast<std::uint8_t>((sub - 1) & owner_bits)) {
-      const std::uint8_t mask = static_cast<std::uint8_t>(term.fixed_mask | sub);
-      term.gain[mask] = tables.marginal_gain(key.layer, key.source, mask);
+      term.gain[sub] = tables.marginal_gain(key.layer, key.source, sub);
       if (sub == 0) break;
     }
   }
@@ -128,15 +104,25 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
   const std::size_t width = static_cast<std::size_t>(w_cap) + 1;
 
   // Lookup: (layer, source) -> owning buffer index, for the compensation
-  // reads from pbuf_table.
+  // reads from pbuf_table. A buffer holds at most one tensor of a layer
+  // (coloring never merges two: they are all live at the layer's step), so
+  // a member's mask reads only earlier buffers' pbuf_table bits.
   const std::size_t num_layers = tables.model().graph().num_layers();
   std::vector<std::array<int, kNumSources>> buffer_of(num_layers,
                                                       {-1, -1, -1, -1});
   for (std::size_t b = 0; b < n; ++b) {
     for (std::size_t e : buffers[b].members) {
       const TensorKey key = graph.entities()[e].key;
-      buffer_of[static_cast<std::size_t>(key.layer)]
-               [static_cast<int>(key.source)] = static_cast<int>(b);
+      std::array<int, kNumSources>& owners =
+          buffer_of[static_cast<std::size_t>(key.layer)];
+      if (std::find(owners.begin(), owners.end(), static_cast<int>(b)) !=
+          owners.end()) {
+        throw resil::OptionError(
+            resil::Code::kBadArgument, "pass.dnnk",
+            "dnnk_allocate: buffer " + std::to_string(buffers[b].id) +
+                " holds two tensors of layer " + std::to_string(key.layer));
+      }
+      owners[static_cast<int>(key.source)] = static_cast<int>(b);
     }
   }
 
@@ -149,7 +135,6 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
   std::vector<std::size_t> owner_rows;
   std::vector<std::uint8_t> boundary(width, 0);
   std::vector<std::size_t> run_starts;
-  std::vector<double> run_gains;
   std::int64_t member_terms = 0;
   std::int64_t gain_runs = 0;
 
@@ -163,9 +148,8 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
       // layers, read from pbuf_table at this capacity (Alg. 1, lines 9-12
       // generalized through Eq. 1 marginal gains). Everything but the
       // pbuf_table reads is fixed for the row, so it is built once here.
-      build_member_terms(graph, ordered_members(graph, buffers[i]), buffer_of,
-                         tables, i, width, terms);
-      member_terms += static_cast<std::int64_t>(terms.size() * (width - size_units));
+      build_member_terms(graph, buffers[i].members, buffer_of, tables, i, width,
+                         terms);
 
       // The masks read only the owner rows' pbuf_table bits, so they are
       // constant on each run of columns where none of those bits changes.
@@ -190,49 +174,32 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
         if (boundary[j]) run_starts.push_back(j);
       }
       run_starts.push_back(width);
-      gain_runs += static_cast<std::int64_t>(run_starts.size() - 1);
+      const auto runs = static_cast<std::int64_t>(run_starts.size() - 1);
+      gain_runs += runs;
+      member_terms += runs * static_cast<std::int64_t>(terms.size());
 
-      // Each cell adds the member gains to prev[j - size] one by one in
-      // member order, exactly as a per-cell loop would, so the values and
-      // the take/skip ties are bit-identical to it. A run's gains are the
-      // same in every column, so kLanes columns are summed side by side:
-      // independent add chains in registers instead of one pass over curr
-      // per member.
-      constexpr std::size_t kLanes = 8;
+      // A run's member gains are the same in every column, so each run sums
+      // them once, in member order, and each cell adds that sum once.
       std::uint8_t* const row = pbuf_table.data() + i * width;
-      const auto settle = [&](std::size_t j, double take) {
-        if (prev[j] > take) {
-          curr[j] = prev[j];
-        } else {
-          curr[j] = take;
-          row[j] = 1;
-        }
-      };
       for (std::size_t r = 0; r + 1 < run_starts.size(); ++r) {
         const std::size_t begin = run_starts[r];
-        const std::size_t end = run_starts[r + 1];
-        run_gains.clear();
+        double run_gain = 0.0;
         for (const MemberTerm& term : terms) {
-          std::uint8_t mask = term.fixed_mask;
+          std::uint8_t mask = 0;
           for (int o = 0; o < term.num_owners; ++o) {
             mask = static_cast<std::uint8_t>(
                 mask | pbuf_table[term.owner_offset[o] + begin] << term.owner_source[o]);
           }
-          run_gains.push_back(term.gain[mask]);
+          run_gain += term.gain[mask];
         }
-        std::size_t j = begin;
-        for (; j + kLanes <= end; j += kLanes) {
-          std::array<double, kLanes> take;
-          for (std::size_t k = 0; k < kLanes; ++k) take[k] = prev[j + k - size_units];
-          for (const double gain : run_gains) {
-            for (std::size_t k = 0; k < kLanes; ++k) take[k] += gain;
+        for (std::size_t j = begin; j < run_starts[r + 1]; ++j) {
+          const double take = prev[j - size_units] + run_gain;
+          if (prev[j] > take) {
+            curr[j] = prev[j];
+          } else {
+            curr[j] = take;
+            row[j] = 1;
           }
-          for (std::size_t k = 0; k < kLanes; ++k) settle(j + k, take[k]);
-        }
-        for (; j < end; ++j) {
-          double take = prev[j - size_units];
-          for (const double gain : run_gains) take += gain;
-          settle(j, take);
         }
       }
     }

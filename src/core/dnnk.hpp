@@ -6,14 +6,18 @@
 // to the next-larger transfer term of its node that is still off-chip.
 // The DP follows the paper: rows are buffers, columns are capacities, the
 // compensation term is read from the partial allocation table pbuf_table,
-// and the final allocation is recovered by a backtrace. Each row builds its
-// members' column-independent terms once (marginal gains per reachable
-// mask, same-buffer sources, owner rows). The masks read only the owner
-// rows' pbuf_table bits, so the row cuts its columns into runs of equal
-// owner state: a row's masks are built once per run of equal owner state,
-// and a cell costs one add per member, independent across columns. Each
-// cell still adds its members' gains one by one in member order, so the
-// values are bit-identical to composing every mask inside every cell.
+// and the final allocation is recovered by a backtrace.
+//
+// A buffer holds at most one tensor of a layer; dnnk_allocate raises
+// OptionError(kBadArgument) for one that holds two when it runs the DP.
+// Coloring guarantees this: every tensor of layer L is live at step L (its
+// input and residual end there, its output starts there, its weight's
+// prefetch window ends there), and touching lifespans interfere. So a
+// member's compensation reads only earlier buffers' pbuf_table bits. Each
+// row builds its members' column-independent terms once (marginal gains
+// per reachable mask, owner rows) and cuts its columns into runs of equal
+// owner state. Each run sums its member gains once, in member order, and a
+// cell adds that sum once to prev[j - size].
 //
 // When every buffer fits, the DP does not run. Let s_i be buffer i's
 // quantized size, S_i = s_0 + ... + s_i, and w_cap = capacity_bytes /
@@ -21,14 +25,15 @@
 // selects every buffer and returns evaluate_selection of that selection:
 // the same selection, bytes_used, state and gain_s that the DP returns,
 // because the DP selects every buffer there:
-//   - Every member gain is an Eq. 1 marginal reduction, so it is >= 0: a
-//     max over fewer terms is never larger.
+//   - Every member gain is an Eq. 1 marginal reduction, so it is >= 0, and
+//     so is a run's sum of them.
 //   - A cell takes on a tie: it skips only when prev[j] > take strictly.
 //   - By induction on rows (before row 0, prev is 0 in every column), row i
-//     takes at every column j >= S_i, and its value there is one constant. At such j every owner bit it reads is 1
-//     (row k < i took at j >= S_k), so its masks and gains are the same in
-//     every such column; prev[j - s_i] is row i-1's constant, since
-//     j - s_i >= S_{i-1}; adding gains >= 0 never rounds below that
+//     takes at every column j >= S_i, and its value there is one constant.
+//     At such j every owner bit it reads is 1 (row k < i took at
+//     j >= S_k), so j lies in one run and its run sum is the same in every
+//     such column; prev[j - s_i] is row i-1's constant, since
+//     j - s_i >= S_{i-1}; adding a run sum >= 0 never rounds below that
 //     constant, which is also prev[j], so the cell takes.
 //   - So the backtrace from w_cap >= S_{n-1} stays at j >= S_i in every row
 //     i and selects every buffer.
@@ -65,7 +70,8 @@ struct AllocatorResult {
   double gain_s = 0.0;
 };
 
-/// Alg. 1. `capacity_bytes` is R_sram.
+/// Alg. 1. `capacity_bytes` is R_sram. Each buffer holds at most one tensor
+/// of a layer (see above).
 AllocatorResult dnnk_allocate(const InterferenceGraph& graph,
                               const std::vector<VirtualBuffer>& buffers,
                               const LatencyTables& tables,

@@ -184,17 +184,12 @@ void LcmmCompiler::place_physical(AllocationPlan& plan,
                     "uram-margin");
         continue;
       }
-      auto alloc = pools.allocate(bytes, mem::SramPool::kUram);
-      if (!alloc) {
-        LCMM_DECIDE(graph.layer(layer).name + ".wt", bytes, false,
-                    "uram-fragmentation");
-        continue;
-      }
       LCMM_COUNT("promoted_weights", 1);
       LCMM_DECIDE(graph.layer(layer).name + ".wt", bytes, true,
                   "residency-promotion");
       plan.physical.push_back(
-          PhysicalBuffer{VirtualBuffer{-1, bytes, {}, 0, 0}, *alloc});
+          PhysicalBuffer{VirtualBuffer{-1, bytes, {}},
+                         pools.allocate(bytes, mem::SramPool::kUram).value()});
       plan.tensor_buffer_bytes += bytes;
       plan.resident_weights.push_back(layer);
     }

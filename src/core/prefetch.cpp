@@ -7,11 +7,6 @@
 
 namespace lcmm::core {
 
-namespace {
-/// Full weight tensors stream sequentially from DRAM: long bursts.
-constexpr double kSequentialBurstBytes = 4096.0;
-}  // namespace
-
 PrefetchResult::PrefetchResult(std::vector<PrefetchEdge> edges)
     : edges_(std::move(edges)) {
   std::sort(edges_.begin(), edges_.end(),

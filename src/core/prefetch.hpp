@@ -19,6 +19,10 @@
 
 namespace lcmm::core {
 
+/// Burst size of a whole weight tensor's load: full weight tensors stream
+/// sequentially from DRAM in long bursts.
+inline constexpr double kSequentialBurstBytes = 4096.0;
+
 struct PrefetchEdge {
   graph::LayerId target = graph::kInvalidLayer;  // Ck
   /// Step of Ck'. kBeforeExecution when even the full prefix of the

@@ -1,7 +1,6 @@
 #include "core/virtual_buffer.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 
 #include "resil/checked.hpp"
@@ -15,11 +14,6 @@ std::vector<VirtualBuffer> build_virtual_buffers(const InterferenceGraph& graph,
                              "build_virtual_buffers: coloring size mismatch");
   }
   std::vector<VirtualBuffer> buffers(static_cast<std::size_t>(coloring.num_colors));
-  for (std::size_t c = 0; c < buffers.size(); ++c) {
-    buffers[c].id = static_cast<int>(c);
-    buffers[c].start_step = std::numeric_limits<int>::max();
-    buffers[c].end_step = std::numeric_limits<int>::min();
-  }
   for (std::size_t e = 0; e < graph.size(); ++e) {
     const int c = coloring.color_of[e];
     if (c < 0 || c >= coloring.num_colors) {
@@ -30,8 +24,6 @@ std::vector<VirtualBuffer> build_virtual_buffers(const InterferenceGraph& graph,
     const TensorEntity& entity = graph.entities()[e];
     buf.members.push_back(e);
     buf.bytes = std::max(buf.bytes, entity.bytes);
-    buf.start_step = std::min(buf.start_step, entity.def_step);
-    buf.end_step = std::max(buf.end_step, entity.last_use_step);
   }
   // Drop empty colors (possible after splitting re-runs).
   std::erase_if(buffers, [](const VirtualBuffer& b) { return b.members.empty(); });

@@ -20,9 +20,6 @@ struct VirtualBuffer {
   std::int64_t bytes = 0;
   /// Indices into the owning interference graph's entity vector.
   std::vector<std::size_t> members;
-  /// Union liveness span (for the virtual buffer table's Start/End columns).
-  int start_step = 0;
-  int end_step = 0;
 };
 
 /// Groups entities into virtual buffers according to a coloring.

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/latency_tables.hpp"
+#include "core/prefetch.hpp"
 #include "obs/scope.hpp"
 
 namespace lcmm::sim {
@@ -50,7 +51,7 @@ SimResult simulate(const hw::PerfModel& model, const core::AllocationPlan& plan)
       r.remaining_s = model.ddr().transfer_seconds(
           static_cast<double>(graph.layer_weight_elems(layer.id)) *
               hw::bytes_per_elem(plan.design.precision),
-          4096.0);
+          core::kSequentialBurstBytes);
     }
     requests.push_back(r);
   }

@@ -147,7 +147,7 @@ TEST(Dnnk, PivotCompensationWithinOneLayer) {
   std::vector<VirtualBuffer> buffers;
   for (std::size_t i = 0; i < ig.size(); ++i) {
     buffers.push_back(VirtualBuffer{static_cast<int>(i), ig.entities()[i].bytes,
-                                    {i}, 0, 0});
+                                    {i}});
   }
   const auto r =
       dnnk_allocate(ig, buffers, tables, std::int64_t{1} << 40);
@@ -197,10 +197,11 @@ TEST(Dnnk, ZeroGranularityIsATypedError) {
 
 /// The DP with every member mask composed inside each cell, as Alg. 1 reads
 /// when transcribed directly: per cell, each member ORs in the sources that
-/// earlier buffers took at this column and the same-layer sources of
-/// earlier members of its own buffer, then adds its marginal gain.
-/// dnnk_allocate builds the column-independent parts once per row and must
-/// make the same decisions from the same doubles.
+/// earlier buffers took at this column; the cell sums the members' marginal
+/// gains in member order and adds that sum once. A buffer holds at most one
+/// tensor of a layer, so no mask has a source from its own buffer.
+/// dnnk_allocate builds the column-independent parts once per row and sums
+/// once per run, and must make the same decisions from the same doubles.
 AllocatorResult per_cell_reference(const InterferenceGraph& graph,
                                    const std::vector<VirtualBuffer>& buffers,
                                    const LatencyTables& tables,
@@ -223,19 +224,14 @@ AllocatorResult per_cell_reference(const InterferenceGraph& graph,
   std::vector<double> curr(width, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::int64_t size_units = quantized_units(buffers[i].bytes, options);
-    std::vector<std::size_t> members = buffers[i].members;
-    std::stable_sort(members.begin(), members.end(), [&](std::size_t a, std::size_t b) {
-      return graph.entities()[a].stream_latency_s >
-             graph.entities()[b].stream_latency_s;
-    });
     for (std::size_t j = 0; j < width; ++j) {
       if (static_cast<std::int64_t>(j) < size_units) {
         curr[j] = prev[j];
         continue;
       }
-      double l1 = prev[j - static_cast<std::size_t>(size_units)];
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        const TensorKey key = graph.entities()[members[m]].key;
+      double gain = 0.0;
+      for (std::size_t e : buffers[i].members) {
+        const TensorKey key = graph.entities()[e].key;
         std::uint8_t mask = 0;
         for (int s = 0; s < kNumSources; ++s) {
           const int owner = buffer_of[static_cast<std::size_t>(key.layer)][s];
@@ -244,15 +240,9 @@ AllocatorResult per_cell_reference(const InterferenceGraph& graph,
             mask = static_cast<std::uint8_t>(mask | (1u << s));
           }
         }
-        for (std::size_t q = 0; q < m; ++q) {
-          const TensorKey other = graph.entities()[members[q]].key;
-          if (other.layer == key.layer) {
-            mask = static_cast<std::uint8_t>(
-                mask | (1u << static_cast<int>(other.source)));
-          }
-        }
-        l1 += tables.marginal_gain(key.layer, key.source, mask);
+        gain += tables.marginal_gain(key.layer, key.source, mask);
       }
+      const double l1 = prev[j - static_cast<std::size_t>(size_units)] + gain;
       if (prev[j] > l1) {
         curr[j] = prev[j];
       } else {
@@ -434,14 +424,33 @@ TEST(Dnnk, MatchesPerCellReferenceOnRandomGraphs) {
   EXPECT_GT(shared, 0) << "no multi-member buffer exercised";
 }
 
-TEST(Dnnk, MemberMaskComposesEarlierBufferAndSameBufferSources) {
+/// The entity of `source` at `layer` under `model`, with its stream latency.
+TensorEntity stream_entity(const hw::PerfModel& model, graph::LayerId layer,
+                           TensorSource source, std::int64_t bytes) {
+  const hw::LayerTiming& t = model.timing(layer);
+  TensorEntity e;
+  e.key = {layer, source};
+  e.bytes = bytes;
+  e.stream_latency_s = source == TensorSource::kInput      ? t.if_s
+                       : source == TensorSource::kResidual ? t.res_s
+                       : source == TensorSource::kWeight   ? t.wt_s
+                                                           : t.of_s;
+  return e;
+}
+
+constexpr std::uint8_t bit(TensorSource source) {
+  return static_cast<std::uint8_t>(1u << static_cast<int>(source));
+}
+
+TEST(Dnnk, MemberMaskComposesSourcesOfTwoEarlierBuffers) {
   // Layer 0 is a fused-residual 1x1 conv whose input, residual and output
-  // streams all exceed its compute time under this design. Buffer 0 holds
-  // its output; buffer 1 holds its input and residual, so in row 1 the
-  // residual's mask takes the output bit from buffer 0's pick at the
-  // column and the input bit from its own buffer. Singleton buffers over
-  // the streams of a few differently shaped layers compete for the same
-  // capacity, so the composed value decides picks across the sweep.
+  // streams all exceed its compute time under this design, so its
+  // residual's gain depends on both the input's and the output's bit.
+  // Buffers 0 and 1 hold its output and input; buffer 2 holds its residual
+  // beside layer 2's weight, so in row 2 the residual's mask takes one bit
+  // from each of two earlier buffers' picks at the column. Singleton
+  // buffers over the streams of a few differently shaped layers compete for
+  // the same capacity, so the composed value decides picks across the sweep.
   graph::ComputationGraph g("residual_fixture");
   auto x = g.add_input("in", {64, 14, 14});
   x = g.add_conv("res", x, {64, 1, 1, 1, 0, 0}, /*residual=*/x);
@@ -453,38 +462,34 @@ TEST(Dnnk, MemberMaskComposesEarlierBufferAndSameBufferSources) {
   design.array = {64, 16, 32};
   const hw::PerfModel model(g, design);
   const LatencyTables tables(model);
-  const hw::LayerTiming& t = model.timing(0);
-  ASSERT_GT(t.if_s, t.compute_s);
-  ASSERT_GT(t.res_s, t.compute_s);
-  ASSERT_GT(t.of_s, t.compute_s);
+  const std::uint8_t in = bit(TensorSource::kInput);
+  const std::uint8_t out = bit(TensorSource::kOutput);
+  const double both = tables.marginal_gain(0, TensorSource::kResidual, in | out);
+  ASSERT_NE(both, tables.marginal_gain(0, TensorSource::kResidual, in));
+  ASSERT_NE(both, tables.marginal_gain(0, TensorSource::kResidual, out));
 
-  std::vector<TensorEntity> entities;
-  const auto add = [&](graph::LayerId layer, TensorSource source,
-                       std::int64_t bytes) {
-    const hw::LayerTiming& lt = model.timing(layer);
-    TensorEntity e;
-    e.key = {layer, source};
-    e.bytes = bytes;
-    e.stream_latency_s = source == TensorSource::kInput      ? lt.if_s
-                         : source == TensorSource::kResidual ? lt.res_s
-                         : source == TensorSource::kWeight   ? lt.wt_s
-                                                             : lt.of_s;
-    entities.push_back(e);
-    return entities.size() - 1;
-  };
   constexpr std::int64_t kUnit = 4096;
+  std::vector<TensorEntity> entities;
   std::vector<VirtualBuffer> buffers;
-  buffers.push_back({0, 2 * kUnit, {add(0, TensorSource::kOutput, 2 * kUnit)}, 0, 0});
-  buffers.push_back({1, 3 * kUnit,
-                     {add(0, TensorSource::kInput, 3 * kUnit),
-                      add(0, TensorSource::kResidual, 2 * kUnit)},
-                     0, 0});
+  const auto add_buffer =
+      [&](std::int64_t bytes,
+          std::vector<std::pair<graph::LayerId, TensorSource>> streams) {
+        VirtualBuffer b{static_cast<int>(buffers.size()), bytes, {}};
+        for (const auto& [layer, source] : streams) {
+          entities.push_back(stream_entity(model, layer, source, bytes));
+          b.members.push_back(entities.size() - 1);
+        }
+        buffers.push_back(b);
+      };
+  add_buffer(2 * kUnit, {{0, TensorSource::kOutput}});
+  add_buffer(3 * kUnit, {{0, TensorSource::kInput}});
+  add_buffer(2 * kUnit, {{0, TensorSource::kResidual}, {2, TensorSource::kWeight}});
   for (graph::LayerId layer = 1; layer < 4; ++layer) {
     for (TensorSource source : {TensorSource::kInput, TensorSource::kWeight,
                                 TensorSource::kOutput}) {
-      const std::int64_t bytes = (1 + (layer + static_cast<int>(source)) % 3) * kUnit;
-      buffers.push_back({static_cast<int>(buffers.size()), bytes,
-                         {add(layer, source, bytes)}, 0, 0});
+      if (layer == 2 && source == TensorSource::kWeight) continue;
+      add_buffer((1 + (layer + static_cast<int>(source)) % 3) * kUnit,
+                 {{layer, source}});
     }
   }
   const InterferenceGraph ig(std::move(entities));
@@ -495,13 +500,69 @@ TEST(Dnnk, MemberMaskComposesEarlierBufferAndSameBufferSources) {
     expect_matches_per_cell_reference(ig, buffers, tables, capacity,
                                       "capacity " + std::to_string(capacity), fine);
   }
-  // With room for every buffer, both layer-0 buffers are taken: the layer's
-  // input, residual and output are on chip.
+  // With room for every buffer, the three layer-0 buffers are taken: the
+  // layer's input, residual and output are on chip.
   const auto all = dnnk_allocate(ig, buffers, tables, total, fine);
   EXPECT_TRUE(all.buffer_on_chip[0]);
   EXPECT_TRUE(all.buffer_on_chip[1]);
+  EXPECT_TRUE(all.buffer_on_chip[2]);
   EXPECT_EQ(all.state.layer_mask(0), 0x0B);
 }
+
+TEST(Dnnk, BufferWithTwoTensorsOfOneLayerIsRejected) {
+  // Coloring never puts two tensors of one layer in a buffer, and the DP's
+  // masks read only earlier buffers; a hand-built buffer that breaks this
+  // is a typed error, not a silently wrong value.
+  graph::ComputationGraph g = fat_chain(2);
+  hw::PerfModel model(g, small_design());
+  LatencyTables tables(model);
+  std::vector<TensorEntity> entities;
+  entities.push_back(stream_entity(model, 0, TensorSource::kInput, 8192));
+  entities.push_back(stream_entity(model, 1, TensorSource::kInput, 8192));
+  entities.push_back(stream_entity(model, 1, TensorSource::kOutput, 4096));
+  const InterferenceGraph ig(std::move(entities));
+  const std::vector<VirtualBuffer> buffers{{0, 8192, {0}}, {1, 8192, {1, 2}}};
+  AllocatorOptions fine;
+  fine.granularity_bytes = 4096;
+  for (std::int64_t capacity : {std::int64_t{0}, std::int64_t{3} * 4096}) {
+    try {
+      dnnk_allocate(ig, buffers, tables, capacity, fine);
+      ADD_FAILURE() << "capacity " << capacity << ": expected an OptionError";
+    } catch (const resil::OptionError& e) {
+      EXPECT_EQ(e.code(), resil::Code::kBadArgument);
+      EXPECT_EQ(e.pass(), "pass.dnnk");
+    }
+  }
+}
+
+class ColoredBuffers : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(ColoredBuffers, HoldAtMostOneTensorOfEachLayer) {
+  // Every tensor of layer L is live at step L, so coloring never merges two
+  // of them: the guarantee dnnk_allocate rests on.
+  const graph::ComputationGraph graph = models::build_by_name(GetParam());
+  int shared = 0;
+  for (hw::Precision p :
+       {hw::Precision::kInt8, hw::Precision::kInt16, hw::Precision::kFp32}) {
+    for (const hw::FpgaDevice& device :
+         {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg(), hw::FpgaDevice::u250()}) {
+      const Instance inst = colored_instance(graph, device, p);
+      for (const VirtualBuffer& b : inst.buffers) {
+        shared += b.members.size() > 1 ? 1 : 0;
+        std::vector<graph::LayerId> layers;
+        for (std::size_t e : b.members) layers.push_back(inst.ig.entities()[e].key.layer);
+        std::sort(layers.begin(), layers.end());
+        EXPECT_EQ(std::adjacent_find(layers.begin(), layers.end()), layers.end())
+            << GetParam() << " " << hw::to_string(p) << " " << device.name
+            << " vbuf#" << b.id;
+      }
+    }
+  }
+  EXPECT_GT(shared, 0) << "no multi-member buffer exercised";
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, ColoredBuffers,
+                         ::testing::ValuesIn(models::model_names()));
 
 /// dnnk.gain_runs of one dnnk_allocate call.
 std::int64_t gain_runs_of(const InterferenceGraph& ig,
@@ -535,15 +596,17 @@ TEST(Dnnk, OwnerBitsFlippingAtAdjacentColumnsGiveRunsOfOne) {
   // m two-unit buffers X, each worth more than the one-unit buffer O after
   // them, leave O's pbuf_table row alternating: at an odd column O fits
   // beside the same X picks as one column lower, at an even column it
-  // would displace an X. Buffer D holds the input and residual of O's
-  // layer, so its masks read O's bit and its row splits into runs of one
-  // column at every column up to 2m + 1. Each X holds every stream of its
-  // own layer, so no X row has owners.
+  // would displace an X. O holds the input of layer 0, a 1x1 conv from 64
+  // to 56 channels whose input stream, output stream and compute time fall
+  // in that order; buffer D holds its output, which gains only when the
+  // input is on chip. So D's masks read O's bit and its row splits into
+  // runs of one column at every column up to 2m + 1. Each X holds the input
+  // of its own layer, so no X row has owners.
   constexpr int kM = 6;
   graph::ComputationGraph g("flip_fixture");
   auto x = g.add_input("in", {64, 14, 14});
-  x = g.add_conv("res", x, {64, 1, 1, 1, 0, 0}, /*residual=*/x);
-  for (int l = 0; l < kM; ++l) {
+  x = g.add_conv("shrink", x, {56, 1, 1, 1, 0, 0});
+  for (int l = 0; l <= kM; ++l) {
     x = g.add_conv("c" + std::to_string(l), x, {256, 1, 1, 1, 0, 0});
   }
   g.validate();
@@ -551,49 +614,27 @@ TEST(Dnnk, OwnerBitsFlippingAtAdjacentColumnsGiveRunsOfOne) {
   design.array = {64, 16, 32};
   const hw::PerfModel model(g, design);
   const LatencyTables tables(model);
-  const auto bits = [](std::initializer_list<TensorSource> sources) {
-    std::uint8_t mask = 0;
-    for (TensorSource s : sources) mask |= 1u << static_cast<int>(s);
-    return mask;
-  };
-  const std::uint8_t o_mask = bits({TensorSource::kOutput});
-  const std::uint8_t d_mask = bits({TensorSource::kInput, TensorSource::kResidual});
-  const std::uint8_t x_mask =
-      bits({TensorSource::kInput, TensorSource::kWeight, TensorSource::kOutput});
-  ASSERT_NE(tables.node_latency(0, 0) - tables.node_latency(0, d_mask),
-            tables.node_latency(0, o_mask) - tables.node_latency(0, o_mask | d_mask))
+  ASSERT_EQ(tables.marginal_gain(0, TensorSource::kOutput, 0), 0.0);
+  ASSERT_GT(tables.marginal_gain(0, TensorSource::kOutput, bit(TensorSource::kInput)),
+            0.0)
       << "D's value must depend on O's bit";
 
   constexpr std::int64_t kUnit = 4096;
   std::vector<TensorEntity> entities;
   std::vector<VirtualBuffer> buffers;
   const auto add_buffer = [&](std::int64_t bytes, graph::LayerId layer,
-                              std::vector<TensorSource> sources) {
-    VirtualBuffer b{static_cast<int>(buffers.size()), bytes, {}, 0, 0};
-    const hw::LayerTiming& t = model.timing(layer);
-    for (TensorSource source : sources) {
-      TensorEntity e;
-      e.key = {layer, source};
-      e.bytes = bytes;
-      e.stream_latency_s = source == TensorSource::kInput      ? t.if_s
-                           : source == TensorSource::kResidual ? t.res_s
-                           : source == TensorSource::kWeight   ? t.wt_s
-                                                               : t.of_s;
-      entities.push_back(e);
-      b.members.push_back(entities.size() - 1);
-    }
-    buffers.push_back(b);
+                              TensorSource source) {
+    entities.push_back(stream_entity(model, layer, source, bytes));
+    buffers.push_back({static_cast<int>(buffers.size()), bytes, {entities.size() - 1}});
   };
-  const double o_gain = tables.marginal_gain(0, TensorSource::kOutput, 0);
-  for (graph::LayerId layer = 1; layer <= kM; ++layer) {
-    ASSERT_GT(tables.node_latency(layer, 0) - tables.node_latency(layer, x_mask),
-              o_gain)
+  const double o_gain = tables.marginal_gain(0, TensorSource::kInput, 0);
+  for (graph::LayerId layer = 2; layer <= kM + 1; ++layer) {
+    ASSERT_GT(tables.marginal_gain(layer, TensorSource::kInput, 0), o_gain)
         << "layer " << layer;
-    add_buffer(2 * kUnit, layer,
-               {TensorSource::kInput, TensorSource::kWeight, TensorSource::kOutput});
+    add_buffer(2 * kUnit, layer, TensorSource::kInput);
   }
-  add_buffer(kUnit, 0, {TensorSource::kOutput});
-  add_buffer(kUnit, 0, {TensorSource::kInput, TensorSource::kResidual});
+  add_buffer(kUnit, 0, TensorSource::kInput);
+  add_buffer(kUnit, 0, TensorSource::kOutput);
   const InterferenceGraph ig(std::move(entities));
   AllocatorOptions fine;
   fine.granularity_bytes = kUnit;

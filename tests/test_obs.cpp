@@ -250,9 +250,9 @@ TEST(Integration, DseWorkCountersRepeatAcrossWorkerCounts) {
 }
 
 TEST(Integration, DnnkWorkCountersRepeatAcrossRunsAndWorkerCounts) {
-  // member_terms counts the member additions the DP performs (members x
-  // columns that can hold the buffer, summed over rows) and gain_runs the
-  // (row, run of equal owner state) pairs whose masks were built; like
+  // gain_runs counts the (row, run of equal owner state) pairs whose gains
+  // were summed and member_terms the member gains those sums read (members
+  // x runs, summed over rows); like
   // dp_cells and fits_all (the calls where every buffer fits and the DP
   // does not run) they are pure functions of the jobs, so repeats and
   // worker counts agree. zu9eg's SRAM is too small to hold every buffer,
