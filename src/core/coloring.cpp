@@ -2,26 +2,11 @@
 
 #include <algorithm>
 #include <iterator>
-#include <limits>
 #include <numeric>
 
 #include "obs/scope.hpp"
 
 namespace lcmm::core {
-
-namespace {
-
-std::int64_t total_size(const InterferenceGraph& graph,
-                        const std::vector<int>& color_of, int num_colors) {
-  std::vector<std::int64_t> color_max(static_cast<std::size_t>(num_colors), 0);
-  for (std::size_t i = 0; i < color_of.size(); ++i) {
-    auto& m = color_max[static_cast<std::size_t>(color_of[i])];
-    m = std::max(m, graph.entities()[i].bytes);
-  }
-  return std::accumulate(color_max.begin(), color_max.end(), std::int64_t{0});
-}
-
-}  // namespace
 
 ColoringResult color_min_total_size(const InterferenceGraph& graph) {
   LCMM_SPAN("coloring");
@@ -45,7 +30,7 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     int last_use_step = 0;
     std::size_t entity = 0;
   };
-  std::vector<std::int64_t> color_size;      // current max per color
+  std::vector<std::int64_t> color_size;      // its first member's bytes
   std::vector<std::vector<Member>> members;  // per color, by def step
   const auto defined_after = [](auto& color, int step) {
     return std::upper_bound(
@@ -69,38 +54,27 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
 
   for (std::size_t e : order) {
     const std::int64_t bytes = graph.entities()[e].bytes;
-    int best_color = -1;
-    std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
-    std::int64_t best_slack = std::numeric_limits<std::int64_t>::max();
-    for (std::size_t c = 0; c < color_size.size(); ++c) {
+    // Sizes never rise with the index: scan back from the newest color and
+    // stop at the first larger size after a fit. A 0-byte entity asks none.
+    const std::size_t fresh = color_size.size();
+    std::size_t best = fresh;
+    for (std::size_t c = bytes > 0 ? fresh : 0; c-- > 0;) {
+      if (best != fresh && color_size[c] > color_size[best]) break;
       ++candidates_tried;
-      if (!fits(members[c], e)) continue;
-      const std::int64_t growth = std::max<std::int64_t>(0, bytes - color_size[c]);
-      const std::int64_t slack = std::max<std::int64_t>(0, color_size[c] - bytes);
-      // Prefer zero growth with the tightest fit; otherwise minimal growth.
-      if (growth < best_cost || (growth == best_cost && slack < best_slack)) {
-        best_cost = growth;
-        best_slack = slack;
-        best_color = static_cast<int>(c);
-      }
+      if (fits(members[c], e)) best = c;
     }
-    if (best_color < 0 || best_cost >= bytes) {
-      // A fresh color is never worse than growing an existing one by the
-      // full entity size.
-      best_color = static_cast<int>(color_size.size());
-      color_size.push_back(0);
+    if (best == fresh) {
+      color_size.push_back(bytes);
       members.emplace_back();
+      result.total_bytes += bytes;
     }
-    result.color_of[e] = best_color;
+    result.color_of[e] = static_cast<int>(best);
     const InterferenceGraph::Lifespan& span = graph.lifespan(e);
-    std::vector<Member>& color = members[static_cast<std::size_t>(best_color)];
+    std::vector<Member>& color = members[best];
     color.insert(defined_after(color, span.def_step),
                  {span.def_step, span.last_use_step, e});
-    auto& cs = color_size[static_cast<std::size_t>(best_color)];
-    cs = std::max(cs, bytes);
   }
   result.num_colors = static_cast<int>(color_size.size());
-  result.total_bytes = total_size(graph, result.color_of, result.num_colors);
   LCMM_COUNT("entities", static_cast<std::int64_t>(n));
   LCMM_COUNT("colors", result.num_colors);
   LCMM_COUNT("candidates_tried", candidates_tried);

@@ -22,12 +22,16 @@ std::vector<VirtualBuffer> build_virtual_buffers(const InterferenceGraph& graph,
     }
     VirtualBuffer& buf = buffers[static_cast<std::size_t>(c)];
     const TensorEntity& entity = graph.entities()[e];
+    buf.id = c;
     buf.members.push_back(e);
     buf.bytes = std::max(buf.bytes, entity.bytes);
   }
-  // Drop empty colors (possible after splitting re-runs).
-  std::erase_if(buffers, [](const VirtualBuffer& b) { return b.members.empty(); });
-  for (std::size_t c = 0; c < buffers.size(); ++c) buffers[c].id = static_cast<int>(c);
+  // Coloring opens every color for the entity that joins it.
+  if (std::any_of(buffers.begin(), buffers.end(),
+                  [](const VirtualBuffer& b) { return b.members.empty(); })) {
+    throw resil::OptionError(resil::Code::kBadArgument, "pass.coloring",
+                             "build_virtual_buffers: empty color");
+  }
   return buffers;
 }
 

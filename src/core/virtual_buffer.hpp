@@ -22,7 +22,8 @@ struct VirtualBuffer {
   std::vector<std::size_t> members;
 };
 
-/// Groups entities into virtual buffers according to a coloring.
+/// Groups entities into virtual buffers according to a coloring; buffer c
+/// is color c. Throws OptionError on a color out of range or with no member.
 std::vector<VirtualBuffer> build_virtual_buffers(const InterferenceGraph& graph,
                                                  const ColoringResult& coloring);
 

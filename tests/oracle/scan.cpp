@@ -6,6 +6,27 @@
 
 namespace lcmm::oracle {
 
+namespace {
+
+// The colors the library's stopping scan asks for one entity, read off this
+// scan's own fit results: none for a 0-byte entity; otherwise from the
+// newest color back, stopping at the first larger size after a fit.
+std::int64_t colors_asked(const std::vector<std::int64_t>& color_size,
+                          const std::vector<bool>& compatible,
+                          std::int64_t bytes) {
+  if (bytes == 0) return 0;
+  std::int64_t asked = 0;
+  std::int64_t fit_size = -1;
+  for (std::size_t c = color_size.size(); c-- > 0;) {
+    if (fit_size >= 0 && color_size[c] > fit_size) break;
+    ++asked;
+    if (compatible[c]) fit_size = color_size[c];
+  }
+  return asked;
+}
+
+}  // namespace
+
 ScanColoring scan_color_min_total_size(const core::InterferenceGraph& graph) {
   const std::size_t n = graph.size();
   ScanColoring out;
@@ -19,19 +40,20 @@ ScanColoring scan_color_min_total_size(const core::InterferenceGraph& graph) {
     return graph.entities()[a].bytes > graph.entities()[b].bytes;
   });
 
-  std::vector<std::int64_t> color_size;
+  std::vector<std::int64_t>& color_size = out.color_size;
   std::vector<std::vector<std::size_t>> members;
+  std::vector<bool> compatible;
   for (std::size_t e : order) {
     const std::int64_t bytes = graph.entities()[e].bytes;
     int best_color = -1;
     std::int64_t best_cost = std::numeric_limits<std::int64_t>::max();
     std::int64_t best_slack = std::numeric_limits<std::int64_t>::max();
+    compatible.assign(color_size.size(), false);
     for (std::size_t c = 0; c < color_size.size(); ++c) {
-      ++out.candidates_tried;
-      const bool compatible = std::none_of(
+      compatible[c] = std::none_of(
           members[c].begin(), members[c].end(),
           [&](std::size_t other) { return graph.interferes(e, other); });
-      if (!compatible) continue;
+      if (!compatible[c]) continue;
       const std::int64_t growth = std::max<std::int64_t>(0, bytes - color_size[c]);
       const std::int64_t slack = std::max<std::int64_t>(0, color_size[c] - bytes);
       if (growth < best_cost || (growth == best_cost && slack < best_slack)) {
@@ -40,6 +62,7 @@ ScanColoring scan_color_min_total_size(const core::InterferenceGraph& graph) {
         best_color = static_cast<int>(c);
       }
     }
+    out.candidates_tried += colors_asked(color_size, compatible, bytes);
     if (best_color < 0 || best_cost >= bytes) {
       best_color = static_cast<int>(color_size.size());
       color_size.push_back(0);

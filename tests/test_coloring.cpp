@@ -137,6 +137,8 @@ TEST(VirtualBuffers, MismatchedColoringThrows) {
   r.color_of = {0, 1};
   r.num_colors = 2;
   EXPECT_THROW(build_virtual_buffers(g, r), std::invalid_argument);
+  r.color_of = {1};  // color 0 has no member
+  EXPECT_THROW(build_virtual_buffers(g, r), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,8 +4,10 @@
 // bit-equal.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "core/lcmm.hpp"
@@ -30,6 +32,10 @@ void expect_same_coloring(const core::InterferenceGraph& graph,
   EXPECT_EQ(fast.total_bytes, scan.result.total_bytes) << label;
   EXPECT_EQ(session.stats().counter("coloring.candidates_tried"),
             scan.candidates_tried)
+      << label;
+  // The premise of the library's stop: sizes never rise with the index.
+  EXPECT_TRUE(std::is_sorted(scan.color_size.begin(), scan.color_size.end(),
+                             std::greater<>()))
       << label;
   EXPECT_TRUE(oracle::coloring_is_valid(graph, fast)) << label;
 }
