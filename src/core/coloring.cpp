@@ -1,7 +1,6 @@
 #include "core/coloring.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <numeric>
 
 #include "obs/scope.hpp"
@@ -23,37 +22,55 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     return graph.entities()[a].bytes > graph.entities()[b].bytes;
   });
 
-  // A color's members never interfere, so their lifespans are disjoint and,
-  // sorted by def step, also sorted by last use.
-  struct Member {
-    int def_step = 0;
-    int last_use_step = 0;
-    std::size_t entity = 0;
+  // Color c's step set is held[c * words, (c + 1) * words): bit k stands
+  // for step first_step + k and is set when a member is live there.
+  int first_step = graph.lifespan(0).def_step;
+  int last_step = graph.lifespan(0).last_use_step;
+  for (std::size_t e = 1; e < n; ++e) {
+    first_step = std::min(first_step, graph.lifespan(e).def_step);
+    last_step = std::max(last_step, graph.lifespan(e).last_use_step);
+  }
+  const std::size_t words = static_cast<std::size_t>(last_step - first_step) / 64 + 1;
+  std::vector<std::uint64_t> held;
+  std::vector<std::int64_t> color_size;  // its first member's bytes
+
+  // The words under a lifespan, with the step masks of its first and last.
+  struct SpanWords {
+    std::size_t first = 0;
+    std::size_t last = 0;
+    std::uint64_t first_mask = 0;
+    std::uint64_t last_mask = 0;
   };
-  std::vector<std::int64_t> color_size;      // its first member's bytes
-  std::vector<std::vector<Member>> members;  // per color, by def step
-  const auto defined_after = [](auto& color, int step) {
-    return std::upper_bound(
-        color.begin(), color.end(), step,
-        [](int s, const Member& m) { return s < m.def_step; });
+  const auto span_words = [&](std::size_t e) {
+    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
+    const auto lo = static_cast<std::size_t>(span.def_step - first_step);
+    const auto hi = static_cast<std::size_t>(span.last_use_step - first_step);
+    return SpanWords{lo / 64, hi / 64, ~std::uint64_t{0} << (lo % 64),
+                     ~std::uint64_t{0} >> (63 - hi % 64)};
   };
 
-  // Without a false edge, `e` can only overlap the last member defined at
-  // or before its last use; with one, every member is asked.
-  const auto fits = [&](const std::vector<Member>& color, std::size_t e) {
-    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
-    if (span.has_false_edge) {
-      return std::none_of(color.begin(), color.end(), [&](const Member& m) {
-        return graph.interferes(e, m.entity);
-      });
+  // `e` fits color c when it shares no step with the color's members and
+  // the color holds none of its false-edge partners.
+  const auto fits = [&](std::size_t c, std::size_t e, const SpanWords& w) {
+    const std::uint64_t* const set = held.data() + c * words;
+    std::uint64_t mask = w.first_mask;
+    for (std::size_t i = w.first; i < w.last; ++i, mask = ~std::uint64_t{0}) {
+      if (set[i] & mask) return false;
     }
-    const auto after = defined_after(color, span.last_use_step);
-    return after == color.begin() ||
-           std::prev(after)->last_use_step < span.def_step;
+    if (set[w.last] & mask & w.last_mask) return false;
+    if (!graph.lifespan(e).has_false_edge) return true;
+    const int color = static_cast<int>(c);
+    return std::none_of(
+        graph.false_edges().begin(), graph.false_edges().end(),
+        [&](const std::pair<std::size_t, std::size_t>& edge) {
+          return (edge.first == e && result.color_of[edge.second] == color) ||
+                 (edge.second == e && result.color_of[edge.first] == color);
+        });
   };
 
   for (std::size_t e : order) {
     const std::int64_t bytes = graph.entities()[e].bytes;
+    const SpanWords w = span_words(e);
     // Sizes never rise with the index: scan back from the newest color and
     // stop at the first larger size after a fit. A 0-byte entity asks none.
     const std::size_t fresh = color_size.size();
@@ -61,18 +78,20 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     for (std::size_t c = bytes > 0 ? fresh : 0; c-- > 0;) {
       if (best != fresh && color_size[c] > color_size[best]) break;
       ++candidates_tried;
-      if (fits(members[c], e)) best = c;
+      if (fits(c, e, w)) best = c;
     }
     if (best == fresh) {
       color_size.push_back(bytes);
-      members.emplace_back();
+      held.resize(held.size() + words);
       result.total_bytes += bytes;
     }
     result.color_of[e] = static_cast<int>(best);
-    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
-    std::vector<Member>& color = members[best];
-    color.insert(defined_after(color, span.def_step),
-                 {span.def_step, span.last_use_step, e});
+    std::uint64_t* const set = held.data() + best * words;
+    std::uint64_t mask = w.first_mask;
+    for (std::size_t i = w.first; i < w.last; ++i, mask = ~std::uint64_t{0}) {
+      set[i] |= mask;
+    }
+    set[w.last] |= mask & w.last_mask;
   }
   result.num_colors = static_cast<int>(color_size.size());
   LCMM_COUNT("entities", static_cast<std::int64_t>(n));

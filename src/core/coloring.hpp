@@ -11,12 +11,15 @@
 // fit. A fresh color opens when none fits, and for a 0-byte entity, which
 // asks none.
 //
-// Cost: each color keeps its members' lifespans sorted by def step. They
-// are disjoint, so whether an entity without a false edge fits a color is
-// one binary search. n entities over C colors take O(n * C * log n) plus
-// the sorted inserts only when the scans reach color 0, as when nothing
-// fits. An entity with a false edge (splitting makes few) asks every
-// member of each color it asks.
+// Cost: each color keeps the set of steps its members hold, as a bitset
+// over [min def step, max last use step], 64 steps a word. Lifespans are
+// closed (InterferenceGraph checks it), so an entity overlaps a member
+// exactly when its span's bits meet the set: a color asked costs the words
+// under the entity's span, ceil(span / 64) or one more, whatever the
+// color's member count. An entity with a false edge (splitting makes few)
+// also fails a color that already holds one of its partners, a walk of
+// the graph's false-edge list. The step sets take colors * ceil(steps / 64)
+// words, where steps is the whole step range.
 #pragma once
 
 #include <cstdint>

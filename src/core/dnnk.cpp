@@ -25,13 +25,19 @@ struct MemberTerm {
   std::array<int, kNumSources> owner_source{};
 };
 
-/// Builds the row-`row` terms of `members` (in order) into `terms`.
+/// Builds the row-`row` terms of `members` (in order) into `terms`, and the
+/// pbuf_table offsets of their distinct owner rows into `owner_rows`.
+/// `last_reader[k]` is the last row that listed owner row k; no row is `row`
+/// before this call.
 void build_member_terms(const InterferenceGraph& graph,
                         const std::vector<std::size_t>& members,
                         const std::vector<std::array<int, kNumSources>>& buffer_of,
                         const LatencyTables& tables, std::size_t row,
-                        std::size_t width, std::vector<MemberTerm>& terms) {
+                        std::size_t width, std::vector<MemberTerm>& terms,
+                        std::vector<std::size_t>& last_reader,
+                        std::vector<std::size_t>& owner_rows) {
   terms.resize(members.size());
+  owner_rows.clear();
   for (std::size_t m = 0; m < members.size(); ++m) {
     const TensorKey key = graph.entities()[members[m]].key;
     MemberTerm& term = terms[m];
@@ -40,10 +46,15 @@ void build_member_terms(const InterferenceGraph& graph,
     for (int s = 0; s < kNumSources; ++s) {
       const int owner = buffer_of[static_cast<std::size_t>(key.layer)][s];
       if (owner < 0 || static_cast<std::size_t>(owner) >= row) continue;
-      term.owner_offset[term.num_owners] = static_cast<std::size_t>(owner) * width;
+      const auto k = static_cast<std::size_t>(owner);
+      term.owner_offset[term.num_owners] = k * width;
       term.owner_source[term.num_owners] = s;
       ++term.num_owners;
       owner_bits = static_cast<std::uint8_t>(owner_bits | (1u << s));
+      if (last_reader[k] != row) {
+        last_reader[k] = row;
+        owner_rows.push_back(k * width);
+      }
     }
     for (std::uint8_t sub = owner_bits;;
          sub = static_cast<std::uint8_t>((sub - 1) & owner_bits)) {
@@ -133,6 +144,7 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
   std::vector<double> curr(width, 0.0);
   std::vector<MemberTerm> terms;
   std::vector<std::size_t> owner_rows;
+  std::vector<std::size_t> last_reader(n, n);
   std::vector<std::uint8_t> boundary(width, 0);
   std::vector<std::size_t> run_starts;
   std::int64_t member_terms = 0;
@@ -149,18 +161,11 @@ std::vector<bool> knapsack_select(const InterferenceGraph& graph,
       // generalized through Eq. 1 marginal gains). Everything but the
       // pbuf_table reads is fixed for the row, so it is built once here.
       build_member_terms(graph, buffers[i].members, buffer_of, tables, i, width,
-                         terms);
+                         terms, last_reader, owner_rows);
 
       // The masks read only the owner rows' pbuf_table bits, so they are
       // constant on each run of columns where none of those bits changes.
-      owner_rows.clear();
-      for (const MemberTerm& term : terms) {
-        owner_rows.insert(owner_rows.end(), term.owner_offset.begin(),
-                          term.owner_offset.begin() + term.num_owners);
-      }
-      std::sort(owner_rows.begin(), owner_rows.end());
-      owner_rows.erase(std::unique(owner_rows.begin(), owner_rows.end()),
-                       owner_rows.end());
+      // OR-ing the rows' changes does not depend on their order.
       std::fill(boundary.begin() + static_cast<std::ptrdiff_t>(size_units),
                 boundary.end(), 0);
       for (const std::size_t offset : owner_rows) {

@@ -15,8 +15,9 @@
 // prefetch window ends there), and touching lifespans interfere. So a
 // member's compensation reads only earlier buffers' pbuf_table bits. Each
 // row builds its members' column-independent terms once (marginal gains
-// per reachable mask, owner rows) and cuts its columns into runs of equal
-// owner state. Each run sums its member gains once, in member order, and a
+// per reachable mask, table reads from LatencyTables; the distinct owner
+// rows, deduplicated by a per-row stamp) and cuts its columns into runs of
+// equal owner state. Each run sums its member gains once, in member order, and a
 // cell adds that sum once to prev[j - size].
 //
 // When every buffer fits, the DP does not run. Let s_i be buffer i's

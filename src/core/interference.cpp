@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "obs/scope.hpp"
+#include "resil/error.hpp"
 
 namespace lcmm::core {
 
@@ -12,6 +14,14 @@ InterferenceGraph::InterferenceGraph(std::vector<TensorEntity> entities)
   LCMM_SPAN("interference");
   lifespans_.reserve(entities_.size());
   for (const TensorEntity& e : entities_) {
+    if (e.def_step < kBeforeExecution || e.def_step > e.last_use_step) {
+      throw resil::OptionError(resil::Code::kBadArgument, "pass.interference",
+                               "InterferenceGraph: lifespan [" +
+                                   std::to_string(e.def_step) + ", " +
+                                   std::to_string(e.last_use_step) +
+                                   "] is empty or starts before execution",
+                               e.name);
+    }
     lifespans_.push_back({e.def_step, e.last_use_step, false});
   }
   LCMM_COUNT("entities", static_cast<std::int64_t>(entities_.size()));

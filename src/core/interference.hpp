@@ -8,6 +8,11 @@
 // The real edges are never stored: a query compares the two lifespans.
 // Only the false edges are kept, in a short list that a query consults
 // only when both entities have one.
+//
+// Every lifespan is a closed step interval that starts no earlier than
+// kBeforeExecution and does not end before it starts, so two lifespans
+// interfere exactly when they share a step. Coloring's step sets rely on
+// this; the constructor rejects any other entity.
 #pragma once
 
 #include <algorithm>
@@ -34,7 +39,9 @@ class InterferenceGraph {
     }
   };
 
-  /// Interval-overlap interference for `entities`.
+  /// Interval-overlap interference for `entities`. Throws
+  /// resil::OptionError(kBadArgument) for an entity whose def step is past
+  /// its last use or before kBeforeExecution.
   explicit InterferenceGraph(std::vector<TensorEntity> entities);
 
   const std::vector<TensorEntity>& entities() const { return entities_; }
@@ -50,6 +57,10 @@ class InterferenceGraph {
   void add_false_edge(std::size_t a, std::size_t b);
   bool is_false_edge(std::size_t a, std::size_t b) const;
   std::size_t num_false_edges() const { return false_edges_.size(); }
+  /// The false edges as (smaller, larger) entity index, in insertion order.
+  const std::vector<std::pair<std::size_t, std::size_t>>& false_edges() const {
+    return false_edges_;
+  }
 
   /// Real plus false edges, counted on demand.
   std::size_t num_edges() const;

@@ -1,6 +1,6 @@
 #include "core/latency_tables.hpp"
 
-#include <algorithm>
+#include <stdexcept>
 
 namespace lcmm::core {
 
@@ -12,42 +12,41 @@ static_assert(hw::kOnChipResidual ==
 static_assert(hw::kOnChipWeight == 1u << static_cast<int>(TensorSource::kWeight));
 static_assert(hw::kOnChipOutput == 1u << static_cast<int>(TensorSource::kOutput));
 
-bool bit(std::uint8_t mask, TensorSource s) {
-  return (mask >> static_cast<int>(s)) & 1u;
-}
 std::uint8_t with_bit(std::uint8_t mask, TensorSource s) {
   return static_cast<std::uint8_t>(mask | (1u << static_cast<int>(s)));
 }
 }  // namespace
 
-LatencyTables::LatencyTables(const hw::PerfModel& model) : model_(&model) {}
-
-double LatencyTables::stream_latency(graph::LayerId layer,
-                                     TensorSource source) const {
-  const hw::LayerTiming& t = model_->timing(layer);
-  switch (source) {
-    case TensorSource::kInput: return t.if_s;
-    case TensorSource::kResidual: return t.res_s;
-    case TensorSource::kWeight: return t.wt_s;
-    case TensorSource::kOutput: return t.of_s;
+LatencyTables::LatencyTables(const hw::PerfModel& model) : model_(&model) {
+  latency_.reserve(model.graph().num_layers());
+  for (const graph::Layer& layer : model.graph().layers()) {
+    const hw::LayerTiming& t = model.timing(layer.id);
+    std::array<double, kMasks>& row = latency_.emplace_back();
+    for (std::size_t mask = 0; mask < kMasks; ++mask) {
+      row[mask] = hw::eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s,
+                                  static_cast<std::uint8_t>(mask));
+    }
   }
-  return 0.0;
+}
+
+const std::array<double, LatencyTables::kMasks>& LatencyTables::row(
+    graph::LayerId layer) const {
+  if (layer < 0 || static_cast<std::size_t>(layer) >= latency_.size()) {
+    throw std::out_of_range("LatencyTables: bad layer id");
+  }
+  return latency_[static_cast<std::size_t>(layer)];
 }
 
 double LatencyTables::node_latency(graph::LayerId layer,
                                    std::uint8_t mask) const {
-  const hw::LayerTiming& t = model_->timing(layer);
-  return hw::eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s, mask);
-}
-
-double LatencyTables::node_latency_umm(graph::LayerId layer) const {
-  return node_latency(layer, 0);
+  return row(layer)[mask & (kMasks - 1)];
 }
 
 double LatencyTables::marginal_gain(graph::LayerId layer, TensorSource source,
                                     std::uint8_t current_mask) const {
-  return node_latency(layer, current_mask) -
-         node_latency(layer, with_bit(current_mask, source));
+  const std::array<double, kMasks>& latency = row(layer);
+  return latency[current_mask & (kMasks - 1)] -
+         latency[with_bit(current_mask, source) & (kMasks - 1)];
 }
 
 double LatencyTables::standalone_reduction(graph::LayerId layer,
@@ -60,27 +59,11 @@ double LatencyTables::standalone_reduction(graph::LayerId layer,
   return marginal_gain(layer, source, mask);
 }
 
-bool LatencyTables::pivot(graph::LayerId layer, std::uint8_t mask,
-                          TensorSource& pivot_out) const {
-  double best = 0.0;
-  bool found = false;
-  for (int s = 0; s < kNumSources; ++s) {
-    const TensorSource src = static_cast<TensorSource>(s);
-    if (bit(mask, src)) continue;
-    const double lat = stream_latency(layer, src);
-    if (lat > best) {
-      best = lat;
-      pivot_out = src;
-      found = true;
-    }
-  }
-  return found;
-}
-
 double LatencyTables::total_latency(const OnChipState& state) const {
   double total = 0.0;
-  for (const graph::Layer& layer : model_->graph().layers()) {
-    total += node_latency(layer.id, state.layer_mask(layer.id));
+  for (std::size_t layer = 0; layer < latency_.size(); ++layer) {
+    total += latency_[layer][state.layer_mask(static_cast<graph::LayerId>(layer)) &
+                             (kMasks - 1)];
   }
   return total;
 }

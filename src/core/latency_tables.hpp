@@ -1,5 +1,5 @@
 // Operation latency table and tensor metric table (paper Fig. 7(b),(c)),
-// plus the pivot logic of Eq. 2/Eq. 4 in its general form.
+// plus the pivot compensation of Eq. 2/Eq. 4 in its general form.
 //
 // The paper defines a tensor's latency reduction L_d(i) as the gap between
 // lat_d(i) and the next-lower latency term of node i, and compensates
@@ -11,9 +11,13 @@
 // where S is the set of node i's tensors already on-chip and
 // node_latency is Eq. 1. This class evaluates node_latency for arbitrary
 // on-chip masks, which also handles layers whose input-feature interface
-// carries two streams (fused residual adds).
+// carries two streams (fused residual adds). It stores hw::eq1_latency for
+// all 16 masks of every layer when it is built (16 doubles a layer), so
+// every query is a table read: DNNK and splitting ask the same layers
+// again on every re-run.
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "core/entity.hpp"
@@ -23,16 +27,15 @@ namespace lcmm::core {
 
 class LatencyTables {
  public:
+  /// Fills the table from `model`'s timings; `model` must outlive this.
   explicit LatencyTables(const hw::PerfModel& model);
 
   const hw::PerfModel& model() const { return *model_; }
 
   /// Eq. 1 latency of a layer given the per-source on-chip bitmask
   /// (bit k set == source k on-chip, as in OnChipState::layer_mask).
+  /// Throws std::out_of_range for an unknown layer.
   double node_latency(graph::LayerId layer, std::uint8_t on_chip_mask) const;
-
-  /// UMM latency (nothing on-chip).
-  double node_latency_umm(graph::LayerId layer) const;
 
   /// Marginal latency reduction of moving `source` on-chip for `layer`,
   /// given the layer's current mask. Always >= 0.
@@ -43,18 +46,16 @@ class LatencyTables {
   /// larger-latency tensor of the node is already on-chip.
   double standalone_reduction(graph::LayerId layer, TensorSource source) const;
 
-  /// The paper's pivot: the largest-latency source of `layer` still
-  /// off-chip under `mask`, or kOutput-past-the-end sentinel if none.
-  /// Returns true and fills `pivot` when a pivot exists.
-  bool pivot(graph::LayerId layer, std::uint8_t mask, TensorSource& pivot) const;
-
   /// Total Eq. 1 latency over all layers under a full allocation state.
   double total_latency(const OnChipState& state) const;
 
  private:
-  double stream_latency(graph::LayerId layer, TensorSource source) const;
+  static constexpr std::size_t kMasks = 1u << kNumSources;
+  const std::array<double, kMasks>& row(graph::LayerId layer) const;
 
   const hw::PerfModel* model_;
+  /// Eq. 1 latency by layer, then by on-chip mask.
+  std::vector<std::array<double, kMasks>> latency_;
 };
 
 }  // namespace lcmm::core

@@ -122,6 +122,107 @@ TEST(DifferentialColoring, RandomEntitySetsMatchTheScan) {
   }
 }
 
+core::TensorEntity step_entity(int id, std::int64_t bytes, int def, int last) {
+  core::TensorEntity e;
+  e.key = {id, core::TensorSource::kInput};
+  e.name = "t" + std::to_string(id);
+  e.bytes = bytes;
+  e.def_step = def;
+  e.last_use_step = last;
+  return e;
+}
+
+// Step sets are 64 steps a word, counted from the smallest def step (0
+// here): lifespans that end at 62, 63 and 64 and spans that cross 63->64
+// and 127->128, so each word's first and last bit decide a fit.
+TEST(DifferentialColoring, WordBoundarySpansMatchTheScan) {
+  std::vector<core::TensorEntity> entities = {
+      step_entity(0, 900, 0, 63),     step_entity(1, 880, 64, 64),
+      step_entity(2, 860, 63, 63),    step_entity(3, 840, 0, 62),
+      step_entity(4, 820, 63, 64),    step_entity(5, 800, 64, 127),
+      step_entity(6, 780, 128, 128),  step_entity(7, 760, 127, 128),
+      step_entity(8, 740, 0, 64),     step_entity(9, 720, 65, 130),
+      step_entity(10, 700, 62, 62),   step_entity(11, 680, 127, 127),
+      step_entity(12, 660, 1, 126),   step_entity(13, 640, 129, 191),
+      step_entity(14, 620, 0, 0),     step_entity(15, 600, 191, 191),
+      step_entity(16, 580, 62, 63),   step_entity(17, 560, 128, 190)};
+  expect_same_coloring(core::InterferenceGraph(entities), "boundaries");
+  // The same spans at equal sizes: every color is asked on every fit.
+  for (core::TensorEntity& e : entities) e.bytes = 64;
+  expect_same_coloring(core::InterferenceGraph(entities), "equal sizes");
+}
+
+// The smallest def step is kBeforeExecution, so step s is bit s + 1: the
+// word boundary falls between steps 62 and 63.
+TEST(DifferentialColoring, BeforeExecutionSpansMatchTheScan) {
+  const int before = core::kBeforeExecution;
+  core::InterferenceGraph graph({step_entity(0, 500, before, before),
+                                 step_entity(1, 480, 0, 62),
+                                 step_entity(2, 460, 63, 63),
+                                 step_entity(3, 440, before, 0),
+                                 step_entity(4, 420, 62, 126),
+                                 step_entity(5, 400, before, 63),
+                                 step_entity(6, 380, 127, 127),
+                                 step_entity(7, 360, 63, 127)});
+  expect_same_coloring(graph, "before execution");
+}
+
+// A false edge keeps two entities with disjoint lifespans apart, whether
+// the partner was colored before the entity or is colored after it.
+TEST(DifferentialColoring, FalseEdgePartnersMatchTheScan) {
+  // 0 opens color 0; 1 fits it by steps but its partner 0 is already there.
+  core::InterferenceGraph colored({step_entity(0, 300, 0, 1),
+                                   step_entity(1, 200, 2, 3)});
+  colored.add_false_edge(0, 1);
+  expect_same_coloring(colored, "partner colored");
+  EXPECT_NE(core::color_min_total_size(colored).color_of[1], 0);
+
+  // 1 joins color 0 while its partner 2 is uncolored; 2 then finds 1
+  // there and opens color 1, though its steps are free in color 0.
+  core::InterferenceGraph uncolored({step_entity(0, 300, 0, 1),
+                                     step_entity(1, 200, 2, 3),
+                                     step_entity(2, 100, 4, 5)});
+  uncolored.add_false_edge(1, 2);
+  expect_same_coloring(uncolored, "partner uncolored");
+  const core::ColoringResult r = core::color_min_total_size(uncolored);
+  EXPECT_EQ(r.color_of, (std::vector<int>{0, 0, 1}));
+}
+
+// More than 64 tensors live at once over a 300-step range, so colors'
+// step sets span several words; about half the sets carry false edges.
+TEST(DifferentialColoring, ManyLiveTensorsMatchTheScan) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::Rng rng(seed);
+    const int n = static_cast<int>(rng.next_int(200, 260));
+    std::vector<core::TensorEntity> entities;
+    for (int i = 0; i < n; ++i) {
+      const int def = static_cast<int>(rng.next_int(-1, 180));
+      const int last = rng.next_bool(0.5)
+                           ? static_cast<int>(rng.next_int(def, 299))
+                           : std::min(299, def + static_cast<int>(rng.next_int(0, 70)));
+      entities.push_back(step_entity(i, 64 * rng.next_int(0, 12), def, last));
+    }
+    int max_live = 0;
+    for (int step = -1; step < 300; ++step) {
+      const auto live = std::count_if(
+          entities.begin(), entities.end(), [&](const core::TensorEntity& e) {
+            return e.def_step <= step && step <= e.last_use_step;
+          });
+      max_live = std::max(max_live, static_cast<int>(live));
+    }
+    ASSERT_GT(max_live, 64) << "seed " << seed;
+    core::InterferenceGraph graph(std::move(entities));
+    if (rng.next_bool()) {
+      for (int k = 0; k < 40; ++k) {
+        const auto a = static_cast<std::size_t>(rng.next_below(n));
+        const auto b = static_cast<std::size_t>(rng.next_below(n));
+        if (a != b) graph.add_false_edge(a, b);
+      }
+    }
+    expect_same_coloring(graph, "seed " + std::to_string(seed));
+  }
+}
+
 // Seeded random DAGs whose compiled prefetch edges are perturbed: loads
 // zeroed or inflated, windows moved to kBeforeExecution, past the target
 // or anywhere before it, and weights made resident, so requests open,

@@ -153,7 +153,7 @@ TEST(Dnnk, PivotCompensationWithinOneLayer) {
       dnnk_allocate(ig, buffers, tables, std::int64_t{1} << 40);
   const std::uint8_t full_mask = r.state.layer_mask(0);
   const double node_delta =
-      tables.node_latency_umm(0) - tables.node_latency(0, full_mask);
+      tables.node_latency(0, 0) - tables.node_latency(0, full_mask);
   EXPECT_NEAR(r.gain_s, node_delta, 1e-15);
 }
 
@@ -697,27 +697,52 @@ TEST(LatencyTablesApi, MarginalGainNonNegativeAndConsistent) {
     // Fully on-chip latency equals the compute floor.
     EXPECT_NEAR(tables.node_latency(layer.id, 0x0F),
                 model.timing(layer.id).compute_s, 1e-15);
-    EXPECT_DOUBLE_EQ(tables.node_latency_umm(layer.id),
+    EXPECT_DOUBLE_EQ(tables.node_latency(layer.id, 0),
                      model.timing(layer.id).umm_latency());
   }
 }
 
-TEST(LatencyTablesApi, PivotIsLargestOffChipTerm) {
-  auto g = fat_chain(1);
+TEST(LatencyTablesApi, BadLayerThrows) {
+  auto g = fat_chain(2);
   hw::PerfModel model(g, small_design());
   LatencyTables tables(model);
-  TensorSource pivot;
-  ASSERT_TRUE(tables.pivot(0, 0, pivot));
-  const auto& t = model.timing(0);
-  const double lat = pivot == TensorSource::kInput  ? t.if_s
-                     : pivot == TensorSource::kWeight ? t.wt_s
-                                                      : t.of_s;
-  EXPECT_GE(lat, t.if_s);
-  EXPECT_GE(lat, t.wt_s);
-  EXPECT_GE(lat, t.of_s);
-  // With everything on-chip there is no pivot.
-  EXPECT_FALSE(tables.pivot(0, 0x0F, pivot));
+  EXPECT_THROW((void)tables.node_latency(2, 0), std::out_of_range);
+  EXPECT_THROW((void)tables.node_latency(-1, 0), std::out_of_range);
+  EXPECT_THROW((void)tables.marginal_gain(2, TensorSource::kInput, 0),
+               std::out_of_range);
+  EXPECT_THROW((void)tables.standalone_reduction(-1, TensorSource::kWeight),
+               std::out_of_range);
 }
+
+class LatencyTablesZoo : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(LatencyTablesZoo, EveryEntryIsEq1BitForBit) {
+  const graph::ComputationGraph graph = models::build_by_name(GetParam());
+  for (hw::Precision p :
+       {hw::Precision::kInt8, hw::Precision::kInt16, hw::Precision::kFp32}) {
+    for (const hw::FpgaDevice& device :
+         {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg(), hw::FpgaDevice::u250()}) {
+      hw::AcceleratorDesign design = small_design(p);
+      design.device = device;
+      const hw::PerfModel model(graph, design);
+      const LatencyTables tables(model);
+      for (const graph::Layer& layer : graph.layers()) {
+        const hw::LayerTiming& t = model.timing(layer.id);
+        for (std::uint8_t mask = 0; mask < 16; ++mask) {
+          const double eq1 =
+              hw::eq1_latency(t.compute_s, t.if_s, t.res_s, t.wt_s, t.of_s, mask);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(tables.node_latency(layer.id, mask)),
+                    std::bit_cast<std::uint64_t>(eq1))
+              << GetParam() << " " << hw::to_string(p) << " " << device.name
+              << " layer " << layer.id << " mask " << int{mask};
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, LatencyTablesZoo,
+                         ::testing::ValuesIn(models::model_names()));
 
 }  // namespace
 }  // namespace lcmm::core

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/interference.hpp"
+#include "resil/error.hpp"
 #include "util/rng.hpp"
 
 namespace lcmm::core {
@@ -97,6 +98,22 @@ TEST(Interference, BeforeExecutionIntervalsOverlapStepZero) {
   EXPECT_TRUE(g.interferes(0, 1));
   EXPECT_TRUE(g.interferes(0, 2));   // both live before execution
   EXPECT_FALSE(g.interferes(1, 2));  // [-1,-1] vs [0,1]
+}
+
+TEST(Interference, RejectsEmptyOrPreExecutionLifespans) {
+  for (const auto& [def, last] : {std::pair{3, 2}, std::pair{-2, 0},
+                                  std::pair{-2, -2}}) {
+    std::vector<TensorEntity> v = three_entities();
+    v.push_back(make_entity(3, TensorSource::kInput, 10, def, last));
+    try {
+      InterferenceGraph g(std::move(v));
+      ADD_FAILURE() << "[" << def << ", " << last << "]: expected an OptionError";
+    } catch (const resil::OptionError& e) {
+      EXPECT_EQ(e.code(), resil::Code::kBadArgument);
+      EXPECT_EQ(e.pass(), "pass.interference");
+      EXPECT_EQ(e.entity(), "t3");
+    }
+  }
 }
 
 TEST(Interference, MatchesIntervalsAndFalseEdges) {
