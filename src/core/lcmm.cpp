@@ -36,8 +36,10 @@ void propagate_output_residency(const graph::ComputationGraph& graph,
 }
 
 /// `model`'s design with every tensor off chip: its Eq. 1 latency, the
-/// memory-bound conv layers POL counts, and its tile buffers.
-AllocationPlan uniform_plan(const hw::PerfModel& model, hw::Precision precision) {
+/// memory-bound conv layers POL counts, and its tile buffers
+/// `tile_buffers`.
+AllocationPlan uniform_plan(const hw::PerfModel& model,
+                            const hw::TileBufferBytes& tile_buffers) {
   const graph::ComputationGraph& graph = model.graph();
   AllocationPlan plan;
   plan.design = model.design();
@@ -49,8 +51,7 @@ AllocationPlan uniform_plan(const hw::PerfModel& model, hw::Precision precision)
       ++plan.num_memory_bound_conv;
     }
   }
-  plan.tile_buffers = hw::tile_buffer_bytes(graph, plan.design.array,
-                                            plan.design.tile, precision);
+  plan.tile_buffers = tile_buffers;
   return plan;
 }
 
@@ -200,11 +201,12 @@ void LcmmCompiler::place_physical(AllocationPlan& plan,
   plan.uram_total = pools.uram_total();
 }
 
-AllocationPlan LcmmCompiler::allocate(const hw::PerfModel& model) const {
+AllocationPlan LcmmCompiler::allocate(
+    const hw::PerfModel& model, const hw::TileBufferBytes& tile_buffers) const {
   LCMM_SPAN("allocate");
   const graph::ComputationGraph& graph = model.graph();
   LatencyTables tables(model);
-  AllocationPlan plan = uniform_plan(model, precision_);
+  AllocationPlan plan = uniform_plan(model, tile_buffers);
 
   // Passes 2+3: entities. A disabled pass (a Fig. 8 ablation) never hits
   // its fault site.
@@ -271,7 +273,9 @@ AllocationPlan LcmmCompiler::compile_with_design(
   // would need its own DSE); typed errors propagate.
   resil::fault::Scope fault_scope;
   const hw::PerfModel model(graph, design);
-  AllocationPlan plan = allocate(model);
+  AllocationPlan plan = allocate(
+      model,
+      hw::tile_buffer_bytes(graph, design.array, design.tile, precision_));
   sim::refine_against_stalls(model, plan);
   return plan;
 }
@@ -376,8 +380,8 @@ AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
   // heavy-URAM clock. Seed: best design assuming uniform management.
   const hw::DseResult seed = space.argmin(/*heavy_uram_use=*/true);
   LCMM_COUNT("dse_rounds", 1);
-  hw::PerfModel model(graph, seed.design);
-  AllocationPlan plan = allocate(model);
+  hw::PerfModel model(graph, seed.design, space.classes());
+  AllocationPlan plan = allocate(model, seed.tile_buffers);
 
   // Refine step: re-optimize the design under the allocation's on-chip
   // state; keep whichever (design, allocation) pair estimates faster.
@@ -388,8 +392,8 @@ AllocationPlan LcmmCompiler::compile_lcmm(const graph::ComputationGraph& graph,
       refined.design.array == plan.design.array) {
     LCMM_COUNT("dse_converged", 1);
   } else {
-    hw::PerfModel refined_model(graph, refined.design);
-    AllocationPlan refined_plan = allocate(refined_model);
+    hw::PerfModel refined_model(graph, refined.design, space.classes());
+    AllocationPlan refined_plan = allocate(refined_model, refined.tile_buffers);
     if (refined_plan.est_latency_s < plan.est_latency_s) {
       LCMM_COUNT("dse_refinements_kept", 1);
       plan = std::move(refined_plan);
@@ -416,10 +420,10 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
     if (space == nullptr) {
       own.emplace(hw::Dse(device_, precision_).space(graph));
     }
-    const hw::DseResult seed =
-        (own ? *own : *space).argmin(/*heavy_uram_use=*/false);
-    const hw::PerfModel model(graph, seed.design);
-    AllocationPlan plan = uniform_plan(model, precision_);
+    const hw::DesignSpace& umm_space = own ? *own : *space;
+    const hw::DseResult seed = umm_space.argmin(/*heavy_uram_use=*/false);
+    const hw::PerfModel model(graph, seed.design, umm_space.classes());
+    AllocationPlan plan = uniform_plan(model, seed.tile_buffers);
     plan.is_umm = true;
     plan.rung = resil::Rung::kUmm;
     place_physical(plan, graph);

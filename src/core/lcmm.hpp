@@ -17,8 +17,10 @@
 //   9. No-benefit fallback: ship the UMM baseline if it simulates faster.
 // compile() evaluates one design space per request, runs 1-8 on it (steps
 // 1 and 6 are argmins over it), then 9, and returns the plan that ships.
-// Each design gets one hw::PerfModel, read by its allocation and every
-// round of 8; the UMM baseline gets one model and one simulation, which 9,
+// Each design gets one hw::PerfModel, built over the space's shape classes
+// (one layer_cost per class) and read by its allocation and every round
+// of 8, and takes its tile buffers from the space's menu filter; the UMM
+// baseline gets one model and one simulation, which 9,
 // the floor and compile()'s caller reuse. A transient error is retried
 // once on the same inputs; any other failure ships the UMM baseline
 // (resil::Rung::kUmm). compile_with_design() runs 2-5, 7 and 8.
@@ -175,8 +177,10 @@ class LcmmCompiler {
   AllocationPlan compile_umm(const graph::ComputationGraph& graph,
                              const hw::DesignSpace* space,
                              sim::SimResult* sim) const;
-  /// Passes 2-5 and 7 under `model`'s design.
-  AllocationPlan allocate(const hw::PerfModel& model) const;
+  /// Passes 2-5 and 7 under `model`'s design, whose tile buffers are
+  /// `tile_buffers`.
+  AllocationPlan allocate(const hw::PerfModel& model,
+                          const hw::TileBufferBytes& tile_buffers) const;
   void place_physical(AllocationPlan& plan,
                       const graph::ComputationGraph& graph) const;
 

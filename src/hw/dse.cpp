@@ -1,12 +1,11 @@
 #include "hw/dse.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "obs/scope.hpp"
@@ -24,23 +23,6 @@ constexpr double kDspBudgetFraction = 0.83;
 /// Fraction of device BRAM available to the tile buffers. Uniform designs
 /// keep tile buffers small (Tab. 2 reports 8-12% BRAM for UMM).
 constexpr double kTileBramFraction = 0.15;
-
-/// The menu axes. The menus follow [18]: power-of-two-ish row/simd counts
-/// and column counts that divide common feature-map widths well. Row depth
-/// stops at 32 — the output-stationary template accumulates partial sums
-/// down each row, and deeper rows blow up the adder/banking depth (the
-/// published designs use modest output-channel unroll). Tiles are square.
-constexpr int kRows[] = {8, 16, 32};
-constexpr int kCols[] = {8, 11, 14, 16, 22, 32};
-constexpr int kSimd[] = {4, 8, 16, 32};
-constexpr int kTc[] = {16, 32, 64, 128};
-constexpr int kSpatial[] = {4, 7, 8, 14, 16, 17, 28};
-
-/// Position of `value` on a menu axis.
-template <std::size_t N>
-std::size_t axis_index(const int (&axis)[N], int value) {
-  return static_cast<std::size_t>(std::find(axis, axis + N, value) - axis);
-}
 
 /// The lexicographic minimum of (latency, DSP cost, menu index) over the
 /// finite latencies offered. Neither the winner nor the tie count depends
@@ -77,6 +59,7 @@ class Incumbent {
   }
 
   bool found() const { return found_; }
+  std::size_t index() const { return index_; }
   double latency() const { return latency_; }
 
   /// The winner at `freq_mhz`. Throws CompileError(kNoFeasibleDesign) if
@@ -120,48 +103,23 @@ class Incumbent {
   std::int64_t tied_ = 0;
 };
 
-/// First-appearance ids over a directly indexed key space.
-class KeyIds {
- public:
-  // The menu axes give fewer keys than an 8-bit id can number.
-  static_assert(std::size(kCols) * std::size(kSpatial) < 0xff);
-
-  explicit KeyIds(std::size_t slots) : ids_(slots, kNone) {}
-
-  /// Id of the key in `slot`; a new key records candidate `i` as the one
-  /// that computes its terms.
-  std::uint8_t id(std::size_t slot, std::size_t i) {
-    std::uint8_t& id = ids_[slot];
-    if (id == kNone) {
-      id = static_cast<std::uint8_t>(first.size());
-      first.push_back(i);
-    }
-    return id;
-  }
-
-  /// The first candidate of each key, by id.
-  std::vector<std::size_t> first;
-
- private:
-  static constexpr std::uint8_t kNone = 0xff;
-  std::vector<std::uint8_t> ids_;
-};
-
 /// For each of the classes `ids`, by position, the position of the first
-/// of them whose `fields` (the shape fields one term reads) equal its own.
+/// of them whose `fields` (the shape fields one term reads) equal its own:
+/// a sort by (fields, position), then one pass over equal runs.
 template <typename Fields>
-std::vector<std::size_t> first_alike(const std::vector<ShapeKey>& shapes,
-                                     const std::vector<std::uint32_t>& ids,
-                                     Fields fields) {
-  std::vector<std::size_t> first(ids.size());
-  std::vector<std::size_t> distinct;
-  for (std::size_t p = 0; p < ids.size(); ++p) {
-    const auto it = std::find_if(
-        distinct.begin(), distinct.end(), [&](std::size_t d) {
-          return fields(shapes[ids[d]]) == fields(shapes[ids[p]]);
-        });
-    first[p] = it == distinct.end() ? p : *it;
-    if (it == distinct.end()) distinct.push_back(p);
+std::vector<std::uint32_t> first_alike(const std::vector<ShapeKey>& shapes,
+                                       const std::vector<std::uint32_t>& ids,
+                                       Fields fields) {
+  const auto key = [&](std::uint32_t p) { return fields(shapes[ids[p]]); };
+  std::vector<std::uint32_t> order(ids.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    return std::pair{key(a), a} < std::pair{key(b), b};
+  });
+  std::vector<std::uint32_t> first(ids.size());
+  for (std::size_t n = 0; n < order.size(); ++n) {
+    const std::uint32_t p = order[n];
+    first[p] = n > 0 && key(order[n - 1]) == key(p) ? first[order[n - 1]] : p;
   }
   return first;
 }
@@ -188,101 +146,64 @@ std::vector<std::uint32_t> radix_order(const std::vector<std::int64_t>& keys) {
   return order;
 }
 
-constexpr std::size_t kNumRows = std::size(kRows);
-constexpr std::size_t kNumTc = std::size(kTc);
-constexpr std::size_t kNumSpatial = std::size(kSpatial);
+std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
-/// The menu's BRAM filter, by axis. Over the classes, tile_buffer_bytes'
-/// input maximum reads (tc, spatial), its weight maximum is rows x a tc
-/// term and its output maximum rows x a spatial term, so each maximum is
-/// taken once per axis value at one PE row, and every (rows, tile) check
-/// is then three table reads.
-class TileFilter {
- public:
-  TileFilter(std::span<const ShapeKey> shapes, Precision p,
-             std::int64_t budget)
-      : budget_(budget) {
-    for (std::size_t t = 0; t < kNumTc; ++t) {
-      for (std::size_t s = 0; s < kNumSpatial; ++s) {
-        const TileConfig tile{kTc[t], kSpatial[s], kSpatial[s]};
-        for (const ShapeKey& shape : shapes) {
-          const TileBufferBytes b = tile_buffer_bytes(shape, 1, tile, p);
-          input_[t][s] = std::max(input_[t][s], b.input);
-          weight_[t] = std::max(weight_[t], b.weight);
-          output_[s] = std::max(output_[s], b.output);
-        }
-      }
-    }
-  }
+/// A PE array of the menu and its axis positions.
+struct MenuArray {
+  SystolicArrayConfig array;
+  std::uint8_t rows = 0;
+  std::uint8_t cols = 0;
+  std::uint8_t simd = 0;
+};
 
-  /// The tiles whose buffers fit for `rows` PE rows, tc outer.
-  std::vector<TileConfig> tiles(int rows) const {
-    std::vector<TileConfig> out;
-    for (std::size_t t = 0; t < kNumTc; ++t) {
-      for (std::size_t s = 0; s < kNumSpatial; ++s) {
-        if (input_[t][s] + rows * weight_[t] + rows * output_[s] <= budget_) {
-          out.push_back({kTc[t], kSpatial[s], kSpatial[s]});
+/// The PE arrays within `budget` DSPs at precision `p`, rows outer, then
+/// cols, then simd.
+std::vector<MenuArray> menu_arrays(int budget, Precision p) {
+  const auto enumerate = [&](bool prune_dominated) {
+    std::vector<MenuArray> out;
+    for (std::uint8_t r = 0; r < std::size(kMenuRows); ++r) {
+      for (std::uint8_t c = 0; c < std::size(kMenuCols); ++c) {
+        for (std::uint8_t s = 0; s < std::size(kMenuSimd); ++s) {
+          const SystolicArrayConfig cfg{kMenuRows[r], kMenuCols[c],
+                                        kMenuSimd[s]};
+          const int cost = cfg.dsp_cost(p);
+          if (cost > budget) continue;
+          // Discard configs below half budget: they are strictly dominated
+          // by a larger legal sibling and only slow the search down.
+          if (prune_dominated && cost * 2 <= budget) continue;
+          out.push_back({cfg, r, c, s});
         }
       }
     }
     return out;
-  }
-
- private:
-  std::int64_t budget_;
-  std::int64_t input_[kNumTc][kNumSpatial] = {};
-  std::int64_t weight_[kNumTc] = {};
-  std::int64_t output_[kNumSpatial] = {};
-};
-
-/// Hashes the fields that tell most shape classes apart; equality on the
-/// whole key still decides.
-struct ShapeKeyHash {
-  std::size_t operator()(const ShapeKey& k) const {
-    std::size_t h = std::hash<std::int64_t>{}(k.macs);
-    for (const std::int64_t v :
-         {k.weight_elems, std::int64_t{k.in_channels},
-          std::int64_t{k.out_channels}, std::int64_t{k.out_height},
-          std::int64_t{k.out_width}}) {
-      h ^= std::hash<std::int64_t>{}(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-    }
-    return h;
-  }
-};
-
-}  // namespace
-
-ShapeClasses shape_classes(const graph::ComputationGraph& graph) {
-  ShapeClasses out;
-  out.layer_class.reserve(graph.num_layers());
-  std::unordered_map<ShapeKey, int, ShapeKeyHash> ids;
-  for (const graph::Layer& layer : graph.layers()) {
-    const ShapeKey key = shape_key(graph, layer.id);
-    const auto [it, added] = ids.try_emplace(key, static_cast<int>(out.size()));
-    if (added) {
-      out.representative.push_back(layer.id);
-      out.shape.push_back(key);
-    }
-    out.layer_class.push_back(it->second);
+  };
+  std::vector<MenuArray> out = enumerate(/*prune_dominated=*/true);
+  if (out.empty()) {
+    // Consecutive config costs differ by less than 2x, so the prune empties
+    // the menu only when the budget is at least twice the costliest config:
+    // then accept anything that fits.
+    out = enumerate(/*prune_dominated=*/false);
   }
   return out;
 }
+
+}  // namespace
 
 template <typename F>
 void DesignSpace::for_each_cycles(std::size_t i, F&& f) const {
   const Axes& a = axes_[i];
   const SystolicArrayConfig& array = menu_[i].array;
-  const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
-  const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
+  const std::size_t classes = classes_.size();
+  const RowTiles* m = rows_tiles_.data() + a.rows * classes;
+  const int* n_c = tc_tiles_.data() + a.tc * classes;
   const std::vector<LayerTileGeometry>& hw = spatial_tiles_[a.spatial];
-  const std::vector<std::int64_t>& px = px_[a.px];
-  const std::vector<std::int64_t>& red = red_[a.red];
+  const std::int64_t* px = px_.data() + a.px() * convs_.size();
+  const std::int64_t* red = red_.data() + a.red() * convs_.size();
   for (std::size_t j = 0; j < convs_.size(); ++j) {
     const std::uint32_t k = convs_[j];
     const std::int64_t n_m = m[k].n_m;
-    f(k, conv_cycles(n_m, px[j], red[j],
-                     n_m * c[k].n_c * hw[k].spatial_tiles(), array));
+    f(k, conv_cycles(n_m, px[j], red[j], n_m * n_c[k] * hw[k].spatial_tiles(),
+                     array));
   }
   for (std::size_t j = 0; j < pools_.size(); ++j) f(pools_[j], pool_[j]);
 }
@@ -314,14 +235,9 @@ double DesignSpace::bound(std::size_t i, double cycle_s) const {
   return static_cast<double>(compute_cycles_[i]) * cycle_s * shrink;
 }
 
-std::size_t DesignSpace::stream_slot(std::size_t i) const {
-  const Axes& a = axes_[i];
-  return (a.rows * kNumTc + a.tc) * kNumSpatial + a.spatial;
-}
-
 const std::vector<DesignSpace::Streams>& DesignSpace::streams(
     std::size_t i) const {
-  const std::size_t x = stream_slot(i);
+  const std::size_t x = axes_[i].slot();
   if (streams_[x].empty()) fill_row(i);
   return streams_[x];
 }
@@ -343,8 +259,8 @@ void DesignSpace::fill_row(std::size_t i) const {
   design.precision = precision_;
   design.array = menu_[i].array;
   design.tile = menu_[i].tile;
-  const std::vector<LayerTileGeometry>& m = rows_tiles_[a.rows];
-  const std::vector<LayerTileGeometry>& c = tc_tiles_[a.tc];
+  const RowTiles* m = rows_tiles_.data() + a.rows * shapes.size();
+  const int* n_c = tc_tiles_.data() + a.tc * shapes.size();
   // The row is built aside and assigned whole, so a failed fill leaves it
   // empty for the next caller to fill.
   std::vector<Streams> row(shapes.size());
@@ -354,13 +270,20 @@ void DesignSpace::fill_row(std::size_t i) const {
     LayerTileGeometry geom = hw[k];
     geom.n_m = m[k].n_m;
     geom.channels_per_mtile = m[k].channels_per_mtile;
-    geom.n_c = c[k].n_c;
+    geom.n_c = n_c[k];
     const LayerCost cost = stream_cost(shapes[k], geom, design, ddr);
     row[k] = {cost.if_s, cost.res_s, cost.wt_s, cost.of_s};
   }
-  streams_[stream_slot(i)] = std::move(row);
+  streams_[a.slot()] = std::move(row);
   LCMM_COUNT("stream_rows", 1);
   LCMM_COUNT("cost_terms", static_cast<std::int64_t>(shapes.size()));
+}
+
+TileBufferBytes DesignSpace::tile_buffers(std::size_t i) const {
+  const Axes& a = axes_[i];
+  const std::int64_t rows = menu_[i].array.rows;
+  return {tile_input_[a.tc][a.spatial], rows * tile_weight_[a.tc],
+          rows * tile_output_[a.spatial]};
 }
 
 double DesignSpace::latency(std::size_t i, double cycle_s,
@@ -416,7 +339,9 @@ DseResult DesignSpace::argmin(bool heavy_uram_use,
     ++evaluated;
   }
   LCMM_COUNT("candidates_evaluated", evaluated);
-  return best.result(device_, freq, graph_->name());
+  DseResult result = best.result(device_, freq, graph_->name());
+  result.tile_buffers = tile_buffers(best.index());
+  return result;
 }
 
 Dse::Dse(FpgaDevice device, Precision precision, DseOptions options)
@@ -434,69 +359,97 @@ std::int64_t Dse::tile_bram_budget() const {
 }
 
 std::vector<SystolicArrayConfig> Dse::array_candidates() const {
-  const int budget = dsp_budget();
-  const auto enumerate = [&](bool prune_dominated) {
-    std::vector<SystolicArrayConfig> out;
-    for (int r : kRows) {
-      for (int c : kCols) {
-        for (int s : kSimd) {
-          const SystolicArrayConfig cfg{r, c, s};
-          const int cost = cfg.dsp_cost(precision_);
-          if (cost > budget) continue;
-          // Discard configs below half budget: they are strictly dominated
-          // by a larger legal sibling and only slow the search down.
-          if (prune_dominated && cost * 2 <= budget) continue;
-          out.push_back(cfg);
+  std::vector<SystolicArrayConfig> out;
+  for (const MenuArray& a : menu_arrays(dsp_budget(), precision_)) {
+    out.push_back(a.array);
+  }
+  return out;
+}
+
+void Dse::fill_menu(DesignSpace& space) const {
+  constexpr std::size_t kNumTc = DesignSpace::kNumTc;
+  constexpr std::size_t kNumSpatial = DesignSpace::kNumSpatial;
+  // The BRAM filter, by axis. Over the classes, tile_buffer_bytes' input
+  // maximum reads (tc, spatial), its weight maximum is rows x a tc term
+  // and its output maximum rows x a spatial term, so each maximum is taken
+  // once per axis value at one PE row, in elements, and every (rows, tile)
+  // check is then three table reads.
+  std::int64_t(&input)[kNumTc][kNumSpatial] = space.tile_input_;
+  std::int64_t(&weight)[kNumTc] = space.tile_weight_;
+  std::int64_t(&output)[kNumSpatial] = space.tile_output_;
+  for (const ShapeKey& shape : space.classes_.shape) {
+    for (std::size_t s = 0; s < kNumSpatial; ++s) {
+      const std::int64_t pixels =
+          input_tile_pixels(shape, kMenuSpatial[s], kMenuSpatial[s]);
+      for (std::size_t t = 0; t < kNumTc; ++t) {
+        input[t][s] = std::max(
+            input[t][s],
+            std::min<std::int64_t>(kMenuTc[t], shape.in_channels) * pixels);
+      }
+    }
+    for (std::size_t t = 0; t < kNumTc; ++t) {
+      weight[t] = std::max(weight[t], weight_tile_elems(shape, kMenuTc[t]));
+    }
+  }
+  // Double-buffered bytes; every layer has the same output tile.
+  const int bpe = bytes_per_elem(precision_);
+  for (std::size_t t = 0; t < kNumTc; ++t) {
+    for (std::int64_t& b : input[t]) b *= 2 * bpe;
+    weight[t] *= 2 * bpe;
+  }
+  if (!space.classes_.shape.empty()) {
+    for (std::size_t s = 0; s < kNumSpatial; ++s) {
+      output[s] = 2 * static_cast<std::int64_t>(kMenuSpatial[s]) *
+                  kMenuSpatial[s] * accumulator_bytes(precision_);
+    }
+  }
+
+  // The fitting tiles of each rows value as a mask, bit t x kNumSpatial +
+  // s for tile (kMenuTc[t], kMenuSpatial[s]): ascending bits are menu
+  // order.
+  static_assert(kNumTc * kNumSpatial <= 32);
+  static_assert(std::is_sorted(std::begin(kMenuTc), std::end(kMenuTc)));
+  const std::int64_t budget = tile_bram_budget();
+  std::uint32_t fitting[DesignSpace::kNumRows] = {};
+  for (std::size_t r = 0; r < DesignSpace::kNumRows; ++r) {
+    const std::int64_t rows = kMenuRows[r];
+    for (std::size_t t = 0; t < kNumTc; ++t) {
+      for (std::size_t s = 0; s < kNumSpatial; ++s) {
+        if (input[t][s] + rows * weight[t] + rows * output[s] <= budget) {
+          fitting[r] |= 1u << (t * kNumSpatial + s);
         }
       }
     }
-    return out;
+  }
+  const std::vector<MenuArray> arrays = menu_arrays(dsp_budget(), precision_);
+  const auto tiles_of = [&](const MenuArray& a) {
+    std::uint32_t mask = fitting[a.rows];
+    // SIMD lanes must be fed within a tile.
+    for (std::size_t t = 0; t < kNumTc && kMenuTc[t] < a.array.simd; ++t) {
+      mask &= ~(((1u << kNumSpatial) - 1) << (t * kNumSpatial));
+    }
+    return mask;
   };
-  std::vector<SystolicArrayConfig> out = enumerate(/*prune_dominated=*/true);
-  if (out.empty()) {
-    // Consecutive config costs differ by less than 2x, so the prune empties
-    // the menu only when the budget is at least twice the costliest config:
-    // then accept anything that fits.
-    out = enumerate(/*prune_dominated=*/false);
-  }
-  return out;
-}
-
-std::vector<TileConfig> Dse::tile_candidates(
-    const graph::ComputationGraph& graph,
-    const SystolicArrayConfig& array) const {
-  std::vector<TileConfig> out =
-      TileFilter(shape_classes(graph).shape, precision_, tile_bram_budget())
-          .tiles(array.rows);
-  // SIMD lanes must be fed within a tile.
-  std::erase_if(out, [&](const TileConfig& t) { return t.tc < array.simd; });
-  return out;
-}
-
-std::vector<DseCandidate> Dse::menu(const graph::ComputationGraph& graph,
-                                    const ShapeClasses& classes) const {
-  const TileFilter filter(classes.shape, precision_, tile_bram_budget());
-  // Arrays with the same row count share their BRAM-feasible tiles.
-  std::vector<TileConfig> fitting[kNumRows];
-  bool filtered[kNumRows] = {};
-  std::vector<DseCandidate> out;
-  for (const SystolicArrayConfig& array : array_candidates()) {
-    const std::size_t r = axis_index(kRows, array.rows);
-    if (!filtered[r]) {
-      fitting[r] = filter.tiles(array.rows);
-      filtered[r] = true;
-    }
-    for (const TileConfig& tile : fitting[r]) {
-      if (tile.tc >= array.simd) out.push_back({array, tile});
+  std::size_t size = 0;
+  for (const MenuArray& a : arrays) size += std::popcount(tiles_of(a));
+  space.menu_.reserve(size);
+  space.axes_.reserve(size);
+  for (const MenuArray& a : arrays) {
+    for (std::uint32_t mask = tiles_of(a); mask != 0; mask &= mask - 1) {
+      const auto bit = static_cast<std::uint8_t>(std::countr_zero(mask));
+      const std::uint8_t t = bit / kNumSpatial;
+      const std::uint8_t s = bit % kNumSpatial;
+      space.menu_.push_back(
+          {a.array, {kMenuTc[t], kMenuSpatial[s], kMenuSpatial[s]}});
+      space.axes_.push_back({a.rows, a.cols, a.simd, t, s});
     }
   }
-  if (out.empty()) {
+  if (space.menu_.empty()) {
     throw resil::CompileError(
         resil::Code::kNoFeasibleDesign, "dse.explore",
-        "no feasible design within the device budget", graph.name());
+        "no feasible design within the device budget", space.graph_->name());
   }
-  LCMM_COUNT("menu", static_cast<std::int64_t>(out.size()));
-  return out;
+  LCMM_COUNT("menu", static_cast<std::int64_t>(space.menu_.size()));
 }
 
 DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
@@ -507,55 +460,52 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   out.device_ = device_;
   out.precision_ = precision_;
   out.classes_ = shape_classes(graph);
-  out.menu_ = menu(graph, out.classes_);
+  fill_menu(out);
   const std::vector<DseCandidate>& menu = out.menu_;
   const std::vector<ShapeKey>& shapes = out.classes_.shape;
   const std::size_t num_classes = shapes.size();
 
-  // Place each candidate on the menu axes. The tile counts read one axis
-  // each (rows, tc, spatial), the pixel steps (cols, spatial) and the
-  // reduction steps (simd, tc); each term is computed once per
-  // axis value or key that some candidate uses, on its first such
-  // candidate. Menu tiles are square.
-  KeyIds px_ids(std::size(kCols) * kNumSpatial);
-  KeyIds red_ids(std::size(kSimd) * kNumTc);
-  std::size_t rows_first[kNumRows], tc_first[kNumTc], spatial_first[kNumSpatial];
-  std::fill(std::begin(rows_first), std::end(rows_first), menu.size());
-  std::fill(std::begin(tc_first), std::end(tc_first), menu.size());
-  std::fill(std::begin(spatial_first), std::end(spatial_first), menu.size());
-  out.axes_.resize(menu.size());
-  for (std::size_t i = 0; i < menu.size(); ++i) {
-    const auto& [array, tile] = menu[i];
-    DesignSpace::Axes& a = out.axes_[i];
-    a.rows = static_cast<std::uint8_t>(axis_index(kRows, array.rows));
-    a.tc = static_cast<std::uint8_t>(axis_index(kTc, tile.tc));
-    a.spatial = static_cast<std::uint8_t>(axis_index(kSpatial, tile.th));
-    a.px = px_ids.id(axis_index(kCols, array.cols) * kNumSpatial + a.spatial, i);
-    a.red = red_ids.id(axis_index(kSimd, array.simd) * kNumTc + a.tc, i);
-    rows_first[a.rows] = std::min(rows_first[a.rows], i);
-    tc_first[a.tc] = std::min(tc_first[a.tc], i);
-    spatial_first[a.spatial] = std::min(spatial_first[a.spatial], i);
+  // The axis values and step keys some candidate reads: each term below
+  // is computed for those alone.
+  bool rows_used[DesignSpace::kNumRows] = {};
+  bool tc_used[DesignSpace::kNumTc] = {};
+  bool spatial_used[DesignSpace::kNumSpatial] = {};
+  bool px_used[DesignSpace::kNumCols * DesignSpace::kNumSpatial] = {};
+  bool red_used[DesignSpace::kNumSimd * DesignSpace::kNumTc] = {};
+  for (const DesignSpace::Axes& a : out.axes_) {
+    rows_used[a.rows] = tc_used[a.tc] = spatial_used[a.spatial] = true;
+    px_used[a.px()] = red_used[a.red()] = true;
   }
 
-  // The per-axis tile counts of every class.
-  const auto counts_by = [&](std::size_t first) {
-    std::vector<LayerTileGeometry> row;
-    if (first == menu.size()) return row;
-    row.resize(num_classes);
-    const DseCandidate& c = menu[first];
+  // The tile counts, each field from the one axis value it reads.
+  out.rows_tiles_.resize(DesignSpace::kNumRows * num_classes);
+  for (std::size_t r = 0; r < DesignSpace::kNumRows; ++r) {
+    if (!rows_used[r]) continue;
     for (std::size_t k = 0; k < num_classes; ++k) {
-      row[k] = layer_tile_counts(shapes[k], c.array, c.tile);
+      out.rows_tiles_[r * num_classes + k] = row_tiles(shapes[k], kMenuRows[r]);
     }
-    return row;
-  };
-  for (const std::size_t first : rows_first) {
-    out.rows_tiles_.push_back(counts_by(first));
   }
-  for (const std::size_t first : tc_first) {
-    out.tc_tiles_.push_back(counts_by(first));
+  std::vector<int> channels(num_classes);
+  for (std::size_t k = 0; k < num_classes; ++k) {
+    channels[k] = group_channels(shapes[k]);
   }
-  for (const std::size_t first : spatial_first) {
-    out.spatial_tiles_.push_back(counts_by(first));
+  out.tc_tiles_.resize(DesignSpace::kNumTc * num_classes);
+  for (std::size_t t = 0; t < DesignSpace::kNumTc; ++t) {
+    if (!tc_used[t]) continue;
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      out.tc_tiles_[t * num_classes + k] =
+          static_cast<int>(ceil_div(channels[k], kMenuTc[t]));
+    }
+  }
+  for (std::size_t s = 0; s < DesignSpace::kNumSpatial; ++s) {
+    if (!spatial_used[s]) continue;
+    std::vector<LayerTileGeometry>& row = out.spatial_tiles_[s];
+    row.resize(num_classes);
+    const int tile = kMenuSpatial[s];
+    for (std::size_t k = 0; k < num_classes; ++k) {
+      row[k].n_h = static_cast<int>(ceil_div(shapes[k].out_height, tile));
+      row[k].n_w = static_cast<int>(ceil_div(shapes[k].out_width, tile));
+    }
   }
 
   // Per-key step terms of the conv classes, each computed once per
@@ -567,39 +517,43 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
         .push_back(static_cast<std::uint32_t>(k));
   }
   const std::vector<std::uint32_t>& convs = out.convs_;
+  const std::size_t num_convs = convs.size();
   std::int64_t terms = 0;
-  const auto conv_terms = [&](const std::vector<std::size_t>& first,
-                              auto fields, auto term) {
-    const std::vector<std::size_t> alike = first_alike(shapes, convs, fields);
-    std::vector<std::vector<std::int64_t>> rows(first.size());
-    for (std::size_t j = 0; j < first.size(); ++j) {
-      std::vector<std::int64_t>& row = rows[j];
-      row.resize(convs.size());
-      for (std::size_t c = 0; c < convs.size(); ++c) {
+  const auto conv_terms = [&](std::vector<std::int64_t>& table,
+                              std::span<const bool> used, auto fields,
+                              auto term) {
+    const std::vector<std::uint32_t> alike = first_alike(shapes, convs, fields);
+    table.resize(used.size() * num_convs);
+    for (std::size_t x = 0; x < used.size(); ++x) {
+      if (!used[x]) continue;
+      std::int64_t* row = table.data() + x * num_convs;
+      for (std::size_t c = 0; c < num_convs; ++c) {
         if (alike[c] != c) {
           row[c] = row[alike[c]];
           continue;
         }
-        row[c] = term(shapes[convs[c]], menu[first[j]]);
+        row[c] = term(shapes[convs[c]], x);
         ++terms;
       }
     }
-    return rows;
   };
-  out.px_ = conv_terms(
-      px_ids.first,
-      [](const ShapeKey& s) { return std::tuple{s.out_height, s.out_width}; },
-      [](const ShapeKey& shape, const DseCandidate& c) {
-        return px_steps(shape, c.tile.th, c.tile.tw, c.array.cols);
+  conv_terms(
+      out.px_, px_used,
+      [](const ShapeKey& s) { return std::pair{s.out_height, s.out_width}; },
+      [](const ShapeKey& shape, std::size_t key) {
+        const int s = kMenuSpatial[key % DesignSpace::kNumSpatial];
+        return px_steps(shape, s, s,
+                        kMenuCols[key / DesignSpace::kNumSpatial]);
       });
-  out.red_ = conv_terms(
-      red_ids.first,
+  conv_terms(
+      out.red_, red_used,
       [](const ShapeKey& s) {
         return std::tuple{s.in_channels, s.conv_groups, s.conv_kernel_h,
                           s.conv_kernel_w};
       },
-      [](const ShapeKey& shape, const DseCandidate& c) {
-        return red_steps(shape, c.tile.tc, c.array.simd);
+      [](const ShapeKey& shape, std::size_t key) {
+        return red_steps(shape, kMenuTc[key % DesignSpace::kNumTc],
+                         kMenuSimd[key / DesignSpace::kNumTc]);
       });
   std::vector<std::int64_t> layers_in(num_classes);
   for (const int k : out.classes_.layer_class) {
@@ -618,38 +572,39 @@ DesignSpace Dse::space(const graph::ComputationGraph& graph) const {
   // classes, L layers each: Σ L n_m is kept per rows value and the tile
   // sum per (rows, tc, spatial), so a candidate costs two multiplies per
   // class.
-  std::vector<std::vector<std::int64_t>> layers_n_m(kNumRows);
-  for (std::size_t r = 0; r < kNumRows; ++r) {
-    if (out.rows_tiles_[r].empty()) continue;
-    for (const std::uint32_t k : convs) {
-      layers_n_m[r].push_back(layers_in[k] * out.rows_tiles_[r][k].n_m);
+  std::vector<std::int64_t> layers_n_m(DesignSpace::kNumRows * num_convs);
+  for (std::size_t r = 0; r < DesignSpace::kNumRows; ++r) {
+    if (!rows_used[r]) continue;
+    for (std::size_t j = 0; j < num_convs; ++j) {
+      layers_n_m[r * num_convs + j] =
+          layers_in[convs[j]] * out.rows_tiles_[r * num_classes + convs[j]].n_m;
     }
   }
-  std::vector<std::int64_t> slot_tiles(kNumRows * kNumTc * kNumSpatial, -1);
+  std::int64_t slot_tiles[DesignSpace::kNumSlots];
+  std::fill(std::begin(slot_tiles), std::end(slot_tiles), -1);
   out.compute_cycles_.resize(menu.size());
   for (std::size_t i = 0; i < menu.size(); ++i) {
     const DesignSpace::Axes& a = out.axes_[i];
-    const std::vector<std::int64_t>& l_n_m = layers_n_m[a.rows];
-    std::int64_t& tiles = slot_tiles[out.stream_slot(i)];
+    const std::int64_t* l_n_m = layers_n_m.data() + a.rows * num_convs;
+    std::int64_t& tiles = slot_tiles[a.slot()];
     if (tiles < 0) {
-      const std::vector<LayerTileGeometry>& c = out.tc_tiles_[a.tc];
+      const int* n_c = out.tc_tiles_.data() + a.tc * num_classes;
       const std::vector<LayerTileGeometry>& hw = out.spatial_tiles_[a.spatial];
       tiles = 0;
-      for (std::size_t j = 0; j < convs.size(); ++j) {
-        tiles += l_n_m[j] * c[convs[j]].n_c * hw[convs[j]].spatial_tiles();
+      for (std::size_t j = 0; j < num_convs; ++j) {
+        tiles += l_n_m[j] * n_c[convs[j]] * hw[convs[j]].spatial_tiles();
       }
     }
-    const std::vector<std::int64_t>& px = out.px_[a.px];
-    const std::vector<std::int64_t>& red = out.red_[a.red];
+    const std::int64_t* px = out.px_.data() + a.px() * num_convs;
+    const std::int64_t* red = out.red_.data() + a.red() * num_convs;
     std::int64_t steps = 0;
-    for (std::size_t j = 0; j < convs.size(); ++j) {
+    for (std::size_t j = 0; j < num_convs; ++j) {
       steps += l_n_m[j] * px[j] * red[j];
     }
     out.compute_cycles_[i] =
         conv_cycles(1, steps, 1, tiles, menu[i].array) + pool_sum;
   }
   out.scan_order_ = radix_order(out.compute_cycles_);
-  out.streams_.resize(kNumRows * kNumTc * kNumSpatial);
   LCMM_COUNT("shape_classes", static_cast<std::int64_t>(num_classes));
   LCMM_COUNT("cost_evals",
              static_cast<std::int64_t>(menu.size() * num_classes));

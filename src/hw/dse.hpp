@@ -16,12 +16,17 @@
 // once, and from then on computes every cost term as plain arithmetic on
 // those keys, once per menu axis value it reads (docs/performance-model.md):
 // the BRAM filter from per-(tc, spatial) input and per-tc weight maxima,
-// the tile counts per rows, tc and spatial value, the pixel and reduction
-// steps per key and distinct shape input, and the streams per (rows, tile)
-// row. DesignSpace::argmin() derives every objective the compiler needs —
-// UMM at the uniform clock, the LCMM seed at the heavy-URAM clock, the
-// allocation-aware refine under an on-chip state — from it with O(layers)
-// lookups per candidate it evaluates.
+// n_m per rows value, n_c per tc and n_h x n_w per spatial value, the
+// pixel and reduction steps per (cols, spatial) and (simd, tc) key and
+// distinct shape input, and the streams per (rows, tile) row. Each menu
+// candidate records its axis positions when the menu is generated, so
+// every term is read by direct index. DesignSpace::argmin() derives every
+// objective the compiler needs — UMM at the uniform clock, the LCMM seed at
+// the heavy-URAM clock, the allocation-aware refine under an on-chip
+// state — from it with O(layers) lookups per candidate it evaluates, and
+// hands back the winner's tile buffers from the filter's class maxima.
+// The compile builds each picked design's PerfModel over the space's
+// shape classes: one layer_cost per class.
 //
 // Eq. 1 puts a layer's latency at or above its compute time under any
 // on-chip mask, so a candidate's total compute cycles C_i times the cycle
@@ -33,6 +38,7 @@
 // only when it is evaluated.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -50,21 +56,22 @@ struct DseOptions {
 struct DseResult {
   AcceleratorDesign design;
   double objective_latency_s = 0.0;
+  /// The design's double-buffered tile buffers on the explored graph:
+  /// tile_buffer_bytes(graph, design.array, design.tile, precision).
+  TileBufferBytes tile_buffers;
 };
 
-/// The graph's layers grouped by ShapeKey.
-struct ShapeClasses {
-  /// Class of each layer, indexed by LayerId.
-  std::vector<int> layer_class;
-  /// First layer of each class; class ids follow first appearance.
-  std::vector<graph::LayerId> representative;
-  /// Shape of each class, by class id: all any cost term reads.
-  std::vector<ShapeKey> shape;
-
-  std::size_t size() const { return representative.size(); }
-};
-
-ShapeClasses shape_classes(const graph::ComputationGraph& graph);
+/// The menu axes. The menus follow [18]: power-of-two-ish row/simd counts
+/// and column counts that divide common feature-map widths well. Row depth
+/// stops at 32 — the output-stationary template accumulates partial sums
+/// down each row, and deeper rows blow up the adder/banking depth (the
+/// published designs use modest output-channel unroll). Tiles are square:
+/// th = tw = a kMenuSpatial value.
+inline constexpr int kMenuRows[] = {8, 16, 32};
+inline constexpr int kMenuCols[] = {8, 11, 14, 16, 22, 32};
+inline constexpr int kMenuSimd[] = {4, 8, 16, 32};
+inline constexpr int kMenuTc[] = {16, 32, 64, 128};
+inline constexpr int kMenuSpatial[] = {4, 7, 8, 14, 16, 17, 28};
 
 /// One (array, tile) pair of the DSE menu.
 struct DseCandidate {
@@ -121,6 +128,14 @@ class DesignSpace {
   friend class Dse;
   DesignSpace() = default;
 
+  static constexpr std::size_t kNumRows = std::size(kMenuRows);
+  static constexpr std::size_t kNumCols = std::size(kMenuCols);
+  static constexpr std::size_t kNumSimd = std::size(kMenuSimd);
+  static constexpr std::size_t kNumTc = std::size(kMenuTc);
+  static constexpr std::size_t kNumSpatial = std::size(kMenuSpatial);
+  /// Stream rows: one per (rows, tc, spatial).
+  static constexpr std::size_t kNumSlots = kNumRows * kNumTc * kNumSpatial;
+
   /// DDR stream seconds of one class under one (rows, tile).
   struct Streams {
     double if_s = 0.0;
@@ -129,23 +144,28 @@ class DesignSpace {
     double of_s = 0.0;
   };
 
-  /// Where a candidate reads its terms: its rows, tc and spatial values as
-  /// menu axis positions, and its pixel-step ((cols, spatial))
-  /// and reduction-step ((simd, tc)) term rows.
+  /// A candidate's position on each menu axis, recorded when the menu is
+  /// generated.
   struct Axes {
     std::uint8_t rows = 0;
+    std::uint8_t cols = 0;
+    std::uint8_t simd = 0;
     std::uint8_t tc = 0;
     std::uint8_t spatial = 0;
-    std::uint8_t px = 0;
-    std::uint8_t red = 0;
+
+    /// The pixel-step key (cols, spatial) and reduction-step key (simd, tc).
+    std::size_t px() const { return cols * kNumSpatial + spatial; }
+    std::size_t red() const { return simd * kNumTc + tc; }
+    /// The stream row this candidate reads.
+    std::size_t slot() const {
+      return (rows * kNumTc + tc) * kNumSpatial + spatial;
+    }
   };
 
   /// Calls f(k, cycles) with candidate `i`'s compute cycles of each class k.
   template <typename F>
   void for_each_cycles(std::size_t i, F&& f) const;
   double bound(std::size_t i, double cycle_s) const;
-  /// The stream row that candidate `i` reads: one per (rows, tc, spatial).
-  std::size_t stream_slot(std::size_t i) const;
   /// Candidate `i`'s stream row, filled first if empty.
   const std::vector<Streams>& streams(std::size_t i) const;
   /// Fills candidate `i`'s (empty) stream row, after the fetched extents
@@ -156,45 +176,54 @@ class DesignSpace {
   double latency(std::size_t i, double cycle_s,
                  std::span<const std::uint8_t> on_chip_masks,
                  std::vector<double>& scratch) const;
+  /// Candidate `i`'s tile buffers, from the filter's class maxima.
+  TileBufferBytes tile_buffers(std::size_t i) const;
 
   const graph::ComputationGraph* graph_ = nullptr;
   FpgaDevice device_;
   Precision precision_ = Precision::kInt8;
   std::vector<DseCandidate> menu_;
-  ShapeClasses classes_;
   std::vector<Axes> axes_;
+  ShapeClasses classes_;
+  /// The BRAM filter's maxima over the classes of tile_buffer_bytes' terms,
+  /// in bytes: the input buffer per (tc, spatial), and the weight and
+  /// output buffers per PE row, per tc and per spatial value.
+  std::int64_t tile_input_[kNumTc][kNumSpatial] = {};
+  std::int64_t tile_weight_[kNumTc] = {};
+  std::int64_t tile_output_[kNumSpatial] = {};
   /// The terms, each computed once per space from the classes' shapes for
-  /// each axis value it reads (docs/performance-model.md). Indexed by axis
-  /// position, then class; a value that no candidate uses stays empty.
-  /// rows_tiles_, tc_tiles_ and spatial_tiles_ hold layer_tile_counts
-  /// per class for one rows, tc or spatial value; only the fields that
-  /// value determines are read (n_m and channels_per_mtile; n_c; n_h and
-  /// n_w). A spatial row becomes layer_tile_geometry, fetched extents
-  /// included, when the first stream row of its value is filled
-  /// (bit s of fetched_spatial_). convs_ and pools_ list the class ids
-  /// of each kind; px_ and red_ hold the pixel and reduction steps by term
-  /// key, then position in convs_, and pool_ the pooling cycles by
-  /// position in pools_.
+  /// each axis value or key it reads (docs/performance-model.md); a value
+  /// or key that no candidate reads is left unset. rows_tiles_ holds n_m
+  /// and channels_per_mtile by rows position, then class, and tc_tiles_
+  /// n_c by tc position, then class. spatial_tiles_ holds a
+  /// LayerTileGeometry per spatial value and class with n_h and n_w set;
+  /// it becomes the whole layer_tile_geometry, fetched extents included,
+  /// when the first stream row of its value is filled (bit s of
+  /// fetched_spatial_). convs_ and pools_ list the class ids of each kind;
+  /// px_ and red_ hold the pixel and reduction steps by key (Axes::px(),
+  /// Axes::red()), then position in convs_, and pool_ the pooling cycles
+  /// by position in pools_.
   /// compute_cycles_[i] is candidate i's exact cycle sum over the layers
   /// and scan_order_ sorts the menu by (compute_cycles_, menu index). The
   /// streams read the array only through its row count, so they are kept
-  /// per (rows, tc, spatial): streams_[stream_slot(i)][k], empty until
-  /// first needed. One row per axis value, key or slot keeps every
-  /// allocation small: a single table-sized block would be served by
-  /// mmap, and freeing it raises glibc's mmap threshold for the rest of
-  /// the process, which grows the heap of every later compile.
-  std::vector<std::vector<LayerTileGeometry>> rows_tiles_;
-  std::vector<std::vector<LayerTileGeometry>> tc_tiles_;
-  mutable std::vector<std::vector<LayerTileGeometry>> spatial_tiles_;
+  /// per (rows, tc, spatial): streams_[axes_[i].slot()][k], empty until
+  /// first needed. Every table stays small for the zoo's nets (tens of
+  /// KiB): a block above glibc's mmap threshold (128 KiB) would be served
+  /// by mmap, and freeing it raises that threshold for the rest of the
+  /// process, which grows the heap of every later compile.
+  std::vector<RowTiles> rows_tiles_;
+  std::vector<int> tc_tiles_;
+  mutable std::array<std::vector<LayerTileGeometry>, kNumSpatial>
+      spatial_tiles_;
   mutable std::uint32_t fetched_spatial_ = 0;
-  std::vector<std::vector<std::int64_t>> px_;
-  std::vector<std::vector<std::int64_t>> red_;
+  std::vector<std::int64_t> px_;
+  std::vector<std::int64_t> red_;
   std::vector<std::int64_t> pool_;
   std::vector<std::uint32_t> convs_;
   std::vector<std::uint32_t> pools_;
   std::vector<std::int64_t> compute_cycles_;
   std::vector<std::uint32_t> scan_order_;
-  mutable std::vector<std::vector<Streams>> streams_;
+  mutable std::array<std::vector<Streams>, kNumSlots> streams_;
 };
 
 class Dse {
@@ -214,9 +243,6 @@ class Dse {
 
   /// PE-array shapes within the DSP budget.
   std::vector<SystolicArrayConfig> array_candidates() const;
-  /// Tile configurations legal for `array` on `graph` (BRAM-feasible).
-  std::vector<TileConfig> tile_candidates(const graph::ComputationGraph& graph,
-                                          const SystolicArrayConfig& array) const;
 
   int dsp_budget() const;
   /// Bytes of BRAM the double-buffered tile buffers may take: a tile is
@@ -225,9 +251,9 @@ class Dse {
   std::int64_t tile_bram_budget() const;
 
  private:
-  /// The menu in its historical order (arrays outer, tiles inner).
-  std::vector<DseCandidate> menu(const graph::ComputationGraph& graph,
-                                 const ShapeClasses& classes) const;
+  /// Fills `space`'s BRAM filter, then its menu in the historical order
+  /// (arrays outer, tiles inner) with each candidate's axis positions.
+  void fill_menu(DesignSpace& space) const;
 
   FpgaDevice device_;
   Precision precision_;

@@ -25,8 +25,25 @@ double LayerTiming::umm_latency() const {
   return eq1_latency(compute_s, if_s, res_s, wt_s, of_s, 0);
 }
 
+namespace {
+/// `graph`'s layers with each one a class of its own.
+ShapeClasses layer_by_layer(const graph::ComputationGraph& graph) {
+  ShapeClasses out;
+  for (const graph::Layer& layer : graph.layers()) {
+    out.layer_class.push_back(static_cast<int>(layer.id));
+    out.representative.push_back(layer.id);
+    out.shape.push_back(shape_key(graph, layer.id));
+  }
+  return out;
+}
+}  // namespace
+
 PerfModel::PerfModel(const graph::ComputationGraph& graph,
                      AcceleratorDesign design)
+    : PerfModel(graph, std::move(design), layer_by_layer(graph)) {}
+
+PerfModel::PerfModel(const graph::ComputationGraph& graph,
+                     AcceleratorDesign design, const ShapeClasses& classes)
     : graph_(&graph), design_(std::move(design)),
       ddr_(design_.device) {
   LCMM_SPAN("perf_model");
@@ -34,10 +51,16 @@ PerfModel::PerfModel(const graph::ComputationGraph& graph,
     throw resil::OptionError(resil::Code::kBadArgument, "hw.perf_model",
                              "PerfModel: incomplete accelerator design");
   }
-  timings_.reserve(graph.num_layers());
-  for (const graph::Layer& layer : graph.layers()) {
-    timings_.push_back(scale_to_clock(layer_cost(graph, layer.id, design_, ddr_),
-                                      design_.freq_mhz));
+  std::vector<LayerTiming> by_class;
+  by_class.reserve(classes.size());
+  for (const ShapeKey& shape : classes.shape) {
+    by_class.push_back(
+        scale_to_clock(layer_cost(shape, design_, ddr_), design_.freq_mhz));
+  }
+  LCMM_COUNT("layer_costs", static_cast<std::int64_t>(by_class.size()));
+  timings_.reserve(classes.layer_class.size());
+  for (const int k : classes.layer_class) {
+    timings_.push_back(by_class[static_cast<std::size_t>(k)]);
   }
 }
 
@@ -85,7 +108,11 @@ std::int64_t pool_cycles(const ShapeKey& shape) {
 
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                      const AcceleratorDesign& design, const mem::DdrModel& ddr) {
-  const ShapeKey shape = shape_key(graph, id);
+  return layer_cost(shape_key(graph, id), design, ddr);
+}
+
+LayerCost layer_cost(const ShapeKey& shape, const AcceleratorDesign& design,
+                     const mem::DdrModel& ddr) {
   const SystolicArrayConfig& array = design.array;
   const TileConfig& tile = design.tile;
   const LayerTileGeometry geom = layer_tile_geometry(shape, array, tile);

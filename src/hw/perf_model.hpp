@@ -88,8 +88,11 @@ struct LayerTiming : LayerCost {
   bool memory_bound() const { return max_transfer() > compute_s; }
 };
 
-/// Clock-free cost of layer `id` under `design` (its freq_mhz is unused),
-/// assembled from the term helpers below.
+/// Clock-free cost of a layer of shape `shape` under `design` (its
+/// freq_mhz is unused), assembled from the term helpers below.
+LayerCost layer_cost(const ShapeKey& shape, const AcceleratorDesign& design,
+                     const mem::DdrModel& ddr);
+/// The same for layer `id`: layer_cost(shape_key(graph, id), ...).
 LayerCost layer_cost(const graph::ComputationGraph& graph, graph::LayerId id,
                      const AcceleratorDesign& design, const mem::DdrModel& ddr);
 
@@ -140,6 +143,12 @@ LayerTiming scale_to_clock(const LayerCost& cost, double freq_mhz);
 /// "perf_model"; a compile builds one per design and passes it down.
 class PerfModel {
  public:
+  /// Evaluates layer_cost once per class of `classes` (the graph's layers
+  /// grouped by shape, as its design space holds them) and gives each
+  /// layer its class's timing.
+  PerfModel(const graph::ComputationGraph& graph, AcceleratorDesign design,
+            const ShapeClasses& classes);
+  /// The same with every layer a class of its own.
   PerfModel(const graph::ComputationGraph& graph, AcceleratorDesign design);
 
   const AcceleratorDesign& design() const { return design_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+
 #include "resil/error.hpp"
 
 namespace lcmm::hw {
@@ -99,6 +100,25 @@ ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id) {
   return k;
 }
 
+int group_channels(const ShapeKey& shape) {
+  return shape.in_channels / (shape.is_conv() ? shape.conv_groups : 1);
+}
+
+RowTiles row_tiles(const ShapeKey& shape, int rows) {
+  const int groups = shape.is_conv() ? shape.conv_groups : 1;
+  RowTiles t;
+  // Output-stationary array: the m-tile IS the PE row count.
+  t.n_m = static_cast<int>(ceil_div(shape.out_channels, rows));
+  // Channels an m-tile touches: its covered groups' slices only.
+  const int m_per_group = std::max(1, shape.out_channels / groups);
+  const int groups_per_mtile = std::min<int>(
+      groups, static_cast<int>(ceil_div(std::min(rows, shape.out_channels),
+                                        m_per_group)));
+  t.channels_per_mtile =
+      std::min(shape.in_channels, group_channels(shape) * groups_per_mtile);
+  return t;
+}
+
 LayerTileGeometry layer_tile_counts(const ShapeKey& shape,
                                     const SystolicArrayConfig& array,
                                     const TileConfig& tile) {
@@ -107,18 +127,11 @@ LayerTileGeometry layer_tile_counts(const ShapeKey& shape,
                              "layer_tile_geometry: invalid config");
   }
   LayerTileGeometry g;
-  const int groups = shape.is_conv() ? shape.conv_groups : 1;
-  g.group_channels = shape.in_channels / groups;
-  // Output-stationary array: the m-tile IS the PE row count.
-  g.n_m = static_cast<int>(ceil_div(shape.out_channels, array.rows));
+  g.group_channels = group_channels(shape);
+  const RowTiles m = row_tiles(shape, array.rows);
+  g.n_m = m.n_m;
+  g.channels_per_mtile = m.channels_per_mtile;
   g.n_c = static_cast<int>(ceil_div(g.group_channels, tile.tc));
-  // Channels an m-tile touches: its covered groups' slices only.
-  const int m_per_group = std::max(1, shape.out_channels / groups);
-  const int groups_per_mtile = std::min<int>(
-      groups, static_cast<int>(ceil_div(
-                  std::min(array.rows, shape.out_channels), m_per_group)));
-  g.channels_per_mtile =
-      std::min(shape.in_channels, g.group_channels * groups_per_mtile);
   g.n_h = static_cast<int>(ceil_div(shape.out_height, tile.th));
   g.n_w = static_cast<int>(ceil_div(shape.out_width, tile.tw));
   return g;
@@ -158,29 +171,73 @@ TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
   return out;
 }
 
+std::int64_t input_tile_pixels(const ShapeKey& shape, int th, int tw) {
+  const AxisParams ah = h_params(shape);
+  const AxisParams aw = w_params(shape);
+  const int in_th = std::min((th - 1) * ah.stride + ah.kernel, shape.in_height);
+  const int in_tw = std::min((tw - 1) * aw.stride + aw.kernel, shape.in_width);
+  return static_cast<std::int64_t>(in_th) * in_tw;
+}
+
+std::int64_t weight_tile_elems(const ShapeKey& shape, int tc) {
+  if (!shape.is_conv()) return 0;
+  return static_cast<std::int64_t>(std::min(tc, group_channels(shape))) *
+         shape.conv_kernel_h * shape.conv_kernel_w;
+}
+
 TileBufferBytes tile_buffer_bytes(const ShapeKey& shape, int rows,
                                   const TileConfig& tile, Precision p) {
   const int bpe = bytes_per_elem(p);
-  const AxisParams ah = h_params(shape);
-  const AxisParams aw = w_params(shape);
-  const int in_th =
-      std::min((tile.th - 1) * ah.stride + ah.kernel, shape.in_height);
-  const int in_tw =
-      std::min((tile.tw - 1) * aw.stride + aw.kernel, shape.in_width);
-  const int c = std::min(tile.tc, shape.in_channels);
-  TileBufferBytes out;
-  out.input = static_cast<std::int64_t>(c) * in_th * in_tw * bpe;
-  if (shape.is_conv()) {
-    const int cg = std::min(tile.tc, shape.in_channels / shape.conv_groups);
-    out.weight = static_cast<std::int64_t>(rows) * cg * shape.conv_kernel_h *
-                 shape.conv_kernel_w * bpe;
-  }
-  out.output = static_cast<std::int64_t>(rows) * tile.th * tile.tw *
-               accumulator_bytes(p);
   // Double buffering: ping-pong pairs on all three tile buffers (Fig. 1).
-  out.input *= 2;
-  out.weight *= 2;
-  out.output *= 2;
+  TileBufferBytes out;
+  out.input = 2 * std::min<std::int64_t>(tile.tc, shape.in_channels) *
+              input_tile_pixels(shape, tile.th, tile.tw) * bpe;
+  out.weight = 2 * static_cast<std::int64_t>(rows) *
+               weight_tile_elems(shape, tile.tc) * bpe;
+  out.output = 2 * static_cast<std::int64_t>(rows) * tile.th * tile.tw *
+               accumulator_bytes(p);
+  return out;
+}
+
+namespace {
+/// Hashes the fields that tell most shape classes apart; equality on the
+/// whole key still decides.
+std::uint64_t shape_hash(const ShapeKey& k) {
+  std::uint64_t h = static_cast<std::uint64_t>(k.macs);
+  for (const std::int64_t v :
+       {k.weight_elems, std::int64_t{k.in_channels},
+        std::int64_t{k.out_channels}, std::int64_t{k.out_height},
+        std::int64_t{k.out_width}}) {
+    h ^= static_cast<std::uint64_t>(v) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+         (h >> 2);
+  }
+  return h;
+}
+}  // namespace
+
+ShapeClasses shape_classes(const graph::ComputationGraph& graph) {
+  ShapeClasses out;
+  out.layer_class.reserve(graph.num_layers());
+  // Class ids in an open-addressed table of at least twice the layer
+  // count, probed linearly from the top bits of the mixed hash.
+  int bits = 4;
+  while ((std::size_t{1} << bits) < 2 * graph.num_layers()) ++bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  std::vector<int> ids(mask + 1, -1);
+  for (const graph::Layer& layer : graph.layers()) {
+    const ShapeKey key = shape_key(graph, layer.id);
+    std::size_t slot = (shape_hash(key) * 0x9e3779b97f4a7c15ULL) >> (64 - bits);
+    while (ids[slot] >= 0 &&
+           out.shape[static_cast<std::size_t>(ids[slot])] != key) {
+      slot = (slot + 1) & mask;
+    }
+    if (ids[slot] < 0) {
+      ids[slot] = static_cast<int>(out.size());
+      out.representative.push_back(layer.id);
+      out.shape.push_back(key);
+    }
+    out.layer_class.push_back(ids[slot]);
+  }
   return out;
 }
 

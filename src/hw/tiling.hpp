@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "graph/graph.hpp"
 #include "hw/precision.hpp"
@@ -73,6 +74,20 @@ struct ShapeKey {
 
 ShapeKey shape_key(const graph::ComputationGraph& graph, graph::LayerId id);
 
+/// The graph's layers grouped by ShapeKey.
+struct ShapeClasses {
+  /// Class of each layer, indexed by LayerId.
+  std::vector<int> layer_class;
+  /// First layer of each class; class ids follow first appearance.
+  std::vector<graph::LayerId> representative;
+  /// Shape of each class, by class id: all any cost term reads.
+  std::vector<ShapeKey> shape;
+
+  std::size_t size() const { return representative.size(); }
+};
+
+ShapeClasses shape_classes(const graph::ComputationGraph& graph);
+
 /// Double-buffered on-chip tile buffer requirements, in bytes, sized for the
 /// worst layer of a network (the uniform part of the memory hierarchy).
 struct TileBufferBytes {
@@ -80,6 +95,7 @@ struct TileBufferBytes {
   std::int64_t weight = 0;
   std::int64_t output = 0;
   std::int64_t total() const { return input + weight + output; }
+  bool operator==(const TileBufferBytes&) const = default;
 };
 
 /// Computes the (double-buffered) tile buffer sizes the given network needs
@@ -94,6 +110,16 @@ TileBufferBytes tile_buffer_bytes(const graph::ComputationGraph& graph,
 /// every layer; the DSE's menu filter takes its maxima axis by axis.
 TileBufferBytes tile_buffer_bytes(const ShapeKey& shape, int rows,
                                   const TileConfig& tile, Precision p);
+
+// tile_buffer_bytes' per-axis terms, in elements of one buffer of a
+// ping-pong pair: input = min(tc, in_channels) x input_tile_pixels,
+// weight = rows x weight_tile_elems, output = rows x th x tw.
+
+/// Input pixels one th x tw output tile reads, halo included, each extent
+/// clipped to the input.
+std::int64_t input_tile_pixels(const ShapeKey& shape, int th, int tw);
+/// Weights one PE row reads per tc-channel tile (0 for a pooling layer).
+std::int64_t weight_tile_elems(const ShapeKey& shape, int tc);
 
 /// Input extent fetched along one axis, summed over the tiles of `tile`
 /// outputs that cover `out_extent` outputs of a window of `kernel` at
@@ -136,6 +162,16 @@ LayerTileGeometry layer_tile_geometry(const graph::ComputationGraph& graph,
 LayerTileGeometry layer_tile_geometry(const ShapeKey& shape,
                                       const SystolicArrayConfig& array,
                                       const TileConfig& tile);
+
+/// Reduction channels per output: in_channels / groups (pooling: all).
+int group_channels(const ShapeKey& shape);
+
+/// The fields of LayerTileGeometry that the PE row count determines.
+struct RowTiles {
+  int n_m = 1;
+  int channels_per_mtile = 0;
+};
+RowTiles row_tiles(const ShapeKey& shape, int rows);
 
 /// layer_tile_geometry without the halo walk: every field but
 /// fetched_rows and fetched_cols (left 0), from integer ceil-divisions

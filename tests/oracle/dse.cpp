@@ -8,6 +8,24 @@
 
 namespace lcmm::oracle {
 
+std::vector<hw::TileConfig> tile_candidates(
+    const graph::ComputationGraph& graph, const hw::FpgaDevice& device,
+    hw::Precision precision, const hw::SystolicArrayConfig& array) {
+  const std::int64_t budget = hw::Dse(device, precision).tile_bram_budget();
+  std::vector<hw::TileConfig> out;
+  for (const int tc : hw::kMenuTc) {
+    for (const int s : hw::kMenuSpatial) {
+      const hw::TileConfig tile{tc, s, s};
+      if (tc >= array.simd &&
+          hw::tile_buffer_bytes(graph, array, tile, precision).total() <=
+              budget) {
+        out.push_back(tile);
+      }
+    }
+  }
+  return out;
+}
+
 hw::DseResult explore(const graph::ComputationGraph& graph,
                       const hw::FpgaDevice& device, hw::Precision precision,
                       bool heavy_uram_use, const Objective& objective) {

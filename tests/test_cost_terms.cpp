@@ -14,6 +14,7 @@
 #include "hw/perf_model.hpp"
 #include "hw/tiling.hpp"
 #include "models/models.hpp"
+#include "oracle/dse.hpp"
 
 namespace lcmm::hw {
 namespace {
@@ -104,7 +105,7 @@ MenuDims menu_dims(const graph::ComputationGraph& g) {
       for (const SystolicArrayConfig& a : dse.array_candidates()) {
         dims.cols.insert(a.cols);
         dims.simd.insert(a.simd);
-        for (const TileConfig& t : dse.tile_candidates(g, a)) {
+        for (const TileConfig& t : oracle::tile_candidates(g, device, p, a)) {
           if (std::find(dims.tiles.begin(), dims.tiles.end(), t) ==
               dims.tiles.end()) {
             dims.tiles.push_back(t);

@@ -218,7 +218,7 @@ TEST(DseTable, MenuMatchesTileBufferBytes) {
           for (const TileConfig& tile : it->second) {
             if (tile.tc >= array.simd) tiles.push_back(tile);
           }
-          ASSERT_EQ(dse.tile_candidates(g, array), tiles)
+          ASSERT_EQ(oracle::tile_candidates(g, device, p, array), tiles)
               << what << " array " << array.to_string();
           for (const TileConfig& tile : tiles) want.push_back({array, tile});
         }
@@ -465,6 +465,109 @@ TEST(DseTable, BoundSkipsWork) {
   EXPECT_GE(argmins, 3);
   EXPECT_GE(evaluated, argmins);
   EXPECT_LT(evaluated, argmins * menu_size);
+}
+
+// ---------------------------------------------------------------------------
+// The models and tile buffers of the designs a compile picks, read from
+// the space.
+// ---------------------------------------------------------------------------
+
+/// Every LayerTiming field of `got` equals `want`'s, on every layer.
+void expect_same_timings(const PerfModel& got, const PerfModel& want,
+                         const std::string& what) {
+  for (const graph::Layer& layer : want.graph().layers()) {
+    const LayerTiming& a = got.timing(layer.id);
+    const LayerTiming& b = want.timing(layer.id);
+    const std::string where = what + " layer " + layer.name;
+    ASSERT_EQ(a.cycles, b.cycles) << where;
+    ASSERT_EQ(a.nominal_macs, b.nominal_macs) << where;
+    ASSERT_EQ(a.if_bytes, b.if_bytes) << where;
+    ASSERT_EQ(a.if_s, b.if_s) << where;
+    ASSERT_EQ(a.res_bytes, b.res_bytes) << where;
+    ASSERT_EQ(a.res_s, b.res_s) << where;
+    ASSERT_EQ(a.wt_bytes, b.wt_bytes) << where;
+    ASSERT_EQ(a.wt_s, b.wt_s) << where;
+    ASSERT_EQ(a.of_bytes, b.of_bytes) << where;
+    ASSERT_EQ(a.of_s, b.of_s) << where;
+    ASSERT_EQ(a.compute_s, b.compute_s) << where;
+  }
+}
+
+/// At the designs a compile of `g` picks — the UMM argmin, the LCMM seed
+/// argmin, the refine argmin under the shipped plan's on-chip state, and
+/// the shipped LCMM and UMM designs — the model built over the space's
+/// shape classes equals the per-layer PerfModel field for field, and the
+/// tile buffers the argmin and the plans carry equal the whole-graph
+/// tile_buffer_bytes. Returns false if `g` has no feasible design here.
+bool expect_space_models(const graph::ComputationGraph& g,
+                         const FpgaDevice& device, Precision p) {
+  const std::string what = g.name() + " " + device.name + " " + to_string(p);
+  std::optional<DesignSpace> space;
+  try {
+    space.emplace(Dse(device, p).space(g));
+  } catch (const resil::CompileError& e) {
+    EXPECT_EQ(e.code(), resil::Code::kNoFeasibleDesign) << what;
+    return false;
+  }
+  core::AllocationPlan umm;
+  const core::AllocationPlan plan =
+      core::LcmmCompiler(device, p).compile(g, &umm);
+  const DseResult picked[] = {
+      space->argmin(/*heavy_uram_use=*/false),
+      space->argmin(/*heavy_uram_use=*/true),
+      space->argmin(/*heavy_uram_use=*/true, plan.state.masks()),
+  };
+  for (const DseResult& r : picked) {
+    const std::string where = what + " " + r.design.array.to_string() + " " +
+                              r.design.tile.to_string();
+    expect_same_timings(PerfModel(g, r.design, space->classes()),
+                        PerfModel(g, r.design), where);
+    EXPECT_EQ(r.tile_buffers,
+              tile_buffer_bytes(g, r.design.array, r.design.tile, p))
+        << where;
+  }
+  const core::AllocationPlan* const shipped_plans[] = {&plan, &umm};
+  for (const core::AllocationPlan* shipped : shipped_plans) {
+    const AcceleratorDesign& d = shipped->design;
+    const std::string where = what + " shipped " + d.array.to_string() + " " +
+                              d.tile.to_string();
+    expect_same_timings(PerfModel(g, d, space->classes()), PerfModel(g, d),
+                        where);
+    EXPECT_EQ(shipped->tile_buffers,
+              tile_buffer_bytes(g, d.array, d.tile, p))
+        << where;
+  }
+  return true;
+}
+
+class SpaceModels : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(SpaceModels, PickedDesignsMatchThePerLayerModel) {
+  const graph::ComputationGraph g = models::build_by_name(GetParam());
+  for (const FpgaDevice& device : kDevices) {
+    for (Precision p : kAllPrecisions) {
+      EXPECT_TRUE(expect_space_models(g, device, p))
+          << device.name << " " << to_string(p);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Zoo, SpaceModels,
+                         ::testing::ValuesIn(models::model_names()),
+                         [](const auto& info) { return info.param; });
+
+TEST(SpaceModelsRandom, PickedDesignsMatchThePerLayerModel) {
+  int checked = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const graph::ComputationGraph g = models::random_graph(seed);
+    for (const FpgaDevice& device : kDevices) {
+      for (Precision p : kAllPrecisions) {
+        checked += expect_space_models(g, device, p);
+      }
+    }
+  }
+  // Most configs have a feasible design; the assertions above ran there.
+  EXPECT_GT(checked, 20 * 9 / 2);
 }
 
 // ---------------------------------------------------------------------------

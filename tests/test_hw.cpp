@@ -138,14 +138,12 @@ TEST(Dse, TileCandidatesFitBramBudget) {
   const FpgaDevice dev = FpgaDevice::vu9p();
   const Dse dse(dev, Precision::kInt8, {});
   auto g = lcmm::testing::chain3();
-  const auto arrays = dse.array_candidates();
-  ASSERT_FALSE(arrays.empty());
-  const auto tiles = dse.tile_candidates(g, arrays.front());
-  ASSERT_FALSE(tiles.empty());
-  for (const auto& t : tiles) {
-    EXPECT_LE(tile_buffer_bytes(g, arrays.front(), t, Precision::kInt8).total(),
+  const std::vector<DseCandidate> menu = dse.space(g).menu();
+  ASSERT_FALSE(menu.empty());
+  for (const DseCandidate& c : menu) {
+    EXPECT_LE(tile_buffer_bytes(g, c.array, c.tile, Precision::kInt8).total(),
               static_cast<std::int64_t>(0.15 * dev.bram_bytes_total()));
-    EXPECT_GE(t.tc, arrays.front().simd);
+    EXPECT_GE(c.tile.tc, c.array.simd);
   }
 }
 
@@ -204,7 +202,10 @@ TEST(Dse, LatencyTiesBreakOnDspCostNotMenuOrder) {
   int expected_min_cost = 0;
   bool first = true;
   for (const auto& a : dse.array_candidates()) {
-    if (dse.tile_candidates(g, a).empty()) continue;
+    if (oracle::tile_candidates(g, FpgaDevice::vu9p(), Precision::kInt8, a)
+            .empty()) {
+      continue;
+    }
     const int cost = a.dsp_cost(Precision::kInt8);
     if (first || cost < expected_min_cost) expected_min_cost = cost;
     first = false;
