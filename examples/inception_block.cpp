@@ -22,7 +22,7 @@ int main() {
   // Fig. 5(a): liveness intervals and interference.
   std::cout << "=== tensor entities and lifespans (Fig. 5a) ===\n";
   for (const core::TensorEntity& e : plan.entities) {
-    std::cout << "  " << e.name << "  bytes=" << e.bytes << "  live=["
+    std::cout << "  " << core::tensor_name(net, e.key) << "  bytes=" << e.bytes << "  live=["
               << e.def_step << ", " << e.last_use_step << "]\n";
   }
 
@@ -34,7 +34,7 @@ int main() {
               << util::fmt_mebibytes(static_cast<double>(buf.bytes)) << ", "
               << (plan.buffer_on_chip[b] ? "on-chip" : "spilled") << "):";
     for (std::size_t e : buf.members) {
-      std::cout << " " << plan.entities[e].name;
+      std::cout << " " << core::tensor_name(net, plan.entities[e].key);
     }
     std::cout << "\n";
   }

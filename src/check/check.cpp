@@ -21,8 +21,24 @@ using core::TensorSource;
 /// Relative tolerance for floating-point latency comparisons.
 constexpr double kLatencyRelTol = 1e-6;
 
-std::string entity_label(const TensorEntity& e) {
-  return e.name + " (layer " + std::to_string(e.key.layer) + " " +
+bool layer_in_range(const CheckContext& ctx, graph::LayerId id) {
+  return id >= 0 && static_cast<std::size_t>(id) < ctx.graph.num_layers();
+}
+
+/// The entity's tensor name, or "?" when its key names no tensor of the
+/// graph (a bad layer, or a residual on a layer without one); the structure
+/// and liveness passes report those keys.
+std::string entity_name(const CheckContext& ctx, const TensorEntity& e) {
+  if (!layer_in_range(ctx, e.key.layer) ||
+      (e.key.source == TensorSource::kResidual &&
+       !ctx.graph.layer(e.key.layer).has_residual())) {
+    return "?";
+  }
+  return core::tensor_name(ctx.graph, e.key);
+}
+
+std::string entity_label(const CheckContext& ctx, const TensorEntity& e) {
+  return entity_name(ctx, e) + " (layer " + std::to_string(e.key.layer) + " " +
          core::to_string(e.key.source) + ")";
 }
 
@@ -30,12 +46,11 @@ DiagLocation entity_location(const CheckContext& ctx, const TensorEntity& e,
                              int buffer_id = -1) {
   DiagLocation loc;
   loc.layer = e.key.layer;
-  if (e.key.layer >= 0 &&
-      static_cast<std::size_t>(e.key.layer) < ctx.graph.num_layers()) {
+  if (layer_in_range(ctx, e.key.layer)) {
     loc.layer_name = ctx.graph.layer(e.key.layer).name;
     loc.step = e.key.layer;
   }
-  loc.tensor = e.name;
+  loc.tensor = entity_name(ctx, e);
   loc.buffer_id = buffer_id;
   return loc;
 }
@@ -43,7 +58,7 @@ DiagLocation entity_location(const CheckContext& ctx, const TensorEntity& e,
 DiagLocation layer_location(const CheckContext& ctx, graph::LayerId id) {
   DiagLocation loc;
   loc.layer = id;
-  if (id >= 0 && static_cast<std::size_t>(id) < ctx.graph.num_layers()) {
+  if (layer_in_range(ctx, id)) {
     loc.layer_name = ctx.graph.layer(id).name;
     loc.step = id;
   }
@@ -65,10 +80,7 @@ struct StepInterval {
 /// Returns false when the entity's source cannot exist on its layer.
 bool rederive_interval(const CheckContext& ctx, const TensorEntity& e,
                        StepInterval& out) {
-  if (e.key.layer < 0 ||
-      static_cast<std::size_t>(e.key.layer) >= ctx.graph.num_layers()) {
-    return false;
-  }
+  if (!layer_in_range(ctx, e.key.layer)) return false;
   const graph::Layer& layer = ctx.graph.layer(e.key.layer);
   const int step = layer.id;
   switch (e.key.source) {
@@ -159,7 +171,7 @@ void pass_structure(const CheckContext& ctx, CheckReport& report) {
       max_member = std::max(max_member, entity.bytes);
       if (owned[e]) {
         report.add(Code::kMultipleOwners,
-                   entity_label(entity) + " belongs to several buffers",
+                   entity_label(ctx, entity) + " belongs to several buffers",
                    entity_location(ctx, entity, buf.id));
       }
       owned[e] = true;
@@ -184,7 +196,7 @@ void pass_structure(const CheckContext& ctx, CheckReport& report) {
       if (entity.key.source == TensorSource::kWeight &&
           plan.state.is_on(entity.key)) {
         report.add(Code::kSpilledWeightOnChip,
-                   entity_label(entity) +
+                   entity_label(ctx, entity) +
                        " is on-chip but its buffer was spilled",
                    entity_location(ctx, entity, plan.buffers[b].id));
       }
@@ -192,7 +204,7 @@ void pass_structure(const CheckContext& ctx, CheckReport& report) {
   }
 
   for (graph::LayerId id : plan.resident_weights) {
-    if (id < 0 || static_cast<std::size_t>(id) >= ctx.graph.num_layers()) {
+    if (!layer_in_range(ctx, id)) {
       report.add(Code::kResidentBadLayer,
                  "resident weight references bad layer " + std::to_string(id));
       continue;
@@ -223,7 +235,7 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
     const TensorEntity& e = plan.entities[i];
     if (!rederive_interval(ctx, e, derived[i])) {
       report.add(Code::kLivenessIntervalMismatch,
-                 entity_label(e) + " cannot exist on its layer",
+                 entity_label(ctx, e) + " cannot exist on its layer",
                  entity_location(ctx, e));
       derived[i] = {e.def_step, e.last_use_step};
       continue;  // bytes are not derivable either
@@ -231,7 +243,7 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
     if (e.key.source != TensorSource::kWeight &&
         (derived[i].def != e.def_step || derived[i].last != e.last_use_step)) {
       report.add(Code::kLivenessIntervalMismatch,
-                 entity_label(e) + " records lifespan [" +
+                 entity_label(ctx, e) + " records lifespan [" +
                      std::to_string(e.def_step) + ", " +
                      std::to_string(e.last_use_step) +
                      "] but the graph derives [" +
@@ -242,7 +254,7 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
     const std::int64_t bytes = rederive_bytes(ctx, e);
     if (bytes != e.bytes) {
       report.add(Code::kEntitySizeMismatch,
-                 entity_label(e) + " records " + std::to_string(e.bytes) +
+                 entity_label(ctx, e) + " records " + std::to_string(e.bytes) +
                      " bytes but the graph derives " + std::to_string(bytes),
                  entity_location(ctx, e));
     }
@@ -256,8 +268,8 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
         if (!derived[a].overlaps(derived[c])) continue;
         report.add(Code::kLifespanOverlap,
                    "vbuf" + std::to_string(buf.id) + ": members " +
-                       entity_label(plan.entities[a]) + " and " +
-                       entity_label(plan.entities[c]) +
+                       entity_label(ctx, plan.entities[a]) + " and " +
+                       entity_label(ctx, plan.entities[c]) +
                        " have overlapping lifespans",
                    entity_location(ctx, plan.entities[a], buf.id));
       }
@@ -273,8 +285,7 @@ void pass_liveness(const CheckContext& ctx, CheckReport& report) {
 // ---------------------------------------------------------------------------
 void pass_prefetch(const CheckContext& ctx, CheckReport& report) {
   for (const core::PrefetchEdge& edge : ctx.plan.prefetch.edges()) {
-    if (edge.target < 0 ||
-        static_cast<std::size_t>(edge.target) >= ctx.graph.num_layers() ||
+    if (!layer_in_range(ctx, edge.target) ||
         !ctx.graph.layer(edge.target).is_conv() ||
         ctx.graph.layer_weight_elems(edge.target) <= 0) {
       report.add(Code::kPrefetchBadTarget,
@@ -433,9 +444,9 @@ void pass_race(const CheckContext& ctx, CheckReport& report) {
             code,
             std::string(accesses[j].dma ? "DMA loads of "
                                         : "DMA load of ") +
-                entity_label(*accesses[i].entity) +
+                entity_label(ctx, *accesses[i].entity) +
                 (accesses[j].dma ? " and " : " overlaps the live range of ") +
-                entity_label(*accesses[j].entity) + " in vbuf" +
+                entity_label(ctx, *accesses[j].entity) + " in vbuf" +
                 std::to_string(buf.id) + " for " +
                 std::to_string((hi - lo) * 1e6) + " us",
             entity_location(ctx, *accesses[i].entity, buf.id));

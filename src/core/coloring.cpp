@@ -14,21 +14,22 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
   result.color_of.assign(n, -1);
   if (n == 0) return result;
   std::int64_t candidates_tried = 0;
+  const std::vector<TensorEntity>& entities = graph.entities();
 
   // Largest entities first: they define buffer sizes, smaller ones pack in.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return graph.entities()[a].bytes > graph.entities()[b].bytes;
+    return entities[a].bytes > entities[b].bytes;
   });
 
   // Color c's step set is held[c * words, (c + 1) * words): bit k stands
   // for step first_step + k and is set when a member is live there.
-  int first_step = graph.lifespan(0).def_step;
-  int last_step = graph.lifespan(0).last_use_step;
-  for (std::size_t e = 1; e < n; ++e) {
-    first_step = std::min(first_step, graph.lifespan(e).def_step);
-    last_step = std::max(last_step, graph.lifespan(e).last_use_step);
+  int first_step = entities[0].def_step;
+  int last_step = entities[0].last_use_step;
+  for (const TensorEntity& entity : entities) {
+    first_step = std::min(first_step, entity.def_step);
+    last_step = std::max(last_step, entity.last_use_step);
   }
   const std::size_t words = static_cast<std::size_t>(last_step - first_step) / 64 + 1;
   std::vector<std::uint64_t> held;
@@ -42,7 +43,7 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
     std::uint64_t last_mask = 0;
   };
   const auto span_words = [&](std::size_t e) {
-    const InterferenceGraph::Lifespan& span = graph.lifespan(e);
+    const TensorEntity& span = entities[e];
     const auto lo = static_cast<std::size_t>(span.def_step - first_step);
     const auto hi = static_cast<std::size_t>(span.last_use_step - first_step);
     return SpanWords{lo / 64, hi / 64, ~std::uint64_t{0} << (lo % 64),
@@ -58,7 +59,7 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
       if (set[i] & mask) return false;
     }
     if (set[w.last] & mask & w.last_mask) return false;
-    if (!graph.lifespan(e).has_false_edge) return true;
+    if (!graph.has_false_edge(e)) return true;
     const int color = static_cast<int>(c);
     return std::none_of(
         graph.false_edges().begin(), graph.false_edges().end(),
@@ -69,7 +70,7 @@ ColoringResult color_min_total_size(const InterferenceGraph& graph) {
   };
 
   for (std::size_t e : order) {
-    const std::int64_t bytes = graph.entities()[e].bytes;
+    const std::int64_t bytes = entities[e].bytes;
     const SpanWords w = span_words(e);
     // Sizes never rise with the index: scan back from the newest color and
     // stop at the first larger size after a fit. A 0-byte entity asks none.

@@ -10,10 +10,13 @@
 // A value consumed by several layers yields one t_if per consumer (the
 // paper's f1/f2/f4 "actually contain the same data"); the producer
 // dual-writes into whichever consumer buffers are on chip, which costs no
-// DRAM bandwidth. An on-chip t_of skips the DRAM write and is only legal if
-// every consumer of the value reads on chip (enforced by a legality pass).
+// DRAM bandwidth. An on-chip t_of skips the DRAM write; it persists to the
+// value's last read, and output-residency propagation (core/lcmm.cpp) grants
+// the consumers' reads on chip once every producer slice of the value is.
+// An entity is identified by its key alone; tensor_name() derives its label.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -33,6 +36,11 @@ struct TensorKey {
   auto operator<=>(const TensorKey&) const = default;
 };
 
+/// The printed name of `key`'s tensor: "<input value>@<layer>",
+/// "<residual value>@<layer>.res", "<layer>.wt" or "<layer>.of". The layer
+/// must exist and, for a residual key, have a residual.
+std::string tensor_name(const graph::ComputationGraph& graph, TensorKey key);
+
 /// An execution step is a layer's id: the builder appends layers in
 /// execution order (graph::ComputationGraph::validate checks it). A def
 /// step of kBeforeExecution marks data available before inference starts
@@ -41,17 +49,12 @@ inline constexpr int kBeforeExecution = -1;
 
 struct TensorEntity {
   TensorKey key;
-  std::string name;
-  /// The feature value behind an if/res/of entity (kInvalidValue for weights).
-  graph::ValueId value = graph::kInvalidValue;
   /// Full tensor footprint at the design precision. For t_of this is the
   /// layer's own output slice; for t_if/t_res the whole consumed value.
   std::int64_t bytes = 0;
   /// Closed liveness interval in execution steps.
   int def_step = kBeforeExecution;
   int last_use_step = 0;
-  /// UMM transfer latency of this stream for the owning layer (lat_d(i)).
-  double stream_latency_s = 0.0;
 
   bool overlaps(const TensorEntity& other) const {
     return std::max(def_step, other.def_step) <=

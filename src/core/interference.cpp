@@ -10,9 +10,8 @@
 namespace lcmm::core {
 
 InterferenceGraph::InterferenceGraph(std::vector<TensorEntity> entities)
-    : entities_(std::move(entities)) {
+    : entities_(std::move(entities)), has_false_edge_(entities_.size(), 0) {
   LCMM_SPAN("interference");
-  lifespans_.reserve(entities_.size());
   for (const TensorEntity& e : entities_) {
     if (e.def_step < kBeforeExecution || e.def_step > e.last_use_step) {
       throw resil::OptionError(resil::Code::kBadArgument, "pass.interference",
@@ -20,9 +19,9 @@ InterferenceGraph::InterferenceGraph(std::vector<TensorEntity> entities)
                                    std::to_string(e.def_step) + ", " +
                                    std::to_string(e.last_use_step) +
                                    "] is empty or starts before execution",
-                               e.name);
+                               "layer " + std::to_string(e.key.layer) + " " +
+                                   to_string(e.key.source));
     }
-    lifespans_.push_back({e.def_step, e.last_use_step, false});
   }
   LCMM_COUNT("entities", static_cast<std::int64_t>(entities_.size()));
 }
@@ -42,18 +41,16 @@ bool InterferenceGraph::listed(std::size_t a, std::size_t b) const {
 bool InterferenceGraph::interferes(std::size_t a, std::size_t b) const {
   if (a == b) return true;
   check_pair(a, b);
-  const Lifespan& x = lifespans_[a];
-  const Lifespan& y = lifespans_[b];
-  if (x.overlaps(y)) return true;
-  return x.has_false_edge && y.has_false_edge && listed(a, b);
+  if (entities_[a].overlaps(entities_[b])) return true;
+  return has_false_edge_[a] && has_false_edge_[b] && listed(a, b);
 }
 
 void InterferenceGraph::add_false_edge(std::size_t a, std::size_t b) {
   check_pair(a, b);
   if (interferes(a, b)) return;
   false_edges_.push_back(std::minmax(a, b));
-  lifespans_[a].has_false_edge = true;
-  lifespans_[b].has_false_edge = true;
+  has_false_edge_[a] = 1;
+  has_false_edge_[b] = 1;
 }
 
 bool InterferenceGraph::is_false_edge(std::size_t a, std::size_t b) const {
@@ -64,9 +61,9 @@ bool InterferenceGraph::is_false_edge(std::size_t a, std::size_t b) const {
 
 std::size_t InterferenceGraph::num_edges() const {
   std::size_t edges = false_edges_.size();
-  for (std::size_t a = 0; a < lifespans_.size(); ++a) {
-    for (std::size_t b = a + 1; b < lifespans_.size(); ++b) {
-      edges += lifespans_[a].overlaps(lifespans_[b]);
+  for (std::size_t a = 0; a < entities_.size(); ++a) {
+    for (std::size_t b = a + 1; b < entities_.size(); ++b) {
+      edges += entities_[a].overlaps(entities_[b]);
     }
   }
   return edges;

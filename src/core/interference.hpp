@@ -15,8 +15,8 @@
 // this; the constructor rejects any other entity.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -26,19 +26,6 @@ namespace lcmm::core {
 
 class InterferenceGraph {
  public:
-  /// The part of an entity a query reads, kept compact for coloring.
-  struct Lifespan {
-    int def_step = 0;
-    int last_use_step = 0;
-    bool has_false_edge = false;
-
-    /// Same test as TensorEntity::overlaps: touching intervals overlap.
-    bool overlaps(const Lifespan& other) const {
-      return std::max(def_step, other.def_step) <=
-             std::min(last_use_step, other.last_use_step);
-    }
-  };
-
   /// Interval-overlap interference for `entities`. Throws
   /// resil::OptionError(kBadArgument) for an entity whose def step is past
   /// its last use or before kBeforeExecution.
@@ -46,8 +33,8 @@ class InterferenceGraph {
 
   const std::vector<TensorEntity>& entities() const { return entities_; }
   std::size_t size() const { return entities_.size(); }
-  /// Entity `i`'s lifespan, and whether any false edge touches it.
-  const Lifespan& lifespan(std::size_t i) const { return lifespans_[i]; }
+  /// Whether any false edge touches entity `i`.
+  bool has_false_edge(std::size_t i) const { return has_false_edge_[i] != 0; }
 
   /// Overlapping lifespans or a false edge; an entity interferes with
   /// itself. Throws std::out_of_range for an unknown entity.
@@ -75,7 +62,8 @@ class InterferenceGraph {
   bool listed(std::size_t a, std::size_t b) const;
 
   std::vector<TensorEntity> entities_;
-  std::vector<Lifespan> lifespans_;
+  /// One byte per entity: 1 once a false edge touches it.
+  std::vector<std::uint8_t> has_false_edge_;
   /// False edges as (smaller, larger) entity index.
   std::vector<std::pair<std::size_t, std::size_t>> false_edges_;
 };

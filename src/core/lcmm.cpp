@@ -181,13 +181,13 @@ void LcmmCompiler::place_physical(AllocationPlan& plan,
       const int margin = static_cast<int>(
           (1.0 - options_.sram_capacity_fraction) * pools.uram_total());
       if (pools.uram_used() + need > pools.uram_total() - margin) {
-        LCMM_DECIDE(graph.layer(layer).name + ".wt", bytes, false,
-                    "uram-margin");
+        LCMM_DECIDE(tensor_name(graph, {layer, TensorSource::kWeight}), bytes,
+                    false, "uram-margin");
         continue;
       }
       LCMM_COUNT("promoted_weights", 1);
-      LCMM_DECIDE(graph.layer(layer).name + ".wt", bytes, true,
-                  "residency-promotion");
+      LCMM_DECIDE(tensor_name(graph, {layer, TensorSource::kWeight}), bytes,
+                  true, "residency-promotion");
       plan.physical.push_back(
           PhysicalBuffer{VirtualBuffer{-1, bytes, {}},
                          pools.allocate(bytes, mem::SramPool::kUram).value()});

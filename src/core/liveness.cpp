@@ -28,6 +28,9 @@ std::vector<TensorEntity> build_feature_entities(const hw::PerfModel& model,
   const graph::ComputationGraph& graph = model.graph();
   std::vector<TensorEntity> entities;
   const int bpe = hw::bytes_per_elem(model.design().precision);
+  const auto feature_bytes = [bpe](const graph::FeatureShape& shape) {
+    return resil::checked_mul(shape.elems(), bpe, "feature bytes");
+  };
 
   for (const graph::Layer& layer : graph.layers()) {
     const hw::LayerTiming& t = model.timing(layer.id);
@@ -38,45 +41,18 @@ std::vector<TensorEntity> build_feature_entities(const hw::PerfModel& model,
     const int step = layer.id;
 
     // t_if(i): the consumed value, live from its production to this read.
-    {
-      TensorEntity e;
-      e.key = {layer.id, TensorSource::kInput};
-      e.value = layer.input;
-      e.name = graph.value(layer.input).name + "@" + layer.name;
-      e.bytes = resil::checked_mul(graph.value(layer.input).shape.elems(),
-                                   bpe, "feature bytes");
-      e.def_step = value_def_step(graph, layer.input);
-      e.last_use_step = step;
-      e.stream_latency_s = t.if_s;
-      entities.push_back(std::move(e));
-    }
-
+    entities.push_back({{layer.id, TensorSource::kInput},
+                        feature_bytes(graph.value(layer.input).shape),
+                        value_def_step(graph, layer.input), step});
     if (layer.has_residual()) {
-      TensorEntity e;
-      e.key = {layer.id, TensorSource::kResidual};
-      e.value = layer.residual;
-      e.name = graph.value(layer.residual).name + "@" + layer.name + ".res";
-      e.bytes = resil::checked_mul(graph.value(layer.residual).shape.elems(),
-                                   bpe, "feature bytes");
-      e.def_step = value_def_step(graph, layer.residual);
-      e.last_use_step = step;
-      e.stream_latency_s = t.res_s;
-      entities.push_back(std::move(e));
+      entities.push_back({{layer.id, TensorSource::kResidual},
+                          feature_bytes(graph.value(layer.residual).shape),
+                          value_def_step(graph, layer.residual), step});
     }
-
     // t_of(i): this layer's output slice, live until the value's last read.
-    {
-      TensorEntity e;
-      e.key = {layer.id, TensorSource::kOutput};
-      e.value = layer.output;
-      e.name = layer.name + ".of";
-      e.bytes = resil::checked_mul(graph.own_output_shape(layer.id).elems(),
-                                   bpe, "feature bytes");
-      e.def_step = step;
-      e.last_use_step = value_last_use_step(graph, layer.output);
-      e.stream_latency_s = t.of_s;
-      entities.push_back(std::move(e));
-    }
+    entities.push_back({{layer.id, TensorSource::kOutput},
+                        feature_bytes(graph.own_output_shape(layer.id)), step,
+                        value_last_use_step(graph, layer.output)});
   }
   LCMM_COUNT("entities", static_cast<std::int64_t>(entities.size()));
   return entities;

@@ -78,16 +78,10 @@ std::vector<TensorEntity> build_weight_entities(const hw::PerfModel& model,
   const int bpe = hw::bytes_per_elem(model.design().precision);
   std::vector<TensorEntity> entities;
   for (const PrefetchEdge& edge : prefetch.edges()) {
-    const graph::Layer& layer = graph.layer(edge.target);
-    TensorEntity e;
-    e.key = {layer.id, TensorSource::kWeight};
-    e.name = layer.name + ".wt";
-    e.bytes = resil::checked_mul(graph.layer_weight_elems(layer.id), bpe,
-                                 "weight bytes");
-    e.def_step = edge.start_step;
-    e.last_use_step = layer.id;
-    e.stream_latency_s = model.timing(layer.id).wt_s;
-    entities.push_back(std::move(e));
+    entities.push_back({{edge.target, TensorSource::kWeight},
+                        resil::checked_mul(graph.layer_weight_elems(edge.target),
+                                           bpe, "weight bytes"),
+                        edge.start_step, edge.target});
   }
   return entities;
 }

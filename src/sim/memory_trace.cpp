@@ -28,7 +28,7 @@ MemoryTrace build_memory_trace(const graph::ComputationGraph& graph,
     for (std::size_t e : plan.buffers[b].members) {
       const core::TensorEntity& entity = plan.entities[e];
       TensorResidency r;
-      r.name = entity.name;
+      r.name = core::tensor_name(graph, entity.key);
       r.key = entity.key;
       r.on_chip = plan.state.is_on(entity.key);
       r.virtual_buffer = plan.buffers[b].id;
@@ -45,7 +45,6 @@ MemoryTrace build_memory_trace(const graph::ComputationGraph& graph,
               if (a.start_step != b.start_step) return a.start_step < b.start_step;
               return a.name < b.name;
             });
-  (void)graph;
   return trace;
 }
 

@@ -103,7 +103,7 @@ util::Json plan_to_json(const graph::ComputationGraph& graph,
     buf["on_chip"] = static_cast<bool>(plan.buffer_on_chip[b]);
     util::Json members = util::Json::array();
     for (std::size_t e : plan.buffers[b].members) {
-      members.push(plan.entities[e].name);
+      members.push(core::tensor_name(graph, plan.entities[e].key));
     }
     buf["tensors"] = std::move(members);
     buffers.push(std::move(buf));

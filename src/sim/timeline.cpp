@@ -166,8 +166,9 @@ SimResult refine_against_stalls(const hw::PerfModel& model,
           plan.state.is_on({exec.layer, core::TensorSource::kWeight})) {
         plan.state.set({exec.layer, core::TensorSource::kWeight}, false);
         LCMM_COUNT("demoted_weights", 1);
-        LCMM_DECIDE(model.graph().layer(exec.layer).name + ".wt", 0, false,
-                    "prefetch-stall-regression");
+        LCMM_DECIDE(core::tensor_name(model.graph(),
+                                      {exec.layer, core::TensorSource::kWeight}),
+                    0, false, "prefetch-stall-regression");
         changed = true;
       }
     }

@@ -185,6 +185,26 @@ TEST(CheckLiveness, RecordedIntervalLieIsCaught) {
   EXPECT_EQ(d->pass, "liveness");
 }
 
+TEST(CheckLiveness, KeyWithoutATensorGetsAPlaceholderName) {
+  // A layer past the graph, or a residual key (GoogLeNet fuses no residual
+  // adds): neither names a tensor, and labelling them must not throw.
+  auto g = models::build_googlenet();
+  const auto bad_layer = static_cast<graph::LayerId>(g.num_layers());
+  for (const core::TensorKey key :
+       {core::TensorKey{bad_layer, TensorSource::kInput},
+        core::TensorKey{0, TensorSource::kResidual}}) {
+    AllocationPlan plan = compiled_plan(g);
+    plan.entities.front().key = key;
+    const CheckReport report = run_checks(g, plan);
+    const Diagnostic* d = find(report, Code::kLivenessIntervalMismatch);
+    ASSERT_NE(d, nullptr);
+    EXPECT_EQ(d->location.tensor, "?");
+    EXPECT_EQ(d->message, "? (layer " + std::to_string(key.layer) + " " +
+                              core::to_string(key.source) +
+                              ") cannot exist on its layer");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Prefetch pass (§3.2).
 // ---------------------------------------------------------------------------

@@ -9,13 +9,7 @@ namespace lcmm::core {
 namespace {
 
 TensorEntity make_entity(int id, std::int64_t bytes, int def, int last) {
-  TensorEntity e;
-  e.key = {id, TensorSource::kInput};
-  e.name = "t" + std::to_string(id);
-  e.bytes = bytes;
-  e.def_step = def;
-  e.last_use_step = last;
-  return e;
+  return {{id, TensorSource::kInput}, bytes, def, last};
 }
 
 TEST(Coloring, DisjointIntervalsShareOneBuffer) {

@@ -101,7 +101,6 @@ TEST(DifferentialColoring, RandomEntitySetsMatchTheScan) {
     for (int i = 0; i < n; ++i) {
       core::TensorEntity e;
       e.key = {i, core::TensorSource::kInput};
-      e.name = "t" + std::to_string(i);
       e.bytes = rng.next_bool(0.1) ? 0 : 64 * rng.next_int(1, 8);
       e.def_step = static_cast<int>(rng.next_int(0, steps - 1));
       e.last_use_step = rng.next_bool(0.25)
@@ -123,13 +122,7 @@ TEST(DifferentialColoring, RandomEntitySetsMatchTheScan) {
 }
 
 core::TensorEntity step_entity(int id, std::int64_t bytes, int def, int last) {
-  core::TensorEntity e;
-  e.key = {id, core::TensorSource::kInput};
-  e.name = "t" + std::to_string(id);
-  e.bytes = bytes;
-  e.def_step = def;
-  e.last_use_step = last;
-  return e;
+  return {{id, core::TensorSource::kInput}, bytes, def, last};
 }
 
 // Step sets are 64 steps a word, counted from the smallest def step (0

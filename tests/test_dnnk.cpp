@@ -424,18 +424,10 @@ TEST(Dnnk, MatchesPerCellReferenceOnRandomGraphs) {
   EXPECT_GT(shared, 0) << "no multi-member buffer exercised";
 }
 
-/// The entity of `source` at `layer` under `model`, with its stream latency.
-TensorEntity stream_entity(const hw::PerfModel& model, graph::LayerId layer,
-                           TensorSource source, std::int64_t bytes) {
-  const hw::LayerTiming& t = model.timing(layer);
-  TensorEntity e;
-  e.key = {layer, source};
-  e.bytes = bytes;
-  e.stream_latency_s = source == TensorSource::kInput      ? t.if_s
-                       : source == TensorSource::kResidual ? t.res_s
-                       : source == TensorSource::kWeight   ? t.wt_s
-                                                           : t.of_s;
-  return e;
+/// The entity of `source` at `layer`.
+TensorEntity stream_entity(graph::LayerId layer, TensorSource source,
+                           std::int64_t bytes) {
+  return {{layer, source}, bytes};
 }
 
 constexpr std::uint8_t bit(TensorSource source) {
@@ -476,7 +468,7 @@ TEST(Dnnk, MemberMaskComposesSourcesOfTwoEarlierBuffers) {
           std::vector<std::pair<graph::LayerId, TensorSource>> streams) {
         VirtualBuffer b{static_cast<int>(buffers.size()), bytes, {}};
         for (const auto& [layer, source] : streams) {
-          entities.push_back(stream_entity(model, layer, source, bytes));
+          entities.push_back(stream_entity(layer, source, bytes));
           b.members.push_back(entities.size() - 1);
         }
         buffers.push_back(b);
@@ -517,9 +509,9 @@ TEST(Dnnk, BufferWithTwoTensorsOfOneLayerIsRejected) {
   hw::PerfModel model(g, small_design());
   LatencyTables tables(model);
   std::vector<TensorEntity> entities;
-  entities.push_back(stream_entity(model, 0, TensorSource::kInput, 8192));
-  entities.push_back(stream_entity(model, 1, TensorSource::kInput, 8192));
-  entities.push_back(stream_entity(model, 1, TensorSource::kOutput, 4096));
+  entities.push_back(stream_entity(0, TensorSource::kInput, 8192));
+  entities.push_back(stream_entity(1, TensorSource::kInput, 8192));
+  entities.push_back(stream_entity(1, TensorSource::kOutput, 4096));
   const InterferenceGraph ig(std::move(entities));
   const std::vector<VirtualBuffer> buffers{{0, 8192, {0}}, {1, 8192, {1, 2}}};
   AllocatorOptions fine;
@@ -624,7 +616,7 @@ TEST(Dnnk, OwnerBitsFlippingAtAdjacentColumnsGiveRunsOfOne) {
   std::vector<VirtualBuffer> buffers;
   const auto add_buffer = [&](std::int64_t bytes, graph::LayerId layer,
                               TensorSource source) {
-    entities.push_back(stream_entity(model, layer, source, bytes));
+    entities.push_back(stream_entity(layer, source, bytes));
     buffers.push_back({static_cast<int>(buffers.size()), bytes, {entities.size() - 1}});
   };
   const double o_gain = tables.marginal_gain(0, TensorSource::kInput, 0);

@@ -250,7 +250,7 @@ std::vector<double> pass_fingerprint(const ComputationGraph& g,
     (out.push_back(static_cast<double>(xs)), ...);
   };
   for (const core::TensorEntity& e : core::build_feature_entities(model)) {
-    add(e.bytes, e.def_step, e.last_use_step, e.stream_latency_s);
+    add(e.bytes, e.def_step, e.last_use_step);
   }
   const core::PrefetchResult prefetch = core::build_prefetch_schedule(model);
   for (const core::PrefetchEdge& e : prefetch.edges()) {

@@ -9,13 +9,7 @@ namespace {
 
 TensorEntity make_entity(int layer, TensorSource src, std::int64_t bytes,
                          int def, int last) {
-  TensorEntity e;
-  e.key = {layer, src};
-  e.name = "t" + std::to_string(layer);
-  e.bytes = bytes;
-  e.def_step = def;
-  e.last_use_step = last;
-  return e;
+  return {{layer, src}, bytes, def, last};
 }
 
 std::vector<TensorEntity> three_entities() {
@@ -111,7 +105,7 @@ TEST(Interference, RejectsEmptyOrPreExecutionLifespans) {
     } catch (const resil::OptionError& e) {
       EXPECT_EQ(e.code(), resil::Code::kBadArgument);
       EXPECT_EQ(e.pass(), "pass.interference");
-      EXPECT_EQ(e.entity(), "t3");
+      EXPECT_EQ(e.entity(), "layer 3 if");
     }
   }
 }

@@ -56,7 +56,7 @@ TEST_P(LcmmIntegration, PlanInvariants) {
       // Off-chip buffers leave tensors off-chip, unless the residency
       // propagation pass granted a consumer a free read.
       if (entity.key.source == TensorSource::kWeight) {
-        EXPECT_FALSE(plan.state.is_on(entity.key)) << entity.name;
+        EXPECT_FALSE(plan.state.is_on(entity.key)) << tensor_name(g, entity.key);
       }
     }
   }

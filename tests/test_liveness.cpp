@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
+#include "core/lcmm.hpp"
 #include "core/liveness.hpp"
 #include "models/models.hpp"
 #include "test_graphs.hpp"
@@ -74,7 +76,7 @@ TEST(Liveness, SameValueMultipleConsumersGetSeparateEntities) {
   // the paper's f1/f2/f4 situation.
   const auto& if_left = entities.at({0, TensorSource::kInput});
   const auto& if_right = entities.at({1, TensorSource::kInput});
-  EXPECT_EQ(if_left.value, if_right.value);
+  EXPECT_EQ(g.layer(0).input, g.layer(1).input);
   EXPECT_EQ(if_left.bytes, if_right.bytes);
   EXPECT_EQ(if_left.last_use_step, 0);
   EXPECT_EQ(if_right.last_use_step, 1);
@@ -112,20 +114,6 @@ TEST(Liveness, MemoryBoundFilterShrinksSet) {
   }
 }
 
-TEST(Liveness, StreamLatenciesComeFromTimingTables) {
-  auto g = lcmm::testing::chain3();
-  hw::PerfModel model(g, small_design());
-  for (const auto& e : build_feature_entities(model, all_layers())) {
-    const hw::LayerTiming& t = model.timing(e.key.layer);
-    switch (e.key.source) {
-      case TensorSource::kInput: EXPECT_DOUBLE_EQ(e.stream_latency_s, t.if_s); break;
-      case TensorSource::kResidual: EXPECT_DOUBLE_EQ(e.stream_latency_s, t.res_s); break;
-      case TensorSource::kWeight: EXPECT_DOUBLE_EQ(e.stream_latency_s, t.wt_s); break;
-      case TensorSource::kOutput: EXPECT_DOUBLE_EQ(e.stream_latency_s, t.of_s); break;
-    }
-  }
-}
-
 TEST(OnChipState, SetAndCount) {
   OnChipState s(4);
   EXPECT_EQ(s.count(), 0);
@@ -146,6 +134,40 @@ TEST(Entity, OverlapSemantics) {
   EXPECT_TRUE(a.overlaps(b));  // closed intervals share step 2
   b.def_step = 3;
   EXPECT_FALSE(a.overlaps(b));
+}
+
+TEST(TensorName, NamesEachSourceFromItsKey) {
+  const auto g = lcmm::testing::diamond();  // left, right, tail = 0, 1, 2
+  EXPECT_EQ(tensor_name(g, {0, TensorSource::kInput}), "in@left");
+  EXPECT_EQ(tensor_name(g, {1, TensorSource::kInput}), "in@right");
+  EXPECT_EQ(tensor_name(g, {2, TensorSource::kInput}), "cat@tail");
+  EXPECT_EQ(tensor_name(g, {0, TensorSource::kOutput}), "left.of");
+  EXPECT_EQ(tensor_name(g, {1, TensorSource::kWeight}), "right.wt");
+  EXPECT_EQ(tensor_name(g, {2, TensorSource::kWeight}), "tail.wt");
+
+  const auto r = lcmm::testing::residual_block();  // reduce, conv3, expand
+  EXPECT_EQ(tensor_name(r, {2, TensorSource::kResidual}), "in@expand.res");
+  EXPECT_EQ(tensor_name(r, {2, TensorSource::kOutput}), "expand.of");
+}
+
+TEST(TensorName, ShippedPlansNameEveryEntityDistinctly) {
+  // The memory trace orders records by (start step, name), so two entities
+  // of one plan must never share a name.
+  for (const std::string& name : models::model_names()) {
+    const auto g = models::build_by_name(name);
+    for (const hw::FpgaDevice& device :
+         {hw::FpgaDevice::vu9p(), hw::FpgaDevice::zu9eg()}) {
+      for (hw::Precision p : hw::kAllPrecisions) {
+        const AllocationPlan plan = LcmmCompiler(device, p).compile(g);
+        std::set<std::string> names;
+        for (const TensorEntity& e : plan.entities) {
+          EXPECT_TRUE(names.insert(tensor_name(g, e.key)).second)
+              << name << " " << to_string(p) << " " << device.name << ": "
+              << tensor_name(g, e.key) << " named twice";
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -9,15 +9,8 @@ namespace {
 using lcmm::testing::small_design;
 
 TensorEntity make_entity(int layer, TensorSource src, std::int64_t bytes,
-                         int def, int last, double lat) {
-  TensorEntity e;
-  e.key = {layer, src};
-  e.name = "L" + std::to_string(layer) + to_string(src);
-  e.bytes = bytes;
-  e.def_step = def;
-  e.last_use_step = last;
-  e.stream_latency_s = lat;
-  return e;
+                         int def, int last) {
+  return {{layer, src}, bytes, def, last};
 }
 
 /// Misspilling scenario: a huge low-value tensor shares a buffer with a
@@ -47,10 +40,10 @@ struct MisspillFixture {
     // Disjoint lifespans (layer 0 then layer 1) so they may share a buffer.
     return {make_entity(0, TensorSource::kInput,
                         graph.value(graph.layer(0).input).shape.elems(),
-                        kBeforeExecution, 0, model->timing(0).if_s),
+                        kBeforeExecution, 0),
             make_entity(1, TensorSource::kInput,
                         graph.value(graph.layer(1).input).shape.elems(),
-                        1, 1, model->timing(1).if_s)};
+                        1, 1)};
   }
 };
 

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Prints one line per evaluation config: "model precision device fraction
 # sha256", where the digest covers the full `--design both --format json`
-# report of that config (both plans, their simulations and the design).
+# report of that config (both plans, their simulations and the design) and
+# the `--trace` memory-trace Gantt printed after it (the LCMM plan's first
+# tensors in (start step, name) order, which the JSON does not show).
 # The configs are every built-in model x 8/16/32-bit x vu9p/zu9eg/u250 x
 # --capacity-fraction 0.5/0.73/0.9 (297 lines).
 #
@@ -29,7 +31,8 @@ for m in $models; do
     for d in vu9p zu9eg u250; do
       for f in 0.5 0.73 0.9; do
         if ! digest=$("$compile" --model "$m" --precision "$p" --device "$d" \
-                        --design both --format json --capacity-fraction "$f" |
+                        --design both --format json --trace \
+                        --capacity-fraction "$f" |
                       sha256sum | cut -d' ' -f1); then
           echo "$0: compile failed: $m $p $d $f" >&2
           status=1
