@@ -16,6 +16,7 @@ namespace {
 
 using core::AllocationPlan;
 using core::TensorEntity;
+using core::TensorKey;
 using core::TensorSource;
 
 /// Relative tolerance for floating-point latency comparisons.
@@ -25,20 +26,20 @@ bool layer_in_range(const CheckContext& ctx, graph::LayerId id) {
   return id >= 0 && static_cast<std::size_t>(id) < ctx.graph.num_layers();
 }
 
-/// The entity's tensor name, or "?" when its key names no tensor of the
-/// graph (a bad layer, or a residual on a layer without one); the structure
-/// and liveness passes report those keys.
-std::string entity_name(const CheckContext& ctx, const TensorEntity& e) {
-  if (!layer_in_range(ctx, e.key.layer) ||
-      (e.key.source == TensorSource::kResidual &&
-       !ctx.graph.layer(e.key.layer).has_residual())) {
+/// The key's tensor name, or "?" when the key names no tensor of the graph
+/// (a bad layer, or a residual on a layer without one); the structure and
+/// liveness passes report those keys.
+std::string key_name(const CheckContext& ctx, TensorKey key) {
+  if (!layer_in_range(ctx, key.layer) ||
+      (key.source == TensorSource::kResidual &&
+       !ctx.graph.layer(key.layer).has_residual())) {
     return "?";
   }
-  return core::tensor_name(ctx.graph, e.key);
+  return core::tensor_name(ctx.graph, key);
 }
 
 std::string entity_label(const CheckContext& ctx, const TensorEntity& e) {
-  return entity_name(ctx, e) + " (layer " + std::to_string(e.key.layer) + " " +
+  return key_name(ctx, e.key) + " (layer " + std::to_string(e.key.layer) + " " +
          core::to_string(e.key.source) + ")";
 }
 
@@ -50,7 +51,7 @@ DiagLocation entity_location(const CheckContext& ctx, const TensorEntity& e,
     loc.layer_name = ctx.graph.layer(e.key.layer).name;
     loc.step = e.key.layer;
   }
-  loc.tensor = entity_name(ctx, e);
+  loc.tensor = key_name(ctx, e.key);
   loc.buffer_id = buffer_id;
   return loc;
 }
@@ -588,8 +589,7 @@ void pass_dnnk(const CheckContext& ctx, CheckReport& report) {
           ctx.tables.node_latency(layer.id, mask);
       if (gain <= 0.0) {
         DiagLocation loc = layer_location(ctx, layer.id);
-        loc.tensor = layer.name + "." +
-                     core::to_string(static_cast<TensorSource>(s));
+        loc.tensor = key_name(ctx, {layer.id, static_cast<TensorSource>(s)});
         report.add(Code::kZeroGainGrant,
                    "on-chip " + core::to_string(static_cast<TensorSource>(s)) +
                        " tensor of '" + layer.name +

@@ -164,8 +164,8 @@ std::string usage() {
         "  --no-feature-reuse --no-prefetch --no-splitting --no-promotion\n"
         "  --no-fallback         keep the LCMM design even if UMM is faster\n"
         "  --strict              fail hard on the first typed compile error\n"
-        "                        instead of retrying it or shipping the UMM\n"
-        "                        floor (docs/robustness.md)\n"
+        "                        instead of shipping the UMM floor\n"
+        "                        (docs/robustness.md)\n"
         "  --list-fault-sites    print the registered LCMM_FAULT injection\n"
         "                        sites and exit\n"
         "\noutput:\n"

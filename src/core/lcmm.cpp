@@ -55,26 +55,6 @@ AllocationPlan uniform_plan(const hw::PerfModel& model,
   return plan;
 }
 
-/// Runs `attempt`; a transient CompileError (resil::is_transient: an
-/// injected fault, an I/O flake) gets one more attempt on the same inputs,
-/// unless `strict`. A deterministic error would only repeat, so it — like a
-/// second failure — propagates.
-template <typename Attempt>
-AllocationPlan retry_transient_once(const char* what,
-                                    const graph::ComputationGraph& graph,
-                                    bool strict, const Attempt& attempt) {
-  for (bool retried = false;; retried = true) {
-    try {
-      return attempt();
-    } catch (const resil::CompileError& e) {
-      if (retried || strict || !resil::is_transient(e.code())) throw;
-      LCMM_WARN() << what << "(" << graph.name() << "): failed with "
-                  << resil::code_id(e.code()) << "; retrying once";
-      LCMM_COUNT("retries", 1);
-    }
-  }
-}
-
 }  // namespace
 
 std::vector<bool> AllocationPlan::resident_weight_mask(
@@ -269,8 +249,8 @@ AllocationPlan LcmmCompiler::allocate(
 AllocationPlan LcmmCompiler::compile_with_design(
     const graph::ComputationGraph& graph,
     const hw::AcceleratorDesign& design) const {
-  // Caller-fixed designs bypass the retry and the UMM floor (the floor
-  // would need its own DSE); typed errors propagate.
+  // Caller-fixed designs bypass the UMM floor (the floor would need its
+  // own DSE); typed errors propagate.
   resil::fault::Scope fault_scope;
   const hw::PerfModel model(graph, design);
   AllocationPlan plan = allocate(
@@ -284,17 +264,17 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
                                      AllocationPlan* umm_baseline,
                                      sim::SimResult* umm_sim,
                                      sim::SimResult* plan_sim) const {
-  // One pipeline span and one fault budget per top-level compile, retry
+  // One pipeline span and one fault budget per top-level compile, floor
   // included.
   LCMM_SPAN("pipeline");
   resil::fault::Scope fault_scope;
 
   // The request's design space and simulated UMM baseline: built on first
   // use, then shared by the seed and refine DSE, the no-benefit fallback,
-  // the floor and the caller. They live outside the retry, so an attempt
-  // that fails after building them leaves them to the next. The baseline
-  // is built only for one of its three consumers: the fallback, the floor
-  // or the caller.
+  // the floor and the caller. They live outside the pipeline, so a
+  // pipeline that fails after building them leaves them to the floor. The
+  // baseline is built only for one of its three consumers: the fallback,
+  // the floor or the caller.
   std::optional<hw::DesignSpace> space;
   std::optional<AllocationPlan> baseline;
   sim::SimResult base_sim;
@@ -310,42 +290,38 @@ AllocationPlan LcmmCompiler::compile(const graph::ComputationGraph& graph,
   };
   const bool caller_wants_umm = umm_baseline != nullptr || umm_sim != nullptr;
   sim::SimResult shipped_sim;
-  const auto full_lcmm = [&] {
-    AllocationPlan plan = compile_lcmm(graph, job_space(), shipped_sim);
-    if (!options_.allow_fallback_to_umm && !caller_wants_umm) {
-      LCMM_INFO() << "LCMM(" << graph.name() << "): "
-                  << plan.est_latency_s * 1e3 << " ms, POL "
-                  << plan.pol() * 100 << "%";
-      return plan;
-    }
-    // No-benefit fallback: LCMM designs pay a clock penalty for heavy URAM
-    // use. If the allocation gains do not cover it (compute-bound
-    // network), ship the uniform design unchanged — a real toolflow would
-    // too. A UMM plan simulates to its Eq. 1 estimate exactly, so both
-    // sides of the comparison are simulated latencies.
-    const AllocationPlan& base = umm();
-    if (options_.allow_fallback_to_umm && base.est_latency_s < plan.est_latency_s) {
-      LCMM_INFO() << "LCMM(" << graph.name()
-                  << "): allocation gains below the URAM clock penalty; "
-                     "keeping the uniform design";
-      LCMM_COUNT("fallback_to_umm", 1);
-      LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
-      plan = base;
-      shipped_sim = base_sim;
-      plan.is_umm = false;
-      plan.rung = resil::Rung::kFullLcmm;  // chosen on merit, not a failure
-    } else {
-      LCMM_INFO() << "LCMM(" << graph.name() << "): "
-                  << base.est_latency_s * 1e3 << " ms (UMM) -> "
-                  << plan.est_latency_s * 1e3 << " ms, POL "
-                  << plan.pol() * 100 << "%";
-    }
-    return plan;
-  };
-
   AllocationPlan plan;
   try {
-    plan = retry_transient_once("LCMM", graph, options_.strict, full_lcmm);
+    plan = compile_lcmm(graph, job_space(), shipped_sim);
+    if (options_.allow_fallback_to_umm || caller_wants_umm) {
+      // No-benefit fallback: LCMM designs pay a clock penalty for heavy
+      // URAM use. If the allocation gains do not cover it (compute-bound
+      // network), ship the uniform design unchanged — a real toolflow
+      // would too. A UMM plan simulates to its Eq. 1 estimate exactly, so
+      // both sides of the comparison are simulated latencies.
+      const AllocationPlan& base = umm();
+      if (options_.allow_fallback_to_umm &&
+          base.est_latency_s < plan.est_latency_s) {
+        LCMM_INFO() << "LCMM(" << graph.name()
+                    << "): allocation gains below the URAM clock penalty; "
+                       "keeping the uniform design";
+        LCMM_COUNT("fallback_to_umm", 1);
+        LCMM_DECIDE(graph.name(), 0, false, "umm-fallback");
+        plan = base;
+        shipped_sim = base_sim;
+        plan.is_umm = false;
+        plan.rung = resil::Rung::kFullLcmm;  // chosen on merit, not a failure
+      } else {
+        LCMM_INFO() << "LCMM(" << graph.name() << "): "
+                    << base.est_latency_s * 1e3 << " ms (UMM) -> "
+                    << plan.est_latency_s * 1e3 << " ms, POL "
+                    << plan.pol() * 100 << "%";
+      }
+    } else {
+      LCMM_INFO() << "LCMM(" << graph.name() << "): "
+                  << plan.est_latency_s * 1e3 << " ms, POL "
+                  << plan.pol() * 100 << "%";
+    }
   } catch (const resil::OptionError&) {
     throw;  // caller contract violations never reach the floor
   } catch (const std::exception& e) {
@@ -414,22 +390,22 @@ AllocationPlan LcmmCompiler::compile_umm(const graph::ComputationGraph& graph,
                                          const hw::DesignSpace* space,
                                          sim::SimResult* sim) const {
   LCMM_SPAN("umm_baseline");
+  // Inside compile() this scope nests, so the floor spends the compile's
+  // fault budget.
   resil::fault::Scope fault_scope;
-  return retry_transient_once("UMM", graph, options_.strict, [&] {
-    std::optional<hw::DesignSpace> own;
-    if (space == nullptr) {
-      own.emplace(hw::Dse(device_, precision_).space(graph));
-    }
-    const hw::DesignSpace& umm_space = own ? *own : *space;
-    const hw::DseResult seed = umm_space.argmin(/*heavy_uram_use=*/false);
-    const hw::PerfModel model(graph, seed.design, umm_space.classes());
-    AllocationPlan plan = uniform_plan(model, seed.tile_buffers);
-    plan.is_umm = true;
-    plan.rung = resil::Rung::kUmm;
-    place_physical(plan, graph);
-    if (sim) *sim = sim::simulate(model, plan);
-    return plan;
-  });
+  std::optional<hw::DesignSpace> own;
+  if (space == nullptr) {
+    own.emplace(hw::Dse(device_, precision_).space(graph));
+  }
+  const hw::DesignSpace& umm_space = own ? *own : *space;
+  const hw::DseResult seed = umm_space.argmin(/*heavy_uram_use=*/false);
+  const hw::PerfModel model(graph, seed.design, umm_space.classes());
+  AllocationPlan plan = uniform_plan(model, seed.tile_buffers);
+  plan.is_umm = true;
+  plan.rung = resil::Rung::kUmm;
+  place_physical(plan, graph);
+  if (sim) *sim = sim::simulate(model, plan);
+  return plan;
 }
 
 }  // namespace lcmm::core

@@ -21,9 +21,8 @@
 // (one layer_cost per class) and read by its allocation and every round
 // of 8, and takes its tile buffers from the space's menu filter; the UMM
 // baseline gets one model and one simulation, which 9,
-// the floor and compile()'s caller reuse. A transient error is retried
-// once on the same inputs; any other failure ships the UMM baseline
-// (resil::Rung::kUmm). compile_with_design() runs 2-5, 7 and 8.
+// the floor and compile()'s caller reuse. A failure of 1-9 ships the UMM
+// baseline (resil::Rung::kUmm). compile_with_design() runs 2-5, 7 and 8.
 //
 // compile_umm() produces the uniform-memory-management baseline on the
 // same machinery (empty allocation), so every comparison is apples to
@@ -53,8 +52,8 @@ struct LcmmOptions {
   /// cover the URAM clock penalty. Disable for pass-isolation ablations
   /// (Fig. 8) where the pass's raw effect is the point.
   bool allow_fallback_to_umm = true;
-  /// Fail hard: a typed compile failure propagates instead of being retried
-  /// or shipping the UMM floor (the pre-resil throwing behavior; --strict).
+  /// Fail hard: compile() lets a typed failure propagate instead of
+  /// shipping the UMM floor (the pre-resil throwing behavior; --strict).
   bool strict = false;
   /// Fraction of post-tile-buffer SRAM handed to DNNK as R_sram (the rest
   /// is routing/control margin).
@@ -142,9 +141,9 @@ class LcmmCompiler {
                LcmmOptions options = {});
 
   /// Full LCMM compilation, stall refinement and fallback included: the
-  /// result is the plan that ships. A transient failure is retried once on
-  /// the same inputs unless `strict`; any other failure ships the UMM floor
-  /// (under `strict` it propagates). The UMM baseline is compiled only for
+  /// result is the plan that ships. A failure ships the UMM floor (under
+  /// `strict` it propagates); an OptionError always propagates, and so does
+  /// a failure of the floor itself. The UMM baseline is compiled only for
   /// the no-benefit fallback, the floor, or a caller that passes
   /// `umm_baseline` or `umm_sim`: it is copied to `umm_baseline` when
   /// given — equal to compile_umm(graph), without a second design-space
@@ -154,9 +153,8 @@ class LcmmCompiler {
                          AllocationPlan* umm_baseline = nullptr,
                          sim::SimResult* umm_sim = nullptr,
                          sim::SimResult* plan_sim = nullptr) const;
-  /// Uniform-memory-management baseline. A transient failure
-  /// (resil::is_transient) is retried once on the same inputs unless
-  /// `strict`; any other error propagates at once.
+  /// Uniform-memory-management baseline. There is no floor below it, so
+  /// any error propagates.
   AllocationPlan compile_umm(const graph::ComputationGraph& graph) const;
   /// Stall-refined LCMM with a caller-fixed design (skips DSE and the
   /// fallback; used by design-space scans).

@@ -6,10 +6,10 @@
 // outcomes in input order. Each job runs once, on one worker thread. A job
 // that throws reports a structured error (code, failing pass, job label)
 // in BatchOutcome instead of tearing down the whole sweep (the compiler
-// itself retries a transient failure once). When the calling thread is
-// collecting obs telemetry, per-job stats merge back in job order — the
-// collected registry is identical whatever the worker count (see
-// docs/parallelism.md).
+// itself ships the UMM floor when its pipeline fails). When the calling
+// thread is collecting obs telemetry, per-job stats merge back in job
+// order — the collected registry is identical whatever the worker count
+// (see docs/parallelism.md).
 #pragma once
 
 #include <string>

@@ -61,10 +61,6 @@ const std::vector<Code>& all_codes() {
   return codes;
 }
 
-bool is_transient(Code code) {
-  return code == Code::kFaultInjected || code == Code::kIoError;
-}
-
 std::string format_what(const ErrorInfo& info) {
   std::string out = "[" + code_id(info.code) + "] ";
   if (!info.pass.empty()) {

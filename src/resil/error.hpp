@@ -6,8 +6,8 @@
 // branches partition the taxonomy:
 //
 //   CompileError : std::runtime_error     runtime/resource failures.
-//     LcmmCompiler::compile retries a transient one once and otherwise
-//     ships the UMM floor; in --strict mode it propagates.
+//     LcmmCompiler::compile ships the UMM floor instead; in --strict mode
+//     it propagates.
 //   OptionError : std::invalid_argument   caller contract violations (bad
 //     options, mismatched arguments). Never swallowed by compile(), and
 //     type-compatible with the std::invalid_argument the seed code threw.
@@ -59,9 +59,6 @@ const char* code_name(Code code);
 const char* code_summary(Code code);
 /// Every code resil can raise, in numeric order (for docs/tests).
 const std::vector<Code>& all_codes();
-/// Transient codes are worth one bounded retry in the batch driver
-/// (injected faults, filesystem flakes); everything else is deterministic.
-bool is_transient(Code code);
 
 /// The structured payload every typed error carries.
 struct ErrorInfo {
@@ -96,7 +93,7 @@ class TypedError {
 };
 
 /// Runtime compile failure: resource exhaustion, infeasibility, overflow,
-/// injected faults. compile() retries the transient ones once.
+/// injected faults. compile() ships the UMM floor instead.
 class CompileError : public std::runtime_error, public TypedError {
  public:
   CompileError(Code code, std::string pass, std::string message,
@@ -116,10 +113,9 @@ class OptionError : public std::invalid_argument, public TypedError {
 /// a kInternal wrapper around e.what() for everything else.
 ErrorInfo describe(const std::exception& e);
 
-/// Where a compile's plan landed (docs/robustness.md). compile() retries a
-/// transient failure once; any other failure ships the kUmm floor, the
-/// semantically valid plan below which nothing degrades. Values 1-3 are
-/// retired and must not be reused.
+/// Where a compile's plan landed (docs/robustness.md). A failed pipeline
+/// ships the kUmm floor, the semantically valid plan below which nothing
+/// degrades. Values 1-3 are retired and must not be reused.
 enum class Rung : std::uint8_t {
   kFullLcmm = 0,  ///< the full Fig. 4 pipeline
   kUmm = 4,       ///< plain uniform-memory-management baseline

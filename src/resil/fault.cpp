@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <deque>
 #include <mutex>
+#include <stdexcept>
 
 #include "resil/error.hpp"
 #include "util/logging.hpp"
@@ -90,8 +91,8 @@ void arm_from_env() {
         colon = rest.find(':');
         config.nth = std::stoll(rest.substr(0, colon));
         if (colon != std::string::npos) {
-          const std::string fires = rest.substr(colon + 1);
-          config.fires = fires == "*" ? -1 : std::stoll(fires);
+          if (rest.substr(colon + 1) != "*") throw std::invalid_argument(spec);
+          config.sticky = true;
         }
       }
     } catch (const std::exception&) {
@@ -100,9 +101,7 @@ void arm_from_env() {
       return;
     }
     LCMM_INFO() << "LCMM_FAULT: arming site '" << config.site << "' nth="
-                << config.nth << " fires="
-                << (config.fires < 0 ? std::string("*")
-                                     : std::to_string(config.fires));
+                << config.nth << (config.sticky ? " sticky" : " once");
     arm(std::move(config));
   });
 }
@@ -125,8 +124,7 @@ void hit(const char* site) {
   if (tl_hits == nullptr) return;
   if (config->site != site) return;
   const std::int64_t n = ++*tl_hits;
-  if (n < config->nth) return;
-  if (config->fires >= 0 && n >= config->nth + config->fires) return;
+  if (n < config->nth || (n > config->nth && !config->sticky)) return;
   // The message names no hit index, so every firing hit of a site reads
   // the same.
   throw CompileError(Code::kFaultInjected, site,

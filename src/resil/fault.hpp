@@ -5,7 +5,7 @@
 // Hit counting is scoped per top-level operation (one compile, one parse),
 // not global: Scope installs a fresh thread-local counter unless one is
 // already active. An operation runs on one thread, so with the default
-// one-shot config (fires = 1) exactly one hit fires per operation whichever
+// one-shot config exactly one hit fires per operation whichever
 // compile_many worker runs it — which is what makes batch outcomes
 // identical for every worker count.
 //
@@ -14,12 +14,12 @@
 //
 //   LCMM_FAULT=site            fire the 1st hit of `site`, once
 //   LCMM_FAULT=site:3          fire the 3rd hit, once
-//   LCMM_FAULT=site:1:2        fire hits 1 and 2
 //   LCMM_FAULT=site:1:*        sticky: fire every hit from the 1st on
 //
-// A one-shot fault costs a compile one retry on the same inputs and leaves
-// its plan unchanged. A sticky fault on an LCMM pass site fails the retry
-// too and ships the UMM floor. Sticky faults on sites the UMM path shares
+// Any other third field is malformed. A fault on a compile-path site fails
+// the LCMM pipeline, and the compile ships the UMM floor. The floor shares
+// the compile's budget, so a one-shot fault leaves the floor equal to a
+// fault-free baseline. Sticky faults on sites the UMM path shares
 // (dse.explore, pass.place) defeat the floor too, by design.
 #pragma once
 
@@ -37,15 +37,15 @@ bool is_site(std::string_view name);
 
 struct Config {
   std::string site;
-  std::int64_t nth = 1;    ///< First matching hit that fires (1-based).
-  std::int64_t fires = 1;  ///< Consecutive firing hits from nth; < 0 = sticky.
+  std::int64_t nth = 1;  ///< First matching hit that fires (1-based).
+  bool sticky = false;   ///< Every hit from nth on fires, not just the nth.
 };
 
 /// Arm `config` process-wide (throws OptionError on an unknown site).
 void arm(Config config);
 void disarm();
 std::optional<Config> armed();
-/// Parse LCMM_FAULT ("site[:nth[:fires]]", fires '*' = sticky). Malformed
+/// Parse LCMM_FAULT ("site[:nth[:*]]", '*' = sticky). Malformed
 /// or unknown values log a warning and leave the registry disarmed.
 /// Idempotent per process; Scope calls it lazily so tools need no wiring.
 void arm_from_env();

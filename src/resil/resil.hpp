@@ -1,8 +1,8 @@
 // Umbrella header for lcmm::resil — the graceful-degradation layer: typed
 // compile errors (error.hpp), overflow-checked size arithmetic
-// (checked.hpp) and deterministic fault injection (fault.hpp). The retry
-// and the UMM floor themselves live in core/lcmm.cpp (LcmmCompiler::compile);
-// see docs/robustness.md.
+// (checked.hpp) and deterministic fault injection (fault.hpp). The UMM
+// floor itself lives in core/lcmm.cpp (LcmmCompiler::compile); see
+// docs/robustness.md.
 #pragma once
 
 #include "resil/checked.hpp"  // IWYU pragma: export

@@ -2,6 +2,8 @@
 
 #include <fstream>
 
+#include "core/entity.hpp"
+
 namespace lcmm::sim {
 
 namespace {
@@ -56,7 +58,9 @@ std::string to_chrome_trace(const graph::ComputationGraph& graph,
     const std::string& name = graph.layer(e.layer).name;
     writer.add_complete_event(name, kComputeTrack, e.start_s, e.compute_s);
     writer.add_complete_event(name + ".if", kIfTrack, e.start_s, e.if_s);
-    writer.add_complete_event(name + ".wt", kWtTrack, e.start_s, e.wt_s);
+    writer.add_complete_event(
+        core::tensor_name(graph, {e.layer, core::TensorSource::kWeight}),
+        kWtTrack, e.start_s, e.wt_s);
     writer.add_complete_event(name + ".of", kOfTrack, e.start_s, e.of_s);
     writer.add_complete_event(name + ".stall", kStallTrack,
                               e.start_s - e.stall_s, e.stall_s);

@@ -386,6 +386,30 @@ TEST(CheckDnnk, LatencyBelowEq1BoundIsCaught) {
   expect_errors_only_from(report, "dnnk");
 }
 
+TEST(CheckDnnk, ZeroGainNotesNameTheirTensorByTheOneRule) {
+  // The note's message names the tensor's source ("on-chip wt tensor of
+  // ..."); its location names the tensor as core::tensor_name does.
+  auto g = models::build_googlenet();
+  const CheckReport report = run_checks(g, compiled_plan(g));
+  int notes = 0;
+  for (const Diagnostic& d : report.diagnostics()) {
+    if (d.code != Code::kZeroGainGrant) continue;
+    ++notes;
+    const std::string prefix = "on-chip ";
+    const std::string source = d.message.substr(
+        prefix.size(), d.message.find(' ', prefix.size()) - prefix.size());
+    int matched = 0;
+    for (int s = 0; s < core::kNumSources; ++s) {
+      const core::TensorKey key{d.location.layer, static_cast<TensorSource>(s)};
+      if (core::to_string(key.source) != source) continue;
+      ++matched;
+      EXPECT_EQ(d.location.tensor, core::tensor_name(g, key)) << d.message;
+    }
+    EXPECT_EQ(matched, 1) << d.message;
+  }
+  EXPECT_GT(notes, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Emitters.
 // ---------------------------------------------------------------------------

@@ -93,8 +93,8 @@ TEST(Cli, UnknownOptionRejected) {
   // DNNK is the only allocator the compiler runs; the greedy and exact
   // references are library functions, not a flag.
   EXPECT_THROW(parse_cli({"--model", "m", "--allocator", "dnnk"}), CliError);
-  // The tool compiles one job on its calling thread and retries inside the
-  // compiler only: there are no worker or job-retry flags.
+  // The tool compiles one job on its calling thread, and a job runs once:
+  // there are no worker or job-retry flags.
   EXPECT_THROW(parse_cli({"--model", "m", "--jobs", "4"}), CliError);
   EXPECT_THROW(parse_cli({"--model", "m", "--retries", "1"}), CliError);
 }

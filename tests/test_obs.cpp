@@ -360,7 +360,7 @@ TEST(Integration, EachDesignModelledOnceEachPlanSimulatedOnce) {
   for (const driver::BatchJob& job : jobs) {
     std::optional<resil::fault::ArmedGuard> fault;
     if (job.label.ends_with("sticky-dnnk")) {
-      fault.emplace(resil::fault::Config{.site = "pass.dnnk", .fires = -1});
+      fault.emplace(resil::fault::Config{.site = "pass.dnnk", .sticky = true});
     }
     StatsSession session;
     const std::vector<driver::BatchOutcome> out = driver::compile_many({job}, 1);

@@ -1,8 +1,7 @@
 // Tests for lcmm::resil — the typed error taxonomy, overflow-checked size
-// arithmetic, the deterministic fault-injection registry, and the retry and
-// UMM floor in LcmmCompiler::compile. The FaultMatrix test at the
-// bottom is env-driven (LCMM_FAULT) and is what the CI fault-injection
-// matrix job runs per registered site.
+// arithmetic, the deterministic fault-injection registry, and the UMM floor
+// in LcmmCompiler::compile. The FaultMatrix test at the bottom arms every
+// registered site, one-shot and sticky, over every registered model.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -149,14 +148,6 @@ TEST(ResilError, DescribeWrapsForeignExceptionsAsInternal) {
   EXPECT_EQ(info.message, "unexpected");
 }
 
-TEST(ResilError, TransientClassification) {
-  EXPECT_TRUE(is_transient(Code::kFaultInjected));
-  EXPECT_TRUE(is_transient(Code::kIoError));
-  EXPECT_FALSE(is_transient(Code::kNoFeasibleDesign));
-  EXPECT_FALSE(is_transient(Code::kTileBuffersDontFit));
-  EXPECT_FALSE(is_transient(Code::kBadOptions));
-}
-
 TEST(ResilError, RungNamesAreStable) {
   EXPECT_STREQ(rung_name(Rung::kFullLcmm), "full-lcmm");
   EXPECT_STREQ(rung_name(Rung::kUmm), "umm");
@@ -233,7 +224,7 @@ TEST(ResilFault, HitIsANoOpWithoutAnActiveScope) {
 }
 
 TEST(ResilFault, OneShotFiresExactlyOncePerScope) {
-  const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1, .fires = 1});
+  const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1});
   const fault::Scope scope;
   EXPECT_NO_THROW(fault::hit("pass.place"));  // wrong site
   try {
@@ -248,7 +239,7 @@ TEST(ResilFault, OneShotFiresExactlyOncePerScope) {
 
 TEST(ResilFault, NthSkipsEarlierHitsAndStickyNeverStops) {
   {
-    const fault::ArmedGuard guard({.site = "io.parse", .nth = 3, .fires = 1});
+    const fault::ArmedGuard guard({.site = "io.parse", .nth = 3});
     const fault::Scope scope;
     EXPECT_NO_THROW(fault::hit("io.parse"));
     EXPECT_NO_THROW(fault::hit("io.parse"));
@@ -256,7 +247,7 @@ TEST(ResilFault, NthSkipsEarlierHitsAndStickyNeverStops) {
     EXPECT_NO_THROW(fault::hit("io.parse"));
   }
   {
-    const fault::ArmedGuard guard({.site = "io.parse", .nth = 2, .fires = -1});
+    const fault::ArmedGuard guard({.site = "io.parse", .nth = 2, .sticky = true});
     const fault::Scope scope;
     EXPECT_NO_THROW(fault::hit("io.parse"));
     EXPECT_THROW(fault::hit("io.parse"), CompileError);
@@ -287,8 +278,13 @@ TEST(ResilFault, NestedScopesShareTheOuterBudget) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry and UMM floor.
+// The UMM floor.
 // ---------------------------------------------------------------------------
+
+/// The sites compile() hits; io.parse is hit only while a file is read.
+constexpr const char* kCompileSites[] = {
+    "dse.explore", "pass.liveness",  "pass.coloring", "pass.prefetch",
+    "pass.dnnk",   "pass.splitting", "pass.place"};
 
 void expect_check_clean(const graph::ComputationGraph& g,
                         const AllocationPlan& plan, const LcmmOptions& options) {
@@ -299,10 +295,23 @@ void expect_check_clean(const graph::ComputationGraph& g,
       << " checker errors";
 }
 
-TEST(ResilLadder, OneShotFaultsLeaveThePlanUnchanged) {
-  // A single injected failure anywhere on the compile path costs one retry
-  // on the same inputs and nothing else: the plan, its UMM baseline and
-  // the design-space work all equal a fault-free compile's.
+/// `plan` ships the design, latencies and SRAM use of the UMM plan `umm`.
+void expect_same_umm_plan(const AllocationPlan& plan, const AllocationPlan& umm,
+                          const std::string& what) {
+  EXPECT_EQ(plan.design.array, umm.design.array) << what;
+  EXPECT_EQ(plan.design.tile, umm.design.tile) << what;
+  EXPECT_EQ(plan.design.freq_mhz, umm.design.freq_mhz) << what;
+  EXPECT_EQ(plan.est_latency_s, umm.est_latency_s) << what;
+  EXPECT_EQ(plan.umm_latency_s, umm.umm_latency_s) << what;
+  EXPECT_EQ(plan.bram_used, umm.bram_used) << what;
+  EXPECT_EQ(plan.uram_used, umm.uram_used) << what;
+}
+
+TEST(ResilLadder, OneShotFaultsShipTheUmmFloor) {
+  // A single injected failure anywhere on the compile path fails the LCMM
+  // pipeline, and the compile ships its UMM baseline. The floor spends the
+  // compile's fault budget, so the baseline and the design-space work
+  // equal a fault-free compile's.
   const auto g = models::build_by_name("googlenet");
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
   struct Run {
@@ -321,71 +330,58 @@ TEST(ResilLadder, OneShotFaultsLeaveThePlanUnchanged) {
   const Run clean = run(nullptr);
   ASSERT_EQ(clean.plan.rung, Rung::kFullLcmm);
   ASSERT_GT(clean.cost_evals, 0);
-  for (const char* site : {"dse.explore", "pass.liveness", "pass.coloring",
-                           "pass.prefetch", "pass.dnnk", "pass.splitting",
-                           "pass.place"}) {
+  for (const char* site : kCompileSites) {
     const Run r = run(site);
-    EXPECT_EQ(r.plan.rung, Rung::kFullLcmm) << site;
-    EXPECT_TRUE(r.plan.degrade_reason.empty()) << site;
-    EXPECT_EQ(r.plan.design.array, clean.plan.design.array) << site;
-    EXPECT_EQ(r.plan.design.tile, clean.plan.design.tile) << site;
-    EXPECT_EQ(r.plan.design.freq_mhz, clean.plan.design.freq_mhz) << site;
-    EXPECT_EQ(r.plan.est_latency_s, clean.plan.est_latency_s) << site;
-    EXPECT_EQ(r.plan.buffer_on_chip, clean.plan.buffer_on_chip) << site;
-    EXPECT_EQ(r.plan.resident_weights, clean.plan.resident_weights) << site;
-    EXPECT_EQ(r.umm.design.array, clean.umm.design.array) << site;
-    EXPECT_EQ(r.umm.design.tile, clean.umm.design.tile) << site;
-    EXPECT_EQ(r.umm.design.freq_mhz, clean.umm.design.freq_mhz) << site;
-    EXPECT_EQ(r.umm.est_latency_s, clean.umm.est_latency_s) << site;
+    EXPECT_EQ(r.plan.rung, Rung::kUmm) << site;
+    EXPECT_EQ(r.plan.degrade_reason, std::string("LCMM-E801@") + site) << site;
+    expect_same_umm_plan(r.plan, r.umm, site);
+    expect_same_umm_plan(r.umm, clean.umm, site);
     EXPECT_EQ(r.cost_evals, clean.cost_evals) << site;
   }
 }
 
 TEST(ResilLadder, OneShotFaultAtEveryCompileSiteDegradesOneRung) {
-  // A single injected failure anywhere on the compile path costs exactly
-  // one retry: the fault fires once, the budget is spent, and the second
-  // attempt completes full-lcmm with a check-clean plan.
+  // The fault fires once, the pipeline fails, and the budget is spent: the
+  // floor completes and ships a check-clean UMM plan.
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
-  for (const char* site : {"dse.explore", "pass.liveness", "pass.coloring",
-                           "pass.prefetch", "pass.dnnk", "pass.splitting",
-                           "pass.place"}) {
+  for (const char* site : kCompileSites) {
     const fault::ArmedGuard guard({.site = site});
     const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
                                 base);
     obs::StatsSession session;
     const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, Rung::kFullLcmm) << site;
-    EXPECT_TRUE(plan.degrade_reason.empty()) << site;
-    EXPECT_EQ(session.stats().counter("retries"), 1) << site;
-    EXPECT_EQ(session.stats().counter("ladder_degraded"), 0) << site;
+    EXPECT_EQ(plan.rung, Rung::kUmm) << site;
+    EXPECT_EQ(plan.degrade_reason, std::string("LCMM-E801@") + site) << site;
+    EXPECT_EQ(session.stats().counter("ladder_degraded"), 1) << site;
     expect_check_clean(g, plan, base);
   }
 }
 
 TEST(ResilLadder, DegradedRungsShareTheRequestsDesignSpace) {
-  // The retry and the UMM floor both pick their designs from the table the
-  // request already built: neither a one-shot fault (retried) nor a sticky
-  // one (floor) costs a second DSE evaluation.
+  // The UMM floor picks its design from the table the request already
+  // built: neither a one-shot nor a sticky fault costs a second DSE
+  // evaluation.
   const auto g = models::build_by_name("googlenet");
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
-  const auto cost_evals = [&](const char* site, int fires, Rung expected) {
+  const auto cost_evals = [&](const char* site, bool sticky, Rung expected) {
     std::optional<fault::ArmedGuard> guard;
-    if (site) guard.emplace(fault::Config{.site = site, .nth = 1, .fires = fires});
+    if (site) guard.emplace(fault::Config{.site = site, .sticky = sticky});
     obs::StatsSession session;
     const AllocationPlan plan = compiler.compile(g);
-    EXPECT_EQ(plan.rung, expected) << (site ? site : "clean") << " " << fires;
+    EXPECT_EQ(plan.rung, expected) << (site ? site : "clean") << " " << sticky;
     return session.stats().counter("dse.cost_evals");
   };
-  const std::int64_t clean = cost_evals(nullptr, 0, Rung::kFullLcmm);
+  const std::int64_t clean = cost_evals(nullptr, false, Rung::kFullLcmm);
   EXPECT_GT(clean, 0);
-  EXPECT_EQ(cost_evals("pass.dnnk", 1, Rung::kFullLcmm), clean);
-  EXPECT_EQ(cost_evals("pass.dnnk", -1, Rung::kUmm), clean);
+  EXPECT_EQ(cost_evals("pass.dnnk", false, Rung::kUmm), clean);
+  EXPECT_EQ(cost_evals("pass.dnnk", true, Rung::kUmm), clean);
 }
 
 TEST(ResilLadder, InfeasibleDeviceBuildsTheDesignSpaceTwice) {
-  // A deterministic E611 is not retried: the pipeline builds the design
-  // space once, the UMM floor once more, and the error propagates.
+  // A deterministic E611 fails the pipeline and the floor alike: the
+  // pipeline builds the design space once, the UMM floor once more, and
+  // the error propagates.
   hw::FpgaDevice no_dsps = hw::FpgaDevice::vu9p();
   no_dsps.dsp_total = 0;
   const auto g = lcmm::testing::chain3();
@@ -424,13 +420,12 @@ TEST(ResilLadder, NoBenefitFallbackIsNotADegradation) {
 }
 
 TEST(ResilLadder, StickyGatedFaultsLandOnTheRungThatDisablesThem) {
-  // A persistent failure in a gated pass outlasts the retry, and no rung
-  // turns the pass off any more: prefetch and liveness faults both ship
-  // the UMM floor, naming the site.
+  // No rung turns a gated pass off any more: sticky prefetch and liveness
+  // faults both ship the UMM floor, naming the site.
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
   for (const char* site : {"pass.prefetch", "pass.liveness"}) {
-    const fault::ArmedGuard guard({.site = site, .nth = 1, .fires = -1});
+    const fault::ArmedGuard guard({.site = site, .sticky = true});
     const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
                                 base);
     const AllocationPlan plan = compiler.compile(g);
@@ -441,12 +436,12 @@ TEST(ResilLadder, StickyGatedFaultsLandOnTheRungThatDisablesThem) {
 }
 
 TEST(ResilLadder, StickyUngatedFaultFallsToTheUmmFloor) {
-  // pass.dnnk is hit on every LCMM attempt but not on the UMM baseline
-  // path: the compile ships UMM, flagged via rung (not is_umm, which
-  // mirrors the no-benefit fallback convention).
+  // pass.dnnk is hit on the LCMM path but not on the UMM baseline path:
+  // the compile ships UMM, flagged via rung (not is_umm, which mirrors the
+  // no-benefit fallback convention).
   const auto g = lcmm::testing::chain3();
   const LcmmOptions base;
-  const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1, .fires = -1});
+  const fault::ArmedGuard guard({.site = "pass.dnnk", .sticky = true});
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
                               base);
   const AllocationPlan plan = compiler.compile(g);
@@ -460,7 +455,7 @@ TEST(ResilLadder, StickyFaultOnASharedSiteDefeatsEvenTheFloor) {
   // pass.place runs on the UMM path too; a persistent failure there leaves
   // no floor to retreat to, and the error propagates typed.
   const auto g = lcmm::testing::chain3();
-  const fault::ArmedGuard guard({.site = "pass.place", .nth = 1, .fires = -1});
+  const fault::ArmedGuard guard({.site = "pass.place", .sticky = true});
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
   try {
     compiler.compile(g);
@@ -495,65 +490,64 @@ TEST(ResilLadder, SharedUmmBaselineEqualsCompileUmmOnEveryRung) {
   const AllocationPlan reference = compiler.compile_umm(g);
   const struct {
     const char* site;
-    std::int64_t fires;
+    bool sticky;
     Rung rung;
   } cases[] = {
-      {nullptr, 0, Rung::kFullLcmm},
-      {"pass.dnnk", 1, Rung::kFullLcmm},
-      {"pass.place", 1, Rung::kFullLcmm},
-      {"pass.prefetch", -1, Rung::kUmm},
-      {"pass.dnnk", -1, Rung::kUmm},
+      {nullptr, false, Rung::kFullLcmm},
+      {"pass.dnnk", false, Rung::kUmm},
+      {"pass.place", false, Rung::kUmm},
+      {"pass.prefetch", true, Rung::kUmm},
+      {"pass.dnnk", true, Rung::kUmm},
   };
   for (const auto& c : cases) {
     const std::string what = c.site ? std::string(c.site) : "no fault";
     std::optional<fault::ArmedGuard> guard;
-    if (c.site) guard.emplace(fault::Config{c.site, 1, c.fires});
+    if (c.site) guard.emplace(fault::Config{.site = c.site, .sticky = c.sticky});
     AllocationPlan umm;
     const AllocationPlan plan = compiler.compile(g, &umm);
     EXPECT_EQ(plan.rung, c.rung) << what;
     EXPECT_TRUE(umm.is_umm) << what;
     EXPECT_EQ(umm.rung, reference.rung) << what;
-    EXPECT_EQ(umm.design.array, reference.design.array) << what;
-    EXPECT_EQ(umm.design.tile, reference.design.tile) << what;
-    EXPECT_EQ(umm.design.freq_mhz, reference.design.freq_mhz) << what;
-    EXPECT_EQ(umm.est_latency_s, reference.est_latency_s) << what;
-    EXPECT_EQ(umm.umm_latency_s, reference.umm_latency_s) << what;
-    EXPECT_EQ(umm.bram_used, reference.bram_used) << what;
-    EXPECT_EQ(umm.uram_used, reference.uram_used) << what;
+    expect_same_umm_plan(umm, reference, what);
   }
 }
 
 TEST(ResilUmm, TransientFaultsLeaveTheBaselineUnchanged) {
-  // The UMM floor retries a transient failure once on the same inputs, so
-  // a one-shot fault anywhere on its path ships the fault-free plan.
+  // The UMM baseline hits only dse.explore and pass.place: a one-shot fault
+  // armed at any LCMM-only site never fires on its path, and compile_umm
+  // ships the fault-free plan.
   const auto g = models::build_by_name("googlenet");
   const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
   const AllocationPlan clean = compiler.compile_umm(g);
-  for (const char* site : {"dse.explore", "pass.place"}) {
+  for (const char* site : {"pass.liveness", "pass.coloring", "pass.prefetch",
+                           "pass.dnnk", "pass.splitting"}) {
     const fault::ArmedGuard guard({.site = site});
     const AllocationPlan plan = compiler.compile_umm(g);
-    EXPECT_EQ(plan.design.array, clean.design.array) << site;
-    EXPECT_EQ(plan.design.tile, clean.design.tile) << site;
-    EXPECT_EQ(plan.design.freq_mhz, clean.design.freq_mhz) << site;
-    EXPECT_EQ(plan.est_latency_s, clean.est_latency_s) << site;
+    expect_same_umm_plan(plan, clean, site);
   }
 }
 
 TEST(ResilUmm, OnlyOneRetryAndNoneInStrictMode) {
+  // compile_umm makes no retry, strict or not, and there is no floor below
+  // the UMM baseline: a one-shot fault anywhere on its path propagates as a
+  // typed E801 naming the site in either mode.
   const auto g = lcmm::testing::chain3();
-  {
-    // Two consecutive faults outlast the single retry.
-    const fault::ArmedGuard guard({.site = "pass.place", .nth = 1, .fires = 2});
-    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16);
-    EXPECT_THROW(compiler.compile_umm(g), CompileError);
-  }
-  {
-    LcmmOptions strict;
-    strict.strict = true;
-    const fault::ArmedGuard guard({.site = "pass.place"});
+  for (const bool strict : {false, true}) {
+    LcmmOptions options;
+    options.strict = strict;
     const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
-                                strict);
-    EXPECT_THROW(compiler.compile_umm(g), CompileError);
+                                options);
+    for (const char* site : {"dse.explore", "pass.place"}) {
+      const fault::ArmedGuard guard({.site = site});
+      try {
+        compiler.compile_umm(g);
+        ADD_FAILURE() << site << " strict=" << strict
+                      << ": expected the fault to propagate";
+      } catch (const CompileError& e) {
+        EXPECT_EQ(e.code(), Code::kFaultInjected) << site << " " << strict;
+        EXPECT_EQ(e.pass(), site) << site << " " << strict;
+      }
+    }
   }
 }
 
@@ -566,38 +560,30 @@ driver::BatchJob small_job(graph::ComputationGraph g,
   return {.graph = std::move(g), .device = hw::FpgaDevice::vu9p(), .precision = p};
 }
 
-TEST(ResilBatch, TransientFaultIsRetriedOnceAndRecovers) {
-  // The compiler's own retry absorbs a one-shot fault: the job runs once
-  // and ships the fault-free plan.
+TEST(ResilBatch, OneShotFaultShipsTheUmmFloor) {
+  // A one-shot fault fails the job's LCMM pipeline once: the job runs once,
+  // succeeds, and its LCMM design is the fault-free UMM plan.
   std::vector<driver::BatchJob> jobs;
   jobs.push_back(small_job(lcmm::testing::chain3()));
   const auto clean = driver::compile_many(jobs, 1);
   ASSERT_TRUE(clean[0].ok()) << clean[0].error;
-  const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1, .fires = 1});
-  obs::StatsSession session;
+  const fault::ArmedGuard guard({.site = "pass.dnnk"});
   const auto outcomes = driver::compile_many(jobs, 1);
-  EXPECT_EQ(session.stats().counter("retries"), 1);
   ASSERT_EQ(outcomes.size(), 1u);
   ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error;
   EXPECT_EQ(outcomes[0].attempts, 1);
   EXPECT_EQ(outcomes[0].label, "chain3");
-  const AllocationPlan& plan = outcomes[0].lcmm_plan;
-  const AllocationPlan& expected = clean[0].lcmm_plan;
-  EXPECT_EQ(plan.rung, Rung::kFullLcmm);
-  EXPECT_EQ(plan.design.array, expected.design.array);
-  EXPECT_EQ(plan.design.tile, expected.design.tile);
-  EXPECT_EQ(plan.design.freq_mhz, expected.design.freq_mhz);
-  EXPECT_EQ(plan.est_latency_s, expected.est_latency_s);
-  EXPECT_EQ(plan.buffer_on_chip, expected.buffer_on_chip);
-  EXPECT_EQ(plan.resident_weights, expected.resident_weights);
-  EXPECT_EQ(outcomes[0].lcmm_report.latency_ms,
-            clean[0].lcmm_report.latency_ms);
+  EXPECT_EQ(outcomes[0].lcmm_plan.rung, Rung::kUmm);
+  EXPECT_EQ(outcomes[0].lcmm_report.degrade_reason, "LCMM-E801@pass.dnnk");
+  expect_same_umm_plan(outcomes[0].lcmm_plan, clean[0].umm_plan, "lcmm");
+  expect_same_umm_plan(outcomes[0].umm_plan, clean[0].umm_plan, "umm");
+  EXPECT_EQ(outcomes[0].lcmm_report.latency_ms, clean[0].umm_report.latency_ms);
   EXPECT_EQ(outcomes[0].umm_report.latency_ms, clean[0].umm_report.latency_ms);
 }
 
 TEST(ResilBatch, StrictJobsFailOnTheFirstAttempt) {
-  // --strict asks to fail on the first typed error, so the compiler's
-  // retry that would absorb a one-shot fault stays off.
+  // --strict asks to fail on the first typed error, so the UMM floor that
+  // would absorb a one-shot fault stays off.
   const fault::ArmedGuard guard({.site = "pass.dnnk"});
   std::vector<driver::BatchJob> jobs;
   jobs.push_back(small_job(lcmm::testing::chain3()));
@@ -620,7 +606,7 @@ TEST(ResilBatch, DeterministicFailuresDoNotRetry) {
   const auto outcomes = driver::compile_many(jobs, 1);
   ASSERT_EQ(outcomes.size(), 1u);
   EXPECT_FALSE(outcomes[0].ok());
-  EXPECT_EQ(outcomes[0].attempts, 1);  // kNoFeasibleDesign is not transient
+  EXPECT_EQ(outcomes[0].attempts, 1);
   EXPECT_EQ(outcomes[0].error_info.code, Code::kNoFeasibleDesign);
   EXPECT_EQ(outcomes[0].label, "chain3/no-dsps");
 }
@@ -645,8 +631,7 @@ TEST(ResilBatch, FaultedOutcomesAreWorkerCountIndependent) {
   // produce byte-identical outcomes — same rung, same errors, same
   // latencies. Sticky pass.prefetch lands every LCMM plan on the UMM floor
   // deterministically.
-  const fault::ArmedGuard guard(
-      {.site = "pass.prefetch", .nth = 1, .fires = -1});
+  const fault::ArmedGuard guard({.site = "pass.prefetch", .sticky = true});
   const auto sweep = [](int workers) {
     std::vector<driver::BatchJob> jobs;
     jobs.push_back(small_job(lcmm::testing::chain3()));
@@ -674,7 +659,7 @@ TEST(ResilBatch, FaultedOutcomesAreWorkerCountIndependent) {
 }
 
 TEST(ResilBatch, ReportsCarryTheRung) {
-  const fault::ArmedGuard guard({.site = "pass.dnnk", .nth = 1, .fires = -1});
+  const fault::ArmedGuard guard({.site = "pass.dnnk", .sticky = true});
   std::vector<driver::BatchJob> jobs;
   jobs.push_back(small_job(lcmm::testing::chain3()));
   const auto outcomes = driver::compile_many(jobs, 1);
@@ -686,27 +671,49 @@ TEST(ResilBatch, ReportsCarryTheRung) {
 }
 
 // ---------------------------------------------------------------------------
-// Env-driven fault matrix (the CI job's entry point).
+// Fault matrix.
 // ---------------------------------------------------------------------------
 
-// Run with LCMM_FAULT=<site> (one-shot by default): every registered model
-// must still compile to a check-clean plan, degrading no further than UMM.
-// Skips when LCMM_FAULT is unset so plain ctest runs are unaffected.
-TEST(FaultMatrix, EveryModelCompilesCheckCleanUnderEnvFault) {
-  { const fault::Scope force_env_arm; }  // LCMM_FAULT is read lazily
-  const auto config = fault::armed();
-  if (!config.has_value()) {
-    GTEST_SKIP() << "LCMM_FAULT not set; nothing to inject";
-  }
+// Every registered site, one-shot and sticky, on every registered model:
+// the compile degrades no further than the UMM floor and ships a
+// check-clean plan. The only exceptions are sticky faults on the sites the
+// floor shares, which propagate typed.
+TEST(FaultMatrix, EveryModelCompilesCheckCleanUnderEveryFault) {
   const LcmmOptions base;
+  const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
+                              base);
+  std::vector<std::pair<std::string, graph::ComputationGraph>> graphs;
   for (const std::string& name : models::model_names()) {
-    SCOPED_TRACE("model " + name + ", fault " + config->site);
-    const auto g = models::build_by_name(name);
-    const LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt16,
-                                base);
-    const AllocationPlan plan = compiler.compile(g);
-    EXPECT_LE(static_cast<int>(plan.rung), static_cast<int>(Rung::kUmm));
-    expect_check_clean(g, plan, base);
+    graphs.emplace_back(name, models::build_by_name(name));
+  }
+  for (const char* site : fault::sites()) {
+    const std::string name(site);
+    const bool shared = name == "dse.explore" || name == "pass.place";
+    for (const bool sticky : {false, true}) {
+      const fault::ArmedGuard guard({.site = name, .sticky = sticky});
+      for (const auto& [model, g] : graphs) {
+        SCOPED_TRACE("model " + model + ", fault " + name +
+                     (sticky ? " sticky" : " one-shot"));
+        if (sticky && shared) {
+          try {
+            compiler.compile(g);
+            ADD_FAILURE() << "expected the fault to propagate";
+          } catch (const CompileError& e) {
+            EXPECT_EQ(e.code(), Code::kFaultInjected);
+            EXPECT_EQ(e.pass(), name);
+          }
+          continue;
+        }
+        const AllocationPlan plan = compiler.compile(g);
+        if (name == "io.parse") {
+          EXPECT_EQ(plan.rung, Rung::kFullLcmm);
+        } else {
+          EXPECT_EQ(plan.rung, Rung::kUmm);
+          EXPECT_EQ(plan.degrade_reason, "LCMM-E801@" + name);
+        }
+        expect_check_clean(g, plan, base);
+      }
+    }
   }
 }
 

@@ -16,10 +16,10 @@ void run_full_pipeline(const graph::ComputationGraph& g) {
   core::LcmmOptions opt;
   opt.liveness.include_compute_bound = true;
   core::LcmmCompiler compiler(hw::FpgaDevice::vu9p(), hw::Precision::kInt8, opt);
-  const auto umm = compiler.compile_umm(g);
-  const auto plan = compiler.compile(g);
-  const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::simulate(g, plan);
+  // One compile per job, as driver::run_job does.
+  sim::SimResult usim;
+  sim::SimResult lsim;
+  const auto plan = compiler.compile(g, nullptr, &usim, &lsim);
   EXPECT_GT(usim.total_s, 0.0);
   EXPECT_LE(lsim.total_s, usim.total_s);
   const auto trace = sim::build_memory_trace(g, plan, lsim);
@@ -80,10 +80,9 @@ TEST(Robustness, HugeChannelCounts) {
 TEST(Robustness, TinyDeviceStillCompiles) {
   auto g = models::build_squeezenet();
   core::LcmmCompiler compiler(hw::FpgaDevice::zu9eg(), hw::Precision::kInt8);
-  const auto umm = compiler.compile_umm(g);
-  const auto plan = compiler.compile(g);
-  const auto usim = sim::simulate(g, umm);
-  const auto lsim = sim::simulate(g, plan);
+  sim::SimResult usim;
+  sim::SimResult lsim;
+  const auto plan = compiler.compile(g, nullptr, &usim, &lsim);
   EXPECT_LE(lsim.total_s, usim.total_s);
   // ZU9EG has no URAM: every buffer must have landed in BRAM.
   for (const auto& pb : plan.physical) {
